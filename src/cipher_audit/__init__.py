@@ -7,19 +7,11 @@ from .cipher import (
     build_diffusion_matrix,
     cat_map_point,
     decrypt,
-    derive_trial_key,
-    diffuse,
     encrypt,
-    from_bitplanes,
-    gf2_inverse,
-    gf2_rank,
-    inverse_permute_bits,
     key_bits,
     key_from_hex,
     key_to_hex,
     param_bits,
-    permute_bits,
-    to_bitplanes,
 )
 from .experiments import (
     ExperimentConfig,
@@ -41,24 +33,16 @@ __all__ = [
     "cat_map_point",
     "chi_square",
     "decrypt",
-    "derive_trial_key",
-    "diffuse",
     "encrypt",
     "error_propagation",
-    "from_bitplanes",
-    "gf2_inverse",
-    "gf2_rank",
     "hamming_percent",
-    "inverse_permute_bits",
     "key_bits",
     "key_from_hex",
     "key_to_hex",
     "keyspace_report",
     "param_bits",
-    "permute_bits",
     "psnr",
     "ssim",
-    "to_bitplanes",
     "uniformity_sweep",
 ]
 

@@ -21,11 +21,28 @@ One round encrypts an M x M grayscale image (M a multiple of 4) in two layers:
 Only stage (a) is keyed; the cipher is a key-selected linear map over GF(2),
 so the all-zero image is a fixed point for every key.  The experiments module
 quantifies the consequences.
+
+The code runs a round as block XOR -> one fused gather -> rotation LUT, which
+the construction allows:
+
+- The matrix is A = J xor P (all-ones xor a permutation), so output byte j of
+  a block is the XOR of the whole block xor input byte pinv[j].  The block
+  XOR is folded on two uint64 lanes per block and broadcast back; the
+  in-block move by pinv is a byte permutation like stages (a) and (b).
+- The in-block move, the cat map and the scramble compose into one flat
+  gather index per (key, M).  The cat-map part is evaluated in closed form
+  from its inverse [[ab+1, -a], [-b, 1]] mod M at the scramble's coordinates.
+- The rotation is an (8, 256) lookup table indexed by shift*256 + byte.
+
+Decryption inverts the rotation with a second table, gathers with the
+inverse index and applies the same block XOR: x -> x xor (block XOR of x)
+is an involution on 16-byte blocks, which is why A^-1 = J xor P^T = A^T.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,13 +137,19 @@ def key_to_hex(key: CipherKey, m: int) -> str:
 
 
 def key_from_hex(text: str, m: int, rounds: int) -> CipherKey:
-    """Parse the hex serialization produced by :func:`key_to_hex`."""
+    """Parse the hex serialization produced by :func:`key_to_hex`.
+
+    Exactly q characters from [0-9a-fA-F] are accepted; a prefix, sign,
+    separator or whitespace is an error rather than a different key.
+    """
     q = param_bits(m)
     if len(text) != q:
         raise ValueError(
             f"key must be exactly {q} hex digits ({4 * q} bits) for M={m}, "
             f"got {len(text)} digits"
         )
+    if not re.fullmatch(r"[0-9a-fA-F]+", text):
+        raise ValueError(f"key must contain only the hex digits 0-9, a-f, A-F, got {text!r}")
     packed = int(text, 16)
     mask = (1 << q) - 1
     ry = packed & mask
@@ -156,59 +179,6 @@ def key_from_stream(rng: np.random.Generator, m: int, rounds: int) -> CipherKey:
     return CipherKey(a=a, b=b, rx=rx, ry=ry, rounds=rounds)
 
 
-def derive_trial_key(master_seed: int, trial_index: int, m: int, rounds: int) -> CipherKey:
-    """Expand (master_seed, trial_index) into a uniform random key for size M."""
-    return key_from_stream(trial_stream(master_seed, trial_index, m, rounds), m, rounds)
-
-
-# ---------------------------------------------------------------------------
-# GF(2) linear algebra
-# ---------------------------------------------------------------------------
-
-def gf2_rank(matrix: np.ndarray) -> int:
-    """Rank of a 0/1 matrix over GF(2) by Gaussian elimination."""
-    work = (np.asarray(matrix, dtype=np.uint8) & 1).copy()
-    rows, cols = work.shape
-    rank = 0
-    for col in range(cols):
-        pivots = np.nonzero(work[rank:, col])[0]
-        if pivots.size == 0:
-            continue
-        pivot = rank + int(pivots[0])
-        if pivot != rank:
-            work[[rank, pivot]] = work[[pivot, rank]]
-        hits = np.nonzero(work[:, col])[0]
-        hits = hits[hits != rank]
-        work[hits] ^= work[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def gf2_inverse(matrix: np.ndarray) -> np.ndarray:
-    """Inverse of a square 0/1 matrix over GF(2).
-
-    Raises ValueError if the matrix is singular.
-    """
-    a = (np.asarray(matrix, dtype=np.uint8) & 1).copy()
-    n, m = a.shape
-    if n != m:
-        raise ValueError(f"matrix must be square, got {n}x{m}")
-    aug = np.hstack([a, np.eye(n, dtype=np.uint8)])
-    for col in range(n):
-        pivots = np.nonzero(aug[col:, col])[0]
-        if pivots.size == 0:
-            raise ValueError("matrix is singular over GF(2)")
-        pivot = col + int(pivots[0])
-        if pivot != col:
-            aug[[col, pivot]] = aug[[pivot, col]]
-        hits = np.nonzero(aug[:, col])[0]
-        hits = hits[hits != col]
-        aug[hits] ^= aug[col]
-    return aug[:, n:].copy()
-
-
 # ---------------------------------------------------------------------------
 # static diffusion matrix
 # ---------------------------------------------------------------------------
@@ -227,8 +197,6 @@ def generate_diffusion_matrix(seed: int) -> np.ndarray:
     perm = np.random.default_rng(seed).permutation(BLOCK_BYTES)
     matrix = np.ones((BLOCK_BYTES, BLOCK_BYTES), dtype=np.uint8)
     matrix[perm, np.arange(BLOCK_BYTES)] ^= 1
-    if gf2_rank(matrix) != BLOCK_BYTES:  # structurally impossible
-        raise AssertionError("diffusion matrix construction lost full rank")
     return matrix
 
 
@@ -236,11 +204,6 @@ def generate_diffusion_matrix(seed: int) -> np.ndarray:
 def build_diffusion_matrix() -> np.ndarray:
     """The single static diffusion matrix (identical for every key and round)."""
     return generate_diffusion_matrix(DIFFUSION_SEED)
-
-
-@functools.lru_cache(maxsize=1)
-def _diffusion_inverse() -> np.ndarray:
-    return gf2_inverse(build_diffusion_matrix())
 
 
 def matrix_lines(matrix: np.ndarray | None = None) -> list[str]:
@@ -251,42 +214,7 @@ def matrix_lines(matrix: np.ndarray | None = None) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# diffusion layer
-# ---------------------------------------------------------------------------
-
-def diffuse(block: np.ndarray | bytes, matrix: np.ndarray) -> np.ndarray:
-    """Multiply one 16-byte block by a binary matrix over GF(2).
-
-    Output byte j is the XOR of all input bytes i with matrix[j][i] == 1.
-    """
-    if isinstance(block, (bytes, bytearray)):
-        data = np.frombuffer(bytes(block), dtype=np.uint8)
-    else:
-        data = np.asarray(block, dtype=np.uint8)
-    if data.shape != (BLOCK_BYTES,):
-        raise ValueError(f"block must be exactly {BLOCK_BYTES} bytes, got {data.size}")
-    return _diffuse_rows(data[np.newaxis, :], matrix)[0]
-
-
-def _diffuse_rows(blocks: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Apply the binary matrix to every row of an (n, 16) byte array."""
-    out = np.zeros_like(blocks)
-    for j in range(BLOCK_BYTES):
-        cols = np.nonzero(matrix[j])[0]
-        if cols.size:
-            out[:, j] = np.bitwise_xor.reduce(blocks[:, cols], axis=1)
-    return out
-
-
-def _diffuse_image(image: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Diffuse an image's bytes row-major in consecutive 16-byte blocks."""
-    m = image.shape[0]
-    blocks = image.reshape(-1, BLOCK_BYTES)
-    return _diffuse_rows(blocks, matrix).reshape(m, m)
-
-
-# ---------------------------------------------------------------------------
-# bit-permutation layer
+# keyed cat map
 # ---------------------------------------------------------------------------
 
 def cat_map_point(x: int, y: int, key: CipherKey, m: int) -> tuple[int, int]:
@@ -304,100 +232,93 @@ def cat_map_point(x: int, y: int, key: CipherKey, m: int) -> tuple[int, int]:
     return xp, yp
 
 
+# ---------------------------------------------------------------------------
+# one round: block XOR -> fused gather -> rotation LUT
+# ---------------------------------------------------------------------------
+
+def _block_xor(data: np.ndarray) -> np.ndarray:
+    """XOR every byte of a flat C-contiguous buffer with the XOR of its 16-byte block.
+
+    This is A = J xor P without the in-block move by P, which the gather
+    index carries.  It is its own inverse: the 16 copies of the block XOR
+    cancel in pairs, so the block XOR of the output is that of the input.
+    """
+    lanes = data.view(np.uint64).reshape(-1, 2)
+    fold = lanes[:, 0] ^ lanes[:, 1]
+    fold ^= fold >> 32
+    fold ^= fold >> 16
+    fold ^= fold >> 8
+    fold = (fold & 0xFF) * 0x0101010101010101
+    return (lanes ^ fold[:, np.newaxis]).reshape(-1).view(np.uint8)
+
+
+@functools.lru_cache(maxsize=8)
+def _scramble_coords(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid cell (u, v) that the static scramble brings to each flat position.
+
+    The dtype holds every intermediate of :func:`_round_index`, which stays
+    within (-2*M*M, 2*M*M): int32 up to M = 32767, int64 beyond.
+    """
+    dtype = np.int32 if 2 * m * m <= np.iinfo(np.int32).max else np.int64
+    flat = np.random.default_rng((SCRAMBLE_SEED, m)).permutation(m * m).astype(dtype)
+    return np.divmod(flat, dtype(m))
+
+
+def _mod(values: np.ndarray, m: int) -> np.ndarray:
+    """values mod m, non-negative.
+
+    numpy divides an integer array by a scalar far faster than it takes the remainder.
+    """
+    return values - values // m * m
+
+
 @functools.lru_cache(maxsize=4)
-def _cat_map_grids(a: int, b: int, rx: int, ry: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Destination coordinates of every grid cell under the cat map."""
-    x, y = np.indices((m, m), dtype=np.int64)
-    xp = ((x + a * y + rx) % m).astype(np.intp)
-    yp = ((b * x + (a * b + 1) * y + ry) % m).astype(np.intp)
-    return xp, yp
+def _round_index(a: int, b: int, rx: int, ry: int, m: int) -> np.ndarray:
+    """Flat gather index of the byte permutations of one round.
 
-
-def to_bitplanes(image: np.ndarray) -> np.ndarray:
-    """Split an image into 8 bit-planes; plane k holds bit k (k=0 is LSB)."""
-    shifts = np.arange(8, dtype=np.uint8)[:, np.newaxis, np.newaxis]
-    return (image[np.newaxis, :, :] >> shifts) & 1
-
-
-def from_bitplanes(planes: np.ndarray) -> np.ndarray:
-    """Reassemble bit-planes into an image (inverse of :func:`to_bitplanes`)."""
-    shifts = np.arange(8, dtype=np.uint8)[:, np.newaxis, np.newaxis]
-    return np.bitwise_or.reduce(planes << shifts, axis=0).astype(np.uint8)
-
-
-def permute_bits(planes: np.ndarray, key: CipherKey) -> np.ndarray:
-    """Move the bit at (x, y) of every plane to cat_map_point(x, y)."""
-    m = planes.shape[1]
-    xp, yp = _cat_map_grids(*key.params(), m)
-    out = np.empty_like(planes)
-    out[:, xp, yp] = planes
-    return out
-
-
-def inverse_permute_bits(planes: np.ndarray, key: CipherKey) -> np.ndarray:
-    """Undo :func:`permute_bits`."""
-    m = planes.shape[1]
-    xp, yp = _cat_map_grids(*key.params(), m)
-    return planes[:, xp, yp]
-
-
-def _cat_map_bytes(image: np.ndarray, key: CipherKey, inverse: bool = False) -> np.ndarray:
-    """Cat-map permutation applied to whole bytes.
-
-    The map is the same for all 8 planes, so it is equivalent to (and much
-    faster than) decomposing into planes, calling permute_bits and
-    reassembling; the test suite asserts the equivalence.
+    Output position k takes the block-XORed byte that the in-block move by
+    pinv, then the cat map, then the scramble carry to k.  The cat map is
+    inverted in closed form at the scramble's coordinates (u, v).
     """
-    xp, yp = _cat_map_grids(*key.params(), image.shape[0])
-    if inverse:
-        return image[xp, yp]
-    out = np.empty_like(image)
-    out[xp, yp] = image
-    return out
+    a, b, rx, ry = a % m, b % m, rx % m, ry % m
+    u, v = _scramble_coords(m)
+    du, dv = u - rx, v - ry
+    x = _mod((a * b + 1) % m * du - a * dv, m)
+    y = _mod(dv - b * du, m)
+    cell = x * m + y
+    pinv = np.argmin(build_diffusion_matrix(), axis=1).astype(cell.dtype)
+    index = (cell & -BLOCK_BYTES) | pinv[cell & (BLOCK_BYTES - 1)]
+    index.flags.writeable = False
+    return index
+
+
+@functools.lru_cache(maxsize=4)
+def _inverse_index(a: int, b: int, rx: int, ry: int, m: int) -> np.ndarray:
+    """Inverse permutation of :func:`_round_index`, for decryption."""
+    index = _round_index(a, b, rx, ry, m)
+    inverse = np.empty_like(index)
+    inverse[index] = np.arange(index.size, dtype=index.dtype)
+    inverse.flags.writeable = False
+    return inverse
 
 
 @functools.lru_cache(maxsize=8)
-def _scramble_grids(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Static seeded permutation of the M x M grid positions."""
-    flat = np.random.default_rng((SCRAMBLE_SEED, m)).permutation(m * m)
-    sx, sy = np.divmod(flat.reshape(m, m).astype(np.intp), m)
-    return sx, sy
+def _rotation_offsets(m: int) -> np.ndarray:
+    """Static seeded left-rotation amount s of each flat position, stored as s*256."""
+    shift = np.random.default_rng((ROTATION_SEED, m)).integers(0, 8, size=m * m)
+    offsets = (shift * 256).astype(np.uint16)
+    offsets.flags.writeable = False
+    return offsets
 
 
-def scramble_bytes(image: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Static key-independent position scramble (part of the permutation layer).
-
-    The affine cat map alone preserves arithmetic structure: for keys with
-    even parameters, differences stay confined to row/column cosets and a
-    one-bit change can never reach half the image.  Composing each round's
-    cat map with this fixed pseudorandom relocation removes every such
-    invariant while keeping the layer an unkeyed, deterministic bijection.
-    """
-    sx, sy = _scramble_grids(image.shape[0])
-    if inverse:
-        out = np.empty_like(image)
-        out[sx, sy] = image
-        return out
-    return image[sx, sy]
+def _rotation_table(shifts: list[int]) -> np.ndarray:
+    """Flat (8, 256) table: entry s*256 + v is byte v rotated left by shifts[s] bits."""
+    return np.array([((v << s) | (v >> (8 - s))) & 0xFF for s in shifts for v in range(256)],
+                    dtype=np.uint8)
 
 
-@functools.lru_cache(maxsize=8)
-def _rotation_grid(m: int) -> np.ndarray:
-    return np.random.default_rng((ROTATION_SEED, m)).integers(0, 8, size=(m, m)).astype(np.uint16)
-
-
-def rotate_bits(image: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Static per-position left bit-rotation (the cross-plane permutation stage).
-
-    Byte-wise XOR diffusion and the per-plane cat map both keep every bit in
-    its own plane; this rotation is what moves bits between planes so a
-    single flipped bit can eventually influence all 8*M*M positions.
-    """
-    shift = _rotation_grid(image.shape[0])
-    if inverse:
-        shift = (8 - shift) % 8
-    wide = image.astype(np.uint16)
-    return (((wide << shift) | (wide >> (8 - shift))) & 0xFF).astype(np.uint8)
+_ROTATE_LEFT = _rotation_table(list(range(8)))
+_ROTATE_RIGHT = _rotation_table([(8 - s) % 8 for s in range(8)])  # right by s is left by 8 - s
 
 
 # ---------------------------------------------------------------------------
@@ -406,25 +327,21 @@ def rotate_bits(image: np.ndarray, inverse: bool = False) -> np.ndarray:
 
 def encrypt(image: np.ndarray, key: CipherKey) -> np.ndarray:
     """Run key.rounds rounds of diffusion followed by the bit permutation."""
-    validate_image(image)
-    matrix = build_diffusion_matrix()
-    out = image
+    m = validate_image(image)
+    index = _round_index(*key.params(), m)
+    offsets = _rotation_offsets(m)
+    out = np.ascontiguousarray(image).reshape(-1)
     for _ in range(key.rounds):
-        out = _diffuse_image(out, matrix)
-        out = _cat_map_bytes(out, key)
-        out = scramble_bytes(out)
-        out = rotate_bits(out)
-    return out.copy() if out is image else out
+        out = _ROTATE_LEFT.take(offsets + _block_xor(out).take(index))
+    return out.reshape(m, m)
 
 
 def decrypt(cipher: np.ndarray, key: CipherKey) -> np.ndarray:
     """Exact inverse of :func:`encrypt` under the same key."""
-    validate_image(cipher)
-    inverse = _diffusion_inverse()
-    out = cipher
+    m = validate_image(cipher)
+    index = _inverse_index(*key.params(), m)
+    offsets = _rotation_offsets(m)
+    out = np.ascontiguousarray(cipher).reshape(-1)
     for _ in range(key.rounds):
-        out = rotate_bits(out, inverse=True)
-        out = scramble_bytes(out, inverse=True)
-        out = _cat_map_bytes(out, key, inverse=True)
-        out = _diffuse_image(out, inverse)
-    return out.copy() if out is cipher else out
+        out = _block_xor(_ROTATE_RIGHT.take(offsets + out).take(index))
+    return out.reshape(m, m)

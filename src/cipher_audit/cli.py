@@ -18,7 +18,11 @@ SEED_ENV_VAR = "CIPHER_AUDIT_SEED"
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"), 0)
+    text = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
 
 
 def _default_jobs() -> int:
@@ -281,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
     if getattr(args, "jobs", None) is None and hasattr(args, "jobs"):
         args.jobs = _default_jobs()
     if getattr(args, "rounds", None) is not None and isinstance(args.rounds, int):
@@ -293,6 +295,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --trials must be >= 1", file=sys.stderr)
         return 2
     try:
+        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+            args.seed = _default_seed()
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

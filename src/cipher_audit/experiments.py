@@ -10,6 +10,7 @@ task order after all trials return.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -49,6 +50,8 @@ class ExperimentConfig:
         for m in self.sizes:
             if m < 4 or m % 4 != 0:
                 raise ValueError(f"image sizes must be multiples of 4 and >= 4, got {m}")
+        if not self.rounds:
+            raise ValueError("at least one round count is required")
         for r in self.rounds:
             if r < 1:
                 raise ValueError(f"round counts must be >= 1, got {r}")
@@ -134,12 +137,18 @@ class KeySpaceReport:
         )
 
 
+def _worker_count(jobs: int, n_tasks: int) -> int:
+    """Processes worth starting: no more than requested, cores, or tasks."""
+    return max(1, min(jobs, os.cpu_count() or 1, n_tasks))
+
+
 def _run_tasks(fn, tasks: list, jobs: int) -> list:
     """Map fn over tasks, optionally across processes; order is preserved."""
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = _worker_count(jobs, len(tasks))
+    if workers == 1:
         return [fn(task) for task in tasks]
-    chunk = max(1, len(tasks) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(tasks) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
@@ -305,13 +314,14 @@ def error_propagation(
     tasks = [
         (cfg.master_seed, m, rounds, w, cfg.error_percents) for w in range(cfg.trials)
     ]
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = _worker_count(jobs, len(tasks))
+    if workers == 1:
         _errprop_init(image)
         results = [_errprop_trial(task) for task in tasks]
     else:
-        chunk = max(1, len(tasks) // (jobs * 4))
+        chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_errprop_init, initargs=(image,)
+            max_workers=workers, initializer=_errprop_init, initargs=(image,)
         ) as pool:
             results = list(pool.map(_errprop_trial, tasks, chunksize=chunk))
 

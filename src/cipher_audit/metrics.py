@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,27 +16,6 @@ GRAY_LEVELS = 256
 _SSIM_C1 = (0.01 * 255.0) ** 2
 _SSIM_C2 = (0.03 * 255.0) ** 2
 SSIM_WINDOW = 8
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One trial's measurements; fields are filled per experiment type."""
-
-    ps_percent: float | None = None
-    diff_percent: float | None = None
-    chi2: float | None = None
-    psnr_db: float | None = None
-    ssim: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("ps_percent", "diff_percent"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 100.0:
-                raise ValueError(f"{name} must be within [0, 100], got {value}")
-        if self.chi2 is not None and self.chi2 < 0.0:
-            raise ValueError(f"chi2 must be non-negative, got {self.chi2}")
-        if self.ssim is not None and not -1.0 <= self.ssim <= 1.0:
-            raise ValueError(f"ssim must be within [-1, 1], got {self.ssim}")
 
 
 def _as_bytes(data: np.ndarray | bytes | bytearray) -> np.ndarray:

@@ -1,12 +1,19 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is written in plain Python loops, separately from the
-vectorized code under test, so the two routes share no code path.
+The package runs a cipher round as block XOR -> fused gather -> rotation
+table.  Everything here follows the cipher's definition instead: matrix
+products over GF(2), the cat map applied per bit-plane, the static stages
+rebuilt from their seeds.  Most of it is plain Python loops; the numpy
+helpers (GF(2) elimination, bit-planes) share no code with the package.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from cipher_audit.cipher import CipherKey
 
 
 def gf2_matvec_bytes(matrix, block):
@@ -116,3 +123,169 @@ def chi_square_direct(data):
         counts[byte] += 1
     expected = len(bytes(data)) / 256
     return sum((c - expected) ** 2 / expected for c in counts)
+
+
+# ---------------------------------------------------------------------------
+# GF(2) linear algebra
+# ---------------------------------------------------------------------------
+
+def gf2_rank(matrix) -> int:
+    """Rank of a 0/1 matrix over GF(2) by Gaussian elimination."""
+    work = (np.asarray(matrix, dtype=np.uint8) & 1).copy()
+    rows, cols = work.shape
+    rank = 0
+    for col in range(cols):
+        pivots = np.nonzero(work[rank:, col])[0]
+        if pivots.size == 0:
+            continue
+        pivot = rank + int(pivots[0])
+        if pivot != rank:
+            work[[rank, pivot]] = work[[pivot, rank]]
+        hits = np.nonzero(work[:, col])[0]
+        hits = hits[hits != rank]
+        work[hits] ^= work[rank]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def gf2_inverse(matrix) -> np.ndarray:
+    """Inverse of a square 0/1 matrix over GF(2); ValueError if it is singular."""
+    a = (np.asarray(matrix, dtype=np.uint8) & 1).copy()
+    n, m = a.shape
+    if n != m:
+        raise ValueError(f"matrix must be square, got {n}x{m}")
+    aug = np.hstack([a, np.eye(n, dtype=np.uint8)])
+    for col in range(n):
+        pivots = np.nonzero(aug[col:, col])[0]
+        if pivots.size == 0:
+            raise ValueError("matrix is singular over GF(2)")
+        pivot = col + int(pivots[0])
+        if pivot != col:
+            aug[[col, pivot]] = aug[[pivot, col]]
+        hits = np.nonzero(aug[:, col])[0]
+        hits = hits[hits != col]
+        aug[hits] ^= aug[col]
+    return aug[:, n:].copy()
+
+
+def diffuse(block, matrix) -> np.ndarray:
+    """Multiply one 16-byte block by a binary matrix over GF(2)."""
+    if isinstance(block, (bytes, bytearray)):
+        block = np.frombuffer(bytes(block), dtype=np.uint8)
+    data = np.asarray(block, dtype=np.uint8)
+    if data.shape != (16,):
+        raise ValueError(f"block must be exactly 16 bytes, got {data.size}")
+    return np.frombuffer(gf2_matvec_bytes(matrix, data), dtype=np.uint8)
+
+
+def diffuse_image(image, matrix) -> np.ndarray:
+    """Diffuse an image's bytes row-major in consecutive 16-byte blocks."""
+    blocks = np.asarray(image, dtype=np.uint8).reshape(-1, 16)
+    return np.concatenate([diffuse(block, matrix) for block in blocks]).reshape(np.shape(image))
+
+
+# ---------------------------------------------------------------------------
+# bit-plane route of the permutation layer
+# ---------------------------------------------------------------------------
+
+def cat_map_grids(key, m):
+    """Destination coordinates of every grid cell under the cat map."""
+    x, y = np.indices((m, m), dtype=np.int64)
+    xp = (x + key.a * y + key.rx) % m
+    yp = (key.b * x + (key.a * key.b + 1) * y + key.ry) % m
+    return xp, yp
+
+
+def to_bitplanes(image) -> np.ndarray:
+    """Split an image into 8 bit-planes; plane k holds bit k (k=0 is LSB)."""
+    shifts = np.arange(8, dtype=np.uint8)[:, np.newaxis, np.newaxis]
+    return (np.asarray(image)[np.newaxis, :, :] >> shifts) & 1
+
+
+def from_bitplanes(planes) -> np.ndarray:
+    """Reassemble bit-planes into an image (inverse of :func:`to_bitplanes`)."""
+    shifts = np.arange(8, dtype=np.uint8)[:, np.newaxis, np.newaxis]
+    return np.bitwise_or.reduce(planes << shifts, axis=0).astype(np.uint8)
+
+
+def permute_bits(planes, key) -> np.ndarray:
+    """Move the bit at (x, y) of every plane to the cat map's image of (x, y)."""
+    xp, yp = cat_map_grids(key, planes.shape[1])
+    out = np.empty_like(planes)
+    out[:, xp, yp] = planes
+    return out
+
+
+def inverse_permute_bits(planes, key) -> np.ndarray:
+    """Undo :func:`permute_bits`."""
+    xp, yp = cat_map_grids(key, planes.shape[1])
+    return planes[:, xp, yp]
+
+
+# ---------------------------------------------------------------------------
+# static stages, rebuilt from their seeds
+# ---------------------------------------------------------------------------
+
+def scramble_pairs(seed, m):
+    """Source cell (x, y) that the static scramble brings to each (row, column)."""
+    flat = np.random.default_rng((seed, m)).permutation(m * m)
+    return [[divmod(int(flat[x * m + y]), m) for y in range(m)] for x in range(m)]
+
+
+def rotation_shifts(seed, m):
+    """Static left-rotation amount of each grid position."""
+    return np.random.default_rng((seed, m)).integers(0, 8, size=(m, m)).tolist()
+
+
+def rotate_left(byte, shift):
+    """8-bit left rotation of one byte."""
+    shift %= 8
+    return ((byte << shift) | (byte >> (8 - shift))) & 0xFF
+
+
+def encrypt_one_round_planes(image, key, matrix, scramble, rotation):
+    """One round through bit-planes: block diffusion, per-plane cat map,
+    scramble gather, per-position rotation."""
+    planes = permute_bits(to_bitplanes(diffuse_image(image, matrix)), key)
+    mapped = from_bitplanes(planes)
+    return np.array(
+        [[rotate_left(int(mapped[sx, sy]), rotation[x][y]) for y, (sx, sy) in enumerate(row)]
+         for x, row in enumerate(scramble)],
+        dtype=np.uint8,
+    )
+
+
+# ---------------------------------------------------------------------------
+# keys and records
+# ---------------------------------------------------------------------------
+
+def derive_trial_key(master_seed, trial_index, m, rounds):
+    """Trial key from the documented stream contract: the first four q-bit draws
+    of default_rng((master_seed, trial_index, M, rounds))."""
+    q = (m - 1).bit_length()
+    rng = np.random.default_rng((master_seed, trial_index, m, rounds))
+    a, b, rx, ry = (int(v) for v in rng.integers(0, 1 << q, size=4))
+    return CipherKey(a=a, b=b, rx=rx, ry=ry, rounds=rounds)
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """One trial's measurements; fields are filled per experiment type."""
+
+    ps_percent: float | None = None
+    diff_percent: float | None = None
+    chi2: float | None = None
+    psnr_db: float | None = None
+    ssim: float | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("ps_percent", "diff_percent"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 100.0:
+                raise ValueError(f"{name} must be within [0, 100], got {value}")
+        if self.chi2 is not None and self.chi2 < 0.0:
+            raise ValueError(f"chi2 must be non-negative, got {self.chi2}")
+        if self.ssim is not None and not -1.0 <= self.ssim <= 1.0:
+            raise ValueError(f"ssim must be within [-1, 1], got {self.ssim}")

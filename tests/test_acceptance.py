@@ -15,6 +15,8 @@ import pytest
 from cipher_audit import cipher, cli, experiments, metrics
 from cipher_audit.experiments import ExperimentConfig
 
+import oracles
+
 GRID_SIZES = (16, 32, 64, 128, 196, 256, 300, 512)
 MASTER_SEED = 2024
 JOBS = min(8, os.cpu_count() or 1)
@@ -139,12 +141,14 @@ class TestCriterion5ErrorPropagation:
 class TestCriterion6DiffusionMatrix:
     def test_full_rank_and_inverse(self):
         matrix = cipher.build_diffusion_matrix()
-        rank = cipher.gf2_rank(matrix)
+        rank = oracles.gf2_rank(matrix)
         assert rank == 16
-        inverse = cipher.gf2_inverse(matrix)
+        inverse = oracles.gf2_inverse(matrix)
         product = (matrix.astype(np.int64) @ inverse.astype(np.int64)) % 2
         assert np.array_equal(product, np.eye(16, dtype=np.int64))
-        _report("6 diffusion matrix", "GF(2) rank 16 and A*A^-1 = I")
+        # decryption reuses the block XOR because A^-1 = A^T
+        assert np.array_equal(inverse, matrix.T)
+        _report("6 diffusion matrix", "GF(2) rank 16, A*A^-1 = I and A^-1 = A^T")
 
 
 class TestCriterion7CatMapBijectivity:
@@ -153,17 +157,20 @@ class TestCriterion7CatMapBijectivity:
         for m in (4, 8, 16, 32, 64):
             for _ in range(100):
                 key = cipher.key_from_stream(rng, m, 1)
-                xp, yp = cipher._cat_map_grids(*key.params(), m)
-                hits = np.bincount((xp * m + yp).reshape(-1), minlength=m * m)
-                assert np.all(hits == 1), f"not a bijection at M={m}, key={key}"
-        _report("7 cat-map bijectivity", "exhaustive check, M in {4,8,16,32,64} x 100 keys")
+                # one round's fused gather index: in-block move, cat map, scramble
+                index = cipher._round_index(*key.params(), m)
+                hits = np.bincount(index, minlength=m * m)
+                assert hits.size == m * m and np.all(hits == 1), \
+                    f"not a bijection at M={m}, key={key}"
+        _report("7 cat-map bijectivity",
+                "fused gather index exhaustive, M in {4,8,16,32,64} x 100 keys")
 
 
 class TestCriterion8KeySpace:
     def test_serialized_key_length(self):
         for m in (4, 16, 64, 128, 196, 256, 300, 512):
             expected_bits = 4 * cipher.param_bits(m)
-            key = cipher.derive_trial_key(MASTER_SEED, 0, m, 1)
+            key = oracles.derive_trial_key(MASTER_SEED, 0, m, 1)
             assert len(cipher.key_to_hex(key, m)) * 4 == expected_bits
         assert cipher.key_bits(256) == 32
         assert experiments.keyspace_report(256).key_space == 2**32

@@ -12,9 +12,29 @@ import oracles
 DIFFUSE_TEST_BLOCK = bytes((17 * i + 3) % 256 for i in range(16))
 DIFFUSE_TEST_EXPECTED = bytes.fromhex("6eaab93097d2c4e67dd31ff588214c5b")
 
+# Sizes whose 16-byte diffusion blocks do not line up with image rows
+# (M % 16 != 0), so a block spans parts of two or more rows.
+STRADDLING_SIZES = (4, 12, 20, 36)
+
 
 def random_key(rng: np.random.Generator, m: int, rounds: int) -> cipher.CipherKey:
     return cipher.key_from_stream(rng, m, rounds)
+
+
+def trial_key(master_seed: int, trial_index: int, m: int, rounds: int) -> cipher.CipherKey:
+    return cipher.key_from_stream(cipher.trial_stream(master_seed, trial_index, m, rounds), m, rounds)
+
+
+def byte_sources() -> list[int]:
+    """pinv: output byte j of a block is the block XOR xor input byte pinv[j],
+    read off the matrix (the one 0 in row j of A = J xor P)."""
+    return [row.index(0) for row in cipher.build_diffusion_matrix().tolist()]
+
+
+def package_diffusion(image: np.ndarray) -> np.ndarray:
+    """The package's diffusion layer: block XOR, then the in-block move by pinv."""
+    flat = cipher._block_xor(np.ascontiguousarray(image).reshape(-1))
+    return flat.reshape(-1, 16)[:, byte_sources()].reshape(image.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -23,13 +43,20 @@ def random_key(rng: np.random.Generator, m: int, rounds: int) -> cipher.CipherKe
 
 class TestDiffusionMatrix:
     def test_full_rank(self):
-        assert cipher.gf2_rank(cipher.build_diffusion_matrix()) == 16
+        assert oracles.gf2_rank(cipher.build_diffusion_matrix()) == 16
 
     def test_inverse_is_identity(self):
         matrix = cipher.build_diffusion_matrix()
-        inverse = cipher.gf2_inverse(matrix)
+        inverse = oracles.gf2_inverse(matrix)
         product = oracles.gf2_matmul(matrix.tolist(), inverse.tolist())
         assert product == np.eye(16, dtype=int).tolist()
+
+    def test_inverse_is_transpose(self):
+        # A^-1 = A^T is what lets decryption reuse the block XOR
+        matrix = cipher.build_diffusion_matrix()
+        product = oracles.gf2_matmul(matrix.tolist(), matrix.T.tolist())
+        assert product == np.eye(16, dtype=int).tolist()
+        assert np.array_equal(oracles.gf2_inverse(matrix), matrix.T)
 
     def test_deterministic(self):
         first = cipher.build_diffusion_matrix()
@@ -49,54 +76,72 @@ class TestDiffusionMatrix:
     def test_gf2_inverse_rejects_singular(self):
         singular = np.zeros((4, 4), dtype=np.uint8)
         with pytest.raises(ValueError):
-            cipher.gf2_inverse(singular)
+            oracles.gf2_inverse(singular)
 
 
 # ---------------------------------------------------------------------------
-# diffuse
+# diffusion layer: block XOR plus the in-block move
 # ---------------------------------------------------------------------------
 
 class TestDiffuse:
     def test_zero_block_fixed(self):
-        out = cipher.diffuse(bytes(16), cipher.build_diffusion_matrix())
-        assert bytes(out) == bytes(16)
+        assert not cipher._block_xor(np.zeros(16, dtype=np.uint8)).any()
 
     def test_identity_matrix(self):
         block = bytes(range(16))
-        out = cipher.diffuse(block, np.eye(16, dtype=np.uint8))
+        out = oracles.diffuse(block, np.eye(16, dtype=np.uint8))
         assert bytes(out) == block
 
     def test_against_straight_line_oracle(self):
         matrix = cipher.build_diffusion_matrix()
-        out = cipher.diffuse(DIFFUSE_TEST_BLOCK, matrix)
-        assert bytes(out) == DIFFUSE_TEST_EXPECTED
+        block = np.frombuffer(DIFFUSE_TEST_BLOCK, dtype=np.uint8).reshape(4, 4)
+        assert package_diffusion(block).tobytes() == DIFFUSE_TEST_EXPECTED
         assert oracles.gf2_matvec_bytes(matrix, DIFFUSE_TEST_BLOCK) == DIFFUSE_TEST_EXPECTED
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="16 bytes"):
-            cipher.diffuse(bytes(15), cipher.build_diffusion_matrix())
+            oracles.diffuse(bytes(15), cipher.build_diffusion_matrix())
 
-    @given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))
+    @given(st.binary(min_size=32, max_size=32), st.binary(min_size=32, max_size=32))
     @settings(max_examples=50)
     def test_linearity(self, u, v):
-        matrix = cipher.build_diffusion_matrix()
-        xored = bytes(a ^ b for a, b in zip(u, v))
-        direct = cipher.diffuse(xored, matrix)
-        split = cipher.diffuse(u, matrix) ^ cipher.diffuse(v, matrix)
-        assert np.array_equal(direct, split)
+        x = np.frombuffer(u, dtype=np.uint8)
+        y = np.frombuffer(v, dtype=np.uint8)
+        assert np.array_equal(
+            cipher._block_xor(x ^ y), cipher._block_xor(x) ^ cipher._block_xor(y)
+        )
+
+    @given(st.binary(min_size=48, max_size=48))
+    @settings(max_examples=50)
+    def test_block_xor_is_its_own_inverse(self, data):
+        x = np.frombuffer(data, dtype=np.uint8)
+        assert np.array_equal(cipher._block_xor(cipher._block_xor(x)), x)
 
     def test_bulk_matches_per_block(self):
         rng = np.random.default_rng(11)
-        image = rng.integers(0, 256, (16, 16), dtype=np.uint8)
         matrix = cipher.build_diffusion_matrix()
-        bulk = cipher._diffuse_image(image, matrix).reshape(-1, 16)
-        for i, block in enumerate(image.reshape(-1, 16)):
-            assert np.array_equal(bulk[i], cipher.diffuse(block, matrix))
+        for m in (12, 16):
+            image = rng.integers(0, 256, (m, m), dtype=np.uint8)
+            bulk = package_diffusion(image).reshape(-1, 16)
+            for i, block in enumerate(image.reshape(-1, 16)):
+                assert np.array_equal(bulk[i], oracles.diffuse(block, matrix))
 
 
 # ---------------------------------------------------------------------------
-# cat map
+# cat map and the fused gather index
 # ---------------------------------------------------------------------------
+
+def decode_index(index: np.ndarray, m: int) -> list[tuple[int, int]]:
+    """Grid cell (x, y) of the diffused image that each output position reads,
+    undoing the in-block move folded into the fused index."""
+    sources = byte_sources()
+    moved = {src: j for j, src in enumerate(sources)}
+    cells = []
+    for f in index.tolist():
+        cell = f - f % 16 + moved[f % 16]
+        cells.append(divmod(cell, m))
+    return cells
+
 
 class TestCatMap:
     def test_identity_parameters(self):
@@ -123,11 +168,15 @@ class TestCatMap:
             assert cipher.cat_map_point(x, y, key, 8) == target
 
     def test_grids_match_pointwise(self):
-        key = cipher.CipherKey(5, 9, 2, 7, rounds=1)
-        xp, yp = cipher._cat_map_grids(*key.params(), 16)
-        for x in range(16):
-            for y in range(16):
-                assert (xp[x, y], yp[x, y]) == cipher.cat_map_point(x, y, key, 16)
+        # the closed-form inverse in the fused index, cell by cell: output
+        # position k reads the cell that the cat map sends to the scramble's
+        # source of k
+        for key, m in ((cipher.CipherKey(5, 9, 2, 7, rounds=1), 16),
+                       (cipher.CipherKey(13, 6, 11, 3, rounds=1), 12)):
+            scramble = oracles.scramble_pairs(cipher.SCRAMBLE_SEED, m)
+            cells = decode_index(cipher._round_index(*key.params(), m), m)
+            for k, (x, y) in enumerate(cells):
+                assert cipher.cat_map_point(x, y, key, m) == scramble[k // m][k % m]
 
 
 # ---------------------------------------------------------------------------
@@ -140,27 +189,27 @@ class TestBitPermutation:
     def test_bitplane_roundtrip(self, seed):
         rng = np.random.default_rng(seed)
         image = rng.integers(0, 256, (8, 8), dtype=np.uint8)
-        planes = cipher.to_bitplanes(image)
+        planes = oracles.to_bitplanes(image)
         assert planes.shape == (8, 8, 8)
-        assert np.array_equal(cipher.from_bitplanes(planes), image)
+        assert np.array_equal(oracles.from_bitplanes(planes), image)
 
     def test_plane_k_holds_bit_k(self):
         image = np.full((4, 4), 0b10110010, dtype=np.uint8)
-        planes = cipher.to_bitplanes(image)
+        planes = oracles.to_bitplanes(image)
         for k in range(8):
             assert np.all(planes[k] == ((0b10110010 >> k) & 1))
 
     def test_identity_parameters_leave_planes(self):
         key = cipher.CipherKey(0, 0, 0, 0, rounds=1)
         rng = np.random.default_rng(3)
-        planes = cipher.to_bitplanes(rng.integers(0, 256, (8, 8), dtype=np.uint8))
-        assert np.array_equal(cipher.permute_bits(planes, key), planes)
+        planes = oracles.to_bitplanes(rng.integers(0, 256, (8, 8), dtype=np.uint8))
+        assert np.array_equal(oracles.permute_bits(planes, key), planes)
 
     def test_single_bit_follows_cat_map(self):
         key = cipher.CipherKey(1, 1, 0, 0, rounds=1)
         planes = np.zeros((8, 4, 4), dtype=np.uint8)
         planes[0, 1, 0] = 1
-        out = cipher.permute_bits(planes, key)
+        out = oracles.permute_bits(planes, key)
         assert out[0, 1, 1] == 1
         assert out.sum() == 1
 
@@ -169,31 +218,49 @@ class TestBitPermutation:
     def test_permute_roundtrip(self, seed, m):
         rng = np.random.default_rng(seed)
         key = random_key(rng, m, 1)
-        planes = cipher.to_bitplanes(rng.integers(0, 256, (m, m), dtype=np.uint8))
-        permuted = cipher.permute_bits(planes, key)
-        assert np.array_equal(cipher.inverse_permute_bits(permuted, key), planes)
+        planes = oracles.to_bitplanes(rng.integers(0, 256, (m, m), dtype=np.uint8))
+        permuted = oracles.permute_bits(planes, key)
+        assert np.array_equal(oracles.inverse_permute_bits(permuted, key), planes)
 
     def test_byte_route_equals_plane_route(self):
+        # one package round against diffusion, per-plane cat map, scramble
+        # and rotation run separately through bit-planes
         rng = np.random.default_rng(9)
-        for m in (8, 16):
+        matrix = cipher.build_diffusion_matrix()
+        for m in (8, 12, 16):
             key = random_key(rng, m, 1)
             image = rng.integers(0, 256, (m, m), dtype=np.uint8)
-            via_planes = cipher.from_bitplanes(cipher.permute_bits(cipher.to_bitplanes(image), key))
-            assert np.array_equal(cipher._cat_map_bytes(image, key), via_planes)
+            via_planes = oracles.encrypt_one_round_planes(
+                image, key, matrix,
+                oracles.scramble_pairs(cipher.SCRAMBLE_SEED, m),
+                oracles.rotation_shifts(cipher.ROTATION_SEED, m),
+            )
+            assert np.array_equal(cipher.encrypt(image, key), via_planes)
 
     def test_scramble_roundtrip_and_permutation(self):
         rng = np.random.default_rng(5)
-        image = rng.integers(0, 256, (16, 16), dtype=np.uint8)
-        scrambled = cipher.scramble_bytes(image)
-        assert np.array_equal(cipher.scramble_bytes(scrambled, inverse=True), image)
-        assert np.array_equal(np.sort(scrambled.reshape(-1)), np.sort(image.reshape(-1)))
+        for m in (12, 16):
+            key = random_key(rng, m, 1)
+            index = cipher._round_index(*key.params(), m)
+            inverse = cipher._inverse_index(*key.params(), m)
+            identity = np.arange(m * m)
+            assert np.array_equal(np.sort(index), identity)
+            assert np.array_equal(index[inverse], identity)
+            assert np.array_equal(inverse[index], identity)
+            u, v = cipher._scramble_coords(m)
+            pairs = oracles.scramble_pairs(cipher.SCRAMBLE_SEED, m)
+            assert list(zip(u.tolist(), v.tolist())) == [p for row in pairs for p in row]
 
     def test_rotation_roundtrip_preserves_bit_count(self):
-        rng = np.random.default_rng(6)
-        image = rng.integers(0, 256, (16, 16), dtype=np.uint8)
-        rotated = cipher.rotate_bits(image)
-        assert np.array_equal(cipher.rotate_bits(rotated, inverse=True), image)
-        assert np.bitwise_count(rotated).sum() == np.bitwise_count(image).sum()
+        for shift in range(8):
+            for byte in range(256):
+                rotated = int(cipher._ROTATE_LEFT[shift * 256 + byte])
+                assert rotated == oracles.rotate_left(byte, shift)
+                assert cipher._ROTATE_RIGHT[shift * 256 + rotated] == byte
+                assert rotated.bit_count() == byte.bit_count()
+        m = 16
+        shifts = oracles.rotation_shifts(cipher.ROTATION_SEED, m)
+        assert cipher._rotation_offsets(m).tolist() == [256 * s for row in shifts for s in row]
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +280,24 @@ class TestKeys:
         text = cipher.key_to_hex(key, 256)
         assert len(text) == 8  # 32 bits
         assert cipher.key_from_hex(text, 256, 6) == key
+        assert cipher.key_from_hex(text.upper(), 256, 6) == key
 
     def test_serialized_length_is_4q_bits(self):
         for m in (4, 16, 64, 256, 512):
-            key = cipher.derive_trial_key(2, 1, m, 1)
+            key = oracles.derive_trial_key(2, 1, m, 1)
             assert len(cipher.key_to_hex(key, m)) * 4 == cipher.key_bits(m)
 
     def test_wrong_hex_length_rejected(self):
         with pytest.raises(ValueError, match="hex digits"):
             cipher.key_from_hex("abcd", 256, 6)
+
+    @pytest.mark.parametrize("text", ["0x3fa9c2", "3f_a9c2d", "-3fa9c2d", " 3fa9c2d"])
+    def test_malformed_hex_rejected(self, text):
+        # each is 8 characters, the length for M=256, and int(text, 16) reads it
+        assert len(text) == 8
+        int(text, 16)
+        with pytest.raises(ValueError, match="only the hex digits"):
+            cipher.key_from_hex(text, 256, 6)
 
     def test_oversized_parameter_rejected(self):
         key = cipher.CipherKey(a=256, b=0, rx=0, ry=0, rounds=1)
@@ -233,21 +309,18 @@ class TestKeys:
             cipher.CipherKey(1, 1, 1, 1, rounds=0)
 
     def test_derive_trial_key_deterministic(self):
-        first = cipher.derive_trial_key(42, 7, 256, 6)
-        again = cipher.derive_trial_key(42, 7, 256, 6)
-        assert first == again
-        assert cipher.derive_trial_key(42, 8, 256, 6) != first
+        first = trial_key(42, 7, 256, 6)
+        assert trial_key(42, 7, 256, 6) == first
+        assert trial_key(42, 8, 256, 6) != first
 
     def test_derived_parameters_in_range(self):
         for w in range(1000):
-            key = cipher.derive_trial_key(3, w, 256, 6)
+            key = trial_key(3, w, 256, 6)
             assert all(0 <= p <= 255 for p in key.params())
 
     def test_derived_parameters_uniform(self):
         # chi-square of each parameter over 1e5 draws, 256 bins, M=256
-        draws = np.array(
-            [cipher.derive_trial_key(0, w, 256, 6).params() for w in range(100_000)]
-        )
+        draws = np.array([trial_key(0, w, 256, 6).params() for w in range(100_000)])
         expected = draws.shape[0] / 256
         for column in range(4):
             counts = np.bincount(draws[:, column], minlength=256)
@@ -256,7 +329,7 @@ class TestKeys:
 
     def test_stream_matches_derive(self):
         rng = cipher.trial_stream(9, 4, 64, 2)
-        assert cipher.key_from_stream(rng, 64, 2) == cipher.derive_trial_key(9, 4, 64, 2)
+        assert cipher.key_from_stream(rng, 64, 2) == oracles.derive_trial_key(9, 4, 64, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -275,22 +348,21 @@ class TestCipherRoundtrip:
     def test_zero_image_is_fixed_point(self):
         zero = np.zeros((4, 4), dtype=np.uint8)
         for w in range(5):
-            key = cipher.derive_trial_key(1, w, 4, 1)
+            key = oracles.derive_trial_key(1, w, 4, 1)
             assert np.array_equal(cipher.encrypt(zero, key), zero)
             assert np.array_equal(cipher.decrypt(zero, key), zero)
 
     def test_single_round_matches_hand_sequenced_trace(self):
-        m = 16
         key = cipher.CipherKey(a=3, b=7, rx=5, ry=11, rounds=1)
-        image = np.zeros((m, m), dtype=np.uint8)
-        image[2, 9] = 1
-        sx, sy = cipher._scramble_grids(m)
-        pairs = [[(int(sx[x, y]), int(sy[x, y])) for y in range(m)] for x in range(m)]
-        expected = oracles.encrypt_one_round_trace(
-            image.tolist(), key, cipher.build_diffusion_matrix().tolist(),
-            pairs, cipher._rotation_grid(m).tolist(),
-        )
-        assert np.array_equal(cipher.encrypt(image, key), expected)
+        for m in (12, 16, 20):
+            image = np.zeros((m, m), dtype=np.uint8)
+            image[2, 9] = 1
+            expected = oracles.encrypt_one_round_trace(
+                image.tolist(), key, cipher.build_diffusion_matrix().tolist(),
+                oracles.scramble_pairs(cipher.SCRAMBLE_SEED, m),
+                oracles.rotation_shifts(cipher.ROTATION_SEED, m),
+            )
+            assert np.array_equal(cipher.encrypt(image, key), expected), f"M={m}"
 
     def test_encryption_is_linear_over_gf2(self):
         rng = np.random.default_rng(8)
@@ -307,7 +379,17 @@ class TestCipherRoundtrip:
         copy = image.copy()
         key = random_key(rng, 8, 2)
         cipher.encrypt(image, key)
+        cipher.decrypt(image, key)
         assert np.array_equal(image, copy)
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(12)
+        image = rng.integers(0, 256, (12, 12), dtype=np.uint8)
+        key = random_key(rng, 12, 2)
+        for view in (image.T, image[::-1], image[:, ::-1]):
+            copy = np.ascontiguousarray(view)
+            assert np.array_equal(cipher.encrypt(view, key), cipher.encrypt(copy, key))
+            assert np.array_equal(cipher.decrypt(view, key), cipher.decrypt(copy, key))
 
     @pytest.mark.parametrize("shape", [(5, 5), (8, 12), (2, 2)])
     def test_bad_dimensions_rejected(self, shape):
@@ -319,3 +401,34 @@ class TestCipherRoundtrip:
         key = cipher.CipherKey(1, 1, 1, 1, rounds=1)
         with pytest.raises(cipher.DimensionError):
             cipher.encrypt(np.zeros((8, 8), dtype=np.int32), key)
+
+
+class TestInvariants:
+    """Properties the fast path relies on, at sizes where 16-byte blocks straddle rows."""
+
+    @staticmethod
+    def draw(seed, m, rounds, count):
+        rng = np.random.default_rng(seed)
+        key = random_key(rng, m, rounds)
+        return key, [rng.integers(0, 256, (m, m), dtype=np.uint8) for _ in range(count)]
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(STRADDLING_SIZES), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_linear(self, seed, m, rounds):
+        key, (x, y) = self.draw(seed, m, rounds, count=2)
+        assert np.array_equal(
+            cipher.encrypt(x ^ y, key), cipher.encrypt(x, key) ^ cipher.encrypt(y, key)
+        )
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(STRADDLING_SIZES), st.integers(1, 8))
+    @settings(max_examples=20, deadline=None)
+    def test_zero_is_fixed(self, seed, m, rounds):
+        key = random_key(np.random.default_rng(seed), m, rounds)
+        zero = np.zeros((m, m), dtype=np.uint8)
+        assert not cipher.encrypt(zero, key).any()
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(STRADDLING_SIZES), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_decrypt_inverts_encrypt(self, seed, m, rounds):
+        key, (x,) = self.draw(seed, m, rounds, count=1)
+        assert np.array_equal(cipher.decrypt(cipher.encrypt(x, key), key), x)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from cipher_audit import cli, image_io
 
@@ -33,6 +34,19 @@ class TestEncryptDecrypt:
                     "--key-hex", "abcd", "--rounds", 6])
         assert code != 0
         assert "8 hex digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key_hex", ["0x3fa9c2", "3f_a9c2d", "-3fa9c2d", " 3fa9c2d"])
+    def test_malformed_key_is_usage_error(self, tmp_path, capsys, key_hex):
+        # 8 characters, the key length for M=256, that int(text, 16) would accept
+        plain = tmp_path / "in.pgm"
+        blob = tmp_path / "c.bin"
+        image_io.write_pgm(np.zeros((256, 256), dtype=np.uint8), plain)
+        # the = form lets argparse take "-3fa9c2d" as a value, not an option
+        code = run(["encrypt", "--in", plain, "--out", blob, f"--key-hex={key_hex}", "--rounds", 1])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not blob.exists()
 
     def test_zero_rounds_is_usage_error(self, tmp_path):
         plain = tmp_path / "in.pgm"
@@ -125,6 +139,16 @@ class TestOtherCommands:
             out = tmp_path / f"{kind}.pgm"
             assert run(["make-image", "--kind", kind, "--dim", 16, "--out", out]) == 0
             assert image_io.read_pgm(out).shape == (16, 16)
+
+    def test_bad_seed_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+        out = tmp_path / "a.csv"
+        code = run(["avalanche", "--sizes", "16", "--rounds", "1", "--trials", 1,
+                    "--jobs", 1, "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cli.SEED_ENV_VAR} must be an integer, got 'abc'\n"
+        assert not out.exists()
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "77")

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -28,11 +29,27 @@ class TestConfig:
         with pytest.raises(ValueError, match="percents"):
             ExperimentConfig(error_percents=(120.0,))
 
+    def test_rejects_empty_rounds(self):
+        with pytest.raises(ValueError, match="round count"):
+            ExperimentConfig(rounds=())
+
     def test_defaults_mirror_reference_grid(self):
         cfg = ExperimentConfig()
         assert cfg.sizes == (16, 32, 64, 128, 196, 256, 300, 512)
         assert cfg.rounds == (1, 2, 3, 4, 5, 6, 7)
         assert cfg.trials == 1000
+
+
+class TestWorkerCount:
+    def test_huge_jobs_clamped_to_cores_and_tasks(self):
+        cores = os.cpu_count() or 1
+        assert experiments._worker_count(10**6, 10**9) == cores
+        assert experiments._worker_count(10**6, 1) == 1
+        assert experiments._worker_count(10**6, 3) == min(cores, 3)
+
+    def test_non_positive_jobs_run_serially(self):
+        assert experiments._worker_count(0, 50) == 1
+        assert experiments._worker_count(-4, 50) == 1
 
 
 class TestStats:
@@ -87,7 +104,7 @@ class TestAvalancheSweep:
         master_seed, m, rounds, w = 5, 16, 6, 3
         rng = cipher.trial_stream(master_seed, w, m, rounds)
         key = cipher.key_from_stream(rng, m, rounds)
-        assert key == cipher.derive_trial_key(master_seed, w, m, rounds)
+        assert key == oracles.derive_trial_key(master_seed, w, m, rounds)
         x, y = (int(v) for v in rng.integers(0, m, size=2))
         flipped = np.zeros((m, m), dtype=np.uint8)
         flipped[x, y] = 1

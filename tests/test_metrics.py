@@ -156,15 +156,15 @@ class TestSsim:
 class TestTrialRecord:
     def test_percent_bounds_enforced(self):
         with pytest.raises(ValueError):
-            metrics.TrialRecord(ps_percent=101.0)
+            oracles.TrialRecord(ps_percent=101.0)
         with pytest.raises(ValueError):
-            metrics.TrialRecord(diff_percent=-0.1)
+            oracles.TrialRecord(diff_percent=-0.1)
 
     def test_ssim_bounds_enforced(self):
         with pytest.raises(ValueError):
-            metrics.TrialRecord(ssim=1.5)
+            oracles.TrialRecord(ssim=1.5)
 
     def test_partial_records_allowed(self):
-        record = metrics.TrialRecord(chi2=255.0)
+        record = oracles.TrialRecord(chi2=255.0)
         assert record.chi2 == 255.0
         assert record.ps_percent is None
