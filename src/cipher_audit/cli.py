@@ -8,6 +8,7 @@ byte-deterministic for a fixed --seed, regardless of --jobs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -83,7 +84,11 @@ def _print_keyspace(report: experiments.KeySpaceReport) -> None:
         f"{report.key_bits}-bit key, 2^{report.key_bits} = {report.key_space} keys"
     )
     print(
-        f"exhaustive search at {report.guesses_per_second:.0e} guesses/s: "
+        f"distinct permutations (parameters mod M): "
+        f"M^4 = {report.effective_key_space} = 2^{math.log2(report.effective_key_space):.2f}"
+    )
+    print(
+        f"exhaustive search of the M^4 permutations at {report.guesses_per_second:.0e} guesses/s: "
         f"{report.brute_force_seconds:.3f} s"
     )
 

@@ -122,18 +122,26 @@ class ErrorPropagationRow:
 
 @dataclass(frozen=True)
 class KeySpaceReport:
-    """Size of the permutation-key space and a brute-force feasibility note."""
+    """Size of the permutation-key space and a brute-force feasibility note.
+
+    key_space is the nominal 2^(4q) serialized keys.  effective_key_space is
+    the number of distinct one-round permutations, M^4: the cat map reduces
+    each q-bit parameter mod M, and distinct parameter tuples mod M give
+    distinct maps.  The two agree when M is a power of two.  A brute-force
+    search only has to try the distinct permutations.
+    """
 
     size: int
     param_bits: int
     key_bits: int
     key_space: int
+    effective_key_space: int
     guesses_per_second: float
     brute_force_seconds: float = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "brute_force_seconds", self.key_space / self.guesses_per_second
+            self, "brute_force_seconds", self.effective_key_space / self.guesses_per_second
         )
 
 
@@ -142,13 +150,21 @@ def _worker_count(jobs: int, n_tasks: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, n_tasks))
 
 
-def _run_tasks(fn, tasks: list, jobs: int) -> list:
-    """Map fn over tasks, optionally across processes; order is preserved."""
+def _run_tasks(fn, tasks: list, jobs: int, initializer=None, initargs: tuple = ()) -> list:
+    """Map fn over tasks, optionally across processes; order is preserved.
+
+    initializer(*initargs) runs once in every process that calls fn,
+    this one included when the tasks run serially.
+    """
     workers = _worker_count(jobs, len(tasks))
     if workers == 1:
+        if initializer is not None:
+            initializer(*initargs)
         return [fn(task) for task in tasks]
     chunk = max(1, len(tasks) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=initializer, initargs=initargs
+    ) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
@@ -165,14 +181,18 @@ def _single_lsb_plain(rng: np.random.Generator, m: int) -> np.ndarray:
 
 
 def _avalanche_trial(task: tuple[int, int, int, int]) -> tuple[float, float]:
+    """PS and Diff of one trial.
+
+    PS compares E(I) with E(I') for the all-zero I.  The cipher is linear
+    over GF(2), so E(0) = 0 for every key, and PS is the bit weight of E(I'):
+    only I' is encrypted.
+    """
     master_seed, m, rounds, index = task
     rng = cipher.trial_stream(master_seed, index, m, rounds)
     key = cipher.key_from_stream(rng, m, rounds)
-    plain = np.zeros((m, m), dtype=np.uint8)
     plain_flipped = _single_lsb_plain(rng, m)
-    c0 = cipher.encrypt(plain, key)
     c1 = cipher.encrypt(plain_flipped, key)
-    ps = metrics.hamming_percent(c0, c1)
+    ps = metrics.hamming_percent(np.zeros_like(c1), c1)
     diff = metrics.hamming_percent(plain_flipped, c1)
     return ps, diff
 
@@ -274,23 +294,22 @@ def _errprop_trial(task: tuple[int, int, int, int, tuple[float, ...]]) -> list[t
     rng = cipher.trial_stream(master_seed, index, m, rounds)
     key = cipher.key_from_stream(rng, m, rounds)
     total_bits = 8 * m * m
-    encrypted = cipher.encrypt(image, key)
-    clean = cipher.decrypt(encrypted, key)
+    no_error = np.zeros((m, m), dtype=np.uint8)
 
     out = []
     flip_counts = [1] + [math.ceil(p * total_bits / 100.0) for p in percents]
     for flips in flip_counts:
         if flips == 0:
-            damaged = clean
+            damaged = image
         else:
             positions = rng.choice(total_bits, size=flips, replace=False)
-            corrupted = _flip_bits(encrypted, positions)
-            damaged = cipher.decrypt(corrupted, key)
+            error = _flip_bits(no_error, positions)
+            damaged = image ^ cipher.decrypt(error, key)
         out.append(
             (
-                metrics.hamming_percent(clean, damaged),
-                metrics.psnr(clean, damaged),
-                metrics.ssim(clean, damaged),
+                metrics.hamming_percent(image, damaged),
+                metrics.psnr(image, damaged),
+                metrics.ssim(image, damaged),
             )
         )
     return out
@@ -308,22 +327,18 @@ def error_propagation(
     corrupted, and the corrupted decryption is compared against the clean
     one.  The first row flips exactly one uniformly random bit; one further
     row per configured percentage flips ceil(p * T / 100) distinct bits.
+
+    The cipher is linear over GF(2) and D(E(I)) = I, so the corrupted
+    decryption is D(E(I) xor e) = I xor D(e) and the clean one is I itself.
+    A trial therefore decrypts only the sparse error vector e of each row
+    and encrypts nothing; the random draws are those of the direct route.
     """
     m = cipher.validate_image(image)
     total_bits = 8 * m * m
     tasks = [
         (cfg.master_seed, m, rounds, w, cfg.error_percents) for w in range(cfg.trials)
     ]
-    workers = _worker_count(jobs, len(tasks))
-    if workers == 1:
-        _errprop_init(image)
-        results = [_errprop_trial(task) for task in tasks]
-    else:
-        chunk = max(1, len(tasks) // (workers * 4))
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_errprop_init, initargs=(image,)
-        ) as pool:
-            results = list(pool.map(_errprop_trial, tasks, chunksize=chunk))
+    results = _run_tasks(_errprop_trial, tasks, jobs, _errprop_init, (image,))
 
     labels: list[tuple[str, float, int]] = [(SINGLE_BIT, 100.0 / total_bits, 1)]
     for p in cfg.error_percents:
@@ -350,7 +365,8 @@ def error_propagation(
 # ---------------------------------------------------------------------------
 
 def keyspace_report(m: int, guesses_per_second: float = 1e9) -> KeySpaceReport:
-    """Permutation-key space 2^(4q) for side length M and the time to sweep it."""
+    """Nominal key space 2^(4q) and effective M^4 for side length M, and the
+    time to sweep the effective one."""
     if m < 4:
         raise ValueError(f"side length must be >= 4, got {m}")
     q = cipher.param_bits(m)
@@ -359,5 +375,6 @@ def keyspace_report(m: int, guesses_per_second: float = 1e9) -> KeySpaceReport:
         param_bits=q,
         key_bits=4 * q,
         key_space=1 << (4 * q),
+        effective_key_space=m**4,
         guesses_per_second=guesses_per_second,
     )

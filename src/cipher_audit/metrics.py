@@ -75,31 +75,85 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return 10.0 * math.log10(255.0 ** 2 / mse)
 
 
-def _window_sums(a: np.ndarray, w: int) -> np.ndarray:
-    """Sums over every w x w sliding window (stride 1) via an integral image."""
-    c = np.cumsum(np.cumsum(a, axis=0, dtype=np.float64), axis=1)
-    c = np.pad(c, ((1, 0), (1, 0)))
-    return c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]
+def _window_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over every 8x8 sliding window (stride 1) of the last two axes.
+
+    Widths double 1 -> 2 -> 4 -> 8 along each axis, each step adding two
+    shifted copies.  The input is uint16, so every partial sum is an integer
+    of at most 64 * 255^2 and the int32 result is exact.
+    """
+    s = np.add(x[..., :-1], x[..., 1:], dtype=np.int32)
+    s = s[..., :-2] + s[..., 2:]
+    s = s[..., :-4] + s[..., 4:]
+    s = s[..., :-1, :] + s[..., 1:, :]
+    s = s[..., :-2, :] + s[..., 2:, :]
+    return s[..., :-4, :] + s[..., 4:, :]
+
+
+# Window statistics of the last reference image: (shape, bytes, stats).
+_ssim_reference: tuple[tuple[int, ...], bytes, tuple[np.ndarray, ...]] | None = None
+
+
+def _reference_stats(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(a as uint16, mu_a, mu_a^2, var_a) of a reference image, kept for the last one.
+
+    The cache key is the shape and the bytes, so an image edited in place
+    or replaced by a different one is recomputed.
+    """
+    global _ssim_reference
+    key = a.tobytes()
+    cached = _ssim_reference  # read once: another thread may replace it
+    if cached is not None and cached[:2] == (a.shape, key):
+        return cached[2]
+    wide = a.astype(np.uint16)
+    mu, var = _window_sums(np.stack([wide, wide * wide])) / (SSIM_WINDOW * SSIM_WINDOW)
+    mu_sq = mu * mu
+    var -= mu_sq
+    stats = (wide, mu, mu_sq, var)
+    for array in stats:
+        array.flags.writeable = False
+    _ssim_reference = (a.shape, key, stats)
+    return stats
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean structural similarity over all 8x8 sliding windows (stride 1).
 
     Uniform windows, standard constants C1 = (0.01*255)^2, C2 = (0.03*255)^2,
-    biased (divide by N) variance convention.
+    biased (divide by N) variance convention (Wang, Bovik, Sheikh &
+    Simoncelli, IEEE TIP 2004).  Images are uint8; a is the reference.
+
+    The window sums of a, b, a*a, b*b and a*b are computed in exact integer
+    arithmetic.  They are integers far below 2^53, so they equal the sums a
+    float64 integral image gives, and the score follows from them by the same
+    float64 operations in the same order: the result is the same to the last
+    bit.  The statistics of a are kept for the last reference seen, keyed by
+    its shape and bytes, so scoring many images against one clean image
+    computes them once.
     """
     _check_pair(a, b)
     if a.ndim != 2 or min(a.shape) < SSIM_WINDOW:
         raise ValueError(f"images must be 2-D with sides >= {SSIM_WINDOW}")
-    n = SSIM_WINDOW * SSIM_WINDOW
-    af = a.astype(np.float64)
-    bf = b.astype(np.float64)
-    mu_a = _window_sums(af, SSIM_WINDOW) / n
-    mu_b = _window_sums(bf, SSIM_WINDOW) / n
-    var_a = _window_sums(af * af, SSIM_WINDOW) / n - mu_a * mu_a
-    var_b = _window_sums(bf * bf, SSIM_WINDOW) / n - mu_b * mu_b
-    cov = _window_sums(af * bf, SSIM_WINDOW) / n - mu_a * mu_b
-    score = ((2 * mu_a * mu_b + _SSIM_C1) * (2 * cov + _SSIM_C2)) / (
-        (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
-    )
-    return float(score.mean())
+    if a.dtype != np.uint8 or b.dtype != np.uint8:
+        raise ValueError(f"images must be uint8, got {a.dtype} and {b.dtype}")
+    wide_a, mu_a, mu_a_sq, var_a = _reference_stats(a)
+    wide_b = b.astype(np.uint16)  # a product of two bytes fits in uint16
+    sums = _window_sums(np.stack([wide_b, wide_b * wide_b, wide_a * wide_b]))
+    mu_b, var_b, cov = sums / (SSIM_WINDOW * SSIM_WINDOW)
+    mu_b_sq = mu_b * mu_b
+    var_b -= mu_b_sq
+    mu_ab = mu_a * mu_b
+    cov -= mu_ab
+    # 2*mu_a*mu_b == 2*(mu_a*mu_b) exactly: doubling does not round.
+    numerator = mu_ab * 2
+    numerator += _SSIM_C1
+    cov *= 2
+    cov += _SSIM_C2
+    numerator *= cov
+    denominator = mu_a_sq + mu_b_sq
+    denominator += _SSIM_C1
+    var_b += var_a  # == var_a + var_b: float addition commutes exactly
+    var_b += _SSIM_C2
+    denominator *= var_b
+    numerator /= denominator
+    return float(numerator.mean())

@@ -5,14 +5,19 @@ table.  Everything here follows the cipher's definition instead: matrix
 products over GF(2), the cat map applied per bit-plane, the static stages
 rebuilt from their seeds.  Most of it is plain Python loops; the numpy
 helpers (GF(2) elimination, bit-planes) share no code with the package.
+The experiment trials here take the direct route that the package skips by
+linearity: they encrypt every plaintext, decrypt every corrupted
+ciphertext, and score SSIM from float64 integral images.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from cipher_audit import cipher, metrics
 from cipher_audit.cipher import CipherKey
 
 
@@ -114,6 +119,30 @@ def ssim_windows(a, b, window=8):
                 / ((mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2))
             )
     return sum(scores) / len(scores)
+
+
+def ssim_float_integral(a, b, window=8):
+    """SSIM from float64 integral images, every statistic recomputed per call."""
+    c1 = (0.01 * 255.0) ** 2
+    c2 = (0.03 * 255.0) ** 2
+
+    def window_sums(x):
+        c = np.cumsum(np.cumsum(x, axis=0, dtype=np.float64), axis=1)
+        c = np.pad(c, ((1, 0), (1, 0)))
+        return c[window:, window:] - c[:-window, window:] - c[window:, :-window] + c[:-window, :-window]
+
+    n = window * window
+    af = np.asarray(a).astype(np.float64)
+    bf = np.asarray(b).astype(np.float64)
+    mu_a = window_sums(af) / n
+    mu_b = window_sums(bf) / n
+    var_a = window_sums(af * af) / n - mu_a * mu_a
+    var_b = window_sums(bf * bf) / n - mu_b * mu_b
+    cov = window_sums(af * bf) / n - mu_a * mu_b
+    score = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
+        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    )
+    return float(score.mean())
 
 
 def chi_square_direct(data):
@@ -255,6 +284,58 @@ def encrypt_one_round_planes(image, key, matrix, scramble, rotation):
          for x, row in enumerate(scramble)],
         dtype=np.uint8,
     )
+
+
+# ---------------------------------------------------------------------------
+# experiment trials by the direct route
+# ---------------------------------------------------------------------------
+
+def avalanche_trial(task):
+    """PS and Diff of one avalanche trial: encrypt both plaintexts and compare."""
+    master_seed, m, rounds, index = task
+    rng = cipher.trial_stream(master_seed, index, m, rounds)
+    key = cipher.key_from_stream(rng, m, rounds)
+    plain = np.zeros((m, m), dtype=np.uint8)
+    x, y = (int(v) for v in rng.integers(0, m, size=2))
+    plain_flipped = plain.copy()
+    plain_flipped[x, y] = 1
+    c0 = cipher.encrypt(plain, key)
+    c1 = cipher.encrypt(plain_flipped, key)
+    return metrics.hamming_percent(c0, c1), metrics.hamming_percent(plain_flipped, c1)
+
+
+def flip_bits(data, positions):
+    """Flip bit p % 8 of byte p // 8 (row-major) for every position p."""
+    flat = np.asarray(data, dtype=np.uint8).reshape(-1).copy()
+    for p in positions:
+        flat[int(p) // 8] ^= 1 << (int(p) % 8)
+    return flat.reshape(np.shape(data))
+
+
+def errprop_trial(task, image):
+    """One error-propagation trial: encrypt, flip ciphertext bits, decrypt,
+    and compare with the clean decryption."""
+    master_seed, m, rounds, index, percents = task
+    rng = cipher.trial_stream(master_seed, index, m, rounds)
+    key = cipher.key_from_stream(rng, m, rounds)
+    total_bits = 8 * m * m
+    encrypted = cipher.encrypt(image, key)
+    clean = cipher.decrypt(encrypted, key)
+    out = []
+    for flips in [1] + [math.ceil(p * total_bits / 100.0) for p in percents]:
+        if flips == 0:
+            damaged = clean
+        else:
+            positions = rng.choice(total_bits, size=flips, replace=False)
+            damaged = cipher.decrypt(flip_bits(encrypted, positions), key)
+        out.append(
+            (
+                metrics.hamming_percent(clean, damaged),
+                metrics.psnr(clean, damaged),
+                ssim_float_integral(clean, damaged),
+            )
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

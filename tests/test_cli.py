@@ -134,6 +134,13 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "q=9" in out and "36-bit key" in out
 
+    def test_keyspace_reports_distinct_permutations(self, capsys):
+        assert run(["keyspace", "--dim", 12, "--rate", 1]) == 0
+        out = capsys.readouterr().out
+        assert "2^16 = 65536 keys" in out
+        assert "M^4 = 20736" in out
+        assert "20736.000 s" in out
+
     def test_make_image_kinds(self, tmp_path):
         for kind in ("all-zero", "single-lsb", "uniform-random", "portrait"):
             out = tmp_path / f"{kind}.pgm"

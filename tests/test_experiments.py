@@ -1,10 +1,11 @@
+import itertools
 import math
 import os
 
 import numpy as np
 import pytest
 
-from cipher_audit import cipher, experiments, metrics
+from cipher_audit import cipher, experiments, image_io, metrics
 from cipher_audit.experiments import ExperimentConfig, Stats
 
 import oracles
@@ -116,6 +117,36 @@ class TestAvalancheSweep:
         assert ps == expected_ps
 
 
+class TestLinearityShortcuts:
+    """The trials skip work by E(0) = 0 and D(E(I) xor e) = I xor D(e); the
+    direct route in oracles must give exactly the same numbers."""
+
+    @pytest.mark.parametrize("m", [16, 20, 64])
+    def test_avalanche_trial_equals_direct_route(self, m):
+        for master_seed in (0, 5, 123):
+            for rounds in (1, 2, 6):
+                for index in (0, 1, 7, 31):
+                    task = (master_seed, m, rounds, index)
+                    assert experiments._avalanche_trial(task) == oracles.avalanche_trial(task)
+
+    @pytest.mark.parametrize("m", [16, 20, 64])
+    def test_errprop_trial_equals_direct_route(self, m, monkeypatch):
+        image = image_io.make_portrait_image(m)
+        monkeypatch.setattr(experiments, "_ERRPROP_IMAGE", image)
+        percents = (0.0, 0.01, 5.0, 100.0)
+        for master_seed in (0, 9):
+            for rounds in (2, 6):
+                for index in (0, 3, 11):
+                    task = (master_seed, m, rounds, index, percents)
+                    assert experiments._errprop_trial(task) == oracles.errprop_trial(task, image)
+
+    def test_serial_run_calls_initializer(self, monkeypatch):
+        image = np.full((16, 16), 7, dtype=np.uint8)
+        monkeypatch.setattr(experiments, "_ERRPROP_IMAGE", None)
+        experiments._run_tasks(len, [()], 1, experiments._errprop_init, (image,))
+        assert experiments._ERRPROP_IMAGE is image
+
+
 class TestUniformitySweep:
     def test_six_rounds_uniform_one_round_not(self):
         report = experiments.uniformity_sweep(small_cfg(rounds=(1, 6), trials=30))
@@ -203,6 +234,26 @@ class TestKeyspaceReport:
     def test_brute_force_time(self):
         report = experiments.keyspace_report(256, guesses_per_second=1e6)
         assert report.brute_force_seconds == pytest.approx(2**32 / 1e6)
+
+    def test_power_of_two_effective_equals_nominal(self):
+        report = experiments.keyspace_report(256)
+        assert report.key_space == report.effective_key_space == 2**32
+
+    def test_effective_count_is_distinct_permutations_m12(self):
+        # every 16-bit key at M=12, counted by the one-round gather index it selects
+        m = 12
+        report = experiments.keyspace_report(m)
+        build = cipher._round_index.__wrapped__  # uncached: 65536 keys
+        keys = itertools.product(range(1 << report.param_bits), repeat=4)
+        distinct = {build(*params, m).tobytes() for params in keys}
+        assert report.key_space == 65536
+        assert len(distinct) == report.effective_key_space == 12**4 == 20736
+
+    def test_brute_force_uses_effective_count(self):
+        report = experiments.keyspace_report(300, guesses_per_second=1e6)
+        assert report.key_space == 2**36
+        assert report.effective_key_space == 300**4
+        assert report.brute_force_seconds == pytest.approx(300**4 / 1e6)
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):

@@ -143,6 +143,50 @@ class TestSsim:
         assert ours == pytest.approx(reference, abs=1e-12)
         assert -1.0 <= ours <= 1.0
 
+    @pytest.mark.parametrize("shape", [(8, 8), (9, 13), (16, 16), (37, 20), (64, 64)])
+    def test_bit_identical_to_float_integral(self, shape):
+        rng = np.random.default_rng(shape)
+        a = rng.integers(0, 256, shape, dtype=np.uint8)
+        pairs = [
+            (a, rng.integers(0, 256, shape, dtype=np.uint8)),
+            (a, a ^ (rng.random(shape) < 0.02).astype(np.uint8)),
+            (np.full(shape, 255, dtype=np.uint8), np.zeros(shape, dtype=np.uint8)),
+            (np.full(shape, 255, dtype=np.uint8), np.full(shape, 255, dtype=np.uint8)),
+        ]
+        for x, y in pairs:
+            assert metrics.ssim(x, y) == oracles.ssim_float_integral(x, y)
+            assert metrics.ssim(y, x) == oracles.ssim_float_integral(y, x)
+
+    def test_alternating_references(self):
+        rng = np.random.default_rng(3)
+        refs = [rng.integers(0, 256, (24, 24), dtype=np.uint8) for _ in range(2)]
+        for step in range(6):
+            a = refs[step % 2]
+            b = rng.integers(0, 256, (24, 24), dtype=np.uint8)
+            assert metrics.ssim(a, b) == oracles.ssim_float_integral(a, b)
+
+    def test_reference_edited_in_place(self):
+        rng = np.random.default_rng(4)
+        a = rng.integers(0, 256, (24, 24), dtype=np.uint8)
+        b = a ^ (rng.random(a.shape) < 0.05).astype(np.uint8)
+        before = metrics.ssim(a, b)
+        a[3:11, 5:9] ^= 0xFF
+        after = metrics.ssim(a, b)
+        assert after == oracles.ssim_float_integral(a, b)
+        assert after != before
+
+    def test_reference_shape_change_same_bytes(self):
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, 256, (16, 16), dtype=np.uint8)
+        b = rng.integers(0, 256, (16, 16), dtype=np.uint8)
+        assert metrics.ssim(a, b) == oracles.ssim_float_integral(a, b)
+        a2, b2 = a.reshape(8, 32), b.reshape(8, 32)
+        assert metrics.ssim(a2, b2) == oracles.ssim_float_integral(a2, b2)
+
+    def test_non_uint8_rejected(self):
+        with pytest.raises(ValueError, match="uint8"):
+            metrics.ssim(np.zeros((8, 8)), np.zeros((8, 8)))
+
     def test_too_small_rejected(self):
         small = np.zeros((4, 4), dtype=np.uint8)
         with pytest.raises(ValueError, match=">= 8"):
