@@ -22,8 +22,8 @@ Only stage (a) is keyed; the cipher is a key-selected linear map over GF(2),
 so the all-zero image is a fixed point for every key.  The experiments module
 quantifies the consequences.
 
-The code runs a round as block XOR -> one fused gather -> rotation LUT, which
-the construction allows:
+The code runs a round as block XOR -> one fused gather -> bit rotation by
+shifts, which the construction allows:
 
 - The matrix is A = J xor P (all-ones xor a permutation), so output byte j of
   a block is the XOR of the whole block xor input byte pinv[j].  The block
@@ -32,17 +32,26 @@ the construction allows:
 - The in-block move, the cat map and the scramble compose into one flat
   gather index per (key, M).  The cat-map part is evaluated in closed form
   from its inverse [[ab+1, -a], [-b, 1]] mod M at the scramble's coordinates.
-- The rotation is an (8, 256) lookup table indexed by shift*256 + byte.
+- The rotation is two uint8 shifts, (z << s) | (z >> (8 - s)), over cached
+  grids of s and 8 - s.
 
-Decryption inverts the rotation with a second table, gathers with the
-inverse index and applies the same block XOR: x -> x xor (block XOR of x)
-is an involution on 16-byte blocks, which is why A^-1 = J xor P^T = A^T.
+encrypt also takes a (W, M, M) stack with a sequence of W keys that share
+the round count; a single image with one key is the W = 1 case.
+Only the gather index depends on the key: the stack's index is built in one
+vectorized pass over the keys, with row w offset by w*M*M into the flat
+stack, and each round is one block XOR, one gather and one rotation over the
+whole stack.
+
+Decryption rotates right, gathers with the inverse index and applies the
+same block XOR: x -> x xor (block XOR of x) is an involution on 16-byte
+blocks, which is why A^-1 = J xor P^T = A^T.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,7 +242,7 @@ def cat_map_point(x: int, y: int, key: CipherKey, m: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# one round: block XOR -> fused gather -> rotation LUT
+# one round: block XOR -> fused gather -> rotation by shifts
 # ---------------------------------------------------------------------------
 
 def _block_xor(data: np.ndarray) -> np.ndarray:
@@ -256,38 +265,64 @@ def _block_xor(data: np.ndarray) -> np.ndarray:
 def _scramble_coords(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid cell (u, v) that the static scramble brings to each flat position.
 
-    The dtype holds every intermediate of :func:`_round_index`, which stays
-    within (-2*M*M, 2*M*M): int32 up to M = 32767, int64 beyond.
+    The dtype holds every intermediate of :func:`_gather_index` for one
+    image, which stays within (-2*M*M, 2*M*M): int32 up to M = 32767, int64
+    beyond.
     """
     dtype = np.int32 if 2 * m * m <= np.iinfo(np.int32).max else np.int64
     flat = np.random.default_rng((SCRAMBLE_SEED, m)).permutation(m * m).astype(dtype)
     return np.divmod(flat, dtype(m))
 
 
-def _mod(values: np.ndarray, m: int) -> np.ndarray:
-    """values mod m, non-negative.
+def _reduce(values: np.ndarray, m: int, tmp: np.ndarray) -> None:
+    """Reduce values mod m in place, to [0, m); tmp is overwritten.
 
     numpy divides an integer array by a scalar far faster than it takes the remainder.
     """
-    return values - values // m * m
+    np.floor_divide(values, m, out=tmp)
+    tmp *= m
+    values -= tmp
+
+
+def _gather_index(params: list[tuple[int, int, int, int]], m: int) -> np.ndarray:
+    """Flat gather index of the byte permutations of one round over a stack.
+
+    Image w of the stack is permuted under the key parameters params[w]:
+    output position w*M*M + k takes the block-XORed byte of image w that the
+    in-block move by pinv, then the cat map, then the scramble carry to k.
+    The cat map (x, y) -> (x + a*y + rx, b*x + (a*b + 1)*y + ry) is inverted
+    in closed form at the scramble's coordinates (u, v), for all keys in one
+    pass: y = (v - ry) - b*(u - rx), then x = (u - rx) - a*y, both mod M.
+    The steps run in place, so at most three arrays of the index's size are
+    alive at once.
+    """
+    u, v = _scramble_coords(m)
+    size = len(params) * m * m
+    dtype = u.dtype if size <= np.iinfo(np.int32).max else np.int64
+    reduced = np.array([[p % m for p in key] for key in params], dtype=dtype)
+    a, b, rx, ry = reduced.T[:, :, np.newaxis]
+    x = u - rx
+    y = v - ry
+    tmp = b * x
+    y -= tmp
+    _reduce(y, m, tmp)
+    x -= np.multiply(a, y, out=tmp)
+    _reduce(x, m, tmp)
+    del tmp
+    cell = x
+    cell *= m
+    cell += y
+    low = np.bitwise_and(cell, BLOCK_BYTES - 1, out=y)
+    cell &= -BLOCK_BYTES
+    cell |= np.argmin(build_diffusion_matrix(), axis=1).astype(dtype)[low]
+    cell += np.arange(0, size, m * m, dtype=dtype)[:, np.newaxis]
+    return cell.reshape(-1)
 
 
 @functools.lru_cache(maxsize=4)
 def _round_index(a: int, b: int, rx: int, ry: int, m: int) -> np.ndarray:
-    """Flat gather index of the byte permutations of one round.
-
-    Output position k takes the block-XORed byte that the in-block move by
-    pinv, then the cat map, then the scramble carry to k.  The cat map is
-    inverted in closed form at the scramble's coordinates (u, v).
-    """
-    a, b, rx, ry = a % m, b % m, rx % m, ry % m
-    u, v = _scramble_coords(m)
-    du, dv = u - rx, v - ry
-    x = _mod((a * b + 1) % m * du - a * dv, m)
-    y = _mod(dv - b * du, m)
-    cell = x * m + y
-    pinv = np.argmin(build_diffusion_matrix(), axis=1).astype(cell.dtype)
-    index = (cell & -BLOCK_BYTES) | pinv[cell & (BLOCK_BYTES - 1)]
+    """:func:`_gather_index` of a single image under one key, cached."""
+    index = _gather_index([(a, b, rx, ry)], m)
     index.flags.writeable = False
     return index
 
@@ -303,45 +338,78 @@ def _inverse_index(a: int, b: int, rx: int, ry: int, m: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _rotation_offsets(m: int) -> np.ndarray:
-    """Static seeded left-rotation amount s of each flat position, stored as s*256."""
-    shift = np.random.default_rng((ROTATION_SEED, m)).integers(0, 8, size=m * m)
-    offsets = (shift * 256).astype(np.uint16)
-    offsets.flags.writeable = False
-    return offsets
+def _rotation_shifts(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Static seeded left-rotation amount s of each flat position, and 8 - s, as uint8."""
+    shift = np.random.default_rng((ROTATION_SEED, m)).integers(0, 8, size=m * m).astype(np.uint8)
+    complement = 8 - shift
+    shift.flags.writeable = False
+    complement.flags.writeable = False
+    return shift, complement
 
 
-def _rotation_table(shifts: list[int]) -> np.ndarray:
-    """Flat (8, 256) table: entry s*256 + v is byte v rotated left by shifts[s] bits."""
-    return np.array([((v << s) | (v >> (8 - s))) & 0xFF for s in shifts for v in range(256)],
-                    dtype=np.uint8)
+def _rotate(data: np.ndarray, by: np.ndarray, back: np.ndarray) -> np.ndarray:
+    """(z << by) | (z >> back) for every byte z of a flat stack of images.
 
-
-_ROTATE_LEFT = _rotation_table(list(range(8)))
-_ROTATE_RIGHT = _rotation_table([(8 - s) % 8 for s in range(8)])  # right by s is left by 8 - s
+    by and back are per-position grids of one image.  With back = 8 - by
+    this rotates left by `by`; swapped, it rotates right.  A uint8 shift by 8
+    gives 0, so a zero shift leaves the byte as it is.
+    """
+    z = data.reshape(-1, by.size)
+    out = z << by
+    out |= z >> back
+    return out.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
 # full cipher
 # ---------------------------------------------------------------------------
 
-def encrypt(image: np.ndarray, key: CipherKey) -> np.ndarray:
-    """Run key.rounds rounds of diffusion followed by the bit permutation."""
-    m = validate_image(image)
-    index = _round_index(*key.params(), m)
-    offsets = _rotation_offsets(m)
-    out = np.ascontiguousarray(image).reshape(-1)
-    for _ in range(key.rounds):
-        out = _ROTATE_LEFT.take(offsets + _block_xor(out).take(index))
-    return out.reshape(m, m)
+def _flat_stack(
+    data: np.ndarray, key: CipherKey | Sequence[CipherKey]
+) -> tuple[np.ndarray, int, tuple[CipherKey, ...]]:
+    """The bytes of an image or a stack, flat and C-contiguous, with M and one key per image.
+
+    An M x M image takes one CipherKey.  A (W, M, M) stack takes a sequence
+    of W keys that share the round count.
+    """
+    if isinstance(key, CipherKey):
+        return np.ascontiguousarray(data).reshape(-1), validate_image(data), (key,)
+    keys = tuple(key)
+    if not isinstance(data, np.ndarray) or data.ndim != 3 or len(data) == 0:
+        raise DimensionError("a key sequence needs a non-empty (W, M, M) stack of images")
+    m = validate_image(data[0])
+    if len(keys) != len(data):
+        raise ValueError(f"a stack of {len(data)} images needs {len(data)} keys, got {len(keys)}")
+    if len({k.rounds for k in keys}) != 1:
+        raise ValueError("the keys of a stack must share one round count")
+    return np.ascontiguousarray(data).reshape(-1), m, keys
+
+
+def encrypt(image: np.ndarray, key: CipherKey | Sequence[CipherKey]) -> np.ndarray:
+    """Run key.rounds rounds of diffusion followed by the bit permutation.
+
+    image is an M x M image under one CipherKey, or a (W, M, M) stack under
+    a sequence of W keys with one round count: image w under key w.
+    """
+    out, m, keys = _flat_stack(image, key)
+    if len(keys) == 1:
+        index = _round_index(*keys[0].params(), m)
+    else:
+        # take() widens an int32 index on every call; a stack's index is not
+        # cached, so it is widened once for all rounds.
+        index = _gather_index([k.params() for k in keys], m).astype(np.intp)
+    shift, complement = _rotation_shifts(m)
+    for _ in range(keys[0].rounds):
+        out = _rotate(_block_xor(out).take(index), shift, complement)
+    return out.reshape(image.shape)
 
 
 def decrypt(cipher: np.ndarray, key: CipherKey) -> np.ndarray:
-    """Exact inverse of :func:`encrypt` under the same key."""
+    """Exact inverse of :func:`encrypt` of one image under the same key."""
     m = validate_image(cipher)
     index = _inverse_index(*key.params(), m)
-    offsets = _rotation_offsets(m)
+    shift, complement = _rotation_shifts(m)
     out = np.ascontiguousarray(cipher).reshape(-1)
     for _ in range(key.rounds):
-        out = _block_xor(_ROTATE_RIGHT.take(offsets + out).take(index))
+        out = _block_xor(_rotate(out, complement, shift).take(index))
     return out.reshape(m, m)

@@ -169,75 +169,108 @@ def _run_tasks(fn, tasks: list, jobs: int, initializer=None, initargs: tuple = (
 
 
 # ---------------------------------------------------------------------------
+# batched sweep cells
+# ---------------------------------------------------------------------------
+
+# Most pixels that one batch of trials encrypts in one call: one 512 x 512
+# image.  Batch boundaries depend only on M and the trial count.
+BATCH_PIXELS = 1 << 18
+
+
+def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int, int, list]]:
+    """Per-trial results of every (M, rounds) cell, as (M, rounds, results).
+
+    Each cell's trials are cut into consecutive batches of at most
+    BATCH_PIXELS pixels (at least one trial); batch_fn maps the task
+    (master_seed, M, rounds, start, stop, *extra) to the results of trials
+    start..stop-1 in order.
+    """
+    cells = [(m, r) for m in sorted(cfg.sizes) for r in sorted(cfg.rounds)]
+    tasks = []
+    for m, r in cells:
+        step = max(1, BATCH_PIXELS // (m * m))
+        for start in range(0, cfg.trials, step):
+            stop = min(start + step, cfg.trials)
+            tasks.append((cfg.master_seed, m, r, start, stop, *extra))
+    results = [value for batch in _run_tasks(batch_fn, tasks, jobs) for value in batch]
+    return [
+        (m, r, results[i * cfg.trials : (i + 1) * cfg.trials]) for i, (m, r) in enumerate(cells)
+    ]
+
+
+def _draw_trials(master_seed: int, m: int, rounds: int, start: int, stop: int, mark_plain):
+    """Stream, key and plaintext of trials start..stop-1, each drawn from its
+    own trial stream: the key first, then mark_plain(rng, plain) sets the
+    bits of the all-zero plaintext."""
+    plains = np.zeros((stop - start, m, m), dtype=np.uint8)
+    rngs, keys = [], []
+    for index, plain in zip(range(start, stop), plains):
+        rng = cipher.trial_stream(master_seed, index, m, rounds)
+        rngs.append(rng)
+        keys.append(cipher.key_from_stream(rng, m, rounds))
+        mark_plain(rng, plain)
+    return rngs, keys, plains
+
+
+def _all_zero(rng: np.random.Generator, plain: np.ndarray) -> None:
+    """Leave the plaintext all-zero; draws nothing."""
+
+
+def _single_lsb(rng: np.random.Generator, plain: np.ndarray) -> None:
+    """Set the LSB of one uniformly random pixel of the all-zero plaintext."""
+    x, y = (int(v) for v in rng.integers(0, len(plain), size=2))
+    plain[x, y] = 1
+
+
+# ---------------------------------------------------------------------------
 # avalanche (plaintext sensitivity)
 # ---------------------------------------------------------------------------
 
-def _single_lsb_plain(rng: np.random.Generator, m: int) -> np.ndarray:
-    """All-zero image with the LSB of one uniformly random pixel set to 1."""
-    x, y = (int(v) for v in rng.integers(0, m, size=2))
-    image = np.zeros((m, m), dtype=np.uint8)
-    image[x, y] = 1
-    return image
-
-
-def _avalanche_trial(task: tuple[int, int, int, int]) -> tuple[float, float]:
-    """PS and Diff of one trial.
+def _avalanche_batch(task: tuple[int, int, int, int, int]) -> list[tuple[float, float]]:
+    """PS and Diff of each trial of a batch.
 
     PS compares E(I) with E(I') for the all-zero I.  The cipher is linear
     over GF(2), so E(0) = 0 for every key, and PS is the bit weight of E(I'):
-    only I' is encrypted.
+    only I' is encrypted, the whole batch in one call.
     """
-    master_seed, m, rounds, index = task
-    rng = cipher.trial_stream(master_seed, index, m, rounds)
-    key = cipher.key_from_stream(rng, m, rounds)
-    plain_flipped = _single_lsb_plain(rng, m)
-    c1 = cipher.encrypt(plain_flipped, key)
-    ps = metrics.hamming_percent(np.zeros_like(c1), c1)
-    diff = metrics.hamming_percent(plain_flipped, c1)
-    return ps, diff
+    rngs, keys, plains = _draw_trials(*task, _single_lsb)
+    ciphers = cipher.encrypt(plains, keys)
+    zeros = np.zeros_like(ciphers[0])
+    return [
+        (metrics.hamming_percent(zeros, c1), metrics.hamming_percent(plain, c1))
+        for plain, c1 in zip(plains, ciphers)
+    ]
 
 
 def avalanche_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[SweepCell]:
     """PS (ciphertext change from a one-bit plaintext change) and Diff
     (plain-vs-cipher distance of the flipped image) per grid cell."""
-    cells = [(m, r) for m in sorted(cfg.sizes) for r in sorted(cfg.rounds)]
-    tasks = [
-        (cfg.master_seed, m, r, w) for (m, r) in cells for w in range(cfg.trials)
-    ]
-    results = _run_tasks(_avalanche_trial, tasks, jobs)
-    report = []
-    for i, (m, r) in enumerate(cells):
-        chunk = results[i * cfg.trials : (i + 1) * cfg.trials]
-        report.append(
-            SweepCell(
-                size=m,
-                rounds=r,
-                ps=Stats.from_values([ps for ps, _ in chunk]),
-                diff=Stats.from_values([diff for _, diff in chunk]),
-            )
+    return [
+        SweepCell(
+            size=m,
+            rounds=r,
+            ps=Stats.from_values([ps for ps, _ in chunk]),
+            diff=Stats.from_values([diff for _, diff in chunk]),
         )
-    return report
+        for m, r, chunk in _sweep(_avalanche_batch, cfg, jobs)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # uniformity (chi-square of ciphertext histograms)
 # ---------------------------------------------------------------------------
 
-def _uniformity_trial(task: tuple[int, int, int, int, str, bool]) -> float:
-    master_seed, m, rounds, index, plaintext, control_random = task
-    rng = cipher.trial_stream(master_seed, index, m, rounds)
-    key = cipher.key_from_stream(rng, m, rounds)
-    if plaintext == PLAINTEXT_ALL_ZERO:
-        plain = np.zeros((m, m), dtype=np.uint8)
-    else:
-        plain = _single_lsb_plain(rng, m)
+def _uniformity_batch(task: tuple[int, int, int, int, int, str, bool]) -> list[float]:
+    master_seed, m, rounds, start, stop, plaintext, control_random = task
+    mark_plain = _all_zero if plaintext == PLAINTEXT_ALL_ZERO else _single_lsb
+    rngs, keys, plains = _draw_trials(master_seed, m, rounds, start, stop, mark_plain)
     if control_random:
         # Sanity oracle: uniform random bytes in place of the ciphertext
         # should score around 255 (the degrees of freedom).
-        data = rng.integers(0, 256, size=m * m, dtype=np.uint8)
+        data = [rng.integers(0, 256, size=m * m, dtype=np.uint8) for rng in rngs]
     else:
-        data = cipher.encrypt(plain, key)
-    return metrics.chi_square(metrics.byte_histogram(data))
+        data = cipher.encrypt(plains, keys)
+    return [metrics.chi_square(metrics.byte_histogram(d)) for d in data]
 
 
 def uniformity_sweep(
@@ -255,18 +288,10 @@ def uniformity_sweep(
     """
     if plaintext not in (PLAINTEXT_SINGLE_LSB, PLAINTEXT_ALL_ZERO):
         raise ValueError(f"unknown plaintext mode {plaintext!r}")
-    cells = [(m, r) for m in sorted(cfg.sizes) for r in sorted(cfg.rounds)]
-    tasks = [
-        (cfg.master_seed, m, r, w, plaintext, control_random)
-        for (m, r) in cells
-        for w in range(cfg.trials)
+    return [
+        UniformityCell(size=m, rounds=r, chi2=Stats.from_values(chunk))
+        for m, r, chunk in _sweep(_uniformity_batch, cfg, jobs, plaintext, control_random)
     ]
-    results = _run_tasks(_uniformity_trial, tasks, jobs)
-    report = []
-    for i, (m, r) in enumerate(cells):
-        chunk = results[i * cfg.trials : (i + 1) * cfg.trials]
-        report.append(UniformityCell(size=m, rounds=r, chi2=Stats.from_values(chunk)))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +307,15 @@ def _errprop_init(image: np.ndarray) -> None:
 
 
 def _flip_bits(data: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    corrupted = data.reshape(-1).copy()
-    np.bitwise_xor.at(corrupted, positions // 8, (1 << (positions % 8)).astype(np.uint8))
-    return corrupted.reshape(data.shape)
+    """data with bit p % 8 of byte p // 8 (row-major) flipped for every position p.
+
+    The positions must be distinct (the trials draw them without
+    replacement): they are scattered into a bit array, which would set a
+    repeated position once instead of flipping it back.
+    """
+    bits = np.zeros(8 * data.size, dtype=np.uint8)
+    bits[positions] = 1
+    return data ^ np.packbits(bits, bitorder="little").reshape(data.shape)
 
 
 def _errprop_trial(task: tuple[int, int, int, int, tuple[float, ...]]) -> list[tuple[float, float, float]]:

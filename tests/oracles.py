@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the package.
 
 The package runs a cipher round as block XOR -> fused gather -> rotation
-table.  Everything here follows the cipher's definition instead: matrix
+by shifts, over one image or a stack.  Everything here follows the cipher's definition instead: matrix
 products over GF(2), the cat map applied per bit-plane, the static stages
 rebuilt from their seeds.  Most of it is plain Python loops; the numpy
 helpers (GF(2) elimination, bit-planes) share no code with the package.
@@ -143,6 +143,14 @@ def ssim_float_integral(a, b, window=8):
         (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     )
     return float(score.mean())
+
+
+def psnr_float(a, b):
+    """PSNR from the mean of float64 squared differences."""
+    mse = float(np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2))
+    if mse == 0.0:
+        return math.inf
+    return 10.0 * math.log10(255.0 ** 2 / mse)
 
 
 def chi_square_direct(data):

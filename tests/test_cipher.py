@@ -252,15 +252,22 @@ class TestBitPermutation:
             assert list(zip(u.tolist(), v.tolist())) == [p for row in pairs for p in row]
 
     def test_rotation_roundtrip_preserves_bit_count(self):
-        for shift in range(8):
-            for byte in range(256):
-                rotated = int(cipher._ROTATE_LEFT[shift * 256 + byte])
-                assert rotated == oracles.rotate_left(byte, shift)
-                assert cipher._ROTATE_RIGHT[shift * 256 + rotated] == byte
-                assert rotated.bit_count() == byte.bit_count()
+        # 4096 positions hold every (shift, byte) pair twice
+        position = np.arange(64 * 64)
+        shift = (position // 256 % 8).astype(np.uint8)
+        data = (position % 256).astype(np.uint8)
+        rotated = cipher._rotate(data, shift, 8 - shift)
+        restored = cipher._rotate(rotated, 8 - shift, shift)
+        for s, byte, r in zip(shift.tolist(), data.tolist(), rotated.tolist()):
+            assert r == oracles.rotate_left(byte, s)
+            assert r.bit_count() == byte.bit_count()
+        assert np.array_equal(restored, data)
         m = 16
+        left, right = cipher._rotation_shifts(m)
         shifts = oracles.rotation_shifts(cipher.ROTATION_SEED, m)
-        assert cipher._rotation_offsets(m).tolist() == [256 * s for row in shifts for s in row]
+        assert left.tolist() == [s for row in shifts for s in row]
+        assert right.tolist() == [8 - s for row in shifts for s in row]
+        assert not left.flags.writeable and not right.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +408,63 @@ class TestCipherRoundtrip:
         key = cipher.CipherKey(1, 1, 1, 1, rounds=1)
         with pytest.raises(cipher.DimensionError):
             cipher.encrypt(np.zeros((8, 8), dtype=np.int32), key)
+
+
+class TestStack:
+    """A (W, M, M) stack under W keys is W single-image calls in one."""
+
+    @staticmethod
+    def mixed_keys(rng, m, rounds):
+        # random keys, a repeat, and parameters at or past M (reduced mod M)
+        keys = [random_key(rng, m, rounds) for _ in range(3)]
+        q = cipher.param_bits(m)
+        top = (1 << q) - 1
+        return keys + [keys[0], cipher.CipherKey(top, m, top, m - 1, rounds=rounds)]
+
+    @pytest.mark.parametrize("rounds", [1, 2, 6])
+    @pytest.mark.parametrize("m", [4, 12, 20, 64])
+    def test_stack_equals_separate_calls(self, m, rounds):
+        rng = np.random.default_rng((m, rounds))
+        keys = self.mixed_keys(rng, m, rounds)
+        images = rng.integers(0, 256, (len(keys), m, m), dtype=np.uint8)
+        encrypted = cipher.encrypt(images, keys)
+        assert encrypted.shape == images.shape
+        for image, key, row in zip(images, keys, encrypted):
+            assert np.array_equal(row, cipher.encrypt(image, key))
+            assert np.array_equal(cipher.decrypt(row, key), image)
+
+    def test_one_image_stack(self):
+        rng = np.random.default_rng(3)
+        image = rng.integers(0, 256, (12, 12), dtype=np.uint8)
+        key = random_key(rng, 12, 2)
+        assert np.array_equal(cipher.encrypt(image[np.newaxis], [key])[0], cipher.encrypt(image, key))
+
+    def test_stack_not_mutated_and_views(self):
+        rng = np.random.default_rng(4)
+        images = rng.integers(0, 256, (3, 8, 8), dtype=np.uint8)
+        copy = images.copy()
+        keys = [random_key(rng, 8, 2) for _ in range(3)]
+        for view in (images, images[::-1], images.transpose(0, 2, 1)):
+            assert np.array_equal(cipher.encrypt(view, keys),
+                                  cipher.encrypt(np.ascontiguousarray(view), keys))
+        assert np.array_equal(images, copy)
+
+    def test_mismatched_rounds_rejected(self):
+        keys = [cipher.CipherKey(1, 2, 3, 4, rounds=2), cipher.CipherKey(1, 2, 3, 4, rounds=3)]
+        with pytest.raises(ValueError, match="round count"):
+            cipher.encrypt(np.zeros((2, 8, 8), dtype=np.uint8), keys)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_key_count_must_match(self, count):
+        keys = [cipher.CipherKey(1, 2, 3, 4, rounds=1)] * count
+        with pytest.raises(ValueError, match="needs 2 keys"):
+            cipher.encrypt(np.zeros((2, 8, 8), dtype=np.uint8), keys)
+
+    @pytest.mark.parametrize("shape", [(0, 8, 8), (8, 8), (2, 8, 12)])
+    def test_bad_stack_shape_rejected(self, shape):
+        keys = [cipher.CipherKey(1, 2, 3, 4, rounds=1)] * 2
+        with pytest.raises(cipher.DimensionError):
+            cipher.encrypt(np.zeros(shape, dtype=np.uint8), keys)
 
 
 class TestInvariants:

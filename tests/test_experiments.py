@@ -101,20 +101,22 @@ class TestAvalancheSweep:
         assert serial == parallel
 
     def test_trial_uses_derived_key_stream(self):
-        # one trial recomputed by hand from the documented stream contract
-        master_seed, m, rounds, w = 5, 16, 6, 3
-        rng = cipher.trial_stream(master_seed, w, m, rounds)
-        key = cipher.key_from_stream(rng, m, rounds)
-        assert key == oracles.derive_trial_key(master_seed, w, m, rounds)
-        x, y = (int(v) for v in rng.integers(0, m, size=2))
-        flipped = np.zeros((m, m), dtype=np.uint8)
-        flipped[x, y] = 1
-        expected_ps = metrics.hamming_percent(
-            cipher.encrypt(np.zeros((m, m), dtype=np.uint8), key),
-            cipher.encrypt(flipped, key),
-        )
-        ps, _ = experiments._avalanche_trial((master_seed, m, rounds, w))
-        assert ps == expected_ps
+        # every trial of a batch recomputed by hand from the documented stream contract
+        master_seed, m, rounds, start, stop = 5, 16, 6, 3, 7
+        batch = experiments._avalanche_batch((master_seed, m, rounds, start, stop))
+        assert len(batch) == stop - start
+        for w, (ps, _) in zip(range(start, stop), batch):
+            rng = cipher.trial_stream(master_seed, w, m, rounds)
+            key = cipher.key_from_stream(rng, m, rounds)
+            assert key == oracles.derive_trial_key(master_seed, w, m, rounds)
+            x, y = (int(v) for v in rng.integers(0, m, size=2))
+            flipped = np.zeros((m, m), dtype=np.uint8)
+            flipped[x, y] = 1
+            expected_ps = metrics.hamming_percent(
+                cipher.encrypt(np.zeros((m, m), dtype=np.uint8), key),
+                cipher.encrypt(flipped, key),
+            )
+            assert ps == expected_ps
 
 
 class TestLinearityShortcuts:
@@ -125,9 +127,12 @@ class TestLinearityShortcuts:
     def test_avalanche_trial_equals_direct_route(self, m):
         for master_seed in (0, 5, 123):
             for rounds in (1, 2, 6):
-                for index in (0, 1, 7, 31):
-                    task = (master_seed, m, rounds, index)
-                    assert experiments._avalanche_trial(task) == oracles.avalanche_trial(task)
+                for start, stop in ((0, 32), (7, 8), (5, 12)):
+                    batch = experiments._avalanche_batch((master_seed, m, rounds, start, stop))
+                    assert batch == [
+                        oracles.avalanche_trial((master_seed, m, rounds, index))
+                        for index in range(start, stop)
+                    ]
 
     @pytest.mark.parametrize("m", [16, 20, 64])
     def test_errprop_trial_equals_direct_route(self, m, monkeypatch):
@@ -175,6 +180,50 @@ class TestUniformitySweep:
         report = experiments.uniformity_sweep(small_cfg(trials=2))
         assert report[0].threshold == 293.0
 
+    def test_deterministic_across_workers(self):
+        cfg = small_cfg(sizes=(16, 20), rounds=(1, 6), trials=5)
+        serial = experiments.uniformity_sweep(cfg, jobs=1)
+        parallel = experiments.uniformity_sweep(cfg, jobs=3)
+        assert serial == parallel
+
+
+class TestBatching:
+    """Reports do not depend on how a cell's trials are cut into batches."""
+
+    # 16 x 16 images: batches of 1 and 3 trials, and the default (whole cell)
+    LIMITS = (16 * 16, 3 * 16 * 16)
+
+    @pytest.mark.parametrize("pixels", LIMITS)
+    def test_avalanche_batches(self, pixels, monkeypatch):
+        cfg = small_cfg(sizes=(16,), rounds=(1, 6), trials=7)
+        default = experiments.avalanche_sweep(cfg)
+        monkeypatch.setattr(experiments, "BATCH_PIXELS", pixels)
+        assert experiments.avalanche_sweep(cfg) == default
+
+    @pytest.mark.parametrize("control_random", [False, True])
+    @pytest.mark.parametrize("plaintext", [experiments.PLAINTEXT_SINGLE_LSB,
+                                           experiments.PLAINTEXT_ALL_ZERO])
+    @pytest.mark.parametrize("pixels", LIMITS)
+    def test_uniformity_batches(self, pixels, plaintext, control_random, monkeypatch):
+        cfg = small_cfg(sizes=(16,), rounds=(1, 6), trials=7)
+        default = experiments.uniformity_sweep(cfg, plaintext=plaintext,
+                                               control_random=control_random)
+        monkeypatch.setattr(experiments, "BATCH_PIXELS", pixels)
+        batched = experiments.uniformity_sweep(cfg, plaintext=plaintext,
+                                               control_random=control_random)
+        assert batched == default
+
+    def test_batch_boundaries(self):
+        calls = []
+
+        def record(task):
+            calls.append(task[3:5])
+            return [None] * (task[4] - task[3])
+
+        cfg = small_cfg(sizes=(256, 512, 16), rounds=(1,), trials=6)
+        experiments._sweep(record, cfg, 1)
+        assert calls == [(0, 6), (0, 4), (4, 6), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
+
 
 class TestErrorPropagation:
     def test_rows_and_zero_percent(self, portrait_64):
@@ -214,6 +263,14 @@ class TestErrorPropagation:
         assert corrupted[0, 0] == 1  # bit 0
         assert corrupted[0, 1] == 2  # bit 9 = byte 1, bit 1
         assert corrupted[3, 3] == 0x80  # bit 127
+
+    def test_flip_bits_matches_loop_oracle(self):
+        rng = np.random.default_rng(2)
+        data = rng.integers(0, 256, (16, 16), dtype=np.uint8)
+        for flips in (1, 100, 8 * 16 * 16):
+            positions = rng.choice(8 * 16 * 16, size=flips, replace=False)
+            expected = oracles.flip_bits(data, positions)
+            assert np.array_equal(experiments._flip_bits(data, positions), expected)
 
 
 class TestKeyspaceReport:

@@ -1,5 +1,6 @@
 """CSV bytes of every sweep command against files recorded before the
-experiments took their linearity shortcuts.
+experiments took their linearity shortcuts (the split-cell cases: before
+the sweeps batched their trials).
 
 Regenerate only for an intended change of output:
 the arguments below, with --out tests/golden/<name>-seed<seed>.csv.
@@ -18,6 +19,11 @@ CASES = {
     "avalanche": ["avalanche", *SWEEP],
     "uniformity-single-lsb": ["uniformity", *SWEEP, "--plaintext", "single-lsb"],
     "uniformity-all-zero": ["uniformity", *SWEEP, "--plaintext", "all-zero"],
+    # one cell spans several batches: 4 + 2 trials at M=256, 16 + 4 at M=128
+    "uniformity-split": ["uniformity", "--sizes", "256", "--rounds", "1,2", "--trials", "6",
+                         "--jobs", "1"],
+    "avalanche-split": ["avalanche", "--sizes", "128", "--rounds", "1,6", "--trials", "20",
+                        "--jobs", "1"],
     "errorprop": ["errorprop", "--image", "{portrait}", "--percents", "0,0.01,5,100",
                   "--trials", "4", "--jobs", "1"],
 }

@@ -121,6 +121,23 @@ class TestPsnr:
         with pytest.raises(ValueError, match="shape mismatch"):
             metrics.psnr(np.zeros((8, 8), dtype=np.uint8), np.zeros((4, 4), dtype=np.uint8))
 
+    @pytest.mark.parametrize("m", [8, 16, 20, 256, 300, 512])
+    def test_bit_identical_to_float_mean(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.integers(0, 256, (m, m), dtype=np.uint8)
+        pairs = [
+            (a, rng.integers(0, 256, (m, m), dtype=np.uint8)),
+            (a, a ^ (rng.random((m, m)) < 0.02).astype(np.uint8)),
+            (np.zeros((m, m), dtype=np.uint8), np.full((m, m), 255, dtype=np.uint8)),
+            (np.full((m, m), 255, dtype=np.uint8), np.zeros((m, m), dtype=np.uint8)),
+        ]
+        for x, y in pairs:
+            assert metrics.psnr(x, y) == oracles.psnr_float(x, y)
+
+    def test_non_bytes_rejected(self):
+        with pytest.raises(ValueError, match="uint8"):
+            metrics.psnr(np.zeros((8, 8), dtype=np.uint8), np.zeros((8, 8), dtype=np.int16))
+
 
 class TestSsim:
     def test_identical_images_give_one(self):
