@@ -42,7 +42,8 @@ vectorized pass over the keys, with row w offset by w*M*M into the flat
 stack, and each round is one block XOR, one gather and one rotation over the
 whole stack.
 
-Decryption rotates right, gathers with the inverse index and applies the
+Decryption rotates right, gathers with the inverse index (cached per key and
+M, as errorprop decrypts several vectors under one key) and applies the
 same block XOR: x -> x xor (block XOR of x) is an involution on 16-byte
 blocks, which is why A^-1 = J xor P^T = A^T.
 """
@@ -392,12 +393,9 @@ def encrypt(image: np.ndarray, key: CipherKey | Sequence[CipherKey]) -> np.ndarr
     a sequence of W keys with one round count: image w under key w.
     """
     out, m, keys = _flat_stack(image, key)
-    if len(keys) == 1:
-        index = _round_index(*keys[0].params(), m)
-    else:
-        # take() widens an int32 index on every call; a stack's index is not
-        # cached, so it is widened once for all rounds.
-        index = _gather_index([k.params() for k in keys], m).astype(np.intp)
+    # take() widens an int32 index on every call, so it is widened once for
+    # all rounds.  Not cached: the sweeps draw a fresh key for every trial.
+    index = _gather_index([k.params() for k in keys], m).astype(np.intp)
     shift, complement = _rotation_shifts(m)
     for _ in range(keys[0].rounds):
         out = _rotate(_block_xor(out).take(index), shift, complement)

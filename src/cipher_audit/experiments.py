@@ -198,28 +198,20 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     ]
 
 
-def _draw_trials(master_seed: int, m: int, rounds: int, start: int, stop: int, mark_plain):
+def _draw_trials(master_seed: int, m: int, rounds: int, start: int, stop: int, single_lsb: bool):
     """Stream, key and plaintext of trials start..stop-1, each drawn from its
-    own trial stream: the key first, then mark_plain(rng, plain) sets the
-    bits of the all-zero plaintext."""
+    own trial stream: the key first, then, if single_lsb, the pixel whose LSB
+    is set in the otherwise all-zero plaintext."""
     plains = np.zeros((stop - start, m, m), dtype=np.uint8)
     rngs, keys = [], []
     for index, plain in zip(range(start, stop), plains):
         rng = cipher.trial_stream(master_seed, index, m, rounds)
         rngs.append(rng)
         keys.append(cipher.key_from_stream(rng, m, rounds))
-        mark_plain(rng, plain)
+        if single_lsb:
+            x, y = (int(v) for v in rng.integers(0, m, size=2))
+            plain[x, y] = 1
     return rngs, keys, plains
-
-
-def _all_zero(rng: np.random.Generator, plain: np.ndarray) -> None:
-    """Leave the plaintext all-zero; draws nothing."""
-
-
-def _single_lsb(rng: np.random.Generator, plain: np.ndarray) -> None:
-    """Set the LSB of one uniformly random pixel of the all-zero plaintext."""
-    x, y = (int(v) for v in rng.integers(0, len(plain), size=2))
-    plain[x, y] = 1
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +225,7 @@ def _avalanche_batch(task: tuple[int, int, int, int, int]) -> list[tuple[float, 
     over GF(2), so E(0) = 0 for every key, and PS is the bit weight of E(I'):
     only I' is encrypted, the whole batch in one call.
     """
-    rngs, keys, plains = _draw_trials(*task, _single_lsb)
+    rngs, keys, plains = _draw_trials(*task, single_lsb=True)
     ciphers = cipher.encrypt(plains, keys)
     zeros = np.zeros_like(ciphers[0])
     return [
@@ -262,8 +254,9 @@ def avalanche_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[SweepCell]:
 
 def _uniformity_batch(task: tuple[int, int, int, int, int, str, bool]) -> list[float]:
     master_seed, m, rounds, start, stop, plaintext, control_random = task
-    mark_plain = _all_zero if plaintext == PLAINTEXT_ALL_ZERO else _single_lsb
-    rngs, keys, plains = _draw_trials(master_seed, m, rounds, start, stop, mark_plain)
+    rngs, keys, plains = _draw_trials(
+        master_seed, m, rounds, start, stop, single_lsb=plaintext == PLAINTEXT_SINGLE_LSB
+    )
     if control_random:
         # Sanity oracle: uniform random bytes in place of the ciphertext
         # should score around 255 (the degrees of freedom).
