@@ -266,13 +266,17 @@ def _block_xor(data: np.ndarray) -> np.ndarray:
 def _scramble_coords(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid cell (u, v) that the static scramble brings to each flat position.
 
-    The dtype holds every intermediate of :func:`_gather_index` for one
-    image, which stays within (-2*M*M, 2*M*M): int32 up to M = 32767, int64
-    beyond.
+    The coordinates are int16 up to M = 32767 and int64 beyond; the
+    arithmetic in :func:`_gather_index` widens them.  Built without int64
+    temporaries: shuffle makes the draws of permutation(M*M) in place.
     """
-    dtype = np.int32 if 2 * m * m <= np.iinfo(np.int32).max else np.int64
-    flat = np.random.default_rng((SCRAMBLE_SEED, m)).permutation(m * m).astype(dtype)
-    return np.divmod(flat, dtype(m))
+    small = m <= np.iinfo(np.int16).max
+    flat = np.arange(m * m, dtype=np.int32 if small else np.int64)
+    np.random.default_rng((SCRAMBLE_SEED, m)).shuffle(flat)
+    coords = np.empty((2, m * m), dtype=np.int16 if small else np.int64)
+    np.divmod(flat, m, out=(coords[0], coords[1]), casting="same_kind")
+    coords.flags.writeable = False
+    return coords[0], coords[1]
 
 
 def _reduce(values: np.ndarray, m: int, tmp: np.ndarray) -> None:
@@ -299,7 +303,8 @@ def _gather_index(params: list[tuple[int, int, int, int]], m: int) -> np.ndarray
     """
     u, v = _scramble_coords(m)
     size = len(params) * m * m
-    dtype = u.dtype if size <= np.iinfo(np.int32).max else np.int64
+    # Intermediates stay within (-2*M*M, 2*M*M), the row offsets below size.
+    dtype = np.int32 if max(2 * m * m, size) <= np.iinfo(np.int32).max else np.int64
     reduced = np.array([[p % m for p in key] for key in params], dtype=dtype)
     a, b, rx, ry = reduced.T[:, :, np.newaxis]
     x = u - rx
@@ -341,11 +346,24 @@ def _inverse_index(a: int, b: int, rx: int, ry: int, m: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _rotation_shifts(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Static seeded left-rotation amount s of each flat position, and 8 - s, as uint8."""
-    shift = np.random.default_rng((ROTATION_SEED, m)).integers(0, 8, size=m * m).astype(np.uint8)
+    # An int32 draw below 2**32 gives the values of the default int64 one.
+    rng = np.random.default_rng((ROTATION_SEED, m))
+    shift = rng.integers(0, 8, size=m * m, dtype=np.int32).astype(np.uint8)
     complement = 8 - shift
     shift.flags.writeable = False
     complement.flags.writeable = False
     return shift, complement
+
+
+def build_static_tables(m: int) -> None:
+    """Build and cache the key-independent tables of side length M.
+
+    These are the scramble's coordinates and the rotation grids; every later
+    encrypt or decrypt at M, in this process or in one forked from it,
+    reuses them.
+    """
+    _scramble_coords(m)
+    _rotation_shifts(m)
 
 
 def _rotate(data: np.ndarray, by: np.ndarray, back: np.ndarray) -> np.ndarray:
@@ -405,7 +423,9 @@ def encrypt(image: np.ndarray, key: CipherKey | Sequence[CipherKey]) -> np.ndarr
 def decrypt(cipher: np.ndarray, key: CipherKey) -> np.ndarray:
     """Exact inverse of :func:`encrypt` of one image under the same key."""
     m = validate_image(cipher)
-    index = _inverse_index(*key.params(), m)
+    # take() would widen the int32 index in every round; the cache keeps it
+    # int32, half the memory of intp.
+    index = _inverse_index(*key.params(), m).astype(np.intp)
     shift, complement = _rotation_shifts(m)
     out = np.ascontiguousarray(cipher).reshape(-1)
     for _ in range(key.rounds):

@@ -27,7 +27,7 @@ def _default_seed() -> int:
 
 
 def _default_jobs() -> int:
-    return os.cpu_count() or 1
+    return experiments.usable_cpus()
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -211,7 +211,8 @@ def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None,
                      help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
     sub.add_argument("--jobs", type=int, default=None,
-                     help="worker processes (default: all cores); results do not depend on it")
+                     help="worker processes (default: every CPU this process may run on); "
+                          "results do not depend on it")
     sub.add_argument("--out", dest="outfile", required=True, help="output CSV path")
 
 
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=None,
                      help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
     sub.add_argument("--jobs", type=int, default=None,
-                     help="worker processes (default: all cores)")
+                     help="worker processes (default: every CPU this process may run on)")
     sub.add_argument("--out", dest="outfile", required=True, help="output CSV path")
     sub.set_defaults(func=_cmd_errorprop)
 

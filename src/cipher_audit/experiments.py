@@ -145,17 +145,35 @@ class KeySpaceReport:
         )
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports
+    one (a taskset or cpuset can pin it to fewer than the machine has)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _worker_count(jobs: int, n_tasks: int) -> int:
-    """Processes worth starting: no more than requested, cores, or tasks."""
-    return max(1, min(jobs, os.cpu_count() or 1, n_tasks))
+    """Processes worth starting: no more than requested, usable CPUs, or tasks."""
+    return max(1, min(jobs, usable_cpus(), n_tasks))
 
 
-def _run_tasks(fn, tasks: list, jobs: int, initializer=None, initargs: tuple = ()) -> list:
+def _run_tasks(
+    fn, tasks: list, jobs: int, initializer=None, initargs: tuple = (), sizes=()
+) -> list:
     """Map fn over tasks, optionally across processes; order is preserved.
+
+    The static cipher tables of every image size in sizes are built first,
+    in this process, whether the tasks then run serially or not: forked pool
+    workers inherit them, and the loaded numpy.random, instead of each
+    building its own.  Under a spawn or forkserver start method the workers
+    still build them; the results are the same.
 
     initializer(*initargs) runs once in every process that calls fn,
     this one included when the tasks run serially.
     """
+    for m in sizes:
+        cipher.build_static_tables(m)
     workers = _worker_count(jobs, len(tasks))
     if workers == 1:
         if initializer is not None:
@@ -192,7 +210,8 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
         for start in range(0, cfg.trials, step):
             stop = min(start + step, cfg.trials)
             tasks.append((cfg.master_seed, m, r, start, stop, *extra))
-    results = [value for batch in _run_tasks(batch_fn, tasks, jobs) for value in batch]
+    batches = _run_tasks(batch_fn, tasks, jobs, sizes=cfg.sizes)
+    results = [value for batch in batches for value in batch]
     return [
         (m, r, results[i * cfg.trials : (i + 1) * cfg.trials]) for i, (m, r) in enumerate(cells)
     ]
@@ -218,19 +237,26 @@ def _draw_trials(master_seed: int, m: int, rounds: int, start: int, stop: int, s
 # avalanche (plaintext sensitivity)
 # ---------------------------------------------------------------------------
 
+def _bit_weights(stack: np.ndarray) -> np.ndarray:
+    """Number of set bits in each image of a (W, M, M) stack, as int64."""
+    return np.bitwise_count(stack).reshape(len(stack), -1).sum(axis=1, dtype=np.int64)
+
+
 def _avalanche_batch(task: tuple[int, int, int, int, int]) -> list[tuple[float, float]]:
     """PS and Diff of each trial of a batch.
 
     PS compares E(I) with E(I') for the all-zero I.  The cipher is linear
     over GF(2), so E(0) = 0 for every key, and PS is the bit weight of E(I'):
-    only I' is encrypted, the whole batch in one call.
+    only I' is encrypted, the whole batch in one call.  Both scores of every
+    trial come from two popcount reductions over the batch, with the
+    arithmetic of metrics.hamming_percent.
     """
     rngs, keys, plains = _draw_trials(*task, single_lsb=True)
     ciphers = cipher.encrypt(plains, keys)
-    zeros = np.zeros_like(ciphers[0])
+    total_bits = 8 * ciphers[0].size
     return [
-        (metrics.hamming_percent(zeros, c1), metrics.hamming_percent(plain, c1))
-        for plain, c1 in zip(plains, ciphers)
+        (100.0 * int(ps) / total_bits, 100.0 * int(diff) / total_bits)
+        for ps, diff in zip(_bit_weights(ciphers), _bit_weights(plains ^ ciphers))
     ]
 
 
@@ -362,7 +388,7 @@ def error_propagation(
     tasks = [
         (cfg.master_seed, m, rounds, w, cfg.error_percents) for w in range(cfg.trials)
     ]
-    results = _run_tasks(_errprop_trial, tasks, jobs, _errprop_init, (image,))
+    results = _run_tasks(_errprop_trial, tasks, jobs, _errprop_init, (image,), sizes=(m,))
 
     labels: list[tuple[str, float, int]] = [(SINGLE_BIT, 100.0 / total_bits, 1)]
     for p in cfg.error_percents:

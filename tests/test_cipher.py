@@ -270,6 +270,28 @@ class TestBitPermutation:
         assert not left.flags.writeable and not right.flags.writeable
 
 
+class TestStaticTables:
+    """The tables are built without int64 temporaries; they must equal the
+    seeded int64 draws that define them."""
+
+    @pytest.mark.parametrize("m", [4, 12, 196, 300, 512])
+    def test_scramble_coords_equal_int64_permutation(self, m):
+        flat = np.random.default_rng((cipher.SCRAMBLE_SEED, m)).permutation(m * m)
+        want_u, want_v = np.divmod(flat, m)
+        u, v = cipher._scramble_coords(m)
+        assert u.dtype == v.dtype == np.int16
+        assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+        assert not u.flags.writeable and not v.flags.writeable
+
+    @pytest.mark.parametrize("m", [4, 12, 196, 300, 512])
+    def test_rotation_shifts_equal_int64_draw(self, m):
+        want = np.random.default_rng((cipher.ROTATION_SEED, m)).integers(0, 8, size=m * m)
+        shift, complement = cipher._rotation_shifts(m)
+        assert shift.dtype == complement.dtype == np.uint8
+        assert np.array_equal(shift, want) and np.array_equal(complement, 8 - want)
+        assert not shift.flags.writeable and not complement.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # keys
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import itertools
 import math
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from cipher_audit import cipher, experiments, image_io, metrics
+from cipher_audit import cipher, cli, experiments, image_io, metrics
 from cipher_audit.experiments import ExperimentConfig, Stats
 
 import oracles
@@ -41,9 +42,20 @@ class TestConfig:
         assert cfg.trials == 1000
 
 
+def _table_misses(m: int) -> tuple[int, int]:
+    """Cache misses that building M's static tables causes in this process."""
+    scramble = cipher._scramble_coords.cache_info().misses
+    rotation = cipher._rotation_shifts.cache_info().misses
+    cipher.build_static_tables(m)
+    return (
+        cipher._scramble_coords.cache_info().misses - scramble,
+        cipher._rotation_shifts.cache_info().misses - rotation,
+    )
+
+
 class TestWorkerCount:
     def test_huge_jobs_clamped_to_cores_and_tasks(self):
-        cores = os.cpu_count() or 1
+        cores = experiments.usable_cpus()
         assert experiments._worker_count(10**6, 10**9) == cores
         assert experiments._worker_count(10**6, 1) == 1
         assert experiments._worker_count(10**6, 3) == min(cores, 3)
@@ -51,6 +63,46 @@ class TestWorkerCount:
     def test_non_positive_jobs_run_serially(self):
         assert experiments._worker_count(0, 50) == 1
         assert experiments._worker_count(-4, 50) == 1
+
+    def test_counts_cpus_in_affinity_set(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was created for a process pinned to one CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        assert experiments.usable_cpus() == 1
+        assert experiments._worker_count(8, 100) == 1
+        assert cli._default_jobs() == 1
+        cfg = small_cfg(sizes=(16, 20), rounds=(1,), trials=3)
+        assert experiments.uniformity_sweep(cfg, jobs=8) == experiments.uniformity_sweep(cfg)
+
+
+class TestStaticTablesBeforeFork:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_caller_holds_tables_of_every_size(self, jobs):
+        cipher._scramble_coords.cache_clear()
+        cipher._rotation_shifts.cache_clear()
+        cfg = small_cfg(sizes=(16, 20, 32), rounds=(1, 6), trials=3)
+        experiments.uniformity_sweep(cfg, jobs=jobs)
+        for m in cfg.sizes:
+            assert _table_misses(m) == (0, 0)
+
+    def test_error_propagation_caller_holds_tables(self):
+        cipher._scramble_coords.cache_clear()
+        cipher._rotation_shifts.cache_clear()
+        image = image_io.make_portrait_image(20)
+        experiments.error_propagation(small_cfg(trials=2), image, jobs=2, rounds=2)
+        assert _table_misses(20) == (0, 0)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="workers inherit tables by fork"
+    )
+    def test_forked_workers_inherit_tables(self):
+        sizes = (16, 20)
+        cipher._scramble_coords.cache_clear()
+        cipher._rotation_shifts.cache_clear()
+        misses = experiments._run_tasks(_table_misses, list(sizes) * 2, 2, sizes=sizes)
+        assert misses == [(0, 0)] * 4
 
 
 class TestStats:
@@ -144,6 +196,17 @@ class TestLinearityShortcuts:
                 for index in (0, 3, 11):
                     task = (master_seed, m, rounds, index, percents)
                     assert experiments._errprop_trial(task) == oracles.errprop_trial(task, image)
+
+    @pytest.mark.parametrize("m", [16, 20, 64])
+    def test_avalanche_batch_scores_equal_hamming_percent(self, m):
+        task = (3, m, 2, 4, 13)
+        rngs, keys, plains = experiments._draw_trials(*task, single_lsb=True)
+        ciphers = cipher.encrypt(plains, keys)
+        zeros = np.zeros((m, m), dtype=np.uint8)
+        assert experiments._avalanche_batch(task) == [
+            (metrics.hamming_percent(zeros, c), metrics.hamming_percent(p, c))
+            for p, c in zip(plains, ciphers)
+        ]
 
     def test_serial_run_calls_initializer(self, monkeypatch):
         image = np.full((16, 16), 7, dtype=np.uint8)
