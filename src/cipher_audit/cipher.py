@@ -35,17 +35,16 @@ shifts, which the construction allows:
 - The rotation is two uint8 shifts, (z << s) | (z >> (8 - s)), over cached
   grids of s and 8 - s.
 
-encrypt also takes a (W, M, M) stack with a sequence of W keys that share
-the round count; a single image with one key is the W = 1 case.
-Only the gather index depends on the key: the stack's index is built in one
-vectorized pass over the keys, with row w offset by w*M*M into the flat
-stack, and each round is one block XOR, one gather and one rotation over the
-whole stack.
+encrypt and decrypt take an M x M image under one key, or a (W, M, M) stack
+under one key for every image or under W keys that share the round count.
+Only the gather index depends on the key.  Each call builds it for all its
+keys in one vectorized pass, with row w offset by w*M*M into the flat stack;
+one key's index is one image long and is applied to each image in turn.  A
+round is one block XOR, one gather and one rotation over the whole stack.
 
-Decryption rotates right, gathers with the inverse index (cached per key and
-M, as errorprop decrypts several vectors under one key) and applies the
-same block XOR: x -> x xor (block XOR of x) is an involution on 16-byte
-blocks, which is why A^-1 = J xor P^T = A^T.
+Decryption rotates right, gathers with the inverse index (all rows inverted
+by one scatter) and applies the same block XOR: x -> x xor (block XOR of x)
+is an involution on 16-byte blocks, which is why A^-1 = J xor P^T = A^T.
 """
 
 from __future__ import annotations
@@ -290,21 +289,20 @@ def _reduce(values: np.ndarray, m: int, tmp: np.ndarray) -> None:
 
 
 def _gather_index(params: list[tuple[int, int, int, int]], m: int) -> np.ndarray:
-    """Flat gather index of the byte permutations of one round over a stack.
+    """Gather index of the byte permutations of one round, one row per key.
 
-    Image w of the stack is permuted under the key parameters params[w]:
-    output position w*M*M + k takes the block-XORed byte of image w that the
-    in-block move by pinv, then the cat map, then the scramble carry to k.
-    The cat map (x, y) -> (x + a*y + rx, b*x + (a*b + 1)*y + ry) is inverted
-    in closed form at the scramble's coordinates (u, v), for all keys in one
-    pass: y = (v - ry) - b*(u - rx), then x = (u - rx) - a*y, both mod M.
-    The steps run in place, so at most three arrays of the index's size are
+    Row i is the index of one M x M image under the key parameters params[i]:
+    output position k takes the block-XORed byte that the in-block move by
+    pinv, then the cat map, then the scramble carry to k.  The cat map
+    (x, y) -> (x + a*y + rx, b*x + (a*b + 1)*y + ry) is inverted in closed
+    form at the scramble's coordinates (u, v), for all keys in one pass:
+    y = (v - ry) - b*(u - rx), then x = (u - rx) - a*y, both mod M.  The
+    steps run in place, so at most three arrays of the index's size are
     alive at once.
     """
     u, v = _scramble_coords(m)
-    size = len(params) * m * m
-    # Intermediates stay within (-2*M*M, 2*M*M), the row offsets below size.
-    dtype = np.int32 if max(2 * m * m, size) <= np.iinfo(np.int32).max else np.int64
+    # Intermediates stay within (-2*M*M, 2*M*M).
+    dtype = np.int32 if 2 * m * m <= np.iinfo(np.int32).max else np.int64
     reduced = np.array([[p % m for p in key] for key in params], dtype=dtype)
     a, b, rx, ry = reduced.T[:, :, np.newaxis]
     x = u - rx
@@ -321,26 +319,26 @@ def _gather_index(params: list[tuple[int, int, int, int]], m: int) -> np.ndarray
     low = np.bitwise_and(cell, BLOCK_BYTES - 1, out=y)
     cell &= -BLOCK_BYTES
     cell |= np.argmin(build_diffusion_matrix(), axis=1).astype(dtype)[low]
-    cell += np.arange(0, size, m * m, dtype=dtype)[:, np.newaxis]
-    return cell.reshape(-1)
+    return cell
 
 
-@functools.lru_cache(maxsize=4)
-def _round_index(a: int, b: int, rx: int, ry: int, m: int) -> np.ndarray:
-    """:func:`_gather_index` of a single image under one key, cached."""
-    index = _gather_index([(a, b, rx, ry)], m)
-    index.flags.writeable = False
+def _stack_index(keys: Sequence[CipherKey], m: int, invert: bool) -> np.ndarray:
+    """Flat gather index of one round under keys: one key, or one per image.
+
+    Row w is offset by w*M*M, so a single key's index covers one image and
+    is applied to every image of a stack in turn.  Adding the offsets also
+    widens the index to intp, which take() would otherwise do in every
+    round.  With invert, for decryption, one scatter inverts the whole
+    offset index: that is the offset inverse of each row.
+    """
+    index = _gather_index([k.params() for k in keys], m)
+    offsets = np.arange(0, index.size, m * m, dtype=np.intp)
+    index = (index + offsets[:, np.newaxis]).reshape(-1)
+    if invert:
+        forward = index
+        index = np.empty_like(forward)
+        index[forward] = np.arange(forward.size)
     return index
-
-
-@functools.lru_cache(maxsize=4)
-def _inverse_index(a: int, b: int, rx: int, ry: int, m: int) -> np.ndarray:
-    """Inverse permutation of :func:`_round_index`, for decryption."""
-    index = _round_index(a, b, rx, ry, m)
-    inverse = np.empty_like(index)
-    inverse[index] = np.arange(index.size, dtype=index.dtype)
-    inverse.flags.writeable = False
-    return inverse
 
 
 @functools.lru_cache(maxsize=8)
@@ -386,17 +384,21 @@ def _rotate(data: np.ndarray, by: np.ndarray, back: np.ndarray) -> np.ndarray:
 def _flat_stack(
     data: np.ndarray, key: CipherKey | Sequence[CipherKey]
 ) -> tuple[np.ndarray, int, tuple[CipherKey, ...]]:
-    """The bytes of an image or a stack, flat and C-contiguous, with M and one key per image.
+    """The bytes of an image or a stack, flat and C-contiguous, with M and the keys.
 
-    An M x M image takes one CipherKey.  A (W, M, M) stack takes a sequence
-    of W keys that share the round count.
+    An M x M image takes one CipherKey.  A (W, M, M) stack takes one
+    CipherKey for every image, or a sequence of W keys that share the round
+    count.
     """
+    stack = np.ndim(data) == 3
+    if stack and len(data) == 0:
+        raise DimensionError("a stack needs at least one image")
+    m = validate_image(data[0] if stack else data)
     if isinstance(key, CipherKey):
-        return np.ascontiguousarray(data).reshape(-1), validate_image(data), (key,)
+        return np.ascontiguousarray(data).reshape(-1), m, (key,)
     keys = tuple(key)
-    if not isinstance(data, np.ndarray) or data.ndim != 3 or len(data) == 0:
-        raise DimensionError("a key sequence needs a non-empty (W, M, M) stack of images")
-    m = validate_image(data[0])
+    if not stack:
+        raise DimensionError("a key sequence needs a (W, M, M) stack of images")
     if len(keys) != len(data):
         raise ValueError(f"a stack of {len(data)} images needs {len(data)} keys, got {len(keys)}")
     if len({k.rounds for k in keys}) != 1:
@@ -408,26 +410,25 @@ def encrypt(image: np.ndarray, key: CipherKey | Sequence[CipherKey]) -> np.ndarr
     """Run key.rounds rounds of diffusion followed by the bit permutation.
 
     image is an M x M image under one CipherKey, or a (W, M, M) stack under
-    a sequence of W keys with one round count: image w under key w.
+    one CipherKey or a sequence of W keys with one round count: image w
+    under key w.
     """
     out, m, keys = _flat_stack(image, key)
-    # take() widens an int32 index on every call, so it is widened once for
-    # all rounds.  Not cached: the sweeps draw a fresh key for every trial.
-    index = _gather_index([k.params() for k in keys], m).astype(np.intp)
+    index = _stack_index(keys, m, False)
     shift, complement = _rotation_shifts(m)
     for _ in range(keys[0].rounds):
-        out = _rotate(_block_xor(out).take(index), shift, complement)
+        # Rows of the index's size: the whole stack, or each image under one key.
+        out = _block_xor(out).reshape(-1, index.size).take(index, axis=1)
+        out = _rotate(out, shift, complement)
     return out.reshape(image.shape)
 
 
-def decrypt(cipher: np.ndarray, key: CipherKey) -> np.ndarray:
-    """Exact inverse of :func:`encrypt` of one image under the same key."""
-    m = validate_image(cipher)
-    # take() would widen the int32 index in every round; the cache keeps it
-    # int32, half the memory of intp.
-    index = _inverse_index(*key.params(), m).astype(np.intp)
+def decrypt(cipher: np.ndarray, key: CipherKey | Sequence[CipherKey]) -> np.ndarray:
+    """Exact inverse of :func:`encrypt`, on the same images and keys."""
+    out, m, keys = _flat_stack(cipher, key)
+    index = _stack_index(keys, m, True)
     shift, complement = _rotation_shifts(m)
-    out = np.ascontiguousarray(cipher).reshape(-1)
-    for _ in range(key.rounds):
-        out = _block_xor(_rotate(out, complement, shift).take(index))
-    return out.reshape(m, m)
+    for _ in range(keys[0].rounds):
+        out = _rotate(out, complement, shift).reshape(-1, index.size).take(index, axis=1)
+        out = _block_xor(out)
+    return out.reshape(cipher.shape)

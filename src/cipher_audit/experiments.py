@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,6 +57,8 @@ class ExperimentConfig:
                 raise ValueError(f"round counts must be >= 1, got {r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.master_seed < 0:
+            raise ValueError(f"the master seed must be >= 0, got {self.master_seed}")
         for p in self.error_percents:
             if not 0.0 <= p <= 100.0:
                 raise ValueError(f"error percents must be within [0, 100], got {p}")
@@ -158,31 +160,23 @@ def _worker_count(jobs: int, n_tasks: int) -> int:
     return max(1, min(jobs, usable_cpus(), n_tasks))
 
 
-def _run_tasks(
-    fn, tasks: list, jobs: int, initializer=None, initargs: tuple = (), sizes=()
-) -> list:
+def _run_tasks(fn, tasks: list, jobs: int, sizes=()) -> list:
     """Map fn over tasks, optionally across processes; order is preserved.
 
     The static cipher tables of every image size in sizes are built first,
     in this process, whether the tasks then run serially or not: forked pool
     workers inherit them, and the loaded numpy.random, instead of each
     building its own.  Under a spawn or forkserver start method the workers
-    still build them; the results are the same.
-
-    initializer(*initargs) runs once in every process that calls fn,
-    this one included when the tasks run serially.
+    still build them; the results are the same.  Everything else a task
+    needs travels in the task itself.
     """
     for m in sizes:
         cipher.build_static_tables(m)
     workers = _worker_count(jobs, len(tasks))
     if workers == 1:
-        if initializer is not None:
-            initializer(*initargs)
         return [fn(task) for task in tasks]
     chunk = max(1, len(tasks) // (workers * 4))
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=initializer, initargs=initargs
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
@@ -317,14 +311,6 @@ def uniformity_sweep(
 # error propagation
 # ---------------------------------------------------------------------------
 
-_ERRPROP_IMAGE: np.ndarray | None = None
-
-
-def _errprop_init(image: np.ndarray) -> None:
-    global _ERRPROP_IMAGE
-    _ERRPROP_IMAGE = image
-
-
 def _flip_bits(data: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """data with bit p % 8 of byte p // 8 (row-major) flipped for every position p.
 
@@ -337,31 +323,37 @@ def _flip_bits(data: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return data ^ np.packbits(bits, bitorder="little").reshape(data.shape)
 
 
-def _errprop_trial(task: tuple[int, int, int, int, tuple[float, ...]]) -> list[tuple[float, float, float]]:
-    master_seed, m, rounds, index, percents = task
-    image = _ERRPROP_IMAGE
-    assert image is not None, "error-propagation worker not initialized"
-    rng = cipher.trial_stream(master_seed, index, m, rounds)
-    key = cipher.key_from_stream(rng, m, rounds)
+def _flip_counts(m: int, percents: tuple[float, ...]) -> list[int]:
+    """Bits flipped in each row of a trial: one, then ceil(p * T / 100) per percentage."""
+    total_bits = 8 * m * m
+    return [1] + [math.ceil(p * total_bits / 100.0) for p in percents]
+
+
+def _errprop_batch(task: tuple) -> list[list[tuple[float, float, float]]]:
+    """Dif, PSNR and SSIM of every row of each trial of a batch.
+
+    A trial draws its key, then the distinct bit positions of each row's
+    error vector e in row order (a row that flips no bits draws nothing).
+    The damaged decryption is I xor D(e), so only the error vectors are
+    decrypted: a trial's rows as one stack under the trial's key.  Dif is
+    the bit weight of D(e), with the arithmetic of metrics.hamming_percent.
+    """
+    master_seed, m, rounds, start, stop, percents, image = task
+    rngs, keys, _ = _draw_trials(master_seed, m, rounds, start, stop, single_lsb=False)
     total_bits = 8 * m * m
     no_error = np.zeros((m, m), dtype=np.uint8)
-
     out = []
-    flip_counts = [1] + [math.ceil(p * total_bits / 100.0) for p in percents]
-    for flips in flip_counts:
-        if flips == 0:
-            damaged = image
-        else:
-            positions = rng.choice(total_bits, size=flips, replace=False)
-            error = _flip_bits(no_error, positions)
-            damaged = image ^ cipher.decrypt(error, key)
-        out.append(
-            (
-                metrics.hamming_percent(image, damaged),
-                metrics.psnr(image, damaged),
-                metrics.ssim(image, damaged),
-            )
-        )
+    for rng, key in zip(rngs, keys):
+        errors = np.stack([
+            _flip_bits(no_error, rng.choice(total_bits, size=flips, replace=False))
+            if flips else no_error
+            for flips in _flip_counts(m, percents)
+        ])
+        damage = cipher.decrypt(errors, key)
+        out.append([
+            (100.0 * int(w) / total_bits, metrics.psnr(image, d), metrics.ssim(image, d))
+            for w, d in zip(_bit_weights(damage), image ^ damage)
+        ])
     return out
 
 
@@ -380,20 +372,20 @@ def error_propagation(
 
     The cipher is linear over GF(2) and D(E(I)) = I, so the corrupted
     decryption is D(E(I) xor e) = I xor D(e) and the clean one is I itself.
-    A trial therefore decrypts only the sparse error vector e of each row
+    A trial therefore decrypts only the sparse error vectors e, as one stack,
     and encrypts nothing; the random draws are those of the direct route.
+    The trials run on the shared sweep driver as one (M, rounds) cell, cut
+    into batches like the other sweeps; the image travels in every task.
     """
     m = cipher.validate_image(image)
-    total_bits = 8 * m * m
-    tasks = [
-        (cfg.master_seed, m, rounds, w, cfg.error_percents) for w in range(cfg.trials)
-    ]
-    results = _run_tasks(_errprop_trial, tasks, jobs, _errprop_init, (image,), sizes=(m,))
+    cell = replace(cfg, sizes=(m,), rounds=(rounds,))
+    [(_, _, results)] = _sweep(_errprop_batch, cell, jobs, cfg.error_percents, image)
 
-    labels: list[tuple[str, float, int]] = [(SINGLE_BIT, 100.0 / total_bits, 1)]
-    for p in cfg.error_percents:
-        labels.append((PERCENT, p, math.ceil(p * total_bits / 100.0)))
-
+    labels = zip(
+        [SINGLE_BIT] + [PERCENT] * len(cfg.error_percents),
+        [100.0 / (8 * m * m), *cfg.error_percents],
+        _flip_counts(m, cfg.error_percents),
+    )
     report = []
     for pos, (mode, percent, flips) in enumerate(labels):
         rows = [trial[pos] for trial in results]
@@ -419,6 +411,8 @@ def keyspace_report(m: int, guesses_per_second: float = 1e9) -> KeySpaceReport:
     time to sweep the effective one."""
     if m < 4:
         raise ValueError(f"side length must be >= 4, got {m}")
+    if not (math.isfinite(guesses_per_second) and guesses_per_second > 0):
+        raise ValueError(f"the guess rate must be finite and above 0, got {guesses_per_second}")
     q = cipher.param_bits(m)
     return KeySpaceReport(
         size=m,

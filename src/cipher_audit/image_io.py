@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from .cipher import DimensionError, validate_image
@@ -53,7 +55,7 @@ def _read_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
 def read_pgm(path) -> np.ndarray:
     """Read a square 8-bit binary PGM (P5) into an M x M uint8 array."""
     try:
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise OSError(f"cannot read PGM {path}: {exc}") from exc
     if not data.startswith(b"P5"):
@@ -92,7 +94,7 @@ def write_pgm(image: np.ndarray, path) -> None:
 def read_raw(path, m: int) -> np.ndarray:
     """Read a headerless ciphertext blob of exactly M*M bytes."""
     try:
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise OSError(f"cannot read blob {path}: {exc}") from exc
     if len(data) != m * m:

@@ -158,7 +158,7 @@ class TestCriterion7CatMapBijectivity:
             for _ in range(100):
                 key = cipher.key_from_stream(rng, m, 1)
                 # one round's fused gather index: in-block move, cat map, scramble
-                index = cipher._round_index(*key.params(), m)
+                index = cipher._stack_index([key], m, False)
                 hits = np.bincount(index, minlength=m * m)
                 assert hits.size == m * m and np.all(hits == 1), \
                     f"not a bijection at M={m}, key={key}"

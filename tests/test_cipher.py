@@ -174,7 +174,7 @@ class TestCatMap:
         for key, m in ((cipher.CipherKey(5, 9, 2, 7, rounds=1), 16),
                        (cipher.CipherKey(13, 6, 11, 3, rounds=1), 12)):
             scramble = oracles.scramble_pairs(cipher.SCRAMBLE_SEED, m)
-            cells = decode_index(cipher._round_index(*key.params(), m), m)
+            cells = decode_index(cipher._stack_index([key], m, False), m)
             for k, (x, y) in enumerate(cells):
                 assert cipher.cat_map_point(x, y, key, m) == scramble[k // m][k % m]
 
@@ -241,8 +241,8 @@ class TestBitPermutation:
         rng = np.random.default_rng(5)
         for m in (12, 16):
             key = random_key(rng, m, 1)
-            index = cipher._round_index(*key.params(), m)
-            inverse = cipher._inverse_index(*key.params(), m)
+            index = cipher._stack_index([key], m, False)
+            inverse = cipher._stack_index([key], m, True)
             identity = np.arange(m * m)
             assert np.array_equal(np.sort(index), identity)
             assert np.array_equal(index[inverse], identity)
@@ -433,7 +433,8 @@ class TestCipherRoundtrip:
 
 
 class TestStack:
-    """A (W, M, M) stack under W keys is W single-image calls in one."""
+    """A (W, M, M) stack under W keys, or under one key for every image, is
+    W single-image calls in one, in both directions."""
 
     @staticmethod
     def mixed_keys(rng, m, rounds):
@@ -455,11 +456,32 @@ class TestStack:
             assert np.array_equal(row, cipher.encrypt(image, key))
             assert np.array_equal(cipher.decrypt(row, key), image)
 
+    @pytest.mark.parametrize("one_key", [False, True])
+    @pytest.mark.parametrize("rounds", [1, 2, 6])
+    @pytest.mark.parametrize("m", [4, 12, 20, 64])
+    def test_decrypt_stack_equals_separate_calls(self, m, rounds, one_key):
+        rng = np.random.default_rng((m, rounds, one_key))
+        keys = self.mixed_keys(rng, m, rounds)
+        images = rng.integers(0, 256, (len(keys), m, m), dtype=np.uint8)
+        if one_key:
+            keys = [keys[-1]] * len(keys)
+        stack_keys = keys[0] if one_key else keys
+        decrypted = cipher.decrypt(images, stack_keys)
+        assert decrypted.shape == images.shape
+        for image, key, row in zip(images, keys, decrypted):
+            assert np.array_equal(row, cipher.decrypt(image, key))
+        encrypted = cipher.encrypt(images, stack_keys)
+        for image, key, row in zip(images, keys, encrypted):
+            assert np.array_equal(row, cipher.encrypt(image, key))
+        assert np.array_equal(cipher.decrypt(encrypted, stack_keys), images)
+
     def test_one_image_stack(self):
         rng = np.random.default_rng(3)
         image = rng.integers(0, 256, (12, 12), dtype=np.uint8)
         key = random_key(rng, 12, 2)
         assert np.array_equal(cipher.encrypt(image[np.newaxis], [key])[0], cipher.encrypt(image, key))
+        assert np.array_equal(cipher.decrypt(image[np.newaxis], [key])[0], cipher.decrypt(image, key))
+        assert np.array_equal(cipher.decrypt(image[np.newaxis], key)[0], cipher.decrypt(image, key))
 
     def test_stack_not_mutated_and_views(self):
         rng = np.random.default_rng(4)
@@ -487,6 +509,24 @@ class TestStack:
         keys = [cipher.CipherKey(1, 2, 3, 4, rounds=1)] * 2
         with pytest.raises(cipher.DimensionError):
             cipher.encrypt(np.zeros(shape, dtype=np.uint8), keys)
+
+    def test_decrypt_checks_stacks_as_encrypt_does(self):
+        key = cipher.CipherKey(1, 2, 3, 4, rounds=1)
+        stack = np.zeros((2, 8, 8), dtype=np.uint8)
+        with pytest.raises(ValueError, match="round count"):
+            cipher.decrypt(stack, [key, cipher.CipherKey(1, 2, 3, 4, rounds=2)])
+        for count in (1, 3):
+            with pytest.raises(ValueError, match="needs 2 keys"):
+                cipher.decrypt(stack, [key] * count)
+        for shape in ((0, 8, 8), (8, 8), (2, 8, 12)):
+            with pytest.raises(cipher.DimensionError):
+                cipher.decrypt(np.zeros(shape, dtype=np.uint8), [key] * 2)
+
+    @pytest.mark.parametrize("op", [cipher.encrypt, cipher.decrypt])
+    @pytest.mark.parametrize("shape", [(0, 8, 8), (2, 8, 12), (8,), (1, 2, 8, 8)])
+    def test_bad_shape_under_one_key_rejected(self, shape, op):
+        with pytest.raises(cipher.DimensionError):
+            op(np.zeros(shape, dtype=np.uint8), cipher.CipherKey(1, 2, 3, 4, rounds=1))
 
 
 class TestInvariants:

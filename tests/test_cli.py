@@ -141,6 +141,14 @@ class TestOtherCommands:
         assert "M^4 = 20736" in out
         assert "20736.000 s" in out
 
+    @pytest.mark.parametrize("rate", ["0", "-5", "nan", "inf"])
+    def test_bad_keyspace_rate_is_usage_error(self, capsys, rate):
+        # the = form lets argparse take "-5" as a value, not an option
+        assert run(["keyspace", "--dim", 16, f"--rate={rate}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the guess rate") and captured.err.count("\n") == 1
+
     def test_make_image_kinds(self, tmp_path):
         for kind in ("all-zero", "single-lsb", "uniform-random", "portrait"):
             out = tmp_path / f"{kind}.pgm"
@@ -155,6 +163,26 @@ class TestOtherCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: {cli.SEED_ENV_VAR} must be an integer, got 'abc'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["avalanche", "uniformity", "errorprop"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        image = tmp_path / "img.pgm"
+        image_io.write_pgm(np.zeros((16, 16), dtype=np.uint8), image)
+        out = tmp_path / "a.csv"
+        args = ["--image", image] if command == "errorprop" else ["--sizes", "16", "--rounds", "1"]
+        code = run([command, *args, "--trials", 1, "--seed", -1, "--jobs", 1, "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == "error: the master seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_negative_seed_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "-3")
+        out = tmp_path / "a.csv"
+        code = run(["avalanche", "--sizes", "16", "--rounds", "1", "--trials", 1,
+                    "--jobs", 1, "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == "error: the master seed must be >= 0, got -3\n"
         assert not out.exists()
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):

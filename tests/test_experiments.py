@@ -1,7 +1,9 @@
+import functools
 import itertools
 import math
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,6 +32,11 @@ class TestConfig:
     def test_rejects_bad_percent(self):
         with pytest.raises(ValueError, match="percents"):
             ExperimentConfig(error_percents=(120.0,))
+
+    @pytest.mark.parametrize("seed", [-1, -3])
+    def test_rejects_negative_seed(self, seed):
+        with pytest.raises(ValueError, match=f"master seed must be >= 0, got {seed}"):
+            ExperimentConfig(master_seed=seed)
 
     def test_rejects_empty_rounds(self):
         with pytest.raises(ValueError, match="round count"):
@@ -103,6 +110,33 @@ class TestStaticTablesBeforeFork:
         cipher._rotation_shifts.cache_clear()
         misses = experiments._run_tasks(_table_misses, list(sizes) * 2, 2, sizes=sizes)
         assert misses == [(0, 0)] * 4
+
+
+class TestSpawnWorkers:
+    """Under a spawn start method workers share nothing with the caller but
+    the tasks, so these runs match the serial ones only if every input
+    reaches the workers through the task."""
+
+    @pytest.fixture(autouse=True)
+    def spawn_pool(self, monkeypatch):
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(
+            experiments, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=spawn)
+        )
+        # two workers even where this process may use one CPU
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        # one trial per batch, so every run has several tasks
+        monkeypatch.setattr(experiments, "BATCH_PIXELS", 16 * 16)
+
+    def test_uniformity_sweep(self):
+        cfg = small_cfg(sizes=(16,), rounds=(1, 6), trials=3)
+        assert experiments.uniformity_sweep(cfg, jobs=2) == experiments.uniformity_sweep(cfg)
+
+    def test_error_propagation(self):
+        image = image_io.make_portrait_image(16)
+        cfg = small_cfg(trials=3, error_percents=(0.0, 1.0))
+        assert experiments.error_propagation(cfg, image, jobs=2, rounds=2) == \
+            experiments.error_propagation(cfg, image, rounds=2)
 
 
 class TestStats:
@@ -187,15 +221,19 @@ class TestLinearityShortcuts:
                     ]
 
     @pytest.mark.parametrize("m", [16, 20, 64])
-    def test_errprop_trial_equals_direct_route(self, m, monkeypatch):
+    def test_errprop_trial_equals_direct_route(self, m):
         image = image_io.make_portrait_image(m)
-        monkeypatch.setattr(experiments, "_ERRPROP_IMAGE", image)
         percents = (0.0, 0.01, 5.0, 100.0)
         for master_seed in (0, 9):
             for rounds in (2, 6):
-                for index in (0, 3, 11):
-                    task = (master_seed, m, rounds, index, percents)
-                    assert experiments._errprop_trial(task) == oracles.errprop_trial(task, image)
+                for start, stop in ((0, 4), (3, 4), (9, 12)):
+                    batch = experiments._errprop_batch(
+                        (master_seed, m, rounds, start, stop, percents, image)
+                    )
+                    assert batch == [
+                        oracles.errprop_trial((master_seed, m, rounds, index, percents), image)
+                        for index in range(start, stop)
+                    ]
 
     @pytest.mark.parametrize("m", [16, 20, 64])
     def test_avalanche_batch_scores_equal_hamming_percent(self, m):
@@ -207,12 +245,6 @@ class TestLinearityShortcuts:
             (metrics.hamming_percent(zeros, c), metrics.hamming_percent(p, c))
             for p, c in zip(plains, ciphers)
         ]
-
-    def test_serial_run_calls_initializer(self, monkeypatch):
-        image = np.full((16, 16), 7, dtype=np.uint8)
-        monkeypatch.setattr(experiments, "_ERRPROP_IMAGE", None)
-        experiments._run_tasks(len, [()], 1, experiments._errprop_init, (image,))
-        assert experiments._ERRPROP_IMAGE is image
 
 
 class TestUniformitySweep:
@@ -275,6 +307,13 @@ class TestBatching:
         batched = experiments.uniformity_sweep(cfg, plaintext=plaintext,
                                                control_random=control_random)
         assert batched == default
+
+    def test_errorprop_batches(self, monkeypatch):
+        image = image_io.make_portrait_image(16)
+        cfg = small_cfg(trials=7, error_percents=(0.0, 1.0))
+        default = experiments.error_propagation(cfg, image, rounds=2)
+        monkeypatch.setattr(experiments, "BATCH_PIXELS", 16 * 16)
+        assert experiments.error_propagation(cfg, image, rounds=2) == default
 
     def test_batch_boundaries(self):
         calls = []
@@ -363,9 +402,11 @@ class TestKeyspaceReport:
         # every 16-bit key at M=12, counted by the one-round gather index it selects
         m = 12
         report = experiments.keyspace_report(m)
-        build = cipher._round_index.__wrapped__  # uncached: 65536 keys
-        keys = itertools.product(range(1 << report.param_bits), repeat=4)
-        distinct = {build(*params, m).tobytes() for params in keys}
+        keys = list(itertools.product(range(1 << report.param_bits), repeat=4))
+        distinct = set()
+        for start in range(0, len(keys), 4096):
+            index = cipher._gather_index(keys[start : start + 4096], m)
+            distinct.update(row.tobytes() for row in index)
         assert report.key_space == 65536
         assert len(distinct) == report.effective_key_space == 12**4 == 20736
 
@@ -378,3 +419,8 @@ class TestKeyspaceReport:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             experiments.keyspace_report(2)
+
+    @pytest.mark.parametrize("rate", [0.0, -5.0, math.nan, math.inf])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="guess rate"):
+            experiments.keyspace_report(16, guesses_per_second=rate)
