@@ -72,19 +72,28 @@ class DimensionError(ValueError):
 # images
 # ---------------------------------------------------------------------------
 
+def check_side(m: int) -> int:
+    """Check a side length M and return it.
+
+    M must be a multiple of 4 and >= 4, so that M*M is divisible by the
+    16-byte diffusion block.
+    """
+    if m < 4 or m % 4 != 0:
+        raise DimensionError(f"side lengths must be multiples of 4 and >= 4, got {m}")
+    return m
+
+
 def validate_image(image: np.ndarray) -> int:
     """Check an image array and return its side length M.
 
-    Valid images are square 2-D uint8 arrays with M >= 4 and M % 4 == 0, so
-    that M*M is divisible by the 16-byte diffusion block.
+    Valid images are square 2-D uint8 arrays whose side passes check_side.
     """
     if not isinstance(image, np.ndarray) or image.ndim != 2:
         raise DimensionError("image must be a 2-D array of bytes")
     m, n = image.shape
     if m != n:
         raise DimensionError(f"image must be square, got {m}x{n}")
-    if m < 4 or m % 4 != 0:
-        raise DimensionError(f"side length must be a multiple of 4 and >= 4, got {m}")
+    check_side(m)
     if image.dtype != np.uint8:
         raise DimensionError(f"image dtype must be uint8, got {image.dtype}")
     return m
@@ -266,13 +275,10 @@ def _scramble_coords(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid cell (u, v) that the static scramble brings to each flat position.
 
     The coordinates are int16 up to M = 32767 and int64 beyond; the
-    arithmetic in :func:`_gather_index` widens them.  Built without int64
-    temporaries: shuffle makes the draws of permutation(M*M) in place.
+    arithmetic in :func:`_gather_index` widens them.
     """
-    small = m <= np.iinfo(np.int16).max
-    flat = np.arange(m * m, dtype=np.int32 if small else np.int64)
-    np.random.default_rng((SCRAMBLE_SEED, m)).shuffle(flat)
-    coords = np.empty((2, m * m), dtype=np.int16 if small else np.int64)
+    flat = np.random.default_rng((SCRAMBLE_SEED, m)).permutation(m * m)
+    coords = np.empty((2, m * m), dtype=np.int16 if m <= np.iinfo(np.int16).max else np.int64)
     np.divmod(flat, m, out=(coords[0], coords[1]), casting="same_kind")
     coords.flags.writeable = False
     return coords[0], coords[1]

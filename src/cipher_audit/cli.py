@@ -26,42 +26,23 @@ def _default_seed() -> int:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
 
 
-def _default_jobs() -> int:
-    return experiments.usable_cpus()
+def _int_list(span):
+    """argparse type: comma-separated integers, where 'a..b' stands for span(a, b)."""
+
+    def int_list(text: str) -> tuple[int, ...]:
+        out: list[int] = []
+        for entry in text.split(","):
+            lo, dots, hi = entry.strip().partition("..")
+            out.extend(span(int(lo), int(hi)) if dots else [int(lo)])
+        if not out:
+            raise ValueError("empty list")
+        return tuple(sorted(set(out)))
+
+    return int_list
 
 
-def _parse_sizes(text: str) -> list[int]:
-    """Comma-separated sizes; 'a..b' selects the standard grid within [a, b]."""
-    out: list[int] = []
-    for entry in text.split(","):
-        entry = entry.strip()
-        if ".." in entry:
-            lo, hi = (int(part) for part in entry.split("..", 1))
-            out.extend(m for m in experiments.DEFAULT_SIZES if lo <= m <= hi)
-        else:
-            out.append(int(entry))
-    if not out:
-        raise ValueError("no sizes given")
-    return sorted(set(out))
-
-
-def _parse_rounds(text: str) -> list[int]:
-    """Comma-separated round counts; 'a..b' is an inclusive range."""
-    out: list[int] = []
-    for entry in text.split(","):
-        entry = entry.strip()
-        if ".." in entry:
-            lo, hi = (int(part) for part in entry.split("..", 1))
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(entry))
-    if not out:
-        raise ValueError("no rounds given")
-    return sorted(set(out))
-
-
-def _parse_percents(text: str) -> list[float]:
-    return [float(entry) for entry in text.split(",") if entry.strip()]
+def _parse_percents(text: str) -> tuple[float, ...]:
+    return tuple(float(entry) for entry in text.split(",") if entry.strip())
 
 
 def _fmt(value: float) -> str:
@@ -72,10 +53,20 @@ def _stats_fields(stats: Stats) -> list[str]:
     return [_fmt(stats.minimum), _fmt(stats.mean), _fmt(stats.maximum), _fmt(stats.std)]
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+def _write_report(args: argparse.Namespace, header: list[str], rows: list[list[str]],
+                  noun: str) -> int:
+    """Write a sweep's CSV to --out and announce it on stdout."""
     text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with open(args.outfile, "w", encoding="ascii", newline="") as fh:
         fh.write(text)
+    print(f"wrote {args.outfile} ({len(rows)} {noun}, {args.trials} trials each)")
+    return 0
+
+
+def _config(args: argparse.Namespace, **fields) -> ExperimentConfig:
+    """The sweep's configuration; without --seed, the master seed comes from the environment."""
+    seed = _default_seed() if args.seed is None else args.seed
+    return ExperimentConfig(trials=args.trials, master_seed=seed, **fields)
 
 
 def _print_keyspace(report: experiments.KeySpaceReport) -> None:
@@ -116,10 +107,7 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
 
 
 def _cmd_avalanche(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig(
-        sizes=tuple(args.sizes), rounds=tuple(args.rounds),
-        trials=args.trials, master_seed=args.seed,
-    )
+    cfg = _config(args, sizes=args.sizes, rounds=args.rounds)
     report = experiments.avalanche_sweep(cfg, jobs=args.jobs)
     header = ["size", "rounds", "trials",
               "ps_min", "ps_mean", "ps_max", "ps_std",
@@ -129,16 +117,11 @@ def _cmd_avalanche(args: argparse.Namespace) -> int:
         + _stats_fields(cell.ps) + _stats_fields(cell.diff)
         for cell in report
     ]
-    _write_csv(args.outfile, header, rows)
-    print(f"wrote {args.outfile} ({len(rows)} cells, {args.trials} trials each)")
-    return 0
+    return _write_report(args, header, rows, "cells")
 
 
 def _cmd_uniformity(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig(
-        sizes=tuple(args.sizes), rounds=tuple(args.rounds),
-        trials=args.trials, master_seed=args.seed,
-    )
+    cfg = _config(args, sizes=args.sizes, rounds=args.rounds)
     report = experiments.uniformity_sweep(
         cfg, jobs=args.jobs, plaintext=args.plaintext,
         control_random=args.control_random,
@@ -150,17 +133,12 @@ def _cmd_uniformity(args: argparse.Namespace) -> int:
         + _stats_fields(cell.chi2) + [_fmt(cell.threshold)]
         for cell in report
     ]
-    _write_csv(args.outfile, header, rows)
-    print(f"wrote {args.outfile} ({len(rows)} cells, {args.trials} trials each)")
-    return 0
+    return _write_report(args, header, rows, "cells")
 
 
 def _cmd_errorprop(args: argparse.Namespace) -> int:
     image = image_io.read_pgm(args.image)
-    cfg = ExperimentConfig(
-        trials=args.trials, master_seed=args.seed,
-        error_percents=tuple(args.percents),
-    )
+    cfg = _config(args, error_percents=args.percents)
     report = experiments.error_propagation(cfg, image, jobs=args.jobs, rounds=args.rounds)
     header = ["mode", "percent", "flipped_bits", "trials",
               "dif_min", "dif_mean", "dif_max", "dif_std",
@@ -171,9 +149,7 @@ def _cmd_errorprop(args: argparse.Namespace) -> int:
         + _stats_fields(row.dif) + _stats_fields(row.psnr) + _stats_fields(row.ssim)
         for row in report
     ]
-    _write_csv(args.outfile, header, rows)
-    print(f"wrote {args.outfile} ({len(rows)} rows, {args.trials} trials each)")
-    return 0
+    return _write_report(args, header, rows, "rows")
 
 
 def _cmd_keyspace(args: argparse.Namespace) -> int:
@@ -188,10 +164,12 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_make_image(args: argparse.Namespace) -> int:
+    # Without --seed each generator uses its own default seed.
+    seed = {} if args.seed is None else {"seed": args.seed}
     if args.kind == "portrait":
-        image = image_io.make_portrait_image(args.dim, seed=args.seed or image_io.PORTRAIT_SEED)
+        image = image_io.make_portrait_image(args.dim, **seed)
     else:
-        image = image_io.make_test_image(args.kind, args.dim, x=args.x, y=args.y, seed=args.seed)
+        image = image_io.make_test_image(args.kind, args.dim, x=args.x, y=args.y, **seed)
     image_io.write_pgm(image, args.outfile)
     print(f"wrote {args.outfile} ({args.dim}x{args.dim} {args.kind})")
     return 0
@@ -200,21 +178,6 @@ def _cmd_make_image(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--sizes", type=_parse_sizes, default=list(experiments.DEFAULT_SIZES),
-                     help="comma-separated sizes, or a..b for the standard grid within bounds")
-    sub.add_argument("--rounds", type=_parse_rounds, default=list(experiments.DEFAULT_ROUNDS),
-                     help="comma-separated round counts, or an inclusive a..b range")
-    sub.add_argument("--trials", type=int, default=experiments.DEFAULT_TRIALS,
-                     help="trials per grid cell (default %(default)s)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="worker processes (default: every CPU this process may run on); "
-                          "results do not depend on it")
-    sub.add_argument("--out", dest="outfile", required=True, help="output CSV path")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -238,12 +201,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dim", type=int, required=True, help="side length M of the blob")
     sub.set_defaults(func=_cmd_decrypt)
 
-    sub = commands.add_parser("avalanche", help="plaintext-sensitivity sweep (PS and Diff)")
-    _add_sweep_flags(sub)
+    # Flags of the three sweep commands.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--trials", type=int, default=experiments.DEFAULT_TRIALS,
+                     help="trials per grid cell (default %(default)s)")
+    run.add_argument("--seed", type=int, default=None,
+                     help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
+    run.add_argument("--jobs", type=int, default=experiments.usable_cpus(),
+                     help="worker processes (default: every CPU this process may run on); "
+                          "results do not depend on it")
+    run.add_argument("--out", dest="outfile", required=True, help="output CSV path")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--sizes", type=_int_list(
+                          lambda lo, hi: [m for m in experiments.DEFAULT_SIZES if lo <= m <= hi]),
+                      default=experiments.DEFAULT_SIZES,
+                      help="comma-separated sizes, or a..b for the standard grid within bounds")
+    grid.add_argument("--rounds", type=_int_list(lambda lo, hi: range(lo, hi + 1)),
+                      default=experiments.DEFAULT_ROUNDS,
+                      help="comma-separated round counts, or an inclusive a..b range")
+
+    sub = commands.add_parser("avalanche", parents=[grid, run],
+                              help="plaintext-sensitivity sweep (PS and Diff)")
     sub.set_defaults(func=_cmd_avalanche)
 
-    sub = commands.add_parser("uniformity", help="ciphertext chi-square sweep")
-    _add_sweep_flags(sub)
+    sub = commands.add_parser("uniformity", parents=[grid, run],
+                              help="ciphertext chi-square sweep")
     sub.add_argument("--plaintext", choices=[experiments.PLAINTEXT_SINGLE_LSB,
                                              experiments.PLAINTEXT_ALL_ZERO],
                      default=experiments.PLAINTEXT_SINGLE_LSB,
@@ -252,19 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="score uniform random bytes instead of ciphertext (sanity check, ~255)")
     sub.set_defaults(func=_cmd_uniformity)
 
-    sub = commands.add_parser("errorprop", help="channel-error propagation report")
+    sub = commands.add_parser("errorprop", parents=[run], help="channel-error propagation report")
     sub.add_argument("--image", required=True, help="input PGM (P5) path")
-    sub.add_argument("--percents", type=_parse_percents, default=list(experiments.DEFAULT_ERROR_PERCENTS),
+    sub.add_argument("--percents", type=_parse_percents, default=experiments.DEFAULT_ERROR_PERCENTS,
                      help="comma-separated bit-error percentages (default %(default)s)")
-    sub.add_argument("--trials", type=int, default=experiments.DEFAULT_TRIALS,
-                     help="trials (default %(default)s)")
     sub.add_argument("--rounds", type=int, default=experiments.SECURE_ROUNDS,
                      help="round count (default %(default)s, the secure configuration)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="worker processes (default: every CPU this process may run on)")
-    sub.add_argument("--out", dest="outfile", required=True, help="output CSV path")
     sub.set_defaults(func=_cmd_errorprop)
 
     sub = commands.add_parser("keyspace", help="report permutation-key space size")
@@ -282,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dim", type=int, required=True, help="side length M")
     sub.add_argument("--x", type=int, default=0, help="pixel row for single-lsb")
     sub.add_argument("--y", type=int, default=0, help="pixel column for single-lsb")
-    sub.add_argument("--seed", type=int, default=0, help="seed for random kinds")
+    sub.add_argument("--seed", type=int, default=None,
+                     help="seed of the random kinds (default: 0 for uniform-random, "
+                          f"{image_io.PORTRAIT_SEED:#x} for portrait)")
     sub.add_argument("--out", dest="outfile", required=True, help="output PGM path")
     sub.set_defaults(func=_cmd_make_image)
 
@@ -291,18 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "jobs", None) is None and hasattr(args, "jobs"):
-        args.jobs = _default_jobs()
-    if getattr(args, "rounds", None) is not None and isinstance(args.rounds, int):
-        if args.rounds < 1:
-            print("error: --rounds must be >= 1", file=sys.stderr)
-            return 2
-    if getattr(args, "trials", None) is not None and args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return 2
     try:
-        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-            args.seed = _default_seed()
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,8 +48,7 @@ class ExperimentConfig:
         if not self.sizes:
             raise ValueError("at least one image size is required")
         for m in self.sizes:
-            if m < 4 or m % 4 != 0:
-                raise ValueError(f"image sizes must be multiples of 4 and >= 4, got {m}")
+            cipher.check_side(m)
         if not self.rounds:
             raise ValueError("at least one round count is required")
         for r in self.rounds:
@@ -231,27 +230,17 @@ def _draw_trials(master_seed: int, m: int, rounds: int, start: int, stop: int, s
 # avalanche (plaintext sensitivity)
 # ---------------------------------------------------------------------------
 
-def _bit_weights(stack: np.ndarray) -> np.ndarray:
-    """Number of set bits in each image of a (W, M, M) stack, as int64."""
-    return np.bitwise_count(stack).reshape(len(stack), -1).sum(axis=1, dtype=np.int64)
-
-
 def _avalanche_batch(task: tuple[int, int, int, int, int]) -> list[tuple[float, float]]:
     """PS and Diff of each trial of a batch.
 
     PS compares E(I) with E(I') for the all-zero I.  The cipher is linear
     over GF(2), so E(0) = 0 for every key, and PS is the bit weight of E(I'):
     only I' is encrypted, the whole batch in one call.  Both scores of every
-    trial come from two popcount reductions over the batch, with the
-    arithmetic of metrics.hamming_percent.
+    trial come from two bit-percentage reductions over the batch.
     """
     rngs, keys, plains = _draw_trials(*task, single_lsb=True)
     ciphers = cipher.encrypt(plains, keys)
-    total_bits = 8 * ciphers[0].size
-    return [
-        (100.0 * int(ps) / total_bits, 100.0 * int(diff) / total_bits)
-        for ps, diff in zip(_bit_weights(ciphers), _bit_weights(plains ^ ciphers))
-    ]
+    return list(zip(metrics.bit_percents(ciphers), metrics.bit_percents(plains ^ ciphers)))
 
 
 def avalanche_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[SweepCell]:
@@ -336,7 +325,7 @@ def _errprop_batch(task: tuple) -> list[list[tuple[float, float, float]]]:
     error vector e in row order (a row that flips no bits draws nothing).
     The damaged decryption is I xor D(e), so only the error vectors are
     decrypted: a trial's rows as one stack under the trial's key.  Dif is
-    the bit weight of D(e), with the arithmetic of metrics.hamming_percent.
+    the bit percentage of D(e).
     """
     master_seed, m, rounds, start, stop, percents, image = task
     rngs, keys, _ = _draw_trials(master_seed, m, rounds, start, stop, single_lsb=False)
@@ -351,8 +340,8 @@ def _errprop_batch(task: tuple) -> list[list[tuple[float, float, float]]]:
         ])
         damage = cipher.decrypt(errors, key)
         out.append([
-            (100.0 * int(w) / total_bits, metrics.psnr(image, d), metrics.ssim(image, d))
-            for w, d in zip(_bit_weights(damage), image ^ damage)
+            (dif, metrics.psnr(image, d), metrics.ssim(image, d))
+            for dif, d in zip(metrics.bit_percents(damage), image ^ damage)
         ])
     return out
 
@@ -409,8 +398,7 @@ def error_propagation(
 def keyspace_report(m: int, guesses_per_second: float = 1e9) -> KeySpaceReport:
     """Nominal key space 2^(4q) and effective M^4 for side length M, and the
     time to sweep the effective one."""
-    if m < 4:
-        raise ValueError(f"side length must be >= 4, got {m}")
+    cipher.check_side(m)
     if not (math.isfinite(guesses_per_second) and guesses_per_second > 0):
         raise ValueError(f"the guess rate must be finite and above 0, got {guesses_per_second}")
     q = cipher.param_bits(m)

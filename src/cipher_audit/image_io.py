@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cipher import DimensionError, validate_image
+from .cipher import DimensionError, check_side, validate_image
 
 PGM_MAXVAL = 255
 
@@ -114,10 +114,15 @@ def write_raw(image: np.ndarray, path) -> None:
         raise OSError(f"cannot write blob {path}: {exc}") from exc
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"the image seed must be >= 0, got {seed}")
+
+
 def make_test_image(kind: str, m: int, *, x: int = 0, y: int = 0, seed: int = 0) -> np.ndarray:
     """Synthetic test inputs: 'all-zero', 'single-lsb' or 'uniform-random'."""
-    if m < 4 or m % 4 != 0:
-        raise DimensionError(f"side length must be a multiple of 4 and >= 4, got {m}")
+    check_side(m)
+    _check_seed(seed)
     if kind == "all-zero":
         return np.zeros((m, m), dtype=np.uint8)
     if kind == "single-lsb":
@@ -152,8 +157,9 @@ def make_portrait_image(m: int = 256, seed: int = PORTRAIT_SEED) -> np.ndarray:
     and second moments of the classic grayscale portrait test photos.  The
     error-propagation report's PSNR range depends only on those moments.
     """
-    if m < 8 or m % 4 != 0:
-        raise DimensionError(f"side length must be a multiple of 4 and >= 8, got {m}")
+    if check_side(m) < 8:
+        raise DimensionError(f"a portrait side length must be >= 8 (one SSIM window), got {m}")
+    _check_seed(seed)
     rng = np.random.default_rng((seed, m))
     field = np.zeros((m, m), dtype=np.float64)
     for scale, weight in ((4, 1.0), (8, 0.6), (16, 0.35), (64, 0.15)):

@@ -27,6 +27,13 @@ def _as_bytes(data: np.ndarray | bytes | bytearray) -> np.ndarray:
     return arr.reshape(-1)
 
 
+def bit_percents(rows: np.ndarray) -> list[float]:
+    """Percentage of set bits in each row, along the first axis, of a uint8 array."""
+    flat = rows.reshape(len(rows), -1)
+    bits = 8 * flat.shape[1]
+    return [100.0 * int(w) / bits for w in np.bitwise_count(flat).sum(axis=1, dtype=np.int64)]
+
+
 def hamming_percent(x: np.ndarray | bytes, y: np.ndarray | bytes) -> float:
     """Percentage of differing bits between two equal-length byte sequences."""
     a = _as_bytes(x)
@@ -35,8 +42,7 @@ def hamming_percent(x: np.ndarray | bytes, y: np.ndarray | bytes) -> float:
         raise ValueError(f"length mismatch: {a.size} vs {b.size} bytes")
     if a.size == 0:
         raise ValueError("byte sequences must be non-empty")
-    total_bits = 8 * a.size
-    return 100.0 * int(np.bitwise_count(a ^ b).sum(dtype=np.int64)) / total_bits
+    return bit_percents((a ^ b)[np.newaxis])[0]
 
 
 def byte_histogram(data: np.ndarray | bytes) -> np.ndarray:

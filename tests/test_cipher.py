@@ -271,8 +271,8 @@ class TestBitPermutation:
 
 
 class TestStaticTables:
-    """The tables are built without int64 temporaries; they must equal the
-    seeded int64 draws that define them."""
+    """The tables are stored narrow; they must equal the seeded int64 draws
+    that define them."""
 
     @pytest.mark.parametrize("m", [4, 12, 196, 300, 512])
     def test_scramble_coords_equal_int64_permutation(self, m):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cipher_audit import cli, image_io
+from cipher_audit import cipher, cli, experiments, image_io
 
 
 def run(args) -> int:
@@ -155,6 +155,21 @@ class TestOtherCommands:
             assert run(["make-image", "--kind", kind, "--dim", 16, "--out", out]) == 0
             assert image_io.read_pgm(out).shape == (16, 16)
 
+    def test_make_image_portrait_seed_zero_is_used(self, tmp_path):
+        chosen, default = tmp_path / "zero.pgm", tmp_path / "default.pgm"
+        assert run(["make-image", "--kind", "portrait", "--dim", 16, "--seed", 0, "--out", chosen]) == 0
+        assert run(["make-image", "--kind", "portrait", "--dim", 16, "--out", default]) == 0
+        assert chosen.read_bytes() != default.read_bytes()
+        assert np.array_equal(image_io.read_pgm(chosen), image_io.make_portrait_image(16, seed=0))
+
+    @pytest.mark.parametrize("kind", ["uniform-random", "portrait"])
+    def test_negative_image_seed_is_usage_error(self, tmp_path, capsys, kind):
+        out = tmp_path / "img.pgm"
+        # the = form lets argparse take "-1" as a value, not an option
+        assert run(["make-image", "--kind", kind, "--dim", 16, "--seed=-1", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: the image seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_bad_seed_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
         out = tmp_path / "a.csv"
@@ -193,3 +208,38 @@ class TestOtherCommands:
         run(["avalanche", "--sizes", "16", "--rounds", "1", "--trials", 3,
              "--seed", 77, "--jobs", 1, "--out", b])
         assert a.read_bytes() == b.read_bytes()
+
+
+SIDE_ENTRY_POINTS = {
+    "validate_image": lambda m: cipher.validate_image(np.zeros((m, m), dtype=np.uint8)),
+    "ExperimentConfig": lambda m: experiments.ExperimentConfig(sizes=(16, m)),
+    "keyspace_report": experiments.keyspace_report,
+    "make_test_image": lambda m: image_io.make_test_image("all-zero", m),
+    "make_portrait_image": image_io.make_portrait_image,
+}
+
+
+class TestSideRule:
+    """One side-length rule, one message, at every entry point."""
+
+    @pytest.mark.parametrize("m", [6, 10])
+    @pytest.mark.parametrize("entry", sorted(SIDE_ENTRY_POINTS))
+    def test_library_rejects(self, entry, m):
+        message = f"^side lengths must be multiples of 4 and >= 4, got {m}$"
+        with pytest.raises(cipher.DimensionError, match=message):
+            SIDE_ENTRY_POINTS[entry](m)
+
+    @pytest.mark.parametrize("m", [6, 10])
+    @pytest.mark.parametrize("command", [
+        ["keyspace"],
+        ["make-image", "--kind", "all-zero"],
+        ["make-image", "--kind", "portrait"],
+    ], ids=["keyspace", "make-image-all-zero", "make-image-portrait"])
+    def test_cli_rejects(self, tmp_path, capsys, command, m):
+        out = tmp_path / "img.pgm"
+        extra = [] if command == ["keyspace"] else ["--out", out]
+        assert run([*command, "--dim", m, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: side lengths must be multiples of 4 and >= 4, got {m}\n"
+        assert not out.exists()

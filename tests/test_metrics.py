@@ -56,6 +56,12 @@ class TestHammingPercent:
         b[0, 0] = 255
         assert metrics.hamming_percent(a, b) == pytest.approx(100.0 * 8 / 128)
 
+    def test_bit_percents_per_row_match_popcount_oracle(self):
+        stack = np.random.default_rng(4).integers(0, 256, (5, 12, 12), dtype=np.uint8)
+        stack[0] = 0
+        expected = [100.0 * oracles.popcount_bytes(s.tobytes()) / (8 * s.size) for s in stack]
+        assert metrics.bit_percents(stack) == expected
+
 
 class TestChiSquare:
     def test_uniform_histogram_is_zero(self):
