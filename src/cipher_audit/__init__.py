@@ -5,7 +5,6 @@ from .cipher import (
     CipherKey,
     DimensionError,
     build_diffusion_matrix,
-    cat_map_point,
     decrypt,
     encrypt,
     key_bits,
@@ -30,7 +29,6 @@ __all__ = [
     "ExperimentConfig",
     "avalanche_sweep",
     "build_diffusion_matrix",
-    "cat_map_point",
     "chi_square",
     "decrypt",
     "encrypt",

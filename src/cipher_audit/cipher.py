@@ -105,9 +105,7 @@ def validate_image(image: np.ndarray) -> int:
 
 def param_bits(m: int) -> int:
     """Bit width q = ceil(log2(M)) of one cat-map parameter."""
-    if m < 2:
-        raise ValueError(f"side length must be >= 2, got {m}")
-    return (m - 1).bit_length()
+    return (check_side(m) - 1).bit_length()
 
 
 def key_bits(m: int) -> int:
@@ -201,53 +199,28 @@ def key_from_stream(rng: np.random.Generator, m: int, rounds: int) -> CipherKey:
 # static diffusion matrix
 # ---------------------------------------------------------------------------
 
-def generate_diffusion_matrix(seed: int) -> np.ndarray:
-    """Build the complement-of-permutation diffusion matrix from a seed.
+@functools.lru_cache(maxsize=1)
+def build_diffusion_matrix() -> np.ndarray:
+    """The single static diffusion matrix (identical for every key and round).
 
-    The matrix is A = J xor P, where J is all-ones and P is a seeded random
-    16x16 permutation matrix: output byte j is the XOR of every input byte
-    except one.  A is invertible by construction (A^-1 = J xor P^T), and
-    every column of A and of A^-1 has weight 15 -- the densest a 16x16
-    binary matrix can be in both directions at once.  Maximal two-way
-    density is what lets a single flipped bit reach half the image within
-    six rounds even at 512x512, in the decryption direction as well.
+    The matrix is A = J xor P, where J is all-ones and P is the 16x16
+    permutation matrix drawn from DIFFUSION_SEED: output byte j is the XOR of
+    every input byte except one.  A is invertible by construction (A^-1 =
+    J xor P^T), and every column of A and of A^-1 has weight 15 -- the
+    densest a 16x16 binary matrix can be in both directions at once.
+    Maximal two-way density is what lets a single flipped bit reach half the
+    image within six rounds even at 512x512, in the decryption direction as
+    well.
     """
-    perm = np.random.default_rng(seed).permutation(BLOCK_BYTES)
+    perm = np.random.default_rng(DIFFUSION_SEED).permutation(BLOCK_BYTES)
     matrix = np.ones((BLOCK_BYTES, BLOCK_BYTES), dtype=np.uint8)
     matrix[perm, np.arange(BLOCK_BYTES)] ^= 1
     return matrix
 
 
-@functools.lru_cache(maxsize=1)
-def build_diffusion_matrix() -> np.ndarray:
-    """The single static diffusion matrix (identical for every key and round)."""
-    return generate_diffusion_matrix(DIFFUSION_SEED)
-
-
-def matrix_lines(matrix: np.ndarray | None = None) -> list[str]:
-    """Render a binary matrix as 16 lines of 16 '0'/'1' characters."""
-    if matrix is None:
-        matrix = build_diffusion_matrix()
-    return ["".join("1" if bit else "0" for bit in row) for row in matrix]
-
-
-# ---------------------------------------------------------------------------
-# keyed cat map
-# ---------------------------------------------------------------------------
-
-def cat_map_point(x: int, y: int, key: CipherKey, m: int) -> tuple[int, int]:
-    """Affine cat map on the M x M grid.
-
-    x' = (x + a*y + rx) mod M,  y' = (b*x + (a*b + 1)*y + ry) mod M.
-    The linear part has determinant 1 mod M, so the map is a bijection for
-    every parameter choice.
-    """
-    if not (0 <= x < m and 0 <= y < m):
-        raise ValueError(f"coordinates ({x}, {y}) outside [0, {m})")
-    a, b, rx, ry = key.params()
-    xp = (x + a * y + rx) % m
-    yp = (b * x + (a * b + 1) * y + ry) % m
-    return xp, yp
+def matrix_lines() -> list[str]:
+    """Render the diffusion matrix as 16 lines of 16 '0'/'1' characters."""
+    return ["".join("1" if bit else "0" for bit in row) for row in build_diffusion_matrix()]
 
 
 # ---------------------------------------------------------------------------

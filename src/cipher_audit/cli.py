@@ -179,8 +179,16 @@ def _cmd_make_image(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a command line with one stderr line and exit code 2, like every other bad input."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Subparsers are built with the class of their parent.
+    parser = _Parser(
         prog="cipher-audit",
         description="Bit-permutation image cipher and its statistical audit harness.",
     )

@@ -401,12 +401,12 @@ def keyspace_report(m: int, guesses_per_second: float = 1e9) -> KeySpaceReport:
     cipher.check_side(m)
     if not (math.isfinite(guesses_per_second) and guesses_per_second > 0):
         raise ValueError(f"the guess rate must be finite and above 0, got {guesses_per_second}")
-    q = cipher.param_bits(m)
+    bits = cipher.key_bits(m)
     return KeySpaceReport(
         size=m,
-        param_bits=q,
-        key_bits=4 * q,
-        key_space=1 << (4 * q),
+        param_bits=cipher.param_bits(m),
+        key_bits=bits,
+        key_space=1 << bits,
         effective_key_space=m**4,
         guesses_per_second=guesses_per_second,
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,34 +23,10 @@ class UnsupportedDepthError(ValueError):
     """PGM with a sample depth other than 8 bits (maxval != 255)."""
 
 
-def _read_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
-    """Read whitespace-separated header tokens, skipping '#' comments.
-
-    Returns the tokens and the offset of the byte right after the single
-    whitespace character that terminates the last token.
-    """
-    tokens: list[bytes] = []
-    pos = 0
-    while len(tokens) < count:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            end = data.find(b"\n", pos)
-            if end < 0:
-                raise PgmParseError("unterminated comment in header")
-            pos = end + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if pos == start:
-            raise PgmParseError("truncated header")
-        tokens.append(data[start:pos])
-        if len(tokens) == count:
-            if pos >= len(data) or not data[pos : pos + 1].isspace():
-                raise PgmParseError("missing whitespace after header")
-            pos += 1
-    return tokens, pos
+# The Netpbm P5 header: magic, then width, height and maxval as ASCII
+# decimals, each after whitespace or '#' comments that run to the end of the
+# line, then exactly one whitespace byte before the raster.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 def read_pgm(path) -> np.ndarray:
@@ -58,20 +35,17 @@ def read_pgm(path) -> np.ndarray:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise OSError(f"cannot read PGM {path}: {exc}") from exc
-    if not data.startswith(b"P5"):
-        raise PgmParseError(f"{path}: not a binary PGM (P5) file")
-    try:
-        (magic, width, height, maxval), offset = _read_tokens(data, 4)
-        w, h, depth = int(width), int(height), int(maxval)
-    except PgmParseError as exc:
-        raise PgmParseError(f"{path}: {exc}") from None
-    except ValueError:
-        raise PgmParseError(f"{path}: non-numeric header field") from None
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise PgmParseError(
+            f"{path}: not a binary PGM header (P5, then decimal width, height and maxval)"
+        )
+    w, h, depth = (int(field) for field in header.groups())
     if w != h:
         raise DimensionError(f"{path}: image must be square, got {w}x{h}")
     if depth != PGM_MAXVAL:
         raise UnsupportedDepthError(f"{path}: only 8-bit PGM supported, maxval={depth}")
-    payload = data[offset : offset + w * h]
+    payload = data[header.end() : header.end() + w * h]
     if len(payload) != w * h:
         raise PgmParseError(f"{path}: payload has {len(payload)} bytes, expected {w * h}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).copy()
@@ -93,6 +67,7 @@ def write_pgm(image: np.ndarray, path) -> None:
 
 def read_raw(path, m: int) -> np.ndarray:
     """Read a headerless ciphertext blob of exactly M*M bytes."""
+    check_side(m)
     try:
         data = Path(path).read_bytes()
     except OSError as exc:

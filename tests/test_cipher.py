@@ -60,8 +60,8 @@ class TestDiffusionMatrix:
 
     def test_deterministic(self):
         first = cipher.build_diffusion_matrix()
-        again = cipher.generate_diffusion_matrix(cipher.DIFFUSION_SEED)
-        assert np.array_equal(first, again)
+        cipher.build_diffusion_matrix.cache_clear()
+        assert np.array_equal(cipher.build_diffusion_matrix(), first)
 
     def test_static_binary_entries(self):
         matrix = cipher.build_diffusion_matrix()
@@ -143,29 +143,30 @@ def decode_index(index: np.ndarray, m: int) -> list[tuple[int, int]]:
     return cells
 
 
+def cat_map_sources(key: cipher.CipherKey, m: int) -> list[tuple[int, int]]:
+    """Cell that the oracle cat map sends to the scramble's source of each
+    output position; the fused index must read exactly these cells."""
+    scramble = oracles.scramble_pairs(cipher.SCRAMBLE_SEED, m)
+    table = oracles.cat_map_table(*key.params(), m)
+    moved_to = {target: cell for cell, target in table.items()}
+    return [moved_to[scramble[k // m][k % m]] for k in range(m * m)]
+
+
 class TestCatMap:
     def test_identity_parameters(self):
-        key = cipher.CipherKey(0, 0, 0, 0, rounds=1)
-        for x, y in ((0, 0), (1, 2), (3, 3)):
-            assert cipher.cat_map_point(x, y, key, 4) == (x, y)
+        table = oracles.cat_map_table(0, 0, 0, 0, 4)
+        assert all(table[cell] == cell for cell in table)
 
     def test_direct_evaluation_example(self):
-        key = cipher.CipherKey(1, 1, 0, 0, rounds=1)
-        assert cipher.cat_map_point(1, 0, key, 4) == (1, 1)
-
-    def test_out_of_range_rejected(self):
-        key = cipher.CipherKey(1, 1, 0, 0, rounds=1)
-        with pytest.raises(ValueError):
-            cipher.cat_map_point(4, 0, key, 4)
+        assert oracles.cat_map_table(1, 1, 0, 0, 4)[(1, 0)] == (1, 1)
 
     @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
     @settings(max_examples=30)
     def test_bijective_on_8x8(self, a, b, rx, ry):
-        key = cipher.CipherKey(a, b, rx, ry, rounds=1)
         table = oracles.cat_map_table(a, b, rx, ry, 8)
         assert set(table.values()) == {(x, y) for x in range(8) for y in range(8)}
-        for (x, y), target in table.items():
-            assert cipher.cat_map_point(x, y, key, 8) == target
+        key = cipher.CipherKey(a, b, rx, ry, rounds=1)
+        assert decode_index(cipher._stack_index([key], 8, False), 8) == cat_map_sources(key, 8)
 
     def test_grids_match_pointwise(self):
         # the closed-form inverse in the fused index, cell by cell: output
@@ -173,10 +174,7 @@ class TestCatMap:
         # source of k
         for key, m in ((cipher.CipherKey(5, 9, 2, 7, rounds=1), 16),
                        (cipher.CipherKey(13, 6, 11, 3, rounds=1), 12)):
-            scramble = oracles.scramble_pairs(cipher.SCRAMBLE_SEED, m)
-            cells = decode_index(cipher._stack_index([key], m, False), m)
-            for k, (x, y) in enumerate(cells):
-                assert cipher.cat_map_point(x, y, key, m) == scramble[k // m][k % m]
+            assert decode_index(cipher._stack_index([key], m, False), m) == cat_map_sources(key, m)
 
 
 # ---------------------------------------------------------------------------

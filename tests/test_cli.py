@@ -216,13 +216,16 @@ SIDE_ENTRY_POINTS = {
     "keyspace_report": experiments.keyspace_report,
     "make_test_image": lambda m: image_io.make_test_image("all-zero", m),
     "make_portrait_image": image_io.make_portrait_image,
+    "param_bits": cipher.param_bits,
+    # the side is checked before the (missing) file is read
+    "read_raw": lambda m: image_io.read_raw("missing.bin", m),
 }
 
 
 class TestSideRule:
     """One side-length rule, one message, at every entry point."""
 
-    @pytest.mark.parametrize("m", [6, 10])
+    @pytest.mark.parametrize("m", [0, 6, 10])
     @pytest.mark.parametrize("entry", sorted(SIDE_ENTRY_POINTS))
     def test_library_rejects(self, entry, m):
         message = f"^side lengths must be multiples of 4 and >= 4, got {m}$"
@@ -243,3 +246,47 @@ class TestSideRule:
         assert captured.out == ""
         assert captured.err == f"error: side lengths must be multiples of 4 and >= 4, got {m}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("m", [0, -4, 6])
+    def test_decrypt_dim_rejected(self, tmp_path, capsys, m):
+        blob, out = tmp_path / "c.bin", tmp_path / "out.pgm"
+        blob.write_bytes(bytes(16))
+        # the = form lets argparse take "-4" as a value, not an option
+        assert run(["decrypt", "--in", blob, "--out", out, "--key-hex", "9a2f",
+                    "--rounds", 1, f"--dim={m}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: side lengths must be multiples of 4 and >= 4, got {m}\n"
+        assert not out.exists()
+
+
+class TestParserErrors:
+    """A command line that argparse rejects gives one stderr line and exit code 2."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["avalanche", "--sizes", "1..2"], "argument --sizes: invalid int_list value: '1..2'"),
+        (["avalanche", "--trials", "abc"], "argument --trials: invalid int value: 'abc'"),
+        (["uniformity", "--plaintext", "ones"], "argument --plaintext: invalid choice"),
+        (["avalanche", "--bogus"], "unrecognized arguments: --bogus"),
+        (["keyspace"], "the following arguments are required: --dim"),
+        (["errorprop", "--image", "img.pgm"], "the following arguments are required: --out"),
+        (["cipher"], "argument command: invalid choice: 'cipher'"),
+        ([], "the following arguments are required: command"),
+    ], ids=["sizes", "trials", "choice", "unknown-flag", "missing-dim", "missing-out", "command",
+            "no-command"])
+    def test_one_line(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "a.csv"
+        extra = ["--out", out] if argv[:1] in (["avalanche"], ["uniformity"]) else []
+        with pytest.raises(SystemExit) as exit_info:
+            run([*argv, *extra])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_help_still_prints(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["avalanche", "--help"])
+        assert exit_info.value.code == 0
+        assert "--sizes" in capsys.readouterr().out

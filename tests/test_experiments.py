@@ -71,7 +71,7 @@ class TestWorkerCount:
         assert experiments._worker_count(0, 50) == 1
         assert experiments._worker_count(-4, 50) == 1
 
-    def test_counts_cpus_in_affinity_set(self, monkeypatch, tmp_path):
+    def test_counts_cpus_in_affinity_set(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was created for a process pinned to one CPU")
 
@@ -79,11 +79,13 @@ class TestWorkerCount:
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
         assert experiments.usable_cpus() == 1
         assert experiments._worker_count(8, 100) == 1
-        # the CLI's default --jobs
-        assert cli.main(["uniformity", "--sizes", "16,20", "--rounds", "1", "--trials", "3",
-                         "--seed", "0", "--out", str(tmp_path / "u.csv")]) == 0
         cfg = small_cfg(sizes=(16, 20), rounds=(1,), trials=3)
         assert experiments.uniformity_sweep(cfg, jobs=8) == experiments.uniformity_sweep(cfg)
+
+    def test_cli_default_jobs_is_usable_cpus(self, monkeypatch):
+        # a count that neither the clamp in _worker_count nor a fixed default gives
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 3)
+        assert cli.build_parser().parse_args(["uniformity", "--out", "x.csv"]).jobs == 3
 
 
 class TestStaticTablesBeforeFork:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,10 +71,31 @@ class TestReadWritePgm:
             image_io.read_pgm(path)
 
     def test_non_numeric_header_rejected(self, tmp_path):
-        path = tmp_path / "junk.pgm"
-        path.write_bytes(b"P5\nfour 4\n255\n" + bytes(16))
-        with pytest.raises(image_io.PgmParseError):
-            image_io.read_pgm(path)
+        # only ASCII decimal fields: int() would read the underscore and sign
+        # forms as 16, 4 and 255, and a "P5x" magic number as P5
+        headers = [b"P5\nfour 4\n255\n", b"P5\n1_6 1_6\n255\n", b"P5\n+4 +4\n255\n",
+                   b"P5\n-4 -4\n255\n", b"P5x\n4 4\n255\n", b"P5\n4 4\n2_55\n",
+                   b"P5\n4 4\n255", b"P5\n4 4 # no end of line", b"P5 4 4\n"]
+        for i, header in enumerate(headers):
+            path = tmp_path / f"junk{i}.pgm"
+            path.write_bytes(header + bytes(16))
+            with pytest.raises(image_io.PgmParseError, match=f"^{re.escape(str(path))}: [^\n]*$"):
+                image_io.read_pgm(path)
+
+    @pytest.mark.parametrize("header", [
+        b"P5\t4\t4\t255\t",
+        b"P5\r\n4\r4\r\n255\r",
+        b"P5#c\n4 4\n255\n",
+        b"P5 # one\n# two\n\n 4\n#\n4 255\n",
+    ], ids=["tabs", "carriage-returns", "comment-after-magic", "comment-lines"])
+    def test_header_separators_read(self, tmp_path, header):
+        image = np.arange(16, dtype=np.uint8).reshape(4, 4)
+        path = tmp_path / "ok.pgm"
+        # the one whitespace byte after maxval ends the header; the raster's
+        # first byte is 0x0a (LF) and bytes after the raster are ignored
+        image[0, 0] = 10
+        path.write_bytes(header + image.tobytes() + b"trailing")
+        assert np.array_equal(image_io.read_pgm(path), image)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError, match="cannot read"):
