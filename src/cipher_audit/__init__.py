@@ -9,7 +9,6 @@ from .cipher import (
     encrypt,
     key_bits,
     key_from_hex,
-    key_to_hex,
     param_bits,
 )
 from .experiments import (
@@ -36,7 +35,6 @@ __all__ = [
     "hamming_percent",
     "key_bits",
     "key_from_hex",
-    "key_to_hex",
     "keyspace_report",
     "param_bits",
     "psnr",

@@ -28,10 +28,14 @@ shifts, which the construction allows:
 - The matrix is A = J xor P (all-ones xor a permutation), so output byte j of
   a block is the XOR of the whole block xor input byte pinv[j].  The block
   XOR is folded on two uint64 lanes per block and broadcast back; the
-  in-block move by pinv is a byte permutation like stages (a) and (b).
+  in-block move by pinv is a byte permutation like stages (a) and (b).  The
+  stored form of the diffusion layer is that permutation, _PINV; the matrix
+  is derived from it.
 - The in-block move, the cat map and the scramble compose into one flat
   gather index per (key, M).  The cat-map part is evaluated in closed form
   from its inverse [[ab+1, -a], [-b, 1]] mod M at the scramble's coordinates.
+  The widths are fixed: the scramble's coordinates are int16 and the index
+  is built in int32, which check_side's bound M <= MAX_SIDE guarantees.
 - The rotation is two uint8 shifts, (z << s) | (z >> (8 - s)), over cached
   grids of s and 8 - s.
 
@@ -63,6 +67,10 @@ DIFFUSION_SEED = 0xD1FF5EED
 SCRAMBLE_SEED = 0x5C2A3B1E
 ROTATION_SEED = 0xB17F1E1D
 
+# Largest side length: the largest multiple of 4 with 2*M*M <= 2**31 - 1, so
+# that the gather index and its intermediates fit in int32.
+MAX_SIDE = 32764
+
 
 class DimensionError(ValueError):
     """Image dimensions that the cipher does not support."""
@@ -76,10 +84,12 @@ def check_side(m: int) -> int:
     """Check a side length M and return it.
 
     M must be a multiple of 4 and >= 4, so that M*M is divisible by the
-    16-byte diffusion block.
+    16-byte diffusion block, and at most MAX_SIDE.
     """
     if m < 4 or m % 4 != 0:
         raise DimensionError(f"side lengths must be multiples of 4 and >= 4, got {m}")
+    if m > MAX_SIDE:
+        raise DimensionError(f"side lengths must be at most {MAX_SIDE}, got {m}")
     return m
 
 
@@ -138,25 +148,12 @@ class CipherKey:
         return (self.a, self.b, self.rx, self.ry)
 
 
-def key_to_hex(key: CipherKey, m: int) -> str:
-    """Serialize a || b || rx || ry big-endian, each padded to q bits.
-
-    4*q bits is always a whole number of hex digits (exactly q of them).
-    """
-    q = param_bits(m)
-    packed = 0
-    for value in key.params():
-        if value >> q:
-            raise ValueError(f"key parameter {value} does not fit in {q} bits (M={m})")
-        packed = (packed << q) | value
-    return format(packed, f"0{q}x")
-
-
 def key_from_hex(text: str, m: int, rounds: int) -> CipherKey:
-    """Parse the hex serialization produced by :func:`key_to_hex`.
+    """Parse a key serialized as a || b || rx || ry, big-endian, each q bits.
 
-    Exactly q characters from [0-9a-fA-F] are accepted; a prefix, sign,
-    separator or whitespace is an error rather than a different key.
+    4*q bits is exactly q hex digits.  Exactly q characters from [0-9a-fA-F]
+    are accepted; a prefix, sign, separator or whitespace is an error rather
+    than a different key.
     """
     q = param_bits(m)
     if len(text) != q:
@@ -175,19 +172,6 @@ def key_from_hex(text: str, m: int, rounds: int) -> CipherKey:
     return CipherKey(a=a, b=b, rx=rx, ry=ry, rounds=rounds)
 
 
-def trial_stream(master_seed: int, trial_index: int, m: int, rounds: int) -> np.random.Generator:
-    """Deterministic per-trial random stream, independent of execution order.
-
-    Keys and every other per-trial draw (pixel positions, bit flips) come
-    from this one stream, so experiment results are replayable from
-    (master_seed, trial_index, M, rounds) alone regardless of worker count
-    or scheduling.
-    """
-    if trial_index < 0:
-        raise ValueError("trial_index must be >= 0")
-    return np.random.default_rng((master_seed, trial_index, m, rounds))
-
-
 def key_from_stream(rng: np.random.Generator, m: int, rounds: int) -> CipherKey:
     """Draw the four q-bit parameters from an already-seeded stream."""
     q = param_bits(m)
@@ -199,28 +183,27 @@ def key_from_stream(rng: np.random.Generator, m: int, rounds: int) -> CipherKey:
 # static diffusion matrix
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1)
+# Input byte pinv[j] is the one that output byte j of a block does not XOR in:
+# the argsort of the permutation drawn from DIFFUSION_SEED.
+_PINV = np.argsort(np.random.default_rng(DIFFUSION_SEED).permutation(BLOCK_BYTES)).astype(np.int32)
+_PINV.flags.writeable = False
+
+
 def build_diffusion_matrix() -> np.ndarray:
     """The single static diffusion matrix (identical for every key and round).
 
     The matrix is A = J xor P, where J is all-ones and P is the 16x16
     permutation matrix drawn from DIFFUSION_SEED: output byte j is the XOR of
-    every input byte except one.  A is invertible by construction (A^-1 =
+    every input byte except pinv[j].  A is invertible by construction (A^-1 =
     J xor P^T), and every column of A and of A^-1 has weight 15 -- the
     densest a 16x16 binary matrix can be in both directions at once.
     Maximal two-way density is what lets a single flipped bit reach half the
     image within six rounds even at 512x512, in the decryption direction as
     well.
     """
-    perm = np.random.default_rng(DIFFUSION_SEED).permutation(BLOCK_BYTES)
     matrix = np.ones((BLOCK_BYTES, BLOCK_BYTES), dtype=np.uint8)
-    matrix[perm, np.arange(BLOCK_BYTES)] ^= 1
+    matrix[np.arange(BLOCK_BYTES), _PINV] = 0
     return matrix
-
-
-def matrix_lines() -> list[str]:
-    """Render the diffusion matrix as 16 lines of 16 '0'/'1' characters."""
-    return ["".join("1" if bit else "0" for bit in row) for row in build_diffusion_matrix()]
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +230,11 @@ def _block_xor(data: np.ndarray) -> np.ndarray:
 def _scramble_coords(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid cell (u, v) that the static scramble brings to each flat position.
 
-    The coordinates are int16 up to M = 32767 and int64 beyond; the
-    arithmetic in :func:`_gather_index` widens them.
+    The coordinates are int16 (M <= MAX_SIDE); the arithmetic in
+    :func:`_gather_index` widens them.
     """
     flat = np.random.default_rng((SCRAMBLE_SEED, m)).permutation(m * m)
-    coords = np.empty((2, m * m), dtype=np.int16 if m <= np.iinfo(np.int16).max else np.int64)
+    coords = np.empty((2, m * m), dtype=np.int16)
     np.divmod(flat, m, out=(coords[0], coords[1]), casting="same_kind")
     coords.flags.writeable = False
     return coords[0], coords[1]
@@ -280,9 +263,8 @@ def _gather_index(params: list[tuple[int, int, int, int]], m: int) -> np.ndarray
     alive at once.
     """
     u, v = _scramble_coords(m)
-    # Intermediates stay within (-2*M*M, 2*M*M).
-    dtype = np.int32 if 2 * m * m <= np.iinfo(np.int32).max else np.int64
-    reduced = np.array([[p % m for p in key] for key in params], dtype=dtype)
+    # Intermediates stay within (-2*M*M, 2*M*M), which int32 holds for M <= MAX_SIDE.
+    reduced = np.array([[p % m for p in key] for key in params], dtype=np.int32)
     a, b, rx, ry = reduced.T[:, :, np.newaxis]
     x = u - rx
     y = v - ry
@@ -297,7 +279,7 @@ def _gather_index(params: list[tuple[int, int, int, int]], m: int) -> np.ndarray
     cell += y
     low = np.bitwise_and(cell, BLOCK_BYTES - 1, out=y)
     cell &= -BLOCK_BYTES
-    cell |= np.argmin(build_diffusion_matrix(), axis=1).astype(dtype)[low]
+    cell |= _PINV[low]
     return cell
 
 

@@ -158,8 +158,8 @@ def _cmd_keyspace(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    for line in cipher.matrix_lines():
-        print(line)
+    for row in cipher.build_diffusion_matrix():
+        print("".join("1" if bit else "0" for bit in row))
     return 0
 
 

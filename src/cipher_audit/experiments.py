@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -106,7 +107,7 @@ class UniformityCell:
     size: int
     rounds: int
     chi2: Stats
-    threshold: float = metrics.CHI2_THRESHOLD
+    threshold: ClassVar[float] = metrics.CHI2_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -138,12 +139,10 @@ class KeySpaceReport:
     key_space: int
     effective_key_space: int
     guesses_per_second: float
-    brute_force_seconds: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "brute_force_seconds", self.effective_key_space / self.guesses_per_second
-        )
+    @property
+    def brute_force_seconds(self) -> float:
+        return self.effective_key_space / self.guesses_per_second
 
 
 def usable_cpus() -> int:
@@ -210,6 +209,17 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     ]
 
 
+def _trial_stream(master_seed: int, trial_index: int, m: int, rounds: int) -> np.random.Generator:
+    """Deterministic per-trial random stream, independent of execution order.
+
+    Keys and every other per-trial draw (pixel positions, bit flips) come
+    from this one stream, so experiment results are replayable from
+    (master_seed, trial_index, M, rounds) alone regardless of worker count
+    or scheduling.
+    """
+    return np.random.default_rng((master_seed, trial_index, m, rounds))
+
+
 def _draw_trials(master_seed: int, m: int, rounds: int, start: int, stop: int, single_lsb: bool):
     """Stream, key and plaintext of trials start..stop-1, each drawn from its
     own trial stream: the key first, then, if single_lsb, the pixel whose LSB
@@ -217,7 +227,7 @@ def _draw_trials(master_seed: int, m: int, rounds: int, start: int, stop: int, s
     plains = np.zeros((stop - start, m, m), dtype=np.uint8)
     rngs, keys = [], []
     for index, plain in zip(range(start, stop), plains):
-        rng = cipher.trial_stream(master_seed, index, m, rounds)
+        rng = _trial_stream(master_seed, index, m, rounds)
         rngs.append(rng)
         keys.append(cipher.key_from_stream(rng, m, rounds))
         if single_lsb:

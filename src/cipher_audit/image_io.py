@@ -25,8 +25,9 @@ class UnsupportedDepthError(ValueError):
 
 # The Netpbm P5 header: magic, then width, height and maxval as ASCII
 # decimals, each after whitespace or '#' comments that run to the end of the
-# line, then exactly one whitespace byte before the raster.
-_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+# line, then exactly one whitespace byte before the raster.  A field has at
+# most 10 digits, far below int()'s 4300-digit limit.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d{1,10})" * 3 + rb"\s")
 
 
 def read_pgm(path) -> np.ndarray:

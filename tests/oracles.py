@@ -301,7 +301,7 @@ def encrypt_one_round_planes(image, key, matrix, scramble, rotation):
 def avalanche_trial(task):
     """PS and Diff of one avalanche trial: encrypt both plaintexts and compare."""
     master_seed, m, rounds, index = task
-    rng = cipher.trial_stream(master_seed, index, m, rounds)
+    rng = np.random.default_rng((master_seed, index, m, rounds))
     key = cipher.key_from_stream(rng, m, rounds)
     plain = np.zeros((m, m), dtype=np.uint8)
     x, y = (int(v) for v in rng.integers(0, m, size=2))
@@ -324,7 +324,7 @@ def errprop_trial(task, image):
     """One error-propagation trial: encrypt, flip ciphertext bits, decrypt,
     and compare with the clean decryption."""
     master_seed, m, rounds, index, percents = task
-    rng = cipher.trial_stream(master_seed, index, m, rounds)
+    rng = np.random.default_rng((master_seed, index, m, rounds))
     key = cipher.key_from_stream(rng, m, rounds)
     total_bits = 8 * m * m
     encrypted = cipher.encrypt(image, key)
@@ -349,6 +349,18 @@ def errprop_trial(task, image):
 # ---------------------------------------------------------------------------
 # keys and records
 # ---------------------------------------------------------------------------
+
+def key_to_hex(key, m):
+    """Serialize a || b || rx || ry big-endian, each padded to q bits, as the
+    q hex digits that cipher.key_from_hex parses."""
+    q = cipher.param_bits(m)
+    packed = 0
+    for value in key.params():
+        if value >> q:
+            raise ValueError(f"key parameter {value} does not fit in {q} bits (M={m})")
+        packed = (packed << q) | value
+    return format(packed, f"0{q}x")
+
 
 def derive_trial_key(master_seed, trial_index, m, rounds):
     """Trial key from the documented stream contract: the first four q-bit draws

@@ -171,7 +171,7 @@ class TestCriterion8KeySpace:
         for m in (4, 16, 64, 128, 196, 256, 300, 512):
             expected_bits = 4 * cipher.param_bits(m)
             key = oracles.derive_trial_key(MASTER_SEED, 0, m, 1)
-            assert len(cipher.key_to_hex(key, m)) * 4 == expected_bits
+            assert len(oracles.key_to_hex(key, m)) * 4 == expected_bits
         assert cipher.key_bits(256) == 32
         assert experiments.keyspace_report(256).key_space == 2**32
         _report("8 key space", "serialized keys are 4*ceil(log2 M) bits; M=256 -> 32 bits")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cipher_audit import cipher
+from cipher_audit import cipher, experiments
 
 import oracles
 
@@ -22,7 +22,8 @@ def random_key(rng: np.random.Generator, m: int, rounds: int) -> cipher.CipherKe
 
 
 def trial_key(master_seed: int, trial_index: int, m: int, rounds: int) -> cipher.CipherKey:
-    return cipher.key_from_stream(cipher.trial_stream(master_seed, trial_index, m, rounds), m, rounds)
+    rng = experiments._trial_stream(master_seed, trial_index, m, rounds)
+    return cipher.key_from_stream(rng, m, rounds)
 
 
 def byte_sources() -> list[int]:
@@ -59,19 +60,16 @@ class TestDiffusionMatrix:
         assert np.array_equal(oracles.gf2_inverse(matrix), matrix.T)
 
     def test_deterministic(self):
-        first = cipher.build_diffusion_matrix()
-        cipher.build_diffusion_matrix.cache_clear()
-        assert np.array_equal(cipher.build_diffusion_matrix(), first)
+        # J xor P, with P drawn from the seed: row perm[c] of P has its 1 in column c
+        perm = np.random.default_rng(cipher.DIFFUSION_SEED).permutation(16)
+        p = np.zeros((16, 16), dtype=np.uint8)
+        p[perm, np.arange(16)] = 1
+        assert np.array_equal(cipher.build_diffusion_matrix(), 1 ^ p)
 
     def test_static_binary_entries(self):
         matrix = cipher.build_diffusion_matrix()
         assert matrix.shape == (16, 16)
         assert set(np.unique(matrix)) <= {0, 1}
-
-    def test_matrix_lines_format(self):
-        lines = cipher.matrix_lines()
-        assert len(lines) == 16
-        assert all(len(line) == 16 and set(line) <= {"0", "1"} for line in lines)
 
     def test_gf2_inverse_rejects_singular(self):
         singular = np.zeros((4, 4), dtype=np.uint8)
@@ -269,8 +267,8 @@ class TestBitPermutation:
 
 
 class TestStaticTables:
-    """The tables are stored narrow; they must equal the seeded int64 draws
-    that define them."""
+    """The tables are stored narrow and must equal the seeded int64 draws
+    that define them; the gather index is int32 at every standard size."""
 
     @pytest.mark.parametrize("m", [4, 12, 196, 300, 512])
     def test_scramble_coords_equal_int64_permutation(self, m):
@@ -280,6 +278,11 @@ class TestStaticTables:
         assert u.dtype == v.dtype == np.int16
         assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
         assert not u.flags.writeable and not v.flags.writeable
+
+    @pytest.mark.parametrize("m", [16, 32, 64, 128, 196, 256, 300, 512])
+    def test_gather_index_is_int32(self, m):
+        index = cipher._gather_index([(m - 1, m + 3, 2 * m - 1, 7), (0, 0, 0, 0)], m)
+        assert index.dtype == np.int32 and index.shape == (2, m * m)
 
     @pytest.mark.parametrize("m", [4, 12, 196, 300, 512])
     def test_rotation_shifts_equal_int64_draw(self, m):
@@ -304,7 +307,7 @@ class TestKeys:
 
     def test_hex_roundtrip(self):
         key = cipher.CipherKey(a=0x2A, b=0x01, rx=0xFF, ry=0x80, rounds=6)
-        text = cipher.key_to_hex(key, 256)
+        text = oracles.key_to_hex(key, 256)
         assert len(text) == 8  # 32 bits
         assert cipher.key_from_hex(text, 256, 6) == key
         assert cipher.key_from_hex(text.upper(), 256, 6) == key
@@ -312,7 +315,7 @@ class TestKeys:
     def test_serialized_length_is_4q_bits(self):
         for m in (4, 16, 64, 256, 512):
             key = oracles.derive_trial_key(2, 1, m, 1)
-            assert len(cipher.key_to_hex(key, m)) * 4 == cipher.key_bits(m)
+            assert len(oracles.key_to_hex(key, m)) * 4 == cipher.key_bits(m)
 
     def test_wrong_hex_length_rejected(self):
         with pytest.raises(ValueError, match="hex digits"):
@@ -329,7 +332,7 @@ class TestKeys:
     def test_oversized_parameter_rejected(self):
         key = cipher.CipherKey(a=256, b=0, rx=0, ry=0, rounds=1)
         with pytest.raises(ValueError, match="does not fit"):
-            cipher.key_to_hex(key, 256)
+            oracles.key_to_hex(key, 256)
 
     def test_invalid_rounds_rejected(self):
         with pytest.raises(ValueError):
@@ -355,7 +358,7 @@ class TestKeys:
             assert chi2 <= 293.0
 
     def test_stream_matches_derive(self):
-        rng = cipher.trial_stream(9, 4, 64, 2)
+        rng = experiments._trial_stream(9, 4, 64, 2)
         assert cipher.key_from_stream(rng, 64, 2) == oracles.derive_trial_key(9, 4, 64, 2)
 
 

@@ -211,7 +211,8 @@ class TestOtherCommands:
 
 
 SIDE_ENTRY_POINTS = {
-    "validate_image": lambda m: cipher.validate_image(np.zeros((m, m), dtype=np.uint8)),
+    # a read-only view of one byte: an M x M image that allocates nothing
+    "validate_image": lambda m: cipher.validate_image(np.broadcast_to(np.uint8(0), (m, m))),
     "ExperimentConfig": lambda m: experiments.ExperimentConfig(sizes=(16, m)),
     "keyspace_report": experiments.keyspace_report,
     "make_test_image": lambda m: image_io.make_test_image("all-zero", m),
@@ -223,7 +224,7 @@ SIDE_ENTRY_POINTS = {
 
 
 class TestSideRule:
-    """One side-length rule, one message, at every entry point."""
+    """One side-length rule, one message per bound, at every entry point."""
 
     @pytest.mark.parametrize("m", [0, 6, 10])
     @pytest.mark.parametrize("entry", sorted(SIDE_ENTRY_POINTS))
@@ -231,6 +232,26 @@ class TestSideRule:
         message = f"^side lengths must be multiples of 4 and >= 4, got {m}$"
         with pytest.raises(cipher.DimensionError, match=message):
             SIDE_ENTRY_POINTS[entry](m)
+
+    @pytest.mark.parametrize("entry", sorted(SIDE_ENTRY_POINTS))
+    def test_library_rejects_above_max(self, entry):
+        # 2 * 32768**2 = 2**31 no longer fits the int32 gather index
+        message = "^side lengths must be at most 32764, got 32768$"
+        with pytest.raises(cipher.DimensionError, match=message):
+            SIDE_ENTRY_POINTS[entry](32768)
+
+    def test_max_side_accepted(self, capsys):
+        assert cipher.MAX_SIDE == 32764
+        assert cipher.check_side(32764) == 32764
+        assert cipher.param_bits(32764) == 15
+        assert run(["keyspace", "--dim", 32764]) == 0
+        assert "for M=32764: q=15, 60-bit key" in capsys.readouterr().out
+
+    def test_keyspace_above_max_rejected(self, capsys):
+        assert run(["keyspace", "--dim", 32768]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: side lengths must be at most 32764, got 32768\n"
 
     @pytest.mark.parametrize("m", [6, 10])
     @pytest.mark.parametrize("command", [

@@ -196,7 +196,7 @@ class TestAvalancheSweep:
         batch = experiments._avalanche_batch((master_seed, m, rounds, start, stop))
         assert len(batch) == stop - start
         for w, (ps, _) in zip(range(start, stop), batch):
-            rng = cipher.trial_stream(master_seed, w, m, rounds)
+            rng = experiments._trial_stream(master_seed, w, m, rounds)
             key = cipher.key_from_stream(rng, m, rounds)
             assert key == oracles.derive_trial_key(master_seed, w, m, rounds)
             x, y = (int(v) for v in rng.integers(0, m, size=2))

@@ -72,10 +72,12 @@ class TestReadWritePgm:
 
     def test_non_numeric_header_rejected(self, tmp_path):
         # only ASCII decimal fields: int() would read the underscore and sign
-        # forms as 16, 4 and 255, and a "P5x" magic number as P5
+        # forms as 16, 4 and 255, and a "P5x" magic number as P5; a field of
+        # 5000 digits would stop int() at its 4300-digit limit
         headers = [b"P5\nfour 4\n255\n", b"P5\n1_6 1_6\n255\n", b"P5\n+4 +4\n255\n",
                    b"P5\n-4 -4\n255\n", b"P5x\n4 4\n255\n", b"P5\n4 4\n2_55\n",
-                   b"P5\n4 4\n255", b"P5\n4 4 # no end of line", b"P5 4 4\n"]
+                   b"P5\n4 4\n255", b"P5\n4 4 # no end of line", b"P5 4 4\n",
+                   b"P5 " + b"9" * 5000 + b" 4 255\n"]
         for i, header in enumerate(headers):
             path = tmp_path / f"junk{i}.pgm"
             path.write_bytes(header + bytes(16))
