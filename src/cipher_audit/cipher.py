@@ -227,17 +227,24 @@ def _block_xor(data: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _scramble_coords(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid cell (u, v) that the static scramble brings to each flat position.
+def static_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The key-independent tables of side length M, read-only: (u, v, shift, complement).
 
-    The coordinates are int16 (M <= MAX_SIDE); the arithmetic in
-    :func:`_gather_index` widens them.
+    (u, v) is the int16 grid cell that the static scramble brings to each
+    flat position; :func:`_gather_index` widens it.  shift is the uint8
+    left-rotation amount s of each position, and complement is 8 - s.
     """
     flat = np.random.default_rng((SCRAMBLE_SEED, m)).permutation(m * m)
     coords = np.empty((2, m * m), dtype=np.int16)
     np.divmod(flat, m, out=(coords[0], coords[1]), casting="same_kind")
-    coords.flags.writeable = False
-    return coords[0], coords[1]
+    del flat  # the int64 permutation: 8*M*M bytes, freed before the rotation draw
+    # An int32 draw below 2**32 gives the values of the default int64 one.
+    rng = np.random.default_rng((ROTATION_SEED, m))
+    shift = rng.integers(0, 8, size=m * m, dtype=np.int32).astype(np.uint8)
+    complement = 8 - shift
+    for table in (coords, shift, complement):
+        table.flags.writeable = False
+    return coords[0], coords[1], shift, complement
 
 
 def _reduce(values: np.ndarray, m: int, tmp: np.ndarray) -> None:
@@ -262,7 +269,7 @@ def _gather_index(params: list[tuple[int, int, int, int]], m: int) -> np.ndarray
     steps run in place, so at most three arrays of the index's size are
     alive at once.
     """
-    u, v = _scramble_coords(m)
+    u, v, _, _ = static_tables(m)
     # Intermediates stay within (-2*M*M, 2*M*M), which int32 holds for M <= MAX_SIDE.
     reduced = np.array([[p % m for p in key] for key in params], dtype=np.int32)
     a, b, rx, ry = reduced.T[:, :, np.newaxis]
@@ -300,29 +307,6 @@ def _stack_index(keys: Sequence[CipherKey], m: int, invert: bool) -> np.ndarray:
         index = np.empty_like(forward)
         index[forward] = np.arange(forward.size)
     return index
-
-
-@functools.lru_cache(maxsize=8)
-def _rotation_shifts(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Static seeded left-rotation amount s of each flat position, and 8 - s, as uint8."""
-    # An int32 draw below 2**32 gives the values of the default int64 one.
-    rng = np.random.default_rng((ROTATION_SEED, m))
-    shift = rng.integers(0, 8, size=m * m, dtype=np.int32).astype(np.uint8)
-    complement = 8 - shift
-    shift.flags.writeable = False
-    complement.flags.writeable = False
-    return shift, complement
-
-
-def build_static_tables(m: int) -> None:
-    """Build and cache the key-independent tables of side length M.
-
-    These are the scramble's coordinates and the rotation grids; every later
-    encrypt or decrypt at M, in this process or in one forked from it,
-    reuses them.
-    """
-    _scramble_coords(m)
-    _rotation_shifts(m)
 
 
 def _rotate(data: np.ndarray, by: np.ndarray, back: np.ndarray) -> np.ndarray:
@@ -376,7 +360,7 @@ def encrypt(image: np.ndarray, key: CipherKey | Sequence[CipherKey]) -> np.ndarr
     """
     out, m, keys = _flat_stack(image, key)
     index = _stack_index(keys, m, False)
-    shift, complement = _rotation_shifts(m)
+    _, _, shift, complement = static_tables(m)
     for _ in range(keys[0].rounds):
         # Rows of the index's size: the whole stack, or each image under one key.
         out = _block_xor(out).reshape(-1, index.size).take(index, axis=1)
@@ -388,7 +372,7 @@ def decrypt(cipher: np.ndarray, key: CipherKey | Sequence[CipherKey]) -> np.ndar
     """Exact inverse of :func:`encrypt`, on the same images and keys."""
     out, m, keys = _flat_stack(cipher, key)
     index = _stack_index(keys, m, True)
-    shift, complement = _rotation_shifts(m)
+    _, _, shift, complement = static_tables(m)
     for _ in range(keys[0].rounds):
         out = _rotate(out, complement, shift).reshape(-1, index.size).take(index, axis=1)
         out = _block_xor(out)

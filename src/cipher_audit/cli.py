@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 from . import cipher, experiments, image_io
@@ -18,12 +19,19 @@ from .experiments import ExperimentConfig, Stats
 SEED_ENV_VAR = "CIPHER_AUDIT_SEED"
 
 
-def _default_seed() -> int:
-    text = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(text, 0)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
+# Integers and decimals are ASCII: int() and float() alone also take '+', spaces,
+# underscores and other digits.  '-' reaches the check that explains it.
+_INT = re.compile(r"-?[0-9]+")
+_DECIMAL = re.compile(r"-?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]+)?")
+
+
+def _int(text: str) -> int:
+    if not _INT.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse's message reads "invalid int value: ..."
 
 
 def _int_list(span):
@@ -32,8 +40,8 @@ def _int_list(span):
     def int_list(text: str) -> tuple[int, ...]:
         out: list[int] = []
         for entry in text.split(","):
-            lo, dots, hi = entry.strip().partition("..")
-            out.extend(span(int(lo), int(hi)) if dots else [int(lo)])
+            lo, dots, hi = entry.partition("..")
+            out.extend(span(_int(lo), _int(hi)) if dots else [_int(lo)])
         if not out:
             raise ValueError("empty list")
         return tuple(sorted(set(out)))
@@ -42,7 +50,11 @@ def _int_list(span):
 
 
 def _parse_percents(text: str) -> tuple[float, ...]:
-    return tuple(float(entry) for entry in text.split(",") if entry.strip())
+    """argparse type: comma-separated decimals; '' is no percentages."""
+    entries = text.split(",") if text else []
+    if not all(_DECIMAL.fullmatch(entry) for entry in entries):
+        raise ValueError(f"not a list of decimals: {text!r}")
+    return tuple(float(entry) for entry in entries)
 
 
 def _fmt(value: float) -> str:
@@ -65,7 +77,11 @@ def _write_report(args: argparse.Namespace, header: list[str], rows: list[list[s
 
 def _config(args: argparse.Namespace, **fields) -> ExperimentConfig:
     """The sweep's configuration; without --seed, the master seed comes from the environment."""
-    seed = _default_seed() if args.seed is None else args.seed
+    text = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        seed = _int(text) if args.seed is None else args.seed
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
     return ExperimentConfig(trials=args.trials, master_seed=seed, **fields)
 
 
@@ -198,24 +214,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--in", dest="infile", required=True, help="input PGM (P5) path")
     sub.add_argument("--out", dest="outfile", required=True, help="output blob path")
     sub.add_argument("--key-hex", required=True, help="4q-bit key as q hex digits")
-    sub.add_argument("--rounds", type=int, required=True, help="round count r >= 1")
+    sub.add_argument("--rounds", type=_int, required=True, help="round count r >= 1")
     sub.set_defaults(func=_cmd_encrypt)
 
     sub = commands.add_parser("decrypt", help="decrypt a raw ciphertext blob into a PGM")
     sub.add_argument("--in", dest="infile", required=True, help="input blob path")
     sub.add_argument("--out", dest="outfile", required=True, help="output PGM path")
     sub.add_argument("--key-hex", required=True, help="4q-bit key as q hex digits")
-    sub.add_argument("--rounds", type=int, required=True, help="round count r >= 1")
-    sub.add_argument("--dim", type=int, required=True, help="side length M of the blob")
+    sub.add_argument("--rounds", type=_int, required=True, help="round count r >= 1")
+    sub.add_argument("--dim", type=_int, required=True, help="side length M of the blob")
     sub.set_defaults(func=_cmd_decrypt)
 
     # Flags of the three sweep commands.
     run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--trials", type=int, default=experiments.DEFAULT_TRIALS,
+    run.add_argument("--trials", type=_int, default=experiments.DEFAULT_TRIALS,
                      help="trials per grid cell (default %(default)s)")
-    run.add_argument("--seed", type=int, default=None,
+    run.add_argument("--seed", type=_int, default=None,
                      help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
-    run.add_argument("--jobs", type=int, default=experiments.usable_cpus(),
+    run.add_argument("--jobs", type=_int, default=experiments.usable_cpus(),
                      help="worker processes (default: every CPU this process may run on); "
                           "results do not depend on it")
     run.add_argument("--out", dest="outfile", required=True, help="output CSV path")
@@ -246,12 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--image", required=True, help="input PGM (P5) path")
     sub.add_argument("--percents", type=_parse_percents, default=experiments.DEFAULT_ERROR_PERCENTS,
                      help="comma-separated bit-error percentages (default %(default)s)")
-    sub.add_argument("--rounds", type=int, default=experiments.SECURE_ROUNDS,
+    sub.add_argument("--rounds", type=_int, default=experiments.SECURE_ROUNDS,
                      help="round count (default %(default)s, the secure configuration)")
     sub.set_defaults(func=_cmd_errorprop)
 
     sub = commands.add_parser("keyspace", help="report permutation-key space size")
-    sub.add_argument("--dim", type=int, required=True, help="side length M")
+    sub.add_argument("--dim", type=_int, required=True, help="side length M")
     sub.add_argument("--rate", type=float, default=1e9,
                      help="brute-force guesses per second (default %(default)s)")
     sub.set_defaults(func=_cmd_keyspace)
@@ -262,10 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("make-image", help="write a synthetic test PGM")
     sub.add_argument("--kind", choices=["all-zero", "single-lsb", "uniform-random", "portrait"],
                      required=True)
-    sub.add_argument("--dim", type=int, required=True, help="side length M")
-    sub.add_argument("--x", type=int, default=0, help="pixel row for single-lsb")
-    sub.add_argument("--y", type=int, default=0, help="pixel column for single-lsb")
-    sub.add_argument("--seed", type=int, default=None,
+    sub.add_argument("--dim", type=_int, required=True, help="side length M")
+    sub.add_argument("--x", type=_int, default=0, help="pixel row for single-lsb")
+    sub.add_argument("--y", type=_int, default=0, help="pixel column for single-lsb")
+    sub.add_argument("--seed", type=_int, default=None,
                      help="seed of the random kinds (default: 0 for uniform-random, "
                           f"{image_io.PORTRAIT_SEED:#x} for portrait)")
     sub.add_argument("--out", dest="outfile", required=True, help="output PGM path")

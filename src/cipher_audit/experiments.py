@@ -158,26 +158,6 @@ def _worker_count(jobs: int, n_tasks: int) -> int:
     return max(1, min(jobs, usable_cpus(), n_tasks))
 
 
-def _run_tasks(fn, tasks: list, jobs: int, sizes=()) -> list:
-    """Map fn over tasks, optionally across processes; order is preserved.
-
-    The static cipher tables of every image size in sizes are built first,
-    in this process, whether the tasks then run serially or not: forked pool
-    workers inherit them, and the loaded numpy.random, instead of each
-    building its own.  Under a spawn or forkserver start method the workers
-    still build them; the results are the same.  Everything else a task
-    needs travels in the task itself.
-    """
-    for m in sizes:
-        cipher.build_static_tables(m)
-    workers = _worker_count(jobs, len(tasks))
-    if workers == 1:
-        return [fn(task) for task in tasks]
-    chunk = max(1, len(tasks) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
-
-
 # ---------------------------------------------------------------------------
 # batched sweep cells
 # ---------------------------------------------------------------------------
@@ -193,7 +173,12 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     Each cell's trials are cut into consecutive batches of at most
     BATCH_PIXELS pixels (at least one trial); batch_fn maps the task
     (master_seed, M, rounds, start, stop, *extra) to the results of trials
-    start..stop-1 in order.
+    start..stop-1 in order.  Everything else a batch needs travels in its task.
+
+    The static cipher tables of every size are built first, in this process,
+    whether the batches then run serially or not: forked pool workers inherit
+    them, and the loaded numpy.random.  Under a spawn or forkserver start
+    method the workers build their own; the results are the same.
     """
     cells = [(m, r) for m in sorted(cfg.sizes) for r in sorted(cfg.rounds)]
     tasks = []
@@ -202,22 +187,19 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
         for start in range(0, cfg.trials, step):
             stop = min(start + step, cfg.trials)
             tasks.append((cfg.master_seed, m, r, start, stop, *extra))
-    batches = _run_tasks(batch_fn, tasks, jobs, sizes=cfg.sizes)
+    for m in cfg.sizes:
+        cipher.static_tables(m)
+    workers = _worker_count(jobs, len(tasks))
+    if workers == 1:
+        batches = [batch_fn(task) for task in tasks]
+    else:
+        chunk = max(1, len(tasks) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            batches = list(pool.map(batch_fn, tasks, chunksize=chunk))
     results = [value for batch in batches for value in batch]
     return [
         (m, r, results[i * cfg.trials : (i + 1) * cfg.trials]) for i, (m, r) in enumerate(cells)
     ]
-
-
-def _trial_stream(master_seed: int, trial_index: int, m: int, rounds: int) -> np.random.Generator:
-    """Deterministic per-trial random stream, independent of execution order.
-
-    Keys and every other per-trial draw (pixel positions, bit flips) come
-    from this one stream, so experiment results are replayable from
-    (master_seed, trial_index, M, rounds) alone regardless of worker count
-    or scheduling.
-    """
-    return np.random.default_rng((master_seed, trial_index, m, rounds))
 
 
 def _draw_trials(master_seed: int, m: int, rounds: int, start: int, stop: int, single_lsb: bool):
@@ -225,12 +207,10 @@ def _draw_trials(master_seed: int, m: int, rounds: int, start: int, stop: int, s
     own trial stream: the key first, then, if single_lsb, the pixel whose LSB
     is set in the otherwise all-zero plaintext."""
     plains = np.zeros((stop - start, m, m), dtype=np.uint8)
-    rngs, keys = [], []
-    for index, plain in zip(range(start, stop), plains):
-        rng = _trial_stream(master_seed, index, m, rounds)
-        rngs.append(rng)
-        keys.append(cipher.key_from_stream(rng, m, rounds))
-        if single_lsb:
+    rngs = [np.random.default_rng((master_seed, index, m, rounds)) for index in range(start, stop)]
+    keys = [cipher.key_from_stream(rng, m, rounds) for rng in rngs]
+    if single_lsb:
+        for rng, plain in zip(rngs, plains):
             x, y = (int(v) for v in rng.integers(0, m, size=2))
             plain[x, y] = 1
     return rngs, keys, plains

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cipher_audit import cipher, experiments
+from cipher_audit import cipher
 
 import oracles
 
@@ -22,7 +24,7 @@ def random_key(rng: np.random.Generator, m: int, rounds: int) -> cipher.CipherKe
 
 
 def trial_key(master_seed: int, trial_index: int, m: int, rounds: int) -> cipher.CipherKey:
-    rng = experiments._trial_stream(master_seed, trial_index, m, rounds)
+    rng = np.random.default_rng((master_seed, trial_index, m, rounds))
     return cipher.key_from_stream(rng, m, rounds)
 
 
@@ -243,7 +245,7 @@ class TestBitPermutation:
             assert np.array_equal(np.sort(index), identity)
             assert np.array_equal(index[inverse], identity)
             assert np.array_equal(inverse[index], identity)
-            u, v = cipher._scramble_coords(m)
+            u, v, _, _ = cipher.static_tables(m)
             pairs = oracles.scramble_pairs(cipher.SCRAMBLE_SEED, m)
             assert list(zip(u.tolist(), v.tolist())) == [p for row in pairs for p in row]
 
@@ -259,7 +261,7 @@ class TestBitPermutation:
             assert r.bit_count() == byte.bit_count()
         assert np.array_equal(restored, data)
         m = 16
-        left, right = cipher._rotation_shifts(m)
+        _, _, left, right = cipher.static_tables(m)
         shifts = oracles.rotation_shifts(cipher.ROTATION_SEED, m)
         assert left.tolist() == [s for row in shifts for s in row]
         assert right.tolist() == [8 - s for row in shifts for s in row]
@@ -270,11 +272,22 @@ class TestStaticTables:
     """The tables are stored narrow and must equal the seeded int64 draws
     that define them; the gather index is int32 at every standard size."""
 
+    def test_build_peak_memory(self):
+        # the int64 permutation is freed before the rotation draw
+        cipher.static_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            cipher.static_tables(512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * 2**20
+
     @pytest.mark.parametrize("m", [4, 12, 196, 300, 512])
     def test_scramble_coords_equal_int64_permutation(self, m):
         flat = np.random.default_rng((cipher.SCRAMBLE_SEED, m)).permutation(m * m)
         want_u, want_v = np.divmod(flat, m)
-        u, v = cipher._scramble_coords(m)
+        u, v, _, _ = cipher.static_tables(m)
         assert u.dtype == v.dtype == np.int16
         assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
         assert not u.flags.writeable and not v.flags.writeable
@@ -287,7 +300,7 @@ class TestStaticTables:
     @pytest.mark.parametrize("m", [4, 12, 196, 300, 512])
     def test_rotation_shifts_equal_int64_draw(self, m):
         want = np.random.default_rng((cipher.ROTATION_SEED, m)).integers(0, 8, size=m * m)
-        shift, complement = cipher._rotation_shifts(m)
+        _, _, shift, complement = cipher.static_tables(m)
         assert shift.dtype == complement.dtype == np.uint8
         assert np.array_equal(shift, want) and np.array_equal(complement, 8 - want)
         assert not shift.flags.writeable and not complement.flags.writeable
@@ -358,7 +371,7 @@ class TestKeys:
             assert chi2 <= 293.0
 
     def test_stream_matches_derive(self):
-        rng = experiments._trial_stream(9, 4, 64, 2)
+        rng = np.random.default_rng((9, 4, 64, 2))
         assert cipher.key_from_stream(rng, 64, 2) == oracles.derive_trial_key(9, 4, 64, 2)
 
 

@@ -293,11 +293,24 @@ class TestParserErrors:
         (["errorprop", "--image", "img.pgm"], "the following arguments are required: --out"),
         (["cipher"], "argument command: invalid choice: 'cipher'"),
         ([], "the following arguments are required: command"),
+        # one ASCII grammar for integers, -?[0-9]+, and for decimals
+        (["keyspace", "--dim", "١٦"], "argument --dim: invalid int value: '١٦'"),
+        (["avalanche", "--sizes", "1_6"], "argument --sizes: invalid int_list value: '1_6'"),
+        (["avalanche", "--rounds", "+1"], "argument --rounds: invalid int_list value: '+1'"),
+        (["avalanche", "--trials", " 2"], "argument --trials: invalid int value: ' 2'"),
+        (["avalanche", "--seed", "0x10"], "argument --seed: invalid int value: '0x10'"),
+        (["avalanche", "--sizes", "16,,32"], "argument --sizes: invalid int_list value: '16,,32'"),
+        (["errorprop", "--image", "img.pgm", "--percents", "1,,5"],
+         "argument --percents: invalid _parse_percents value: '1,,5'"),
+        (["errorprop", "--image", "img.pgm", "--percents", "1_0"],
+         "argument --percents: invalid _parse_percents value: '1_0'"),
     ], ids=["sizes", "trials", "choice", "unknown-flag", "missing-dim", "missing-out", "command",
-            "no-command"])
+            "no-command", "non-ascii-digits", "underscore", "plus-sign", "space", "hex-seed",
+            "blank-size", "blank-percent", "underscore-percent"])
     def test_one_line(self, tmp_path, capsys, argv, message):
         out = tmp_path / "a.csv"
-        extra = ["--out", out] if argv[:1] in (["avalanche"], ["uniformity"]) else []
+        sweep = argv[:1] in (["avalanche"], ["uniformity"]) or "--percents" in argv
+        extra = ["--out", out] if sweep else []
         with pytest.raises(SystemExit) as exit_info:
             run([*argv, *extra])
         assert exit_info.value.code == 2
@@ -305,6 +318,21 @@ class TestParserErrors:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
         assert not out.exists()
+
+    def test_hex_seed_env(self, tmp_path, monkeypatch, capsys):
+        # read by the same grammar as --seed, which rejects 0x10
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "0x10")
+        out = tmp_path / "a.csv"
+        assert run(["avalanche", "--sizes", "16", "--rounds", "1", "--trials", 1, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {cli.SEED_ENV_VAR} must be an integer, got '0x10'\n"
+        assert not out.exists()
+
+    def test_empty_percents_is_no_percentage_rows(self, tmp_path):
+        image, out = tmp_path / "img.pgm", tmp_path / "e.csv"
+        image_io.write_pgm(image_io.make_portrait_image(16), image)
+        assert run(["errorprop", "--image", image, "--percents", "", "--trials", 1,
+                    "--jobs", 1, "--out", out]) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["mode", "single-bit"]
 
     def test_help_still_prints(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

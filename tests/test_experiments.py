@@ -49,15 +49,19 @@ class TestConfig:
         assert cfg.trials == 1000
 
 
-def _table_misses(m: int) -> tuple[int, int]:
-    """Cache misses that building M's static tables causes in this process."""
-    scramble = cipher._scramble_coords.cache_info().misses
-    rotation = cipher._rotation_shifts.cache_info().misses
-    cipher.build_static_tables(m)
-    return (
-        cipher._scramble_coords.cache_info().misses - scramble,
-        cipher._rotation_shifts.cache_info().misses - rotation,
-    )
+def _table_misses(m: int) -> int:
+    """Cache misses that asking for M's static tables causes in this process."""
+    misses = cipher.static_tables.cache_info().misses
+    cipher.static_tables(m)
+    return cipher.static_tables.cache_info().misses - misses
+
+
+def _misses_batch(task: tuple) -> list[tuple[int, int]]:
+    """Per trial of a batch: the process that ran it and that process's
+    static-table cache misses after an encrypt at the batch's M."""
+    master_seed, m, rounds, start, stop = task
+    cipher.encrypt(np.zeros((m, m), dtype=np.uint8), cipher.CipherKey(1, 2, 3, 4, rounds))
+    return [(os.getpid(), cipher.static_tables.cache_info().misses)] * (stop - start)
 
 
 class TestWorkerCount:
@@ -89,31 +93,38 @@ class TestWorkerCount:
 
 
 class TestStaticTablesBeforeFork:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # jobs=2 runs on a pool even where this process may use one CPU
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_caller_holds_tables_of_every_size(self, jobs):
-        cipher._scramble_coords.cache_clear()
-        cipher._rotation_shifts.cache_clear()
+        cipher.static_tables.cache_clear()
         cfg = small_cfg(sizes=(16, 20, 32), rounds=(1, 6), trials=3)
         experiments.uniformity_sweep(cfg, jobs=jobs)
         for m in cfg.sizes:
-            assert _table_misses(m) == (0, 0)
+            assert _table_misses(m) == 0
 
-    def test_error_propagation_caller_holds_tables(self):
-        cipher._scramble_coords.cache_clear()
-        cipher._rotation_shifts.cache_clear()
+    def test_error_propagation_caller_holds_tables(self, monkeypatch):
+        # one trial per batch, so the two trials run on the pool
+        monkeypatch.setattr(experiments, "BATCH_PIXELS", 20 * 20)
+        cipher.static_tables.cache_clear()
         image = image_io.make_portrait_image(20)
         experiments.error_propagation(small_cfg(trials=2), image, jobs=2, rounds=2)
-        assert _table_misses(20) == (0, 0)
+        assert _table_misses(20) == 0
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork", reason="workers inherit tables by fork"
     )
     def test_forked_workers_inherit_tables(self):
-        sizes = (16, 20)
-        cipher._scramble_coords.cache_clear()
-        cipher._rotation_shifts.cache_clear()
-        misses = experiments._run_tasks(_table_misses, list(sizes) * 2, 2, sizes=sizes)
-        assert misses == [(0, 0)] * 4
+        cipher.static_tables.cache_clear()
+        cfg = small_cfg(sizes=(16, 20), rounds=(1, 2), trials=2)
+        results = [value for _, _, chunk in experiments._sweep(_misses_batch, cfg, 2)
+                   for value in chunk]
+        assert len(results) == 8 and os.getpid() not in {pid for pid, _ in results}
+        # the caller's two builds, inherited; no worker built a table of its own
+        assert {misses for _, misses in results} == {2}
 
 
 class TestSpawnWorkers:
@@ -196,7 +207,7 @@ class TestAvalancheSweep:
         batch = experiments._avalanche_batch((master_seed, m, rounds, start, stop))
         assert len(batch) == stop - start
         for w, (ps, _) in zip(range(start, stop), batch):
-            rng = experiments._trial_stream(master_seed, w, m, rounds)
+            rng = np.random.default_rng((master_seed, w, m, rounds))
             key = cipher.key_from_stream(rng, m, rounds)
             assert key == oracles.derive_trial_key(master_seed, w, m, rounds)
             x, y = (int(v) for v in rng.integers(0, m, size=2))
