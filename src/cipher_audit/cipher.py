@@ -46,9 +46,26 @@ keys in one vectorized pass, with row w offset by w*M*M into the flat stack;
 one key's index is one image long and is applied to each image in turn.  A
 round is one block XOR, one gather and one rotation over the whole stack.
 
-Decryption rotates right, gathers with the inverse index (all rows inverted
-by one scatter) and applies the same block XOR: x -> x xor (block XOR of x)
-is an involution on 16-byte blocks, which is why A^-1 = J xor P^T = A^T.
+Decryption rotates right, gathers and applies the same block XOR: x -> x xor
+(block XOR of x) is an involution on 16-byte blocks, which is why
+A^-1 = J xor P^T = A^T.  Its gather index is the forward byte map, evaluated
+in closed form at every position: the in-block move takes position j to a
+static cell (cell_coords), the cat map (x + a*y + rx, b*x + (a*b + 1)*y + ry)
+mod M moves that cell, and the inverse of the scramble (scramble_positions)
+gives the position it lands on.  Only the cat map is keyed; the two static
+tables are cached per M and built where a direction first needs them.
+
+Sparse rounds.  A nonzero byte fills at most its 16-byte block under the
+block XOR, and the gather sends a block's 16 bytes into at most 16 blocks,
+so a one-bit image touches one block, then at most 16, 256, ... blocks.
+While a stack's touched blocks are few, a round runs on them alone: each of
+their bytes is carried by the closed-form map of its direction (forward for
+encryption, inverse for decryption) at its own position, into a fresh zero
+stack, and no M*M gather index is built.  The switch is read from the input:
+the touched blocks are counted in the input and after each sparse round, and
+a round runs sparse while they are at most (S - 24576) / 144 for a stack of S
+bytes, the point where a sparse round stops being cheaper than a dense one.
+From the first round over that limit the remaining rounds run dense.
 """
 
 from __future__ import annotations
@@ -247,6 +264,52 @@ def static_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return coords[0], coords[1], shift, complement
 
 
+# The in-block move sends input byte i of a block to byte p0[i]: the inverse
+# of _PINV.
+_P0 = np.argsort(_PINV).astype(np.int32)
+_P0.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=8)
+def scramble_positions(m: int) -> np.ndarray:
+    """The int32 flat position that the static scramble takes each grid cell to, read-only.
+
+    It inverts static_tables' (u, v): scramble_pos[u[k]*M + v[k]] = k.
+    Only the forward byte map (:func:`_destination`) reads it, so it is
+    built where a direction first asks for it, not with static_tables.
+    """
+    u, v, _, _ = static_tables(m)
+    flat = u.astype(np.int32)
+    flat *= m
+    flat += v
+    scramble_pos = np.empty(m * m, dtype=np.int32)
+    scramble_pos[flat] = np.arange(m * m, dtype=np.int32)
+    scramble_pos.flags.writeable = False
+    return scramble_pos
+
+
+def _cells(start: np.ndarray, m: int, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+    """Grid cell (x0, y0) that the in-block move takes the 16 bytes of each block to.
+
+    start holds the flat position of each block's first byte, as a column;
+    byte i of a block moves to byte p0[i] of the same block.
+    """
+    return np.divmod(start + _P0, m, out=out, casting="same_kind")
+
+
+@functools.lru_cache(maxsize=8)
+def cell_coords(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_cells` of every flat position of side length M, as int16, read-only: (x0, y0).
+
+    Only decryption's gather index reads it; a sparse round takes the cells
+    of its few blocks directly.
+    """
+    coords = np.empty((2, m * m // BLOCK_BYTES, BLOCK_BYTES), dtype=np.int16)
+    _cells(np.arange(0, m * m, BLOCK_BYTES, dtype=np.int32)[:, np.newaxis], m, out=tuple(coords))
+    coords.flags.writeable = False
+    return coords[0].reshape(-1), coords[1].reshape(-1)
+
+
 def _reduce(values: np.ndarray, m: int, tmp: np.ndarray) -> None:
     """Reduce values mod m in place, to [0, m); tmp is overwritten.
 
@@ -257,22 +320,20 @@ def _reduce(values: np.ndarray, m: int, tmp: np.ndarray) -> None:
     values -= tmp
 
 
-def _gather_index(params: list[tuple[int, int, int, int]], m: int) -> np.ndarray:
-    """Gather index of the byte permutations of one round, one row per key.
+# The byte maps of one round take the key parameters (a, b, rx, ry), reduced
+# mod M in int32, as arrays that broadcast against the coordinates: one row
+# per key against a whole image for a gather index, or one entry per block
+# against the blocks of a sparse round.  Every intermediate stays within
+# (-2*M*M, 2*M*M), which int32 holds for M <= MAX_SIDE.
 
-    Row i is the index of one M x M image under the key parameters params[i]:
-    output position k takes the block-XORed byte that the in-block move by
-    pinv, then the cat map, then the scramble carry to k.  The cat map
-    (x, y) -> (x + a*y + rx, b*x + (a*b + 1)*y + ry) is inverted in closed
-    form at the scramble's coordinates (u, v), for all keys in one pass:
-    y = (v - ry) - b*(u - rx), then x = (u - rx) - a*y, both mod M.  The
-    steps run in place, so at most three arrays of the index's size are
-    alive at once.
+def _source(u, v, a, b, rx, ry, m: int) -> np.ndarray:
+    """Flat position whose block-XORed byte one round's byte permutations carry to scramble coordinates (u, v).
+
+    The cat map (x, y) -> (x + a*y + rx, b*x + (a*b + 1)*y + ry) is inverted
+    in closed form: y = (v - ry) - b*(u - rx), then x = (u - rx) - a*y, both
+    mod M, and the in-block move by pinv is undone.  The steps run in place,
+    so at most three arrays of the result's size are alive at once.
     """
-    u, v, _, _ = static_tables(m)
-    # Intermediates stay within (-2*M*M, 2*M*M), which int32 holds for M <= MAX_SIDE.
-    reduced = np.array([[p % m for p in key] for key in params], dtype=np.int32)
-    a, b, rx, ry = reduced.T[:, :, np.newaxis]
     x = u - rx
     y = v - ry
     tmp = b * x
@@ -290,23 +351,65 @@ def _gather_index(params: list[tuple[int, int, int, int]], m: int) -> np.ndarray
     return cell
 
 
+def _destination(x0, y0, a, b, rx, ry, m: int) -> np.ndarray:
+    """Flat position that one round's byte permutations carry the byte of cell (x0, y0) to.
+
+    (x0, y0) is a position's cell after the in-block move (:func:`_cells`).
+    The cat map is evaluated forward, x = x0 + a*y0 + rx, then
+    y = b*(x - rx) + y0 + ry, which is b*x0 + (a*b + 1)*y0 + ry, both mod M,
+    and scramble_positions gives the position the scramble takes (x, y) to.
+    At most three arrays of the result's size are alive at once.
+    """
+    x = a * y0
+    x += x0
+    x += rx
+    tmp = np.empty_like(x)
+    _reduce(x, m, tmp)
+    y = x - rx
+    y *= b
+    y += y0
+    y += ry
+    _reduce(y, m, tmp)
+    x *= m
+    x += y
+    del y
+    # x is within [0, M*M): "clip" never clips, and unlike "raise" it does not buffer.
+    return np.take(scramble_positions(m), x, out=tmp, mode="clip")
+
+
+def _key_params(params: Sequence[tuple[int, int, int, int]], m: int) -> np.ndarray:
+    """Key parameters (a, b, rx, ry) reduced mod M: int32, one row per key."""
+    return np.array([[p % m for p in key] for key in params], dtype=np.int32)
+
+
+def _gather_index(params: Sequence[tuple[int, int, int, int]], m: int, invert: bool = False) -> np.ndarray:
+    """Gather index of the byte permutations of one round, one row per key.
+
+    Row i is the index of one M x M image under the key parameters params[i].
+    For encryption, output position k takes the byte at _source of the
+    scramble's coordinates of k.  For decryption, the inverse: output
+    position j takes the byte at _destination of j, so both directions are
+    closed forms evaluated for all keys in one pass.
+    """
+    a, b, rx, ry = _key_params(params, m).T[:, :, np.newaxis]
+    if invert:
+        x0, y0 = cell_coords(m)
+        return _destination(x0, y0, a, b, rx, ry, m)
+    u, v, _, _ = static_tables(m)
+    return _source(u, v, a, b, rx, ry, m)
+
+
 def _stack_index(keys: Sequence[CipherKey], m: int, invert: bool) -> np.ndarray:
     """Flat gather index of one round under keys: one key, or one per image.
 
     Row w is offset by w*M*M, so a single key's index covers one image and
     is applied to every image of a stack in turn.  Adding the offsets also
     widens the index to intp, which take() would otherwise do in every
-    round.  With invert, for decryption, one scatter inverts the whole
-    offset index: that is the offset inverse of each row.
+    round.  With invert, the index is decryption's.
     """
-    index = _gather_index([k.params() for k in keys], m)
+    index = _gather_index([k.params() for k in keys], m, invert)
     offsets = np.arange(0, index.size, m * m, dtype=np.intp)
-    index = (index + offsets[:, np.newaxis]).reshape(-1)
-    if invert:
-        forward = index
-        index = np.empty_like(forward)
-        index[forward] = np.arange(forward.size)
-    return index
+    return (index + offsets[:, np.newaxis]).reshape(-1)
 
 
 def _rotate(data: np.ndarray, by: np.ndarray, back: np.ndarray) -> np.ndarray:
@@ -320,6 +423,71 @@ def _rotate(data: np.ndarray, by: np.ndarray, back: np.ndarray) -> np.ndarray:
     out = z << by
     out |= z >> back
     return out.reshape(-1)
+
+
+# ---------------------------------------------------------------------------
+# sparse rounds: only the touched 16-byte blocks
+# ---------------------------------------------------------------------------
+
+# Cost of a sparse round in bytes of a dense round: each byte of its touched
+# blocks costs about _SPARSE_BYTE_COST of them, and the round's fixed numpy
+# call overhead about _SPARSE_ROUND_BYTES.  A round runs sparse while this
+# is at most the stack's size.
+_SPARSE_BYTE_COST = 9
+_SPARSE_ROUND_BYTES = 24576
+
+_LANES = np.arange(BLOCK_BYTES, dtype=np.intp)
+
+
+def _touched_blocks(flat: np.ndarray) -> np.ndarray:
+    """Mark of each 16-byte block of a flat stack: nonzero where the block holds a nonzero byte.
+
+    A block is two uint64 lanes, so the two lane tests of a block, as bools,
+    read as one uint16.
+    """
+    return (flat.view(np.uint64) != 0).view(np.uint16)
+
+
+def _sparse_round(
+    flat: np.ndarray, blocks: np.ndarray, params: np.ndarray, m: int, invert: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """One round of encrypt (or with invert, decrypt) on the touched blocks of a flat stack.
+
+    flat is zero outside the 16-byte blocks whose ids, ascending, are
+    blocks; params holds the reduced key of every image.  Returns the next
+    stack and its touched blocks in the same form.  A block never spans two
+    images, so each block's image and key are taken once and broadcast over
+    its 16 bytes.  Encryption XORs the blocks, carries every byte to its
+    _destination and rotates it there; decryption rotates back, carries
+    every byte to its _source and XORs the blocks it lands in.
+    """
+    n = m * m
+    image = blocks // (n // BLOCK_BYTES)
+    offset = image * n
+    start = (blocks * BLOCK_BYTES - offset).astype(np.int32)[:, np.newaxis]
+    local = start + _LANES
+    a, b, rx, ry = params[image].T[:, :, np.newaxis]
+    data = flat.reshape(-1, BLOCK_BYTES)[blocks]
+    u, v, shift, complement = static_tables(m)
+    if invert:
+        by, back = complement[local], shift[local]
+        target = _source(u[local], v[local], a, b, rx, ry, m)
+    else:
+        data = _block_xor(data.reshape(-1)).reshape(-1, BLOCK_BYTES)
+        target = _destination(*_cells(start, m), a, b, rx, ry, m)
+        by, back = shift[target], complement[target]
+    values = data << by
+    values |= data >> back
+    target = target + offset[:, np.newaxis]  # intp: a stack may hold more than 2**31 bytes
+    out = np.zeros_like(flat)
+    out[target] = values
+    mark = np.zeros(flat.size // BLOCK_BYTES, dtype=bool)
+    mark[target // BLOCK_BYTES] = True
+    blocks = np.flatnonzero(mark)
+    if invert:
+        rows = out.reshape(-1, BLOCK_BYTES)
+        rows[blocks] = _block_xor(rows[blocks].reshape(-1)).reshape(-1, BLOCK_BYTES)
+    return out, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +519,54 @@ def _flat_stack(
     return np.ascontiguousarray(data).reshape(-1), m, keys
 
 
+def _dense_rounds(
+    flat: np.ndarray, keys: tuple[CipherKey, ...], m: int, rounds: int, invert: bool
+) -> np.ndarray:
+    """rounds rounds of encrypt (or with invert, decrypt) over the whole flat stack.
+
+    Each round is one block XOR, one gather and one rotation; the gather
+    index is built only if a round runs.
+    """
+    if rounds == 0:
+        return flat
+    index = _stack_index(keys, m, invert)
+    _, _, shift, complement = static_tables(m)
+    for _ in range(rounds):
+        # Rows of the index's size: the whole stack, or each image under one key.
+        if invert:
+            flat = _rotate(flat, complement, shift).reshape(-1, index.size).take(index, axis=1)
+            flat = _block_xor(flat)
+        else:
+            flat = _block_xor(flat).reshape(-1, index.size).take(index, axis=1)
+            flat = _rotate(flat, shift, complement)
+    return flat
+
+
+def _run(flat: np.ndarray, keys: tuple[CipherKey, ...], m: int, invert: bool) -> np.ndarray:
+    """All rounds of encrypt (or with invert, decrypt): sparse while the support is small, then dense.
+
+    A nonzero byte fills at most its 16-byte block under the block XOR, and
+    the gather sends a block's bytes into at most 16 blocks, so a one-bit
+    image touches one block, then at most 16, 256, ...  A round runs sparse
+    while the stack's touched blocks are at most the limit below, counted in
+    the input and again after each sparse round; from the first round over
+    the limit, the remaining rounds run dense.  The rule reads the whole
+    stack, so its images switch together.
+    """
+    rounds = keys[0].rounds
+    # the most touched blocks with which a sparse round costs no more than a dense one
+    limit = (flat.size - _SPARSE_ROUND_BYTES) / (_SPARSE_BYTE_COST * BLOCK_BYTES)
+    done = 0
+    if limit >= 1 and np.count_nonzero(touched := _touched_blocks(flat)) <= limit:
+        blocks = np.flatnonzero(touched)
+        keyed = _key_params([k.params() for k in keys], m)
+        params = np.broadcast_to(keyed, (flat.size // (m * m), 4))
+        while done < rounds and blocks.size <= limit:
+            flat, blocks = _sparse_round(flat, blocks, params, m, invert)
+            done += 1
+    return _dense_rounds(flat, keys, m, rounds - done, invert)
+
+
 def encrypt(image: np.ndarray, key: CipherKey | Sequence[CipherKey]) -> np.ndarray:
     """Run key.rounds rounds of diffusion followed by the bit permutation.
 
@@ -358,22 +574,11 @@ def encrypt(image: np.ndarray, key: CipherKey | Sequence[CipherKey]) -> np.ndarr
     one CipherKey or a sequence of W keys with one round count: image w
     under key w.
     """
-    out, m, keys = _flat_stack(image, key)
-    index = _stack_index(keys, m, False)
-    _, _, shift, complement = static_tables(m)
-    for _ in range(keys[0].rounds):
-        # Rows of the index's size: the whole stack, or each image under one key.
-        out = _block_xor(out).reshape(-1, index.size).take(index, axis=1)
-        out = _rotate(out, shift, complement)
-    return out.reshape(image.shape)
+    flat, m, keys = _flat_stack(image, key)
+    return _run(flat, keys, m, False).reshape(image.shape)
 
 
 def decrypt(cipher: np.ndarray, key: CipherKey | Sequence[CipherKey]) -> np.ndarray:
     """Exact inverse of :func:`encrypt`, on the same images and keys."""
-    out, m, keys = _flat_stack(cipher, key)
-    index = _stack_index(keys, m, True)
-    _, _, shift, complement = static_tables(m)
-    for _ in range(keys[0].rounds):
-        out = _rotate(out, complement, shift).reshape(-1, index.size).take(index, axis=1)
-        out = _block_xor(out)
-    return out.reshape(cipher.shape)
+    flat, m, keys = _flat_stack(cipher, key)
+    return _run(flat, keys, m, True).reshape(cipher.shape)

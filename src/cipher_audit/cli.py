@@ -23,6 +23,8 @@ SEED_ENV_VAR = "CIPHER_AUDIT_SEED"
 # underscores and other digits.  '-' reaches the check that explains it.
 _INT = re.compile(r"-?[0-9]+")
 _DECIMAL = re.compile(r"-?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]+)?")
+# A decimal, or nan, inf and -inf, which reach the range check that explains them.
+_REAL = re.compile(rf"{_DECIMAL.pattern}|-?(nan|inf)")
 
 
 def _int(text: str) -> int:
@@ -47,6 +49,15 @@ def _int_list(span):
         return tuple(sorted(set(out)))
 
     return int_list
+
+
+def _real(text: str) -> float:
+    if not _REAL.fullmatch(text):
+        raise ValueError(f"not a decimal: {text!r}")
+    return float(text)
+
+
+_real.__name__ = "float"  # argparse's message reads "invalid float value: ..."
 
 
 def _parse_percents(text: str) -> tuple[float, ...]:
@@ -268,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("keyspace", help="report permutation-key space size")
     sub.add_argument("--dim", type=_int, required=True, help="side length M")
-    sub.add_argument("--rate", type=float, default=1e9,
+    sub.add_argument("--rate", type=_real, default=1e9,
                      help="brute-force guesses per second (default %(default)s)")
     sub.set_defaults(func=_cmd_keyspace)
 

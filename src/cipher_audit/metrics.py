@@ -13,6 +13,10 @@ CHI2_THRESHOLD = 293.0
 
 GRAY_LEVELS = 256
 
+# Smallest buffer that byte_histogram counts by its nonzero lanes alone
+# (2 KiB); timed against np.bincount on a 2-core Xeon, numpy 2.4.6.
+_SPARSE_HISTOGRAM_BYTES = 2048
+
 _SSIM_C1 = (0.01 * 255.0) ** 2
 _SSIM_C2 = (0.03 * 255.0) ** 2
 SSIM_WINDOW = 8
@@ -46,8 +50,29 @@ def hamming_percent(x: np.ndarray | bytes, y: np.ndarray | bytes) -> float:
 
 
 def byte_histogram(data: np.ndarray | bytes) -> np.ndarray:
-    """Occurrence counts of each byte value 0..255."""
-    return np.bincount(_as_bytes(data), minlength=GRAY_LEVELS).astype(np.int64)
+    """Occurrence counts of each byte value 0..255.
+
+    The bytes are read as 8-byte lanes, plus the last size % 8 bytes.  If at
+    most half of the lanes are nonzero, only the bytes of the nonzero lanes
+    and the last bytes are counted, and the zeros of the other lanes are
+    added to bin 0: on a mostly zero buffer, such as a low-round ciphertext,
+    this is much faster than counting every byte, whose run of equal values
+    np.bincount counts at half its speed on random bytes.  A buffer under
+    2 KiB is counted whole, since there the lane pass costs more than it
+    saves.
+    """
+    flat = np.ascontiguousarray(_as_bytes(data))
+    if flat.size < _SPARSE_HISTOGRAM_BYTES:
+        return np.bincount(flat, minlength=GRAY_LEVELS).astype(np.int64)
+    tail = flat.size % 8
+    lanes = flat[: flat.size - tail].view(np.uint64)
+    nonzero = lanes != 0
+    if 2 * np.count_nonzero(nonzero) > lanes.size:
+        return np.bincount(flat, minlength=GRAY_LEVELS).astype(np.int64)
+    values = np.concatenate([lanes[nonzero].view(np.uint8), flat[flat.size - tail :]])
+    counts = np.bincount(values, minlength=GRAY_LEVELS).astype(np.int64)
+    counts[0] += flat.size - values.size
+    return counts
 
 
 def chi_square(histogram: np.ndarray) -> float:

@@ -1,0 +1,86 @@
+"""Layer timings of the cipher's rounds, gather indices and byte histogram.
+
+A pytest-benchmark module.  Its name does not match test_*.py, so the
+tier-1 suite does not collect it; run it by path from the root of a checkout:
+
+    PYTHONPATH=src python -m pytest tests/bench_layers.py -q --benchmark-json=layers.json
+
+Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
+- one dense round, with the gather index it builds, and that index alone;
+- one sparse round on 1, 16 and 256 touched 16-byte blocks;
+- decryption's gather index, in closed form and by the oracle's scatter
+  inversion of the encryption index;
+- byte_histogram of random bytes (dense route) and of a one-round
+  ciphertext of a one-bit image (sparse route), and np.bincount of that
+  ciphertext, the route the sparse one replaces.
+"""
+
+import numpy as np
+import pytest
+
+from cipher_audit import cipher, metrics
+
+import oracles
+
+SIZES = (16, 64, 256, 512)
+TOUCHED_BLOCKS = (1, 16, 256)
+
+
+def key_for(m: int, rounds: int = 1) -> cipher.CipherKey:
+    return cipher.key_from_stream(np.random.default_rng((7, m)), m, rounds)
+
+
+def one_bit_image(m: int) -> np.ndarray:
+    image = np.zeros((m, m), dtype=np.uint8)
+    image[m // 3, m // 5] = 1
+    return image
+
+
+@pytest.mark.parametrize("m", SIZES)
+def test_dense_round_with_index(benchmark, m):
+    flat = np.random.default_rng(m).integers(0, 256, m * m, dtype=np.uint8)
+    benchmark(cipher._dense_rounds, flat, (key_for(m),), m, 1, False)
+
+
+@pytest.mark.parametrize("m", SIZES)
+def test_encrypt_index(benchmark, m):
+    benchmark(cipher._stack_index, (key_for(m),), m, False)
+
+
+@pytest.mark.parametrize("blocks", TOUCHED_BLOCKS)
+@pytest.mark.parametrize("m", SIZES)
+def test_sparse_round(benchmark, m, blocks):
+    if blocks * cipher.BLOCK_BYTES > m * m:
+        pytest.skip(f"an {m}x{m} image has fewer than {blocks} blocks")
+    rng = np.random.default_rng((m, blocks))
+    ids = np.sort(rng.choice(m * m // cipher.BLOCK_BYTES, size=blocks, replace=False))
+    flat = np.zeros(m * m, dtype=np.uint8)
+    flat.reshape(-1, cipher.BLOCK_BYTES)[ids] = rng.integers(1, 256, (blocks, 16), dtype=np.uint8)
+    params = cipher._key_params([key_for(m).params()], m)
+    cipher.scramble_positions(m)
+    benchmark(cipher._sparse_round, flat, ids, params, m, False)
+
+
+@pytest.mark.parametrize("route", ["closed-form", "scatter"])
+@pytest.mark.parametrize("m", SIZES)
+def test_decrypt_index(benchmark, m, route):
+    keys = (key_for(m),)
+    cipher.scramble_positions(m)
+    cipher.cell_coords(m)
+    if route == "closed-form":
+        benchmark(cipher._stack_index, keys, m, True)
+    else:
+        benchmark(lambda: oracles.inverse_index_by_scatter(cipher._stack_index(keys, m, False)))
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "sparse-bincount"])
+@pytest.mark.parametrize("m", SIZES)
+def test_byte_histogram(benchmark, m, kind):
+    if kind == "dense":
+        data = np.random.default_rng(m).integers(0, 256, (m, m), dtype=np.uint8)
+    else:
+        data = cipher.encrypt(one_bit_image(m), key_for(m))
+    if kind == "sparse-bincount":
+        benchmark(np.bincount, data.reshape(-1), minlength=metrics.GRAY_LEVELS)
+    else:
+        benchmark(metrics.byte_histogram, data)

@@ -271,6 +271,14 @@ def scramble_pairs(seed, m):
     return [[divmod(int(flat[x * m + y]), m) for y in range(m)] for x in range(m)]
 
 
+def inverse_index_by_scatter(index):
+    """Inverse of a flat gather index (a permutation), by one scatter:
+    inverse[index[k]] = k."""
+    inverse = np.empty_like(index)
+    inverse[index] = np.arange(index.size)
+    return inverse
+
+
 def rotation_shifts(seed, m):
     """Static left-rotation amount of each grid position."""
     return np.random.default_rng((seed, m)).integers(0, 8, size=(m, m)).tolist()

@@ -306,6 +306,174 @@ class TestStaticTables:
         assert not shift.flags.writeable and not complement.flags.writeable
 
 
+class TestForwardTables:
+    """scramble_positions and cell_coords, the tables of the forward byte
+    map, have their own cache, built where a direction first needs them."""
+
+    @pytest.mark.parametrize("build, bound", [
+        (cipher.scramble_positions, 3.2 * 2**20),
+        (cipher.cell_coords, 2.2 * 2**20),
+    ])
+    def test_build_peak_memory(self, build, bound):
+        cipher.static_tables(512)  # read by scramble_positions, not counted here
+        build.cache_clear()
+        tracemalloc.start()
+        try:
+            build(512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    @pytest.mark.parametrize("m", [4, 12, 196, 300, 512])
+    def test_scramble_positions_invert_the_scramble(self, m):
+        u, v, _, _ = cipher.static_tables(m)
+        scramble_pos = cipher.scramble_positions(m)
+        assert scramble_pos.dtype == np.int32 and not scramble_pos.flags.writeable
+        assert np.array_equal(scramble_pos[u.astype(np.int64) * m + v], np.arange(m * m))
+
+    @pytest.mark.parametrize("m", [4, 12, 20, 300])
+    def test_cell_coords_undo_the_in_block_move(self, m):
+        # position j's byte lands, after the in-block move, in the cell whose
+        # flat position f satisfies pinv[f % 16] == j % 16 within j's block
+        moved = {src: j for j, src in enumerate(byte_sources())}
+        want = [divmod(j - j % 16 + moved[j % 16], m) for j in range(m * m)]
+        x0, y0 = cipher.cell_coords(m)
+        assert x0.dtype == y0.dtype == np.int16
+        assert not x0.flags.writeable and not y0.flags.writeable
+        assert list(zip(x0.tolist(), y0.tolist())) == want
+
+    def test_encrypt_builds_no_cell_table(self):
+        # a sparse round finds the cells of its few blocks itself
+        cipher.cell_coords.cache_clear()
+        cipher.scramble_positions.cache_clear()
+        image = np.zeros((512, 512), dtype=np.uint8)
+        image[7, 9] = 1
+        cipher.encrypt(image, cipher.CipherKey(3, 5, 7, 11, rounds=1))
+        assert cipher.cell_coords.cache_info().currsize == 0
+        assert cipher.scramble_positions.cache_info().currsize == 1
+
+
+class TestClosedFormInverse:
+    """Decryption's gather index is the forward byte map evaluated at every
+    position; the scatter that inverts the encryption index is the oracle."""
+
+    @pytest.mark.parametrize("m", [4, 12, 20, 36, 256, 300, 512])
+    def test_equals_scatter_inverse(self, m):
+        rng = np.random.default_rng(m)
+        q = cipher.param_bits(m)
+        keys = [random_key(rng, m, 1) for _ in range(16)] + [
+            cipher.CipherKey(m, m + 1, 2 * m - 1, 3 * m, rounds=1),
+            cipher.CipherKey((1 << q) - 1, (1 << q) - 1, (1 << q) - 1, (1 << q) - 1, rounds=1),
+            cipher.CipherKey(0, 0, 0, 0, rounds=1),
+            cipher.CipherKey(10**12 + 7, 5 * m + 3, m * m, 2**40, rounds=1),
+        ]
+        for start in range(0, len(keys), 4):
+            group = keys[start : start + 4]
+            forward = cipher._stack_index(group, m, False)
+            inverse = cipher._stack_index(group, m, True)
+            assert inverse.dtype == np.intp
+            assert np.array_equal(inverse, oracles.inverse_index_by_scatter(forward))
+
+    @pytest.mark.parametrize("m", [16, 300, 512])
+    def test_decrypt_index_is_int32(self, m):
+        index = cipher._gather_index([(m - 1, m + 3, 2 * m - 1, 7), (0, 0, 0, 0)], m, True)
+        assert index.dtype == np.int32 and index.shape == (2, m * m)
+
+
+def run_switching(stack, keys, m, switch, invert):
+    """All rounds of keys over stack, the first `switch` of them as sparse
+    rounds whatever the support, the rest dense."""
+    flat = stack.reshape(-1)
+    blocks = np.flatnonzero(cipher._touched_blocks(flat))
+    params = np.broadcast_to(cipher._key_params([k.params() for k in keys], m), (len(stack), 4))
+    for _ in range(switch):
+        flat, blocks = cipher._sparse_round(flat, blocks, params, m, invert)
+        # every nonzero block of the new stack is among its touched blocks
+        assert np.isin(np.flatnonzero(cipher._touched_blocks(flat)), blocks).all()
+    rounds = keys[0].rounds
+    return cipher._dense_rounds(flat, keys, m, rounds - switch, invert).reshape(stack.shape)
+
+
+def sparse_stacks(rng, m, count):
+    """Stacks of count images: all zero, a few random bytes per image, every
+    block nonzero, and one dense image among one-bit images."""
+    zero = np.zeros((count, m, m), dtype=np.uint8)
+    few = zero.copy()
+    for image in few:
+        spots = rng.integers(0, m * m, size=3)
+        image.reshape(-1)[spots] = rng.integers(1, 256, size=3, dtype=np.uint8)
+    full = zero.copy()
+    full.reshape(-1, 16)[:, 5] = rng.integers(1, 256, size=full.size // 16, dtype=np.uint8)
+    mixed = zero.copy()
+    mixed[0] = rng.integers(0, 256, (m, m), dtype=np.uint8)
+    for image in mixed[1:]:
+        image[rng.integers(m), rng.integers(m)] = 1 << rng.integers(8)
+    return {"zero": zero, "few": few, "full": full, "mixed": mixed}
+
+
+class TestSparseRounds:
+    """Sparse rounds give the dense rounds' bytes, in both directions, for
+    every round at which the stack may switch to dense."""
+
+    ROUNDS = 3
+
+    @pytest.mark.parametrize("invert", [False, True], ids=["encrypt", "decrypt"])
+    @pytest.mark.parametrize("one_key", [False, True], ids=["keys", "one-key"])
+    @pytest.mark.parametrize("m", [4, 12, 20, 36, 300])
+    def test_every_switch_round_equals_dense(self, m, one_key, invert):
+        rng = np.random.default_rng((m, one_key, invert))
+        count = 3
+        keys = TestStack.mixed_keys(rng, m, self.ROUNDS)[:count]
+        keys = tuple(keys[-1:] if one_key else keys)
+        for name, stack in sparse_stacks(rng, m, count).items():
+            dense = run_switching(stack, keys, m, 0, invert)
+            for switch in range(1, self.ROUNDS + 1):
+                assert np.array_equal(run_switching(stack, keys, m, switch, invert), dense), \
+                    (name, switch)
+
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 6])
+    @pytest.mark.parametrize("m, count", [(36, 40), (300, 2), (512, 1)])
+    def test_public_route_equals_dense(self, m, count, rounds):
+        # one-bit stacks large enough that encrypt and decrypt start sparse
+        rng = np.random.default_rng((m, count, rounds))
+        keys = tuple(random_key(rng, m, rounds) for _ in range(count))
+        stack = sparse_stacks(rng, m, count)["few" if m == 36 else "mixed"]
+        if m != 36:
+            stack[0] = 0
+            stack[0, 3, 4] = 0x80
+        for invert, op in ((False, cipher.encrypt), (True, cipher.decrypt)):
+            assert np.array_equal(op(stack, keys), run_switching(stack, keys, m, 0, invert))
+        assert np.array_equal(cipher.decrypt(cipher.encrypt(stack, keys), keys), stack)
+
+    def test_one_bit_round_builds_no_gather_index(self, monkeypatch):
+        def no_index(*args):
+            raise AssertionError("a sparse input built the M*M gather index")
+
+        monkeypatch.setattr(cipher, "_stack_index", no_index)
+        rng = np.random.default_rng(2)
+        image = np.zeros((512, 512), dtype=np.uint8)
+        image[100, 200] = 4
+        for rounds in (1, 2, 3):
+            key = random_key(rng, 512, rounds)
+            assert cipher.encrypt(image, key).any()
+            assert cipher.decrypt(image, key).any()
+
+    @pytest.mark.parametrize("count", [4, 20])
+    def test_mixed_stack_switches_together(self, count):
+        # with 4 images the dense one keeps the whole stack dense; with 20 the
+        # stack starts sparse and carries the dense image through sparse rounds
+        m, rounds = 300, 4
+        rng = np.random.default_rng(count)
+        keys = tuple(random_key(rng, m, rounds) for _ in range(count))
+        stack = sparse_stacks(rng, m, count)["mixed"]
+        encrypted = cipher.encrypt(stack, keys)
+        assert np.array_equal(encrypted, run_switching(stack, keys, m, 0, False))
+        for image, key, row in zip(stack, keys, encrypted):
+            assert np.array_equal(row, cipher.encrypt(image, key))
+        assert np.array_equal(cipher.decrypt(encrypted, keys), stack)
+
+
 # ---------------------------------------------------------------------------
 # keys
 # ---------------------------------------------------------------------------

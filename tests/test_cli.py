@@ -304,9 +304,12 @@ class TestParserErrors:
          "argument --percents: invalid _parse_percents value: '1,,5'"),
         (["errorprop", "--image", "img.pgm", "--percents", "1_0"],
          "argument --percents: invalid _parse_percents value: '1_0'"),
+        (["keyspace", "--dim", "16", "--rate", "١e3"], "argument --rate: invalid float value: '١e3'"),
+        (["keyspace", "--dim", "16", "--rate", "1_000"],
+         "argument --rate: invalid float value: '1_000'"),
     ], ids=["sizes", "trials", "choice", "unknown-flag", "missing-dim", "missing-out", "command",
             "no-command", "non-ascii-digits", "underscore", "plus-sign", "space", "hex-seed",
-            "blank-size", "blank-percent", "underscore-percent"])
+            "blank-size", "blank-percent", "underscore-percent", "non-ascii-rate", "underscore-rate"])
     def test_one_line(self, tmp_path, capsys, argv, message):
         out = tmp_path / "a.csv"
         sweep = argv[:1] in (["avalanche"], ["uniformity"]) or "--percents" in argv

@@ -63,6 +63,67 @@ class TestHammingPercent:
         assert metrics.bit_percents(stack) == expected
 
 
+def _half_lanes(extra: int) -> np.ndarray:
+    """A 512 x 512 buffer with half of its 8-byte lanes nonzero, plus extra more."""
+    data = np.zeros(512 * 512, dtype=np.uint8)
+    count = data.size // 16 + extra
+    data.reshape(-1, 8)[:count, 3] = np.arange(count) % 255 + 1
+    return data
+
+
+def _one_byte() -> np.ndarray:
+    data = np.zeros(512 * 512, dtype=np.uint8)
+    data[77777] = 201
+    return data
+
+
+class TestByteHistogram:
+    """The sparse route (the bytes of the nonzero lanes and the tail, then
+    the other zeros added to bin 0) counts what np.bincount counts, on either
+    side of its threshold."""
+
+    @pytest.mark.parametrize("data, route", [
+        (np.zeros(512 * 512, dtype=np.uint8), "sparse"),
+        (_one_byte(), "sparse"),
+        (_half_lanes(0), "sparse"),
+        (_half_lanes(1), "dense"),
+        (np.random.default_rng(8).integers(0, 256, 512 * 512, dtype=np.uint8), "dense"),
+        (bytes(4101), "sparse"),
+        (bytes(4096 + 16) + bytes([5] + [0] * 12 + [0, 9, 9]), "sparse"),  # the last 2 lanes set
+        (bytes(4096 + 40) + bytes([200, 0, 7]), "sparse"),  # the tail holds the nonzero bytes
+        (bytes([3] * 4099), "dense"),
+        (bytes(metrics._SPARSE_HISTOGRAM_BYTES), "sparse"),
+        (bytes(metrics._SPARSE_HISTOGRAM_BYTES - 1), "dense"),  # too short for the lane pass
+        (b"", "dense"),
+    ], ids=["all-zero", "one-byte", "at-threshold", "past-threshold", "dense", "zero-bytes-4101",
+            "bytes-4128", "bytes-4139-tail", "dense-bytes-4099", "shortest-sparse", "short", "empty"])
+    def test_equals_bincount(self, monkeypatch, data, route):
+        flat = np.frombuffer(data, dtype=np.uint8) if isinstance(data, bytes) else data
+        want = np.bincount(flat, minlength=256)
+        counted = []
+        bincount = np.bincount
+
+        def spy(values, minlength):
+            counted.append(values.size)
+            return bincount(values, minlength=minlength)
+
+        monkeypatch.setattr(metrics.np, "bincount", spy)
+        got = metrics.byte_histogram(data)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        if route == "dense":
+            assert counted == [flat.size]
+        else:
+            assert len(counted) == 1 and counted[0] < max(flat.size, 1)
+
+    def test_views_and_unaligned_buffers(self):
+        rng = np.random.default_rng(9)
+        base = np.zeros(4 * 4096 + 3, dtype=np.uint8)
+        base[rng.integers(0, base.size, 40)] = rng.integers(1, 256, 40, dtype=np.uint8)
+        for view in (base[1:], base[3:], base[::2], base[:4096].reshape(64, 64).T):
+            assert np.array_equal(metrics.byte_histogram(view),
+                                  np.bincount(view.reshape(-1), minlength=256))
+
+
 class TestChiSquare:
     def test_uniform_histogram_is_zero(self):
         hist = np.full(256, 7, dtype=np.int64)
