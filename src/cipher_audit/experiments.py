@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import cipher, metrics
+from . import cipher, metrics, streams
 
 # Grid of the reference experiment: image sizes and round counts swept by
 # the avalanche and uniformity studies.
@@ -203,16 +203,63 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
 
 
 def _draw_trials(master_seed: int, m: int, rounds: int, start: int, stop: int, single_lsb: bool):
-    """Stream, key and plaintext of trials start..stop-1, each drawn from its
-    own trial stream: the key first, then, if single_lsb, the pixel whose LSB
-    is set in the otherwise all-zero plaintext."""
-    plains = np.zeros((stop - start, m, m), dtype=np.uint8)
-    rngs = [np.random.default_rng((master_seed, index, m, rounds)) for index in range(start, stop)]
-    keys = [cipher.key_from_stream(rng, m, rounds) for rng in rngs]
-    if single_lsb:
-        for rng, plain in zip(rngs, plains):
+    """Keys and plaintexts of trials start..stop-1, and the Generators of the trials replayed.
+
+    Each trial draws from its own stream, default_rng((master_seed, index,
+    M, rounds)): its key's four q-bit parameters, then, if single_lsb, the
+    row and column of the pixel whose LSB is set in the otherwise all-zero
+    plaintext.  numpy draws each bounded value from one 32-bit half of a
+    64-bit word, low half first, so the six draws are the six halves of the
+    first three words, which streams.first_words gives for the whole batch.
+    By numpy's rule (Lemire's), a draw below n takes x to (x*n) >> 32 and
+    rejects x when (x*n) mod 2**32 < (2**32 - n) mod n.  The key's bound 2**q
+    never rejects and takes the top q bits; a coordinate, bound M, may.  A
+    trial with a rejected coordinate, or every trial of a batch that
+    first_words does not cover, is replayed through its own Generator, and
+    `replayed` maps its index to that Generator, positioned after its draws.
+    """
+    count = stop - start
+    plains = np.zeros((count, m, m), dtype=np.uint8)
+    words = streams.first_words(master_seed, start, stop, m, rounds, 3)
+    if words is None:
+        keys, replay = [None] * count, range(count)
+    else:
+        halves = words.astype("<u8", copy=False).view("<u4")
+        params = (halves[:, :4] >> (32 - cipher.param_bits(m))).tolist()
+        keys = [cipher.CipherKey(a, b, rx, ry, rounds) for a, b, rx, ry in params]
+        replay = []
+        if single_lsb:
+            scaled = halves[:, 4:] * np.uint64(m)
+            rows, cols = (scaled >> 32).T
+            plains[np.arange(count), rows, cols] = 1
+            rejected = ((scaled & 0xFFFFFFFF) < (2**32 - m) % m).any(axis=1)
+            replay = np.flatnonzero(rejected).tolist()
+    replayed = {}
+    for i in replay:
+        rng = np.random.default_rng((master_seed, start + i, m, rounds))
+        keys[i] = cipher.key_from_stream(rng, m, rounds)
+        if single_lsb:
             x, y = (int(v) for v in rng.integers(0, m, size=2))
-            plain[x, y] = 1
+            plains[i] = 0
+            plains[i, x, y] = 1
+        replayed[start + i] = rng
+    return keys, plains, replayed
+
+
+def _trial_streams(master_seed: int, m: int, rounds: int, start: int, stop: int, single_lsb: bool):
+    """Stream, key and plaintext of trials start..stop-1, for sweeps that keep
+    drawing after _draw_trials: each stream is positioned after the trial's
+    draws.  A trial drawn from its first words has used two of them, or
+    three with single_lsb, and its stream is a fresh Generator advanced past
+    them; a replayed trial keeps the Generator that drew it."""
+    keys, plains, replayed = _draw_trials(master_seed, m, rounds, start, stop, single_lsb)
+    rngs = []
+    for index in range(start, stop):
+        rng = replayed.get(index)
+        if rng is None:
+            rng = np.random.default_rng((master_seed, index, m, rounds))
+            rng.bit_generator.advance(3 if single_lsb else 2)
+        rngs.append(rng)
     return rngs, keys, plains
 
 
@@ -228,7 +275,7 @@ def _avalanche_batch(task: tuple[int, int, int, int, int]) -> list[tuple[float, 
     only I' is encrypted, the whole batch in one call.  Both scores of every
     trial come from two bit-percentage reductions over the batch.
     """
-    rngs, keys, plains = _draw_trials(*task, single_lsb=True)
+    keys, plains, _ = _draw_trials(*task, single_lsb=True)
     ciphers = cipher.encrypt(plains, keys)
     return list(zip(metrics.bit_percents(ciphers), metrics.bit_percents(plains ^ ciphers)))
 
@@ -253,14 +300,14 @@ def avalanche_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[SweepCell]:
 
 def _uniformity_batch(task: tuple[int, int, int, int, int, str, bool]) -> list[float]:
     master_seed, m, rounds, start, stop, plaintext, control_random = task
-    rngs, keys, plains = _draw_trials(
-        master_seed, m, rounds, start, stop, single_lsb=plaintext == PLAINTEXT_SINGLE_LSB
-    )
+    single_lsb = plaintext == PLAINTEXT_SINGLE_LSB
     if control_random:
         # Sanity oracle: uniform random bytes in place of the ciphertext
         # should score around 255 (the degrees of freedom).
+        rngs, _, _ = _trial_streams(master_seed, m, rounds, start, stop, single_lsb)
         data = [rng.integers(0, 256, size=m * m, dtype=np.uint8) for rng in rngs]
     else:
+        keys, plains, _ = _draw_trials(master_seed, m, rounds, start, stop, single_lsb)
         data = cipher.encrypt(plains, keys)
     return [metrics.chi_square(metrics.byte_histogram(d)) for d in data]
 
@@ -318,7 +365,7 @@ def _errprop_batch(task: tuple) -> list[list[tuple[float, float, float]]]:
     the bit percentage of D(e).
     """
     master_seed, m, rounds, start, stop, percents, image = task
-    rngs, keys, _ = _draw_trials(master_seed, m, rounds, start, stop, single_lsb=False)
+    rngs, keys, _ = _trial_streams(master_seed, m, rounds, start, stop, single_lsb=False)
     total_bits = 8 * m * m
     no_error = np.zeros((m, m), dtype=np.uint8)
     out = []

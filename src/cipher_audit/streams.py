@@ -1,0 +1,165 @@
+"""The first raw words of a batch of trial streams, derived in one pass.
+
+Trial i of a sweep cell draws from np.random.default_rng((master_seed, i, M,
+rounds)): a PCG64 generator seeded by a SeedSequence over the tuple's 32-bit
+words.  Building one Generator per trial costs more than a small trial's
+cipher work, so first_words reimplements the two seeding steps for a whole
+batch of consecutive indices and returns the first words each stream would
+give, equal bit for bit to default_rng(...).bit_generator.random_raw(n):
+
+1. SeedSequence's entropy pool, as uint32 numpy ops with one column per
+   trial.  Only the index's words differ between the trials of a batch.
+2. PCG64's seeding and its first n steps, per trial, with Python's 128-bit
+   integers: a 128-bit LCG whose output is the XSL-RR permutation of its
+   state (O'Neill 2014).
+
+numpy does not promise that Generator streams stay the same across versions
+(NEP 19).  The sweeps' CSV bytes already depend on the numpy version, and
+tests/test_streams.py pins this derivation against the numpy in use.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+MASK32 = 0xFFFFFFFF
+MASK128 = (1 << 128) - 1
+
+# SeedSequence's hash constants and pool size (numpy/random/bit_generator.pyx).
+POOL_SIZE = 4
+INIT_A = 0x43B0D7E5
+MULT_A = 0x931E8875
+INIT_B = 0x8B51F9DD
+MULT_B = 0x58F38DED
+MIX_MULT_L = 0xCA01F9DD
+MIX_MULT_R = 0x4973F715
+
+# PCG64's 128-bit LCG multiplier.
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The 32-bit words SeedSequence reads from a non-negative integer, least
+    significant first; 0 is one word."""
+    words = [n & MASK32]
+    while n := n >> 32:
+        words.append(n & MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, calls: range | list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of the given hashmix calls, as uint32 columns.
+
+    hashmix keeps a running constant, advanced by mult in every call: call c
+    xors its value with the constant as it was before the call and
+    multiplies by the one after.
+    """
+    consts = [init]
+    for _ in range(max(calls) + 1):
+        consts.append((consts[-1] * mult) & MASK32)
+    consts = np.array(consts, dtype=np.uint32)[:, np.newaxis]
+    return consts[list(calls)], consts[[c + 1 for c in calls]]
+
+
+def _hashmix(values: np.ndarray, consts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    xor, mult = consts
+    values = (values ^ xor) * mult
+    return values ^ (values >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ (result >> _SHIFT)
+
+
+_SHIFT = np.array(16, dtype=np.uint32)
+_MIX_L = np.array(MIX_MULT_L, dtype=np.uint32)
+_MIX_R = np.array(MIX_MULT_R, dtype=np.uint32)
+
+# mix_entropy's hashmix calls: first one per pool word; then, for each
+# source pool word in turn, one per other pool word in order.  The constant
+# given for the source's own row is a placeholder, since that row is put back.
+_FIRST_CONSTS = _hash_consts(INIT_A, MULT_A, range(POOL_SIZE))
+_PAIR_CONSTS = [
+    _hash_consts(INIT_A, MULT_A, [POOL_SIZE + (POOL_SIZE - 1) * src + dst - (dst > src)
+                                  for dst in range(POOL_SIZE)])
+    for src in range(POOL_SIZE)
+]
+# generate_state's eight calls, as two passes over the pool.
+_STATE_CONSTS = tuple(c.reshape(2, POOL_SIZE, 1) for c in _hash_consts(INIT_B, MULT_B, range(2 * POOL_SIZE)))
+
+
+def _pool(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence.mix_entropy of the uint32 rows of entropy, one column per stream.
+
+    mix_entropy hashes each entropy word into its pool word, then every pool
+    word into every other, then every word past the pool into every pool
+    word, with one hashmix call per step.  A pool word is hashed into the
+    others with consecutive constants and does not change itself, so each
+    source is one hash and one mix over the whole pool, after which its own
+    row is put back.
+    """
+    pool = np.zeros((POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:POOL_SIZE]
+    pool = _hashmix(pool, _FIRST_CONSTS)
+    for src, consts in enumerate(_PAIR_CONSTS):
+        mixed = _mix(pool, _hashmix(pool[src], consts))
+        mixed[src] = pool[src]
+        pool = mixed
+    for j, word in enumerate(entropy[POOL_SIZE:]):
+        first = POOL_SIZE * (POOL_SIZE + j)
+        pool = _mix(pool, _hashmix(word, _hash_consts(INIT_A, MULT_A, range(first, first + POOL_SIZE))))
+    return pool
+
+
+def _seed_words(pool: np.ndarray) -> np.ndarray:
+    """SeedSequence.generate_state(4, np.uint64) of every column, one row per column.
+
+    generate_state hashes the pool twice over into eight uint32 words and
+    pairs them into uint64 words, low half first.
+    """
+    halves = _hashmix(pool, _STATE_CONSTS).reshape(2 * POOL_SIZE, -1)
+    return np.ascontiguousarray(halves.T, dtype="<u4").view("<u8")
+
+
+def _pcg64_words(seeds: np.ndarray, n: int) -> np.ndarray:
+    """The first n outputs of PCG64 seeded with each row's four 64-bit words.
+
+    The 128-bit LCG runs on Python integers, one trial at a time; its states
+    come back to numpy as (low, high) uint64 pairs for the XSL-RR output:
+    the xor of the halves rotated right by the state's top 6 bits.
+    """
+    states = []
+    for s0, s1, s2, s3 in seeds.tolist():
+        inc = ((s2 << 64 | s3) << 1 | 1) & MASK128
+        state = ((inc + (s0 << 64 | s1)) * PCG_MULT + inc) & MASK128
+        for _ in range(n):
+            state = (state * PCG_MULT + inc) & MASK128
+            states.append(state.to_bytes(16, "little"))
+    halves = np.frombuffer(b"".join(states), dtype="<u8").reshape(-1, n, 2)
+    xored = halves[..., 0] ^ halves[..., 1]
+    rot = halves[..., 1] >> np.uint64(58)
+    return (xored >> rot) | (xored << (-rot & np.uint64(63)))
+
+
+def first_words(master_seed: int, start: int, stop: int, m: int, rounds: int, n: int) -> np.ndarray | None:
+    """The first n raw 64-bit words of the streams of trials start..stop-1.
+
+    Row i equals np.random.default_rng((master_seed, start + i, m, rounds))
+    .bit_generator.random_raw(n).  Returns None when the indices do not all
+    take the same number of 32-bit words (the batch straddles a power of
+    2**32); such a batch is left to default_rng.
+    """
+    if len(_uint32_words(start)) != len(_uint32_words(stop - 1)):
+        return None
+    index = np.arange(start, stop, dtype=object)
+    rows = [
+        *_uint32_words(master_seed),
+        *(index >> (32 * k) & MASK32 for k in range(len(_uint32_words(start)))),
+        *_uint32_words(m),
+        *_uint32_words(rounds),
+    ]
+    entropy = np.empty((len(rows), stop - start), dtype=np.uint32)
+    for i, row in enumerate(rows):
+        entropy[i] = row
+    return _pcg64_words(_seed_words(_pool(entropy)), n)

@@ -1,4 +1,4 @@
-"""Layer timings of the cipher's rounds, gather indices and byte histogram.
+"""Layer timings of the cipher's rounds, gather indices, byte histogram and trial draws.
 
 A pytest-benchmark module.  Its name does not match test_*.py, so the
 tier-1 suite does not collect it; run it by path from the root of a checkout:
@@ -12,18 +12,22 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
   inversion of the encryption index;
 - byte_histogram of random bytes (dense route) and of a one-round
   ciphertext of a one-bit image (sparse route), and np.bincount of that
-  ciphertext, the route the sparse one replaces.
+  ciphertext, the route the sparse one replaces;
+- experiments._draw_trials, the keys and single-LSB plaintexts of a batch of
+  1, 20 and 64 trials at M in {16, 300}: the per-trial draw cost beside the
+  cipher layers.
 """
 
 import numpy as np
 import pytest
 
-from cipher_audit import cipher, metrics
+from cipher_audit import cipher, experiments, metrics
 
 import oracles
 
 SIZES = (16, 64, 256, 512)
 TOUCHED_BLOCKS = (1, 16, 256)
+DRAW_TRIALS = (1, 20, 64)
 
 
 def key_for(m: int, rounds: int = 1) -> cipher.CipherKey:
@@ -84,3 +88,9 @@ def test_byte_histogram(benchmark, m, kind):
         benchmark(np.bincount, data.reshape(-1), minlength=metrics.GRAY_LEVELS)
     else:
         benchmark(metrics.byte_histogram, data)
+
+
+@pytest.mark.parametrize("trials", DRAW_TRIALS)
+@pytest.mark.parametrize("m", [16, 300])
+def test_draw_trials(benchmark, m, trials):
+    benchmark(experiments._draw_trials, 7, m, 6, 0, trials, True)

@@ -354,6 +354,18 @@ def errprop_trial(task, image):
     return out
 
 
+def control_random_bytes(task):
+    """The M*M bytes that stand in for the ciphertext of one control-random
+    uniformity trial: the trial's stream draws the key, then, for the
+    single-LSB plaintext, the pixel, then the bytes."""
+    master_seed, m, rounds, index, single_lsb = task
+    rng = np.random.default_rng((master_seed, index, m, rounds))
+    cipher.key_from_stream(rng, m, rounds)
+    if single_lsb:
+        rng.integers(0, m, size=2)
+    return rng.integers(0, 256, size=m * m, dtype=np.uint8)
+
+
 # ---------------------------------------------------------------------------
 # keys and records
 # ---------------------------------------------------------------------------
@@ -377,6 +389,16 @@ def derive_trial_key(master_seed, trial_index, m, rounds):
     rng = np.random.default_rng((master_seed, trial_index, m, rounds))
     a, b, rx, ry = (int(v) for v in rng.integers(0, 1 << q, size=4))
     return CipherKey(a=a, b=b, rx=rx, ry=ry, rounds=rounds)
+
+
+def trial_draws(master_seed, index, m, rounds):
+    """One trial's draws through its own Generator: the key, then the pixel
+    (row, column) of the single-LSB plaintext.  The Generator is returned
+    after them."""
+    rng = np.random.default_rng((master_seed, index, m, rounds))
+    key = cipher.key_from_stream(rng, m, rounds)
+    pixel = tuple(int(v) for v in rng.integers(0, m, size=2))
+    return rng, key, pixel
 
 
 @dataclass(frozen=True)

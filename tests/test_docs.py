@@ -4,11 +4,11 @@ import re
 
 import pytest
 
-from cipher_audit import cipher, cli, experiments, image_io, metrics
+from cipher_audit import cipher, cli, experiments, image_io, metrics, streams
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 MODULES = {"cipher": cipher, "experiments": experiments, "metrics": metrics,
-           "image_io": image_io, "cli": cli}
+           "image_io": image_io, "cli": cli, "streams": streams}
 # A code span that starts with a package module and a dotted name: `cipher.MAX_SIDE`.
 NAME = re.compile(rf"({'|'.join(MODULES)})\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)")
 

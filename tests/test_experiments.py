@@ -250,10 +250,39 @@ class TestLinearityShortcuts:
                         for index in range(start, stop)
                     ]
 
+    @pytest.mark.parametrize("plaintext", [experiments.PLAINTEXT_SINGLE_LSB,
+                                           experiments.PLAINTEXT_ALL_ZERO])
+    @pytest.mark.parametrize("m", [16, 300])
+    def test_control_random_equals_direct_route(self, m, plaintext, monkeypatch):
+        # the bytes each trial scores, not only their chi-square, are the direct route's
+        scored = []
+        histogram = metrics.byte_histogram
+
+        def recording_histogram(data):
+            scored.append(data.copy())
+            return histogram(data)
+
+        monkeypatch.setattr(metrics, "byte_histogram", recording_histogram)
+        single_lsb = plaintext == experiments.PLAINTEXT_SINGLE_LSB
+        for master_seed, rounds, start, stop in ((0, 1, 0, 2), (7, 6, 5, 8), (2**32, 3, 1, 2)):
+            scored.clear()
+            batch = experiments._uniformity_batch(
+                (master_seed, m, rounds, start, stop, plaintext, True)
+            )
+            direct = [
+                oracles.control_random_bytes((master_seed, m, rounds, index, single_lsb))
+                for index in range(start, stop)
+            ]
+            assert len(scored) == len(direct)
+            for data, expected in zip(scored, direct):
+                np.testing.assert_array_equal(data.reshape(-1), expected)
+            assert batch == pytest.approx([oracles.chi_square_direct(d) for d in direct],
+                                          rel=1e-12)
+
     @pytest.mark.parametrize("m", [16, 20, 64])
     def test_avalanche_batch_scores_equal_hamming_percent(self, m):
         task = (3, m, 2, 4, 13)
-        rngs, keys, plains = experiments._draw_trials(*task, single_lsb=True)
+        keys, plains, _ = experiments._draw_trials(*task, single_lsb=True)
         ciphers = cipher.encrypt(plains, keys)
         zeros = np.zeros((m, m), dtype=np.uint8)
         assert experiments._avalanche_batch(task) == [
