@@ -41,10 +41,12 @@ shifts, which the construction allows:
 
 encrypt and decrypt take an M x M image under one key, or a (W, M, M) stack
 under one key for every image or under W keys that share the round count.
-Only the gather index depends on the key.  Each call builds it for all its
-keys in one vectorized pass, with row w offset by w*M*M into the flat stack;
-one key's index is one image long and is applied to each image in turn.  A
-round is one block XOR, one gather and one rotation over the whole stack.
+Only the gather index depends on the key.  Each call builds it once, as one
+intp array with row w offset by w*M*M into the flat stack, allocated first
+and filled in blocks of at most _INDEX_BLOCK positions, each block evaluated
+in int32 for all of its keys at once.  One key's index is one image long and
+is applied to each image in turn.  A round is one block XOR, one gather and
+one rotation over the whole stack.
 
 Decryption rotates right, gathers and applies the same block XOR: x -> x xor
 (block XOR of x) is an involution on 16-byte blocks, which is why
@@ -53,7 +55,8 @@ in closed form at every position: the in-block move takes position j to a
 static cell (cell_coords), the cat map (x + a*y + rx, b*x + (a*b + 1)*y + ry)
 mod M moves that cell, and the inverse of the scramble (scramble_positions)
 gives the position it lands on.  Only the cat map is keyed; the two static
-tables are cached per M and built where a direction first needs them.
+tables are cached per M and built where a direction first needs them (a
+sweep that starts a pool builds scramble_positions before it forks).
 
 Sparse rounds.  A nonzero byte fills at most its 16-byte block under the
 block XOR, and the gather sends a block's 16 bytes into at most 16 blocks,
@@ -270,20 +273,32 @@ _P0 = np.argsort(_PINV).astype(np.int32)
 _P0.flags.writeable = False
 
 
+# Most positions of a per-position table built in one pass, the gather
+# index and scramble_positions: every int32 temporary of a pass is 64 KiB and
+# each intp one 128 KiB, so a pass reuses the same few small buffers
+# whatever M and W are.
+_INDEX_BLOCK = 16384
+
+
 @functools.lru_cache(maxsize=8)
 def scramble_positions(m: int) -> np.ndarray:
     """The int32 flat position that the static scramble takes each grid cell to, read-only.
 
     It inverts static_tables' (u, v): scramble_pos[u[k]*M + v[k]] = k.
     Only the forward byte map (:func:`_destination`) reads it, so it is
-    built where a direction first asks for it, not with static_tables.
+    built where a direction first asks for it, not with static_tables; a
+    sweep that starts a pool builds it before the fork.
     """
     u, v, _, _ = static_tables(m)
-    flat = u.astype(np.int32)
-    flat *= m
-    flat += v
     scramble_pos = np.empty(m * m, dtype=np.int32)
-    scramble_pos[flat] = np.arange(m * m, dtype=np.int32)
+    # In blocks: a sweep builds it before it forks a pool, and whole-array
+    # temporaries would stay in the caller's resident memory.
+    for start in range(0, m * m, _INDEX_BLOCK):
+        part = slice(start, start + _INDEX_BLOCK)
+        flat = u[part].astype(np.intp)
+        flat *= m
+        flat += v[part]
+        scramble_pos[flat] = np.arange(start, start + flat.size, dtype=np.int32)
     scramble_pos.flags.writeable = False
     return scramble_pos
 
@@ -347,7 +362,8 @@ def _source(u, v, a, b, rx, ry, m: int) -> np.ndarray:
     cell += y
     low = np.bitwise_and(cell, BLOCK_BYTES - 1, out=y)
     cell &= -BLOCK_BYTES
-    cell |= _PINV[low]
+    # low is within [0, 16): "clip" never clips, and unlike a fancy index it does not buffer.
+    cell |= np.take(_PINV, low, mode="clip")
     return cell
 
 
@@ -382,34 +398,46 @@ def _key_params(params: Sequence[tuple[int, int, int, int]], m: int) -> np.ndarr
     return np.array([[p % m for p in key] for key in params], dtype=np.int32)
 
 
-def _gather_index(params: Sequence[tuple[int, int, int, int]], m: int, invert: bool = False) -> np.ndarray:
-    """Gather index of the byte permutations of one round, one row per key.
+def _gather_index(params: np.ndarray, m: int, invert: bool = False, positions: slice = slice(None)) -> np.ndarray:
+    """Gather index of the byte permutations of one round at positions, int32, one row per key.
 
-    Row i is the index of one M x M image under the key parameters params[i].
+    params holds reduced key parameters, one row per key (:func:`_key_params`).
     For encryption, output position k takes the byte at _source of the
     scramble's coordinates of k.  For decryption, the inverse: output
     position j takes the byte at _destination of j, so both directions are
     closed forms evaluated for all keys in one pass.
     """
-    a, b, rx, ry = _key_params(params, m).T[:, :, np.newaxis]
+    a, b, rx, ry = params.T[:, :, np.newaxis]
     if invert:
         x0, y0 = cell_coords(m)
-        return _destination(x0, y0, a, b, rx, ry, m)
+        return _destination(x0[positions], y0[positions], a, b, rx, ry, m)
     u, v, _, _ = static_tables(m)
-    return _source(u, v, a, b, rx, ry, m)
+    return _source(u[positions], v[positions], a, b, rx, ry, m)
 
 
-def _stack_index(keys: Sequence[CipherKey], m: int, invert: bool) -> np.ndarray:
-    """Flat gather index of one round under keys: one key, or one per image.
+def _stack_index(params: np.ndarray, m: int, invert: bool) -> np.ndarray:
+    """Flat gather index of one round under reduced key parameters: one key, or one per image.
 
     Row w is offset by w*M*M, so a single key's index covers one image and
     is applied to every image of a stack in turn.  Adding the offsets also
     widens the index to intp, which take() would otherwise do in every
     round.  With invert, the index is decryption's.
+
+    The intp index is allocated first and filled in blocks of at most
+    _INDEX_BLOCK positions: whole rows of keys while M*M <= _INDEX_BLOCK,
+    otherwise consecutive segments of one key's row.
     """
-    index = _gather_index([k.params() for k in keys], m, invert)
-    offsets = np.arange(0, index.size, m * m, dtype=np.intp)
-    return (index + offsets[:, np.newaxis]).reshape(-1)
+    n = m * m
+    index = np.empty((len(params), n), dtype=np.intp)
+    rows = max(1, _INDEX_BLOCK // n)
+    span = min(n, _INDEX_BLOCK)
+    for first in range(0, len(params), rows):
+        keys = params[first : first + rows]
+        offsets = np.arange(first * n, (first + len(keys)) * n, n, dtype=np.intp)[:, np.newaxis]
+        for start in range(0, n, span):
+            part = slice(start, start + span)
+            np.add(_gather_index(keys, m, invert, part), offsets, out=index[first : first + rows, part])
+    return index.reshape(-1)
 
 
 def _rotate(data: np.ndarray, by: np.ndarray, back: np.ndarray) -> np.ndarray:
@@ -519,17 +547,16 @@ def _flat_stack(
     return np.ascontiguousarray(data).reshape(-1), m, keys
 
 
-def _dense_rounds(
-    flat: np.ndarray, keys: tuple[CipherKey, ...], m: int, rounds: int, invert: bool
-) -> np.ndarray:
+def _dense_rounds(flat: np.ndarray, params: np.ndarray, m: int, rounds: int, invert: bool) -> np.ndarray:
     """rounds rounds of encrypt (or with invert, decrypt) over the whole flat stack.
 
+    params holds the reduced key parameters: one row, or one per image.
     Each round is one block XOR, one gather and one rotation; the gather
     index is built only if a round runs.
     """
     if rounds == 0:
         return flat
-    index = _stack_index(keys, m, invert)
+    index = _stack_index(params, m, invert)
     _, _, shift, complement = static_tables(m)
     for _ in range(rounds):
         # Rows of the index's size: the whole stack, or each image under one key.
@@ -554,17 +581,17 @@ def _run(flat: np.ndarray, keys: tuple[CipherKey, ...], m: int, invert: bool) ->
     stack, so its images switch together.
     """
     rounds = keys[0].rounds
+    params = _key_params([k.params() for k in keys], m)
     # the most touched blocks with which a sparse round costs no more than a dense one
     limit = (flat.size - _SPARSE_ROUND_BYTES) / (_SPARSE_BYTE_COST * BLOCK_BYTES)
     done = 0
     if limit >= 1 and np.count_nonzero(touched := _touched_blocks(flat)) <= limit:
         blocks = np.flatnonzero(touched)
-        keyed = _key_params([k.params() for k in keys], m)
-        params = np.broadcast_to(keyed, (flat.size // (m * m), 4))
+        per_image = np.broadcast_to(params, (flat.size // (m * m), 4))
         while done < rounds and blocks.size <= limit:
-            flat, blocks = _sparse_round(flat, blocks, params, m, invert)
+            flat, blocks = _sparse_round(flat, blocks, per_image, m, invert)
             done += 1
-    return _dense_rounds(flat, keys, m, rounds - done, invert)
+    return _dense_rounds(flat, params, m, rounds - done, invert)
 
 
 def encrypt(image: np.ndarray, key: CipherKey | Sequence[CipherKey]) -> np.ndarray:

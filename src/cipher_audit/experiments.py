@@ -176,9 +176,15 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     start..stop-1 in order.  Everything else a batch needs travels in its task.
 
     The static cipher tables of every size are built first, in this process,
-    whether the batches then run serially or not: forked pool workers inherit
-    them, and the loaded numpy.random.  Under a spawn or forkserver start
-    method the workers build their own; the results are the same.
+    whether the batches then run serially or not.  Before a pool starts, the
+    scramble positions of every size are built as well: forked pool workers
+    inherit both, and the loaded numpy.random, where each fresh worker would
+    otherwise build them again.  Under a spawn or forkserver start method the
+    workers build their own; the results are the same.
+
+    The pool takes the tasks largest first, by M*M*rounds (stable, so a
+    cell's batches keep their order), so that no large cell starts last
+    while the other workers sit idle; the results are put back in task order.
     """
     cells = [(m, r) for m in sorted(cfg.sizes) for r in sorted(cfg.rounds)]
     tasks = []
@@ -193,9 +199,15 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     if workers == 1:
         batches = [batch_fn(task) for task in tasks]
     else:
+        for m in cfg.sizes:
+            cipher.scramble_positions(m)
+        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1] ** 2 * tasks[i][2])
         chunk = max(1, len(tasks) // (workers * 4))
+        batches = [None] * len(tasks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(batch_fn, tasks, chunksize=chunk))
+            done = pool.map(batch_fn, [tasks[i] for i in order], chunksize=chunk)
+            for i, batch in zip(order, done):
+                batches[i] = batch
     results = [value for batch in batches for value in batch]
     return [
         (m, r, results[i * cfg.trials : (i + 1) * cfg.trials]) for i, (m, r) in enumerate(cells)

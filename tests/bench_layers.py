@@ -7,6 +7,9 @@ tier-1 suite does not collect it; run it by path from the root of a checkout:
 
 Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
 - one dense round, with the gather index it builds, and that index alone;
+- the gather index of each stack shape the sweeps build beside one image:
+  (M, W) = (256, 4) and (300, 2) in uniformity-large's batches, (64, 20) in
+  avalanche-small's, in both directions;
 - one sparse round on 1, 16 and 256 touched 16-byte blocks;
 - decryption's gather index, in closed form and by the oracle's scatter
   inversion of the encryption index;
@@ -34,6 +37,10 @@ def key_for(m: int, rounds: int = 1) -> cipher.CipherKey:
     return cipher.key_from_stream(np.random.default_rng((7, m)), m, rounds)
 
 
+def params_for(m: int) -> np.ndarray:
+    return cipher._key_params([key_for(m).params()], m)
+
+
 def one_bit_image(m: int) -> np.ndarray:
     image = np.zeros((m, m), dtype=np.uint8)
     image[m // 3, m // 5] = 1
@@ -43,12 +50,20 @@ def one_bit_image(m: int) -> np.ndarray:
 @pytest.mark.parametrize("m", SIZES)
 def test_dense_round_with_index(benchmark, m):
     flat = np.random.default_rng(m).integers(0, 256, m * m, dtype=np.uint8)
-    benchmark(cipher._dense_rounds, flat, (key_for(m),), m, 1, False)
+    benchmark(cipher._dense_rounds, flat, params_for(m), m, 1, False)
 
 
 @pytest.mark.parametrize("m", SIZES)
 def test_encrypt_index(benchmark, m):
-    benchmark(cipher._stack_index, (key_for(m),), m, False)
+    benchmark(cipher._stack_index, params_for(m), m, False)
+
+
+@pytest.mark.parametrize("invert", [False, True], ids=["encrypt", "decrypt"])
+@pytest.mark.parametrize("m, count", [(256, 4), (300, 2), (64, 20)])
+def test_stack_index(benchmark, m, count, invert):
+    params = np.random.default_rng((m, count)).integers(0, m, size=(count, 4), dtype=np.int32)
+    cipher._stack_index(params, m, invert)  # the static tables
+    benchmark(cipher._stack_index, params, m, invert)
 
 
 @pytest.mark.parametrize("blocks", TOUCHED_BLOCKS)
@@ -60,21 +75,20 @@ def test_sparse_round(benchmark, m, blocks):
     ids = np.sort(rng.choice(m * m // cipher.BLOCK_BYTES, size=blocks, replace=False))
     flat = np.zeros(m * m, dtype=np.uint8)
     flat.reshape(-1, cipher.BLOCK_BYTES)[ids] = rng.integers(1, 256, (blocks, 16), dtype=np.uint8)
-    params = cipher._key_params([key_for(m).params()], m)
     cipher.scramble_positions(m)
-    benchmark(cipher._sparse_round, flat, ids, params, m, False)
+    benchmark(cipher._sparse_round, flat, ids, params_for(m), m, False)
 
 
 @pytest.mark.parametrize("route", ["closed-form", "scatter"])
 @pytest.mark.parametrize("m", SIZES)
 def test_decrypt_index(benchmark, m, route):
-    keys = (key_for(m),)
+    params = params_for(m)
     cipher.scramble_positions(m)
     cipher.cell_coords(m)
     if route == "closed-form":
-        benchmark(cipher._stack_index, keys, m, True)
+        benchmark(cipher._stack_index, params, m, True)
     else:
-        benchmark(lambda: oracles.inverse_index_by_scatter(cipher._stack_index(keys, m, False)))
+        benchmark(lambda: oracles.inverse_index_by_scatter(cipher._stack_index(params, m, False)))
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse", "sparse-bincount"])

@@ -279,6 +279,16 @@ def inverse_index_by_scatter(index):
     return inverse
 
 
+def stack_index_whole(params, m, invert):
+    """Flat gather index of one round under reduced key parameters, in one
+    whole-array pass: every position of every key's row at once, then the
+    row offsets w*M*M, which widen it to intp.  cipher._stack_index builds
+    the same index in blocks."""
+    index = cipher._gather_index(params, m, invert)
+    offsets = np.arange(0, index.size, m * m, dtype=np.intp)
+    return (index + offsets[:, np.newaxis]).reshape(-1)
+
+
 def rotation_shifts(seed, m):
     """Static left-rotation amount of each grid position."""
     return np.random.default_rng((seed, m)).integers(0, 8, size=(m, m)).tolist()

@@ -34,6 +34,11 @@ def byte_sources() -> list[int]:
     return [row.index(0) for row in cipher.build_diffusion_matrix().tolist()]
 
 
+def stack_index(keys, m: int, invert: bool = False) -> np.ndarray:
+    """cipher._stack_index under a sequence of CipherKeys."""
+    return cipher._stack_index(cipher._key_params([k.params() for k in keys], m), m, invert)
+
+
 def package_diffusion(image: np.ndarray) -> np.ndarray:
     """The package's diffusion layer: block XOR, then the in-block move by pinv."""
     flat = cipher._block_xor(np.ascontiguousarray(image).reshape(-1))
@@ -166,7 +171,7 @@ class TestCatMap:
         table = oracles.cat_map_table(a, b, rx, ry, 8)
         assert set(table.values()) == {(x, y) for x in range(8) for y in range(8)}
         key = cipher.CipherKey(a, b, rx, ry, rounds=1)
-        assert decode_index(cipher._stack_index([key], 8, False), 8) == cat_map_sources(key, 8)
+        assert decode_index(stack_index([key], 8), 8) == cat_map_sources(key, 8)
 
     def test_grids_match_pointwise(self):
         # the closed-form inverse in the fused index, cell by cell: output
@@ -174,7 +179,7 @@ class TestCatMap:
         # source of k
         for key, m in ((cipher.CipherKey(5, 9, 2, 7, rounds=1), 16),
                        (cipher.CipherKey(13, 6, 11, 3, rounds=1), 12)):
-            assert decode_index(cipher._stack_index([key], m, False), m) == cat_map_sources(key, m)
+            assert decode_index(stack_index([key], m), m) == cat_map_sources(key, m)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +244,8 @@ class TestBitPermutation:
         rng = np.random.default_rng(5)
         for m in (12, 16):
             key = random_key(rng, m, 1)
-            index = cipher._stack_index([key], m, False)
-            inverse = cipher._stack_index([key], m, True)
+            index = stack_index([key], m)
+            inverse = stack_index([key], m, True)
             identity = np.arange(m * m)
             assert np.array_equal(np.sort(index), identity)
             assert np.array_equal(index[inverse], identity)
@@ -294,7 +299,8 @@ class TestStaticTables:
 
     @pytest.mark.parametrize("m", [16, 32, 64, 128, 196, 256, 300, 512])
     def test_gather_index_is_int32(self, m):
-        index = cipher._gather_index([(m - 1, m + 3, 2 * m - 1, 7), (0, 0, 0, 0)], m)
+        params = cipher._key_params([(m - 1, m + 3, 2 * m - 1, 7), (0, 0, 0, 0)], m)
+        index = cipher._gather_index(params, m)
         assert index.dtype == np.int32 and index.shape == (2, m * m)
 
     @pytest.mark.parametrize("m", [4, 12, 196, 300, 512])
@@ -311,7 +317,7 @@ class TestForwardTables:
     map, have their own cache, built where a direction first needs them."""
 
     @pytest.mark.parametrize("build, bound", [
-        (cipher.scramble_positions, 3.2 * 2**20),
+        (cipher.scramble_positions, 2 * 2**20),  # built in blocks: the table plus 1 MiB
         (cipher.cell_coords, 2.2 * 2**20),
     ])
     def test_build_peak_memory(self, build, bound):
@@ -370,15 +376,52 @@ class TestClosedFormInverse:
         ]
         for start in range(0, len(keys), 4):
             group = keys[start : start + 4]
-            forward = cipher._stack_index(group, m, False)
-            inverse = cipher._stack_index(group, m, True)
+            forward = stack_index(group, m)
+            inverse = stack_index(group, m, True)
             assert inverse.dtype == np.intp
             assert np.array_equal(inverse, oracles.inverse_index_by_scatter(forward))
 
     @pytest.mark.parametrize("m", [16, 300, 512])
     def test_decrypt_index_is_int32(self, m):
-        index = cipher._gather_index([(m - 1, m + 3, 2 * m - 1, 7), (0, 0, 0, 0)], m, True)
+        params = cipher._key_params([(m - 1, m + 3, 2 * m - 1, 7), (0, 0, 0, 0)], m)
+        index = cipher._gather_index(params, m, True)
         assert index.dtype == np.int32 and index.shape == (2, m * m)
+
+
+class TestBlockedIndex:
+    """_stack_index fills its intp index in blocks of at most _INDEX_BLOCK
+    positions; the whole-array build of the oracle is the reference."""
+
+    @pytest.mark.parametrize("invert", [False, True], ids=["encrypt", "decrypt"])
+    @pytest.mark.parametrize("count", [1, 2, 3, 20, 64])
+    @pytest.mark.parametrize("m", [12, 128, 132, 300, 512])
+    def test_equals_whole_array_build(self, m, count, invert):
+        # 12: 113 keys per block; 128: one key per block; 132, 300 and 512:
+        # rows cut into segments, with a short last one where 16384 does not
+        # divide M*M (300*300 = 90000)
+        rng = np.random.default_rng((m, count))
+        params = rng.integers(0, m, size=(count, 4), dtype=np.int32)
+        index = cipher._stack_index(params, m, invert)
+        assert index.dtype == np.intp and index.shape == (count * m * m,)
+        # the oracle in groups of keys, so that it stays within about 2**20 positions
+        n = m * m
+        group = max(1, 2**20 // n)
+        for first in range(0, count, group):
+            want = oracles.stack_index_whole(params[first : first + group], m, invert) + first * n
+            assert np.array_equal(index[first * n : first * n + want.size], want), first
+
+    @pytest.mark.parametrize("invert", [False, True], ids=["encrypt", "decrypt"])
+    def test_build_allocates_the_index_and_small_blocks(self, invert):
+        m = 512
+        params = cipher._key_params([(3, 5, 7, 11)], m)
+        cipher._stack_index(params, m, invert)  # the static tables, not counted here
+        tracemalloc.start()
+        try:
+            cipher._stack_index(params, m, invert)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * m * m + 2**20
 
 
 def run_switching(stack, keys, m, switch, invert):
@@ -386,13 +429,14 @@ def run_switching(stack, keys, m, switch, invert):
     rounds whatever the support, the rest dense."""
     flat = stack.reshape(-1)
     blocks = np.flatnonzero(cipher._touched_blocks(flat))
-    params = np.broadcast_to(cipher._key_params([k.params() for k in keys], m), (len(stack), 4))
+    keyed = cipher._key_params([k.params() for k in keys], m)
+    params = np.broadcast_to(keyed, (len(stack), 4))
     for _ in range(switch):
         flat, blocks = cipher._sparse_round(flat, blocks, params, m, invert)
         # every nonzero block of the new stack is among its touched blocks
         assert np.isin(np.flatnonzero(cipher._touched_blocks(flat)), blocks).all()
     rounds = keys[0].rounds
-    return cipher._dense_rounds(flat, keys, m, rounds - switch, invert).reshape(stack.shape)
+    return cipher._dense_rounds(flat, keyed, m, rounds - switch, invert).reshape(stack.shape)
 
 
 def sparse_stacks(rng, m, count):

@@ -64,6 +64,14 @@ def _misses_batch(task: tuple) -> list[tuple[int, int]]:
     return [(os.getpid(), cipher.static_tables.cache_info().misses)] * (stop - start)
 
 
+def _position_misses_batch(task: tuple) -> list[int]:
+    """Per trial of a batch: the scramble-position cache misses of the process
+    that ran it, after a dense decrypt at the batch's M, which reads them."""
+    master_seed, m, rounds, start, stop = task
+    cipher.decrypt(np.zeros((m, m), dtype=np.uint8), cipher.CipherKey(1, 2, 3, 4, rounds))
+    return [cipher.scramble_positions.cache_info().misses] * (stop - start)
+
+
 class TestWorkerCount:
     def test_huge_jobs_clamped_to_cores_and_tasks(self):
         cores = experiments.usable_cpus()
@@ -125,6 +133,86 @@ class TestStaticTablesBeforeFork:
         assert len(results) == 8 and os.getpid() not in {pid for pid, _ in results}
         # the caller's two builds, inherited; no worker built a table of its own
         assert {misses for _, misses in results} == {2}
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="workers inherit tables by fork"
+    )
+    def test_forked_workers_inherit_scramble_positions(self):
+        cipher.scramble_positions.cache_clear()
+        cfg = small_cfg(sizes=(16, 20), rounds=(1, 2), trials=2)
+        misses = {value for _, _, chunk in experiments._sweep(_position_misses_batch, cfg, 2)
+                  for value in chunk}
+        assert misses == {2}
+
+
+class TestSweepOrder:
+    """_sweep hands a pool its tasks largest cell first, and gives the same
+    cells, in cell order, with the same trials, at jobs 1 and 2 under either
+    start method."""
+
+    # cells (16, 1), (16, 3), (20, 1), (20, 3); batches of 3 trials at
+    # M=16 and 2 at M=20, the last one short
+    CFG = small_cfg(sizes=(20, 16), rounds=(3, 1), trials=5)
+
+    @pytest.fixture(autouse=True)
+    def split_batches(self, monkeypatch):
+        # two workers even where this process may use one CPU
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiments, "BATCH_PIXELS", 2 * 20 * 20)
+
+    @staticmethod
+    def use_pool(monkeypatch, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        context = multiprocessing.get_context(method)
+        monkeypatch.setattr(
+            experiments, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=context)
+        )
+
+    def test_pool_takes_largest_cells_first(self, monkeypatch):
+        received = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                tasks = list(tasks)
+                received.extend(tasks)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        pooled = experiments._sweep(experiments._avalanche_batch, self.CFG, 2)
+        cells = [(m, r) for _, m, r, _, _ in received]
+        assert cells == [(20, 3)] * 3 + [(16, 3)] * 2 + [(20, 1)] * 3 + [(16, 1)] * 2
+        assert [(start, stop) for _, _, _, start, stop in received[:3]] == [(0, 2), (2, 4), (4, 5)]
+        assert pooled == experiments._sweep(experiments._avalanche_batch, self.CFG, 1)
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_same_cells_at_one_and_two_jobs(self, monkeypatch, method):
+        self.use_pool(monkeypatch, method)
+        serial = experiments._sweep(experiments._avalanche_batch, self.CFG, 1)
+        assert [(m, r) for m, r, _ in serial] == [(16, 1), (16, 3), (20, 1), (20, 3)]
+        assert all(len(chunk) == self.CFG.trials for _, _, chunk in serial)
+        assert experiments._sweep(experiments._avalanche_batch, self.CFG, 2) == serial
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_error_propagation_cell(self, monkeypatch, method):
+        # errorprop's one cell, one trial per batch
+        self.use_pool(monkeypatch, method)
+        monkeypatch.setattr(experiments, "BATCH_PIXELS", 16 * 16)
+        image = image_io.make_portrait_image(16)
+        cfg = small_cfg(rounds=(2,), trials=3)
+        percents = (0.0, 1.0)
+        serial = experiments._sweep(experiments._errprop_batch, cfg, 1, percents, image)
+        assert [(m, r, len(chunk)) for m, r, chunk in serial] == [(16, 2, 3)]
+        assert experiments._sweep(experiments._errprop_batch, cfg, 2, percents, image) == serial
 
 
 class TestSpawnWorkers:
@@ -449,7 +537,7 @@ class TestKeyspaceReport:
         keys = list(itertools.product(range(1 << report.param_bits), repeat=4))
         distinct = set()
         for start in range(0, len(keys), 4096):
-            index = cipher._gather_index(keys[start : start + 4096], m)
+            index = cipher._gather_index(cipher._key_params(keys[start : start + 4096], m), m)
             distinct.update(row.tobytes() for row in index)
         assert report.key_space == 65536
         assert len(distinct) == report.effective_key_space == 12**4 == 20736
