@@ -349,47 +349,46 @@ def uniformity_sweep(
 # error propagation
 # ---------------------------------------------------------------------------
 
-def _flip_bits(data: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """data with bit p % 8 of byte p // 8 (row-major) flipped for every position p.
-
-    The positions must be distinct (the trials draw them without
-    replacement): they are scattered into a bit array, which would set a
-    repeated position once instead of flipping it back.
-    """
-    bits = np.zeros(8 * data.size, dtype=np.uint8)
-    bits[positions] = 1
-    return data ^ np.packbits(bits, bitorder="little").reshape(data.shape)
-
-
 def _flip_counts(m: int, percents: tuple[float, ...]) -> list[int]:
     """Bits flipped in each row of a trial: one, then ceil(p * T / 100) per percentage."""
     total_bits = 8 * m * m
     return [1] + [math.ceil(p * total_bits / 100.0) for p in percents]
 
 
+def _error_vectors(rng: np.random.Generator, m: int, counts: list[int]) -> np.ndarray:
+    """The error vectors of one trial's rows, as one (rows, M, M) stack.
+
+    Row i flips counts[i] distinct bit positions, which rng.choice draws
+    without replacement, row by row (a row that flips no bits draws
+    nothing); position p is bit p % 8 of byte p // 8 (row-major).  The
+    bits are added into a zeroed stack: distinct positions add distinct
+    powers of two to a byte, so the sum is their OR.
+    """
+    errors = np.zeros((len(counts), m * m), dtype=np.uint8)
+    for row, flips in zip(errors, counts):
+        if flips:
+            positions = rng.choice(8 * m * m, size=flips, replace=False)
+            np.add.at(row, positions >> 3, (1 << (positions & 7)).astype(np.uint8))
+    return errors.reshape(-1, m, m)
+
+
 def _errprop_batch(task: tuple) -> list[list[tuple[float, float, float]]]:
     """Dif, PSNR and SSIM of every row of each trial of a batch.
 
-    A trial draws its key, then the distinct bit positions of each row's
-    error vector e in row order (a row that flips no bits draws nothing).
-    The damaged decryption is I xor D(e), so only the error vectors are
-    decrypted: a trial's rows as one stack under the trial's key.  Dif is
-    the bit percentage of D(e).
+    A trial draws its key, then its error vectors e.  The damaged
+    decryption is I xor D(e), so only the error vectors are decrypted: a
+    trial's rows as one stack under the trial's key.  Dif is the bit
+    percentage of D(e).  The window sums of I are computed once per batch.
     """
     master_seed, m, rounds, start, stop, percents, image = task
     rngs, keys, _ = _trial_streams(master_seed, m, rounds, start, stop, single_lsb=False)
-    total_bits = 8 * m * m
-    no_error = np.zeros((m, m), dtype=np.uint8)
+    counts = _flip_counts(m, percents)
+    reference = metrics._reference_sums(image)
     out = []
     for rng, key in zip(rngs, keys):
-        errors = np.stack([
-            _flip_bits(no_error, rng.choice(total_bits, size=flips, replace=False))
-            if flips else no_error
-            for flips in _flip_counts(m, percents)
-        ])
-        damage = cipher.decrypt(errors, key)
+        damage = cipher.decrypt(_error_vectors(rng, m, counts), key)
         out.append([
-            (dif, metrics.psnr(image, d), metrics.ssim(image, d))
+            (dif, *metrics._psnr_ssim(reference, d))
             for dif, d in zip(metrics.bit_percents(damage), image ^ damage)
         ])
     return out
@@ -414,8 +413,10 @@ def error_propagation(
     and encrypts nothing; the random draws are those of the direct route.
     The trials run on the shared sweep driver as one (M, rounds) cell, cut
     into batches like the other sweeps; the image travels in every task.
+    An image smaller than one SSIM window is rejected before any trial runs.
     """
     m = cipher.validate_image(image)
+    metrics.check_ssim_image(image)
     cell = replace(cfg, sizes=(m,), rounds=(rounds,))
     [(_, _, results)] = _sweep(_errprop_batch, cell, jobs, cfg.error_percents, image)
 

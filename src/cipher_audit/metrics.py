@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,9 +93,23 @@ def chi_square(histogram: np.ndarray) -> float:
     return float(((counts - expected) ** 2 / expected).sum())
 
 
+def check_ssim_image(image: np.ndarray) -> None:
+    """Raise ValueError unless the image is 2-D and holds one SSIM window."""
+    if image.ndim != 2 or min(image.shape) < SSIM_WINDOW:
+        raise ValueError(f"images must be 2-D with sides >= {SSIM_WINDOW}")
+
+
 def _check_pair(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+
+
+def _psnr_from_sse(sse: int, size: int) -> float:
+    """PSNR in dB of uint8 images whose squared differences sum to sse."""
+    mse = sse / size
+    if mse == 0.0:
+        return math.inf
+    return 10.0 * math.log10(255.0 ** 2 / mse)
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
@@ -108,51 +123,124 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     if a.dtype != np.uint8 or b.dtype != np.uint8:
         raise ValueError(f"images must be uint8, got {a.dtype} and {b.dtype}")
     diff = np.subtract(a, b, dtype=np.int16)
-    mse = int(np.square(diff, dtype=np.int32).sum(dtype=np.int64)) / a.size
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(255.0 ** 2 / mse)
+    return _psnr_from_sse(int(np.square(diff, dtype=np.int32).sum(dtype=np.int64)), a.size)
 
 
 def _window_sums(x: np.ndarray) -> np.ndarray:
-    """Sums over every 8x8 sliding window (stride 1) of the last two axes.
+    """Sums over every 8x8 sliding window (stride 1) of the last two axes,
+    as rows of width w: column j < w - 7 of row i holds the window whose
+    top-left pixel is (i, j).
 
-    Widths double 1 -> 2 -> 4 -> 8 along each axis, each step adding two
-    shifted copies.  The input is uint16, so every partial sum is an integer
-    of at most 64 * 255^2 and the int32 result is exact.
+    Each (h, w) plane is read as one row-major run of h*w values.  Widths
+    double 1 -> 2 -> 4 -> 8 along the run, each step adding two shifted
+    copies, and then along steps of w, so that element i*w + j of the run is
+    the sum at (i, j).  The last step writes the run into h - 7 rows of w.
+    Their last 7 columns hold windows that wrap into the next row, or 0 in
+    the last row: sums over 64 pixels of the plane, or 0, so arithmetic on
+    whole rows stays in range, and SSIM's denominators stay positive there.
+    Adds along a flat run, and arithmetic on whole rows, are faster than on
+    2-D slices.  The input is uint16, so every partial sum is an integer of
+    at most 64 * 255^2 and the int32 result is exact.
     """
-    s = np.add(x[..., :-1], x[..., 1:], dtype=np.int32)
-    s = s[..., :-2] + s[..., 2:]
-    s = s[..., :-4] + s[..., 4:]
-    s = s[..., :-1, :] + s[..., 1:, :]
-    s = s[..., :-2, :] + s[..., 2:, :]
-    return s[..., :-4, :] + s[..., 4:, :]
+    h, w = x.shape[-2:]
+    lead = x.shape[:-2]
+    s = x.reshape(*lead, h * w)
+    s = np.add(s[..., :-1], s[..., 1:], dtype=np.int32)
+    for step in (2, 4, w, 2 * w):
+        s = s[..., :-step] + s[..., step:]
+    n = (h - 7) * w - 7  # the run's length after the last step
+    out = np.zeros((*lead, (h - 7) * w), dtype=np.int32)
+    np.add(s[..., :n], s[..., 4 * w :], out=out[..., :n])
+    return out.reshape(*lead, h - 7, w)
 
 
-# Window statistics of the last reference image: (shape, bytes, stats).
-_ssim_reference: tuple[tuple[int, ...], bytes, tuple[np.ndarray, ...]] | None = None
+class _ReferenceSums(NamedTuple):
+    """The integer sums of a reference image a that every score against it shares."""
+
+    wide: np.ndarray  # a as uint16
+    s_a: np.ndarray  # window sums of a
+    s_a_sq: np.ndarray  # their squares
+    var_a: np.ndarray  # 64 * (window sums of a*a) - s_a_sq
+    energy: int  # the sum of a*a over the image
 
 
-def _reference_stats(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(a as uint16, mu_a, mu_a^2, var_a) of a reference image, kept for the last one.
-
-    The cache key is the shape and the bytes, so an image edited in place
-    or replaced by a different one is recomputed.
-    """
-    global _ssim_reference
-    key = a.tobytes()
-    cached = _ssim_reference  # read once: another thread may replace it
-    if cached is not None and cached[:2] == (a.shape, key):
-        return cached[2]
+def _reference_sums(a: np.ndarray) -> _ReferenceSums:
+    """The sums of a uint8 reference image a, already checked, that ssim and
+    psnr against it need."""
     wide = a.astype(np.uint16)
-    mu, var = _window_sums(np.stack([wide, wide * wide])) / (SSIM_WINDOW * SSIM_WINDOW)
-    mu_sq = mu * mu
-    var -= mu_sq
-    stats = (wide, mu, mu_sq, var)
-    for array in stats:
-        array.flags.writeable = False
-    _ssim_reference = (a.shape, key, stats)
-    return stats
+    square = wide * wide
+    s_a, s_aa = _window_sums(np.stack([wide, square]))
+    s_a_sq = s_a * s_a
+    s_aa <<= 6
+    s_aa -= s_a_sq
+    return _ReferenceSums(wide, s_a, s_a_sq, s_aa, int(square.sum(dtype=np.int64)))
+
+
+def _product_planes(wide_a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b, b*b and a*b as one uint16 stack: a product of two bytes fits in uint16."""
+    planes = np.empty((3, *b.shape), dtype=np.uint16)
+    planes[0] = b
+    np.multiply(planes[0], planes[0], out=planes[1])
+    np.multiply(wide_a, planes[0], out=planes[2])
+    return planes
+
+
+# C1 and C2 at the scale of the integer terms in _ssim_of.
+_SSIM_C1_4096 = 4096 * _SSIM_C1
+_SSIM_C2_4096 = 4096 * _SSIM_C2
+
+
+def _ssim_of(ref: _ReferenceSums, planes: np.ndarray) -> float:
+    """Mean SSIM of b against the reference a, from b's product planes.
+
+    With S the 8x8 window sums, the float64 code that takes the means first
+    (mu = S / 64, var = S_aa / 64 - mu_a^2, ...) has these four terms before
+    it adds C1 or C2:
+        2 mu_a mu_b       = 2 S_a S_b * 2^-12
+        2 cov             = 2 (64 S_ab - S_a S_b) * 2^-12
+        mu_a^2 + mu_b^2   = (S_a^2 + S_b^2) * 2^-12
+        var_a + var_b     = (64 (S_aa + S_bb) - S_a^2 - S_b^2) * 2^-12
+    Every intermediate there is a multiple of 2^-12 below 2^53, so it is
+    exact and equals the right-hand side.  Here each term is the integer in
+    front of 2^-12, which int32 holds (all are below 2^30), and the
+    constants are 4096 C1 and 4096 C2.  Multiplying the operands of a float
+    sum by 2^12, or those of a product or quotient by powers of two,
+    multiplies the rounded result by the same power at these magnitudes, so
+    each window's score is the float code's to the last bit, and so is
+    their mean.
+    """
+    s_b, s_bb, s_ab = _window_sums(planes)
+    s_b_sq = s_b * s_b
+    s_b *= ref.s_a  # S_a S_b
+    s_ab <<= 6
+    s_ab -= s_b
+    s_ab <<= 1  # 2 (64 S_ab - S_a S_b)
+    s_b <<= 1  # 2 S_a S_b
+    s_bb <<= 6
+    s_bb -= s_b_sq
+    s_bb += ref.var_a  # 64 (S_aa + S_bb) - S_a^2 - S_b^2
+    s_b_sq += ref.s_a_sq  # S_a^2 + S_b^2
+    numerator = s_b + _SSIM_C1_4096
+    cov = s_ab + _SSIM_C2_4096
+    numerator *= cov
+    denominator = np.add(s_b_sq, _SSIM_C1_4096, out=cov)
+    var = s_bb + _SSIM_C2_4096
+    denominator *= var
+    numerator /= denominator
+    # numpy sums a strided view in another order than a contiguous array;
+    # the float code takes the mean of a contiguous array of the windows.
+    return float(numerator[:, : numerator.shape[1] - 7].copy().mean())
+
+
+def _psnr_ssim(ref: _ReferenceSums, b: np.ndarray) -> tuple[float, float]:
+    """psnr(a, b) and ssim(a, b) of a uint8 image b of the reference a's shape.
+
+    PSNR comes from the same planes as SSIM, by the exact integer identity
+    sum (a - b)^2 = sum a^2 + sum b^2 - 2 sum ab.
+    """
+    planes = _product_planes(ref.wide, b)
+    sum_bb, sum_ab = (int(s) for s in planes[1:].sum(axis=(1, 2), dtype=np.int64))
+    return _psnr_from_sse(ref.energy + sum_bb - 2 * sum_ab, b.size), _ssim_of(ref, planes)
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -162,37 +250,15 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     biased (divide by N) variance convention (Wang, Bovik, Sheikh &
     Simoncelli, IEEE TIP 2004).  Images are uint8; a is the reference.
 
-    The window sums of a, b, a*a, b*b and a*b are computed in exact integer
-    arithmetic.  They are integers far below 2^53, so they equal the sums a
-    float64 integral image gives, and the score follows from them by the same
-    float64 operations in the same order: the result is the same to the last
-    bit.  The statistics of a are kept for the last reference seen, keyed by
-    its shape and bytes, so scoring many images against one clean image
-    computes them once.
+    The window sums of a, b, a*a, b*b and a*b, and the four terms the score
+    is built from, are computed in exact integer arithmetic.  The float64
+    operations that follow round exactly as those of the float64 code that
+    takes the means first (see _ssim_of), such as SSIM from a float64
+    integral image: the result is the same to the last bit.
     """
     _check_pair(a, b)
-    if a.ndim != 2 or min(a.shape) < SSIM_WINDOW:
-        raise ValueError(f"images must be 2-D with sides >= {SSIM_WINDOW}")
+    check_ssim_image(a)
     if a.dtype != np.uint8 or b.dtype != np.uint8:
         raise ValueError(f"images must be uint8, got {a.dtype} and {b.dtype}")
-    wide_a, mu_a, mu_a_sq, var_a = _reference_stats(a)
-    wide_b = b.astype(np.uint16)  # a product of two bytes fits in uint16
-    sums = _window_sums(np.stack([wide_b, wide_b * wide_b, wide_a * wide_b]))
-    mu_b, var_b, cov = sums / (SSIM_WINDOW * SSIM_WINDOW)
-    mu_b_sq = mu_b * mu_b
-    var_b -= mu_b_sq
-    mu_ab = mu_a * mu_b
-    cov -= mu_ab
-    # 2*mu_a*mu_b == 2*(mu_a*mu_b) exactly: doubling does not round.
-    numerator = mu_ab * 2
-    numerator += _SSIM_C1
-    cov *= 2
-    cov += _SSIM_C2
-    numerator *= cov
-    denominator = mu_a_sq + mu_b_sq
-    denominator += _SSIM_C1
-    var_b += var_a  # == var_a + var_b: float addition commutes exactly
-    var_b += _SSIM_C2
-    denominator *= var_b
-    numerator /= denominator
-    return float(numerator.mean())
+    ref = _reference_sums(a)
+    return _ssim_of(ref, _product_planes(ref.wide, b))

@@ -6,11 +6,13 @@ Run it from the root of a checkout, for every workload or the ones named:
     python tests/bench_faults.py [avalanche-small errorprop-256 uniformity-large]
 
 For each workload it replays perfbench's closed loop at seed 0: one
-Bench.set_up(), then RUNS calls of Bench.run().  It prints the median over
-the runs of the minor page faults (ru_minflt of this process plus its reaped
-children, so a pool's workers count), CPU ms and wall ms per run.  A run
-that faults in fresh pages shows as a high fault count; a warm heap reads
-close to 0.
+Bench.set_up(), then RUNS calls of Bench.run().  It prints the minor page
+faults (ru_minflt of this process plus its reaped children, so a pool's
+workers count), CPU ms and wall ms per run, each as the median over the
+runs with the mean and the quartiles beside it: a median of small fault
+counts sits on an integer, while the mean and the quartiles show a shift
+of the distribution.  A run that faults in fresh pages shows as a high
+fault count; a warm heap reads close to 0.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ def minor_faults() -> int:
                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
 
-def measure(workload: harness.Workload) -> tuple[float, float, float]:
-    """Median minor faults, CPU ms and wall ms over RUNS runs after one set-up."""
+def measure(workload: harness.Workload) -> tuple[list[float], list[float], list[float]]:
+    """Minor faults, CPU ms and wall ms of each of RUNS runs after one set-up."""
     bench = harness.Bench(workload, SEED)
     faults, cpus, walls = [], [], []
     try:
@@ -51,13 +53,21 @@ def measure(workload: harness.Workload) -> tuple[float, float, float]:
             raise SystemExit(f"{workload.name}: {bench.failed} failed trials: {bench.problems}")
     finally:
         bench.close()
-    return statistics.median(faults), statistics.median(cpus), statistics.median(walls)
+    return faults, cpus, walls
+
+
+def summary(values: list[float], fmt: str) -> str:
+    """Median, then mean and quartiles (statistics.quantiles, exclusive)."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    parts = (statistics.median(values), statistics.fmean(values), q1, q3)
+    return "{} (mean {}, q1 {}, q3 {})".format(*(format(v, fmt) for v in parts))
 
 
 def main(names: list[str]) -> int:
     for name in names or list(harness.WORKLOADS):
-        faults, cpu_ms, wall_ms = measure(harness.WORKLOADS[name])
-        print(f"{name}: minor faults/run {faults:g}, cpu ms/run {cpu_ms:.1f}, wall ms/run {wall_ms:.1f}")
+        faults, cpus, walls = measure(harness.WORKLOADS[name])
+        print(f"{name}: minor faults/run {summary(faults, '.3g')}, "
+              f"cpu ms/run {summary(cpus, '.1f')}, wall ms/run {summary(walls, '.1f')}")
     return 0
 
 

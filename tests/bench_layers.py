@@ -1,4 +1,4 @@
-"""Layer timings of the cipher's rounds, gather indices, byte histogram and trial draws.
+"""Layer timings of the cipher's rounds, gather indices, byte histogram, SSIM and trial draws.
 
 A pytest-benchmark module.  Its name does not match test_*.py, so the
 tier-1 suite does not collect it; run it by path from the root of a checkout:
@@ -16,6 +16,10 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
 - byte_histogram of random bytes (dense route) and of a one-round
   ciphertext of a one-bit image (sparse route), and np.bincount of that
   ciphertext, the route the sparse one replaces;
+- metrics.ssim of a portrait against that portrait with random bytes
+  XORed in (the damage of an error-propagation row), the private row
+  scorer metrics._psnr_ssim (PSNR and SSIM against sums taken in advance),
+  and metrics._reference_sums, which an error-propagation batch takes once;
 - experiments._draw_trials, the keys and single-LSB plaintexts of a batch of
   1, 20 and 64 trials at M in {16, 300}: the per-trial draw cost beside the
   cipher layers.
@@ -24,7 +28,7 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
 import numpy as np
 import pytest
 
-from cipher_audit import cipher, experiments, metrics
+from cipher_audit import cipher, experiments, image_io, metrics
 
 import oracles
 
@@ -102,6 +106,19 @@ def test_byte_histogram(benchmark, m, kind):
         benchmark(np.bincount, data.reshape(-1), minlength=metrics.GRAY_LEVELS)
     else:
         benchmark(metrics.byte_histogram, data)
+
+
+@pytest.mark.parametrize("kind", ["ssim", "scorer", "reference-sums"])
+@pytest.mark.parametrize("m", SIZES)
+def test_ssim(benchmark, m, kind):
+    clean = image_io.make_portrait_image(m)
+    damaged = clean ^ np.random.default_rng(m).integers(0, 256, (m, m), dtype=np.uint8)
+    if kind == "ssim":
+        benchmark(metrics.ssim, clean, damaged)
+    elif kind == "scorer":
+        benchmark(metrics._psnr_ssim, metrics._reference_sums(clean), damaged)
+    else:
+        benchmark(metrics._reference_sums, clean)
 
 
 @pytest.mark.parametrize("trials", DRAW_TRIALS)

@@ -338,6 +338,18 @@ def flip_bits(data, positions):
     return flat.reshape(np.shape(data))
 
 
+def flip_bits_packed(data, positions):
+    """data with bit p % 8 of byte p // 8 (row-major) flipped for every position p.
+
+    The positions must be distinct (the trials draw them without
+    replacement): they are scattered into a bit array, which would set a
+    repeated position once instead of flipping it back.
+    """
+    bits = np.zeros(8 * data.size, dtype=np.uint8)
+    bits[positions] = 1
+    return data ^ np.packbits(bits, bitorder="little").reshape(data.shape)
+
+
 def errprop_trial(task, image):
     """One error-propagation trial: encrypt, flip ciphertext bits, decrypt,
     and compare with the clean decryption."""

@@ -114,6 +114,17 @@ class TestSweepCommands:
         zero = lines[2].split(",")
         assert zero[0] == "percent" and float(zero[5]) == 0.0  # dif_mean
 
+    def test_errorprop_image_below_one_window_fails_before_the_sweep(
+            self, tmp_path, capsys, monkeypatch):
+        image = tmp_path / "img.pgm"
+        image_io.write_pgm(np.zeros((4, 4), dtype=np.uint8), image)
+        out = tmp_path / "e.csv"
+        monkeypatch.setattr(experiments, "_sweep", lambda *args: pytest.fail("the sweep started"))
+        code = run(["errorprop", "--image", image, "--trials", 1, "--jobs", 1, "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == "error: images must be 2-D with sides >= 8\n"
+        assert not out.exists()
+
     def test_csv_uses_lf_only(self, tmp_path):
         out = tmp_path / "a.csv"
         run(["avalanche", "--sizes", "16", "--rounds", "1", "--trials", 2,

@@ -492,7 +492,7 @@ class TestErrorPropagation:
     def test_flip_bits_flips_exactly_requested(self):
         data = np.zeros((4, 4), dtype=np.uint8)
         positions = np.array([0, 9, 127])
-        corrupted = experiments._flip_bits(data, positions)
+        corrupted = oracles.flip_bits_packed(data, positions)
         assert oracles.popcount_bytes(corrupted.tobytes()) == 3
         assert corrupted[0, 0] == 1  # bit 0
         assert corrupted[0, 1] == 2  # bit 9 = byte 1, bit 1
@@ -504,7 +504,26 @@ class TestErrorPropagation:
         for flips in (1, 100, 8 * 16 * 16):
             positions = rng.choice(8 * 16 * 16, size=flips, replace=False)
             expected = oracles.flip_bits(data, positions)
-            assert np.array_equal(experiments._flip_bits(data, positions), expected)
+            assert np.array_equal(oracles.flip_bits_packed(data, positions), expected)
+
+    def test_error_vectors_match_flip_oracle(self):
+        # rows: one bit, 0% (no draw), 1% and 100% of the 8*M*M bits
+        m = 16
+        counts = experiments._flip_counts(m, (0.0, 1.0, 100.0))
+        assert counts == [1, 0, 21, 8 * m * m]
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        stack = experiments._error_vectors(rng, m, counts)
+        zero = np.zeros((m, m), dtype=np.uint8)
+        expected = [
+            oracles.flip_bits_packed(zero, twin.choice(8 * m * m, size=flips, replace=False))
+            if flips else zero
+            for flips in counts
+        ]
+        assert stack.dtype == np.uint8
+        assert np.array_equal(stack, np.stack(expected))
+        assert not stack[1].any()
+        assert np.all(stack[3] == 0xFF)
+        assert rng.integers(2**32) == twin.integers(2**32)  # the same draws, no more
 
 
 class TestKeyspaceReport:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -279,6 +281,57 @@ class TestSsim:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             metrics.ssim(np.zeros((8, 8), dtype=np.uint8), np.zeros((12, 12), dtype=np.uint8))
+
+
+class TestReferenceScorer:
+    """_psnr_ssim against a reference's _reference_sums, as the error-propagation rows score."""
+
+    @pytest.mark.parametrize("shape", [(300, 300), (512, 512), (8, 300), (40, 12)])
+    def test_range_extremes(self, shape):
+        white = np.full(shape, 255, dtype=np.uint8)
+        black = np.zeros(shape, dtype=np.uint8)
+        for a, b in [(white, black), (black, white), (white, white), (black, black)]:
+            expected = oracles.ssim_float_integral(a, b)
+            assert metrics.ssim(a, b) == expected
+            assert metrics._psnr_ssim(metrics._reference_sums(a), b) == (
+                metrics.psnr(a, b), expected)
+
+    @pytest.mark.parametrize("shape", [(300, 300), (512, 512), (9, 13), (64, 24)])
+    def test_rows_against_one_reference(self, shape):
+        rng = np.random.default_rng(shape)
+        a = rng.integers(0, 256, shape, dtype=np.uint8)
+        reference = metrics._reference_sums(a)
+        for b in (rng.integers(0, 256, shape, dtype=np.uint8),
+                  a ^ (rng.random(shape) < 0.01).astype(np.uint8),
+                  a.copy()):
+            assert metrics._psnr_ssim(reference, b) == (
+                metrics.psnr(a, b), oracles.ssim_float_integral(a, b))
+        assert metrics._psnr_ssim(reference, a)[0] == math.inf
+
+    def test_threads_scoring_different_references(self):
+        # more threads than cores, switching often: ssim keeps nothing between calls
+        rng = np.random.default_rng(10)
+        pairs = [tuple(rng.integers(0, 256, (2, 48, 48), dtype=np.uint8)) for _ in range(4)]
+        expected = [oracles.ssim_float_integral(a, b) for a, b in pairs]
+        results = [[] for _ in pairs]
+
+        def work(i):
+            a, b = pairs[i]
+            for _ in range(40):
+                results[i].append(metrics.ssim(a, b))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(pairs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[value] * 40 for value in expected]
 
 
 class TestTrialRecord:
