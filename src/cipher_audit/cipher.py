@@ -74,6 +74,7 @@ From the first round over that limit the remaining rounds run dense.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -158,6 +159,13 @@ class CipherKey:
     rounds: int
 
     def __post_init__(self) -> None:
+        # A float or other non-integer would be truncated into a different key.
+        for name in ("a", "b", "rx", "ry", "rounds"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TypeError(f"key field {name} must be an integer, got {value!r}") from None
         for name in ("a", "b", "rx", "ry"):
             if getattr(self, name) < 0:
                 raise ValueError(f"key parameter {name} must be non-negative")

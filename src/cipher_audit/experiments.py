@@ -214,21 +214,33 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     ]
 
 
-def _draw_trials(master_seed: int, m: int, rounds: int, start: int, stop: int, single_lsb: bool):
-    """Keys and plaintexts of trials start..stop-1, and the Generators of the trials replayed.
+def _trial_streams(master_seed: int, m: int, rounds: int, indices, single_lsb: bool):
+    """Each trial of indices through its own Generator, as (rng, key, pixel).
 
-    Each trial draws from its own stream, default_rng((master_seed, index,
-    M, rounds)): its key's four q-bit parameters, then, if single_lsb, the
-    row and column of the pixel whose LSB is set in the otherwise all-zero
-    plaintext.  numpy draws each bounded value from one 32-bit half of a
-    64-bit word, low half first, so the six draws are the six halves of the
-    first three words, which streams.first_words gives for the whole batch.
-    By numpy's rule (Lemire's), a draw below n takes x to (x*n) >> 32 and
-    rejects x when (x*n) mod 2**32 < (2**32 - n) mod n.  The key's bound 2**q
-    never rejects and takes the top q bits; a coordinate, bound M, may.  A
-    trial with a rejected coordinate, or every trial of a batch that
-    first_words does not cover, is replayed through its own Generator, and
-    `replayed` maps its index to that Generator, positioned after its draws.
+    Trial index draws from default_rng((master_seed, index, M, rounds)): its
+    key's four q-bit parameters, then, if single_lsb, the row and column of
+    the pixel whose LSB is set in the otherwise all-zero plaintext (pixel is
+    None without).  rng is yielded after those draws, so a sweep that keeps
+    drawing goes on from the trial's own stream.
+    """
+    for index in indices:
+        rng = np.random.default_rng((master_seed, index, m, rounds))
+        key = cipher.key_from_stream(rng, m, rounds)
+        pixel = tuple(int(v) for v in rng.integers(0, m, size=2)) if single_lsb else None
+        yield rng, key, pixel
+
+
+def _draw_trials(master_seed: int, m: int, rounds: int, start: int, stop: int, single_lsb: bool):
+    """Keys and plaintexts of trials start..stop-1: the draws of _trial_streams, batched.
+
+    numpy draws each bounded value from one 32-bit half of a 64-bit word,
+    low half first, so a trial's six draws are the six halves of the first
+    three words of its stream, which streams.first_words gives for the whole
+    batch.  By numpy's rule (Lemire's), a draw below n takes x to
+    (x*n) >> 32 and rejects x when (x*n) mod 2**32 < (2**32 - n) mod n.  The
+    key's bound 2**q never rejects and takes the top q bits; a coordinate,
+    bound M, may.  A trial with a rejected coordinate, or every trial of a
+    batch that first_words does not cover, is drawn through _trial_streams.
     """
     count = stop - start
     plains = np.zeros((count, m, m), dtype=np.uint8)
@@ -246,33 +258,13 @@ def _draw_trials(master_seed: int, m: int, rounds: int, start: int, stop: int, s
             plains[np.arange(count), rows, cols] = 1
             rejected = ((scaled & 0xFFFFFFFF) < (2**32 - m) % m).any(axis=1)
             replay = np.flatnonzero(rejected).tolist()
-    replayed = {}
-    for i in replay:
-        rng = np.random.default_rng((master_seed, start + i, m, rounds))
-        keys[i] = cipher.key_from_stream(rng, m, rounds)
+    draws = _trial_streams(master_seed, m, rounds, [start + i for i in replay], single_lsb)
+    for i, (_, key, pixel) in zip(replay, draws):
+        keys[i] = key
         if single_lsb:
-            x, y = (int(v) for v in rng.integers(0, m, size=2))
             plains[i] = 0
-            plains[i, x, y] = 1
-        replayed[start + i] = rng
-    return keys, plains, replayed
-
-
-def _trial_streams(master_seed: int, m: int, rounds: int, start: int, stop: int, single_lsb: bool):
-    """Stream, key and plaintext of trials start..stop-1, for sweeps that keep
-    drawing after _draw_trials: each stream is positioned after the trial's
-    draws.  A trial drawn from its first words has used two of them, or
-    three with single_lsb, and its stream is a fresh Generator advanced past
-    them; a replayed trial keeps the Generator that drew it."""
-    keys, plains, replayed = _draw_trials(master_seed, m, rounds, start, stop, single_lsb)
-    rngs = []
-    for index in range(start, stop):
-        rng = replayed.get(index)
-        if rng is None:
-            rng = np.random.default_rng((master_seed, index, m, rounds))
-            rng.bit_generator.advance(3 if single_lsb else 2)
-        rngs.append(rng)
-    return rngs, keys, plains
+            plains[i][pixel] = 1
+    return keys, plains
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +279,7 @@ def _avalanche_batch(task: tuple[int, int, int, int, int]) -> list[tuple[float, 
     only I' is encrypted, the whole batch in one call.  Both scores of every
     trial come from two bit-percentage reductions over the batch.
     """
-    keys, plains, _ = _draw_trials(*task, single_lsb=True)
+    keys, plains = _draw_trials(*task, single_lsb=True)
     ciphers = cipher.encrypt(plains, keys)
     return list(zip(metrics.bit_percents(ciphers), metrics.bit_percents(plains ^ ciphers)))
 
@@ -316,10 +308,10 @@ def _uniformity_batch(task: tuple[int, int, int, int, int, str, bool]) -> list[f
     if control_random:
         # Sanity oracle: uniform random bytes in place of the ciphertext
         # should score around 255 (the degrees of freedom).
-        rngs, _, _ = _trial_streams(master_seed, m, rounds, start, stop, single_lsb)
-        data = [rng.integers(0, 256, size=m * m, dtype=np.uint8) for rng in rngs]
+        draws = _trial_streams(master_seed, m, rounds, range(start, stop), single_lsb)
+        data = [rng.integers(0, 256, size=m * m, dtype=np.uint8) for rng, _, _ in draws]
     else:
-        keys, plains, _ = _draw_trials(master_seed, m, rounds, start, stop, single_lsb)
+        keys, plains = _draw_trials(master_seed, m, rounds, start, stop, single_lsb)
         data = cipher.encrypt(plains, keys)
     return [metrics.chi_square(metrics.byte_histogram(d)) for d in data]
 
@@ -381,11 +373,10 @@ def _errprop_batch(task: tuple) -> list[list[tuple[float, float, float]]]:
     percentage of D(e).  The window sums of I are computed once per batch.
     """
     master_seed, m, rounds, start, stop, percents, image = task
-    rngs, keys, _ = _trial_streams(master_seed, m, rounds, start, stop, single_lsb=False)
     counts = _flip_counts(m, percents)
     reference = metrics._reference_sums(image)
     out = []
-    for rng, key in zip(rngs, keys):
+    for rng, key, _ in _trial_streams(master_seed, m, rounds, range(start, stop), False):
         damage = cipher.decrypt(_error_vectors(rng, m, counts), key)
         out.append([
             (dif, *metrics._psnr_ssim(reference, d))

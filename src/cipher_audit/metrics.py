@@ -14,10 +14,6 @@ CHI2_THRESHOLD = 293.0
 
 GRAY_LEVELS = 256
 
-# Smallest buffer that byte_histogram counts by its nonzero lanes alone
-# (2 KiB); timed against np.bincount on a 2-core Xeon, numpy 2.4.6.
-_SPARSE_HISTOGRAM_BYTES = 2048
-
 _SSIM_C1 = (0.01 * 255.0) ** 2
 _SSIM_C2 = (0.03 * 255.0) ** 2
 SSIM_WINDOW = 8
@@ -58,13 +54,9 @@ def byte_histogram(data: np.ndarray | bytes) -> np.ndarray:
     and the last bytes are counted, and the zeros of the other lanes are
     added to bin 0: on a mostly zero buffer, such as a low-round ciphertext,
     this is much faster than counting every byte, whose run of equal values
-    np.bincount counts at half its speed on random bytes.  A buffer under
-    2 KiB is counted whole, since there the lane pass costs more than it
-    saves.
+    np.bincount counts at half its speed on random bytes.
     """
     flat = np.ascontiguousarray(_as_bytes(data))
-    if flat.size < _SPARSE_HISTOGRAM_BYTES:
-        return np.bincount(flat, minlength=GRAY_LEVELS).astype(np.int64)
     tail = flat.size % 8
     lanes = flat[: flat.size - tail].view(np.uint64)
     nonzero = lanes != 0

@@ -22,7 +22,16 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
   and metrics._reference_sums, which an error-propagation batch takes once;
 - experiments._draw_trials, the keys and single-LSB plaintexts of a batch of
   1, 20 and 64 trials at M in {16, 300}: the per-trial draw cost beside the
-  cipher layers.
+  cipher layers;
+- experiments._trial_streams, each trial through its own Generator (the
+  route of error propagation and the control-random baseline), key only and
+  with the single-LSB pixel, at the batch sizes of M in {16, 256, 512}.
+
+The cases run on a warm heap: before the first one, one 30 MiB block is
+filled and freed.  Freeing a block that glibc mapped raises its mmap
+threshold to that size and its trim threshold to twice that, so each call's
+temporaries (about 0.5 MiB per plane at M=256) are reused from the heap
+instead of being returned to the system and faulted in again every call.
 """
 
 import numpy as np
@@ -35,6 +44,11 @@ import oracles
 SIZES = (16, 64, 256, 512)
 TOUCHED_BLOCKS = (1, 16, 256)
 DRAW_TRIALS = (1, 20, 64)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def warm_heap():
+    np.ones(30 << 20, dtype=np.uint8)
 
 
 def key_for(m: int, rounds: int = 1) -> cipher.CipherKey:
@@ -125,3 +139,9 @@ def test_ssim(benchmark, m, kind):
 @pytest.mark.parametrize("m", [16, 300])
 def test_draw_trials(benchmark, m, trials):
     benchmark(experiments._draw_trials, 7, m, 6, 0, trials, True)
+
+
+@pytest.mark.parametrize("single_lsb", [False, True], ids=["key", "single-lsb"])
+@pytest.mark.parametrize("m, trials", [(16, 1024), (256, 4), (512, 1)])
+def test_trial_streams(benchmark, m, trials, single_lsb):
+    benchmark(lambda: list(experiments._trial_streams(7, m, 6, range(trials), single_lsb)))

@@ -563,6 +563,24 @@ class TestKeys:
         with pytest.raises(ValueError):
             cipher.CipherKey(1, 1, 1, 1, rounds=0)
 
+    @pytest.mark.parametrize("fields, name", [
+        ((1.5, 0, 0, 0, 1), "a"),
+        ((np.float64(3.9), 0, 0, 0, 1), "a"),
+        ((1, 1, 1, 1, 2.0), "rounds"),
+    ], ids=["float-a", "numpy-float-a", "float-rounds"])
+    def test_non_integer_field_rejected(self, fields, name):
+        # each would otherwise be truncated into another key, or fail deep in a round
+        with pytest.raises(TypeError, match=f"key field {name} must be an integer"):
+            cipher.CipherKey(*fields)
+
+    def test_numpy_integer_key_equals_its_int_twin(self):
+        key = cipher.CipherKey(np.int64(3), np.uint8(5), np.int32(7), np.uint64(11), np.int16(2))
+        twin = cipher.CipherKey(3, 5, 7, 11, 2)
+        assert key == twin and hash(key) == hash(twin)
+        image = np.random.default_rng(5).integers(0, 256, (16, 16), dtype=np.uint8)
+        np.testing.assert_array_equal(cipher.encrypt(image, key), cipher.encrypt(image, twin))
+        np.testing.assert_array_equal(cipher.decrypt(image, key), cipher.decrypt(image, twin))
+
     def test_derive_trial_key_deterministic(self):
         first = trial_key(42, 7, 256, 6)
         assert trial_key(42, 7, 256, 6) == first

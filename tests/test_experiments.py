@@ -370,7 +370,7 @@ class TestLinearityShortcuts:
     @pytest.mark.parametrize("m", [16, 20, 64])
     def test_avalanche_batch_scores_equal_hamming_percent(self, m):
         task = (3, m, 2, 4, 13)
-        keys, plains, _ = experiments._draw_trials(*task, single_lsb=True)
+        keys, plains = experiments._draw_trials(*task, single_lsb=True)
         ciphers = cipher.encrypt(plains, keys)
         zeros = np.zeros((m, m), dtype=np.uint8)
         assert experiments._avalanche_batch(task) == [

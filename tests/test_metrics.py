@@ -94,9 +94,9 @@ class TestByteHistogram:
         (bytes(4096 + 16) + bytes([5] + [0] * 12 + [0, 9, 9]), "sparse"),  # the last 2 lanes set
         (bytes(4096 + 40) + bytes([200, 0, 7]), "sparse"),  # the tail holds the nonzero bytes
         (bytes([3] * 4099), "dense"),
-        (bytes(metrics._SPARSE_HISTOGRAM_BYTES), "sparse"),
-        (bytes(metrics._SPARSE_HISTOGRAM_BYTES - 1), "dense"),  # too short for the lane pass
-        (b"", "dense"),
+        (bytes(8), "sparse"),  # one zero lane
+        (bytes(2047), "sparse"),
+        (b"", "sparse"),
     ], ids=["all-zero", "one-byte", "at-threshold", "past-threshold", "dense", "zero-bytes-4101",
             "bytes-4128", "bytes-4139-tail", "dense-bytes-4099", "shortest-sparse", "short", "empty"])
     def test_equals_bincount(self, monkeypatch, data, route):
@@ -124,6 +124,14 @@ class TestByteHistogram:
         for view in (base[1:], base[3:], base[::2], base[:4096].reshape(64, 64).T):
             assert np.array_equal(metrics.byte_histogram(view),
                                   np.bincount(view.reshape(-1), minlength=256))
+        # buffers from one byte up to 2 KiB take the lane route too
+        for size in (1, 7, 9, 255, 256, 2047):
+            short = np.zeros(size + 3, dtype=np.uint8)
+            short[rng.integers(0, short.size, size // 16 + 1)] = 200
+            for view in (short[:size], short[3:], bytes(short[1 : size + 1])):
+                flat = np.frombuffer(view, dtype=np.uint8) if isinstance(view, bytes) else view
+                assert np.array_equal(metrics.byte_histogram(view),
+                                      np.bincount(flat, minlength=256))
 
 
 class TestChiSquare:

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cipher_audit import cipher, experiments, streams
+from cipher_audit import cipher, experiments, image_io, streams
 
 import oracles
 
@@ -53,14 +53,28 @@ class TestFirstWords:
         assert streams.first_words(0, start, stop, 16, 1, 3) is None
 
 
+def record_replays(monkeypatch):
+    """The trial indices that _draw_trials draws through their own Generators."""
+    replayed = []
+    trial_streams = experiments._trial_streams
+
+    def spy(master_seed, m, rounds, indices, single_lsb):
+        replayed.extend(indices)
+        return trial_streams(master_seed, m, rounds, indices, single_lsb)
+
+    monkeypatch.setattr(experiments, "_trial_streams", spy)
+    return replayed
+
+
 class TestDrawTrials:
     @pytest.mark.parametrize("m", SIZES)
-    def test_keys_and_pixels_equal_per_trial_route(self, m):
+    def test_keys_and_pixels_equal_per_trial_route(self, m, monkeypatch):
+        replayed = record_replays(monkeypatch)
         for k, (seed, rounds) in enumerate(itertools.product(SEEDS, ROUNDS)):
             start = 3 + 1009 * k
             stop = start + 40
-            keys, plains, replayed = experiments._draw_trials(seed, m, rounds, start, stop, True)
-            assert replayed == {}
+            keys, plains = experiments._draw_trials(seed, m, rounds, start, stop, True)
+            assert replayed == []
             for index, key, plain in zip(range(start, stop), keys, plains):
                 _, expected_key, pixel = oracles.trial_draws(seed, index, m, rounds)
                 assert key == expected_key
@@ -69,16 +83,39 @@ class TestDrawTrials:
     @pytest.mark.parametrize("single_lsb", [False, True])
     @pytest.mark.parametrize("m", [16, 300])
     def test_streams_continue_where_the_draws_stop(self, m, single_lsb):
-        rngs, keys, plains = experiments._trial_streams(11, m, 6, 40, 44, single_lsb)
-        for index, rng, key, plain in zip(range(40, 44), rngs, keys, plains):
+        draws = list(experiments._trial_streams(11, m, 6, range(40, 44), single_lsb))
+        keys, plains = experiments._draw_trials(11, m, 6, 40, 44, single_lsb)
+        assert [key for _, key, _ in draws] == keys
+        for index, (rng, key, pixel), plain in zip(range(40, 44), draws, plains):
             direct = np.random.default_rng((11, index, m, 6))
             assert key == cipher.key_from_stream(direct, m, 6)
             if single_lsb:
-                direct.integers(0, m, size=2)
+                assert pixel == tuple(int(v) for v in direct.integers(0, m, size=2))
+                assert np.flatnonzero(plain).tolist() == [pixel[0] * m + pixel[1]]
             else:
+                assert pixel is None
                 assert not plain.any()
             assert rng.bit_generator.random_raw(5).tolist() == \
                 direct.bit_generator.random_raw(5).tolist()
+
+    def test_continuing_sweeps_skip_the_batch_derivation(self, monkeypatch):
+        # error propagation and the control-random baseline draw every trial
+        # through its own Generator, never through first_words
+        def unused(*args):
+            raise AssertionError("first_words called")
+
+        m, image, percents = 16, image_io.make_portrait_image(16), (0.1, 5.0)
+        monkeypatch.setattr(streams, "first_words", unused)
+        errprop = experiments._errprop_batch((3, m, 6, 5, 8, percents, image))
+        assert errprop == [oracles.errprop_trial((3, m, 6, index, percents), image)
+                           for index in range(5, 8)]
+        for single_lsb, plaintext in ((True, experiments.PLAINTEXT_SINGLE_LSB),
+                                      (False, experiments.PLAINTEXT_ALL_ZERO)):
+            control = experiments._uniformity_batch((3, m, 6, 5, 8, plaintext, True))
+            expected = [oracles.control_random_bytes((3, m, 6, index, single_lsb))
+                        for index in range(5, 8)]
+            assert control == pytest.approx([oracles.chi_square_direct(d) for d in expected],
+                                            rel=1e-12)
 
 
 def reject_pixel_of(trial, first_words=streams.first_words):
@@ -99,16 +136,18 @@ class TestReplay:
     @pytest.mark.parametrize("m", [20, 300])
     def test_rejected_pixel_replays(self, m, monkeypatch):
         monkeypatch.setattr(streams, "first_words", reject_pixel_of(1))
-        keys, plains, replayed = experiments._draw_trials(4, m, 6, 10, 13, True)
-        assert list(replayed) == [11]
+        replayed = record_replays(monkeypatch)
+        keys, plains = experiments._draw_trials(4, m, 6, 10, 13, True)
+        assert replayed == [11]
         for index, key, plain in zip(range(10, 13), keys, plains):
             _, expected_key, pixel = oracles.trial_draws(4, index, m, 6)
             assert key == expected_key
             assert np.flatnonzero(plain).tolist() == [pixel[0] * m + pixel[1]]
-        # the replayed trial's stream goes on from its own Generator
-        rngs, _, _ = experiments._trial_streams(4, m, 6, 10, 13, True)
-        for index, rng in zip(range(10, 13), rngs):
-            direct, _, _ = oracles.trial_draws(4, index, m, 6)
+        # every trial's stream goes on from its own Generator
+        draws = experiments._trial_streams(4, m, 6, range(10, 13), True)
+        for index, (rng, key, pixel) in zip(range(10, 13), draws):
+            direct, expected_key, expected_pixel = oracles.trial_draws(4, index, m, 6)
+            assert (key, pixel) == (expected_key, expected_pixel)
             assert rng.bit_generator.random_raw(3).tolist() == \
                 direct.bit_generator.random_raw(3).tolist()
 
@@ -124,10 +163,11 @@ class TestReplay:
         assert avalanche == [oracles.avalanche_trial((6, m, 3, index)) for index in range(4)]
 
     @pytest.mark.parametrize("single_lsb", [False, True])
-    def test_batch_across_two_to_the_32_replays(self, single_lsb):
+    def test_batch_across_two_to_the_32_replays(self, single_lsb, monkeypatch):
         start, stop = 2**32 - 2, 2**32 + 2
-        keys, plains, replayed = experiments._draw_trials(9, 16, 2, start, stop, single_lsb)
-        assert list(replayed) == list(range(start, stop))
+        replayed = record_replays(monkeypatch)
+        keys, plains = experiments._draw_trials(9, 16, 2, start, stop, single_lsb)
+        assert replayed == list(range(start, stop))
         for index, key, plain in zip(range(start, stop), keys, plains):
             _, expected_key, pixel = oracles.trial_draws(9, index, 16, 2)
             assert key == expected_key
@@ -137,16 +177,20 @@ class TestReplay:
     # Trials whose pixel draw numpy itself rejects, found by scanning
     # first_words at seed 0, r=1: the row draw of M=1012's trial 3225644 and
     # the column draw of M=1004's trial 1058603.  Either leaves half a word
-    # in the Generator's buffer, which advance() would drop.
+    # in the Generator's buffer, which a fresh Generator advanced past the
+    # three words would drop.
     @pytest.mark.parametrize("m, index", [(1012, 3225644), (1004, 1058603)])
-    def test_real_rejection_replays(self, m, index):
+    def test_real_rejection_replays(self, m, index, monkeypatch):
         start, stop = index - 1, index + 1
-        keys, plains, replayed = experiments._draw_trials(0, m, 1, start, stop, True)
-        assert list(replayed) == [index]
-        rngs, _, _ = experiments._trial_streams(0, m, 1, start, stop, True)
-        for trial, key, plain, rng in zip(range(start, stop), keys, plains, rngs):
-            direct, expected_key, pixel = oracles.trial_draws(0, trial, m, 1)
-            assert key == expected_key
+        replayed = record_replays(monkeypatch)
+        keys, plains = experiments._draw_trials(0, m, 1, start, stop, True)
+        assert replayed == [index]
+        draws = experiments._trial_streams(0, m, 1, range(start, stop), True)
+        for trial, key, plain, (rng, drawn_key, pixel) in zip(range(start, stop), keys, plains,
+                                                             draws):
+            direct, expected_key, expected_pixel = oracles.trial_draws(0, trial, m, 1)
+            assert key == drawn_key == expected_key
+            assert pixel == expected_pixel
             assert np.flatnonzero(plain).tolist() == [pixel[0] * m + pixel[1]]
             assert rng.integers(0, 256, 8, dtype=np.uint8).tolist() == \
                 direct.integers(0, 256, 8, dtype=np.uint8).tolist()
