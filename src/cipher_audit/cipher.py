@@ -41,12 +41,15 @@ shifts, which the construction allows:
 
 encrypt and decrypt take an M x M image under one key, or a (W, M, M) stack
 under one key for every image or under W keys that share the round count.
-Only the gather index depends on the key.  Each call builds it once, as one
-intp array with row w offset by w*M*M into the flat stack, allocated first
-and filled in blocks of at most _INDEX_BLOCK positions, each block evaluated
-in int32 for all of its keys at once.  One key's index is one image long and
-is applied to each image in turn.  A round is one block XOR, one gather and
-one rotation over the whole stack.
+They reduce the key parameters mod M once, into an int32 row per key, for
+the private route _run, which the sweeps call with their drawn arrays.  _run
+drains _rounds, a generator of the stack after each round.  Only the gather
+index depends on the key.  A call builds it at most once, at its first dense
+round, as one intp array with row w offset by w*M*M into the flat stack,
+allocated first and filled in blocks of at most _INDEX_BLOCK positions, each
+block evaluated in int32 for all of its keys at once.  One key's index is
+one image long and is applied to each image in turn.  A round is one block
+XOR, one gather and one rotation over the whole stack.
 
 Decryption rotates right, gathers and applies the same block XOR: x -> x xor
 (block XOR of x) is an involution on 16-byte blocks, which is why
@@ -74,9 +77,10 @@ From the first round over that limit the remaining rounds run dense.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -401,15 +405,10 @@ def _destination(x0, y0, a, b, rx, ry, m: int) -> np.ndarray:
     return np.take(scramble_positions(m), x, out=tmp, mode="clip")
 
 
-def _key_params(params: Sequence[tuple[int, int, int, int]], m: int) -> np.ndarray:
-    """Key parameters (a, b, rx, ry) reduced mod M: int32, one row per key."""
-    return np.array([[p % m for p in key] for key in params], dtype=np.int32)
-
-
 def _gather_index(params: np.ndarray, m: int, invert: bool = False, positions: slice = slice(None)) -> np.ndarray:
     """Gather index of the byte permutations of one round at positions, int32, one row per key.
 
-    params holds reduced key parameters, one row per key (:func:`_key_params`).
+    params holds key parameters reduced mod M, int32, one row per key.
     For encryption, output position k takes the byte at _source of the
     scramble's coordinates of k.  For decryption, the inverse: output
     position j takes the byte at _destination of j, so both directions are
@@ -532,41 +531,51 @@ def _sparse_round(
 
 def _flat_stack(
     data: np.ndarray, key: CipherKey | Sequence[CipherKey]
-) -> tuple[np.ndarray, int, tuple[CipherKey, ...]]:
-    """The bytes of an image or a stack, flat and C-contiguous, with M and the keys.
+) -> tuple[np.ndarray, int, np.ndarray, int]:
+    """The bytes of an image or a stack, flat and C-contiguous, with M, the key parameters and rounds.
 
     An M x M image takes one CipherKey.  A (W, M, M) stack takes one
     CipherKey for every image, or a sequence of W keys that share the round
-    count.
+    count.  The parameters, Python integers of any size, are reduced mod M
+    into int32, one row per key.
     """
     stack = np.ndim(data) == 3
     if stack and len(data) == 0:
         raise DimensionError("a stack needs at least one image")
     m = validate_image(data[0] if stack else data)
     if isinstance(key, CipherKey):
-        return np.ascontiguousarray(data).reshape(-1), m, (key,)
-    keys = tuple(key)
-    if not stack:
+        keys = (key,)
+    elif not stack:
         raise DimensionError("a key sequence needs a (W, M, M) stack of images")
-    if len(keys) != len(data):
-        raise ValueError(f"a stack of {len(data)} images needs {len(data)} keys, got {len(keys)}")
-    if len({k.rounds for k in keys}) != 1:
-        raise ValueError("the keys of a stack must share one round count")
-    return np.ascontiguousarray(data).reshape(-1), m, keys
+    else:
+        keys = tuple(key)
+        if len(keys) != len(data):
+            raise ValueError(f"a stack of {len(data)} images needs {len(data)} keys, got {len(keys)}")
+        if len({k.rounds for k in keys}) != 1:
+            raise ValueError("the keys of a stack must share one round count")
+    params = np.array([[p % m for p in k.params()] for k in keys], dtype=np.int32)
+    return np.ascontiguousarray(data).reshape(-1), m, params, keys[0].rounds
 
 
-def _dense_rounds(flat: np.ndarray, params: np.ndarray, m: int, rounds: int, invert: bool) -> np.ndarray:
-    """rounds rounds of encrypt (or with invert, decrypt) over the whole flat stack.
+def _rounds(flat: np.ndarray, params: np.ndarray, m: int, invert: bool) -> Iterator[np.ndarray]:
+    """The flat stack after each round of encrypt (or with invert, decrypt), without end.
 
-    params holds the reduced key parameters: one row, or one per image.
-    Each round is one block XOR, one gather and one rotation; the gather
-    index is built only if a round runs.
+    params holds the reduced key parameters: one row, or one per image.  The
+    rounds run sparse, then dense, by the switch of the module docstring; the
+    gather index is built when the first dense round is asked for, and a
+    stack's images switch together.  No yielded stack is written to again.
     """
-    if rounds == 0:
-        return flat
+    # the most touched blocks with which a sparse round costs no more than a dense one
+    limit = (flat.size - _SPARSE_ROUND_BYTES) / (_SPARSE_BYTE_COST * BLOCK_BYTES)
+    if limit >= 1 and np.count_nonzero(touched := _touched_blocks(flat)) <= limit:
+        blocks = np.flatnonzero(touched)
+        per_image = np.broadcast_to(params, (flat.size // (m * m), 4))
+        while blocks.size <= limit:
+            flat, blocks = _sparse_round(flat, blocks, per_image, m, invert)
+            yield flat
     index = _stack_index(params, m, invert)
     _, _, shift, complement = static_tables(m)
-    for _ in range(rounds):
+    while True:
         # Rows of the index's size: the whole stack, or each image under one key.
         if invert:
             flat = _rotate(flat, complement, shift).reshape(-1, index.size).take(index, axis=1)
@@ -574,32 +583,18 @@ def _dense_rounds(flat: np.ndarray, params: np.ndarray, m: int, rounds: int, inv
         else:
             flat = _block_xor(flat).reshape(-1, index.size).take(index, axis=1)
             flat = _rotate(flat, shift, complement)
-    return flat
+        yield flat
 
 
-def _run(flat: np.ndarray, keys: tuple[CipherKey, ...], m: int, invert: bool) -> np.ndarray:
-    """All rounds of encrypt (or with invert, decrypt): sparse while the support is small, then dense.
+def _run(flat: np.ndarray, params: np.ndarray, m: int, rounds: int, invert: bool) -> np.ndarray:
+    """rounds rounds of encrypt (or with invert, decrypt) over a flat stack: the last of :func:`_rounds`.
 
-    A nonzero byte fills at most its 16-byte block under the block XOR, and
-    the gather sends a block's bytes into at most 16 blocks, so a one-bit
-    image touches one block, then at most 16, 256, ...  A round runs sparse
-    while the stack's touched blocks are at most the limit below, counted in
-    the input and again after each sparse round; from the first round over
-    the limit, the remaining rounds run dense.  The rule reads the whole
-    stack, so its images switch together.
+    params holds the key parameters mod M, int32: one row that every image
+    shares, or one row per image.
     """
-    rounds = keys[0].rounds
-    params = _key_params([k.params() for k in keys], m)
-    # the most touched blocks with which a sparse round costs no more than a dense one
-    limit = (flat.size - _SPARSE_ROUND_BYTES) / (_SPARSE_BYTE_COST * BLOCK_BYTES)
-    done = 0
-    if limit >= 1 and np.count_nonzero(touched := _touched_blocks(flat)) <= limit:
-        blocks = np.flatnonzero(touched)
-        per_image = np.broadcast_to(params, (flat.size // (m * m), 4))
-        while done < rounds and blocks.size <= limit:
-            flat, blocks = _sparse_round(flat, blocks, per_image, m, invert)
-            done += 1
-    return _dense_rounds(flat, params, m, rounds - done, invert)
+    for flat in itertools.islice(_rounds(flat, params, m, invert), rounds):
+        pass
+    return flat
 
 
 def encrypt(image: np.ndarray, key: CipherKey | Sequence[CipherKey]) -> np.ndarray:
@@ -609,11 +604,11 @@ def encrypt(image: np.ndarray, key: CipherKey | Sequence[CipherKey]) -> np.ndarr
     one CipherKey or a sequence of W keys with one round count: image w
     under key w.
     """
-    flat, m, keys = _flat_stack(image, key)
-    return _run(flat, keys, m, False).reshape(image.shape)
+    flat, m, params, rounds = _flat_stack(image, key)
+    return _run(flat, params, m, rounds, False).reshape(image.shape)
 
 
 def decrypt(cipher: np.ndarray, key: CipherKey | Sequence[CipherKey]) -> np.ndarray:
     """Exact inverse of :func:`encrypt`, on the same images and keys."""
-    flat, m, keys = _flat_stack(cipher, key)
-    return _run(flat, keys, m, True).reshape(cipher.shape)
+    flat, m, params, rounds = _flat_stack(cipher, key)
+    return _run(flat, params, m, rounds, True).reshape(cipher.shape)

@@ -231,7 +231,7 @@ def _trial_streams(master_seed: int, m: int, rounds: int, indices, single_lsb: b
 
 
 def _draw_trials(master_seed: int, m: int, rounds: int, start: int, stop: int, single_lsb: bool):
-    """Keys and plaintexts of trials start..stop-1: the draws of _trial_streams, batched.
+    """Key parameters and plaintexts of trials start..stop-1: the draws of _trial_streams, batched.
 
     numpy draws each bounded value from one 32-bit half of a 64-bit word,
     low half first, so a trial's six draws are the six halves of the first
@@ -241,16 +241,18 @@ def _draw_trials(master_seed: int, m: int, rounds: int, start: int, stop: int, s
     key's bound 2**q never rejects and takes the top q bits; a coordinate,
     bound M, may.  A trial with a rejected coordinate, or every trial of a
     batch that first_words does not cover, is drawn through _trial_streams.
+    The parameters are cipher._run's: (a, b, rx, ry) mod M, int32, one row
+    per trial; a trial that first_words covers builds no CipherKey.
     """
     count = stop - start
     plains = np.zeros((count, m, m), dtype=np.uint8)
+    params = np.empty((count, 4), dtype=np.int32)
     words = streams.first_words(master_seed, start, stop, m, rounds, 3)
     if words is None:
-        keys, replay = [None] * count, range(count)
+        replay = range(count)
     else:
         halves = words.astype("<u8", copy=False).view("<u4")
-        params = (halves[:, :4] >> (32 - cipher.param_bits(m))).tolist()
-        keys = [cipher.CipherKey(a, b, rx, ry, rounds) for a, b, rx, ry in params]
+        params[:] = halves[:, :4] >> (32 - cipher.param_bits(m))
         replay = []
         if single_lsb:
             scaled = halves[:, 4:] * np.uint64(m)
@@ -260,11 +262,12 @@ def _draw_trials(master_seed: int, m: int, rounds: int, start: int, stop: int, s
             replay = np.flatnonzero(rejected).tolist()
     draws = _trial_streams(master_seed, m, rounds, [start + i for i in replay], single_lsb)
     for i, (_, key, pixel) in zip(replay, draws):
-        keys[i] = key
+        params[i] = key.params()
         if single_lsb:
             plains[i] = 0
             plains[i][pixel] = 1
-    return keys, plains
+    params %= m
+    return params, plains
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +279,13 @@ def _avalanche_batch(task: tuple[int, int, int, int, int]) -> list[tuple[float, 
 
     PS compares E(I) with E(I') for the all-zero I.  The cipher is linear
     over GF(2), so E(0) = 0 for every key, and PS is the bit weight of E(I'):
-    only I' is encrypted, the whole batch in one call.  Both scores of every
-    trial come from two bit-percentage reductions over the batch.
+    only I' is encrypted, the whole batch in one cipher._run call.  Both
+    scores of every trial come from two bit-percentage reductions over the
+    batch.
     """
-    keys, plains = _draw_trials(*task, single_lsb=True)
-    ciphers = cipher.encrypt(plains, keys)
+    _, m, rounds, _, _ = task
+    params, plains = _draw_trials(*task, single_lsb=True)
+    ciphers = cipher._run(plains.reshape(-1), params, m, rounds, False).reshape(plains.shape)
     return list(zip(metrics.bit_percents(ciphers), metrics.bit_percents(plains ^ ciphers)))
 
 
@@ -311,8 +316,8 @@ def _uniformity_batch(task: tuple[int, int, int, int, int, str, bool]) -> list[f
         draws = _trial_streams(master_seed, m, rounds, range(start, stop), single_lsb)
         data = [rng.integers(0, 256, size=m * m, dtype=np.uint8) for rng, _, _ in draws]
     else:
-        keys, plains = _draw_trials(master_seed, m, rounds, start, stop, single_lsb)
-        data = cipher.encrypt(plains, keys)
+        params, plains = _draw_trials(master_seed, m, rounds, start, stop, single_lsb)
+        data = cipher._run(plains.reshape(-1), params, m, rounds, False).reshape(plains.shape)
     return [metrics.chi_square(metrics.byte_histogram(d)) for d in data]
 
 

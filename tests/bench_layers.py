@@ -6,7 +6,8 @@ tier-1 suite does not collect it; run it by path from the root of a checkout:
     PYTHONPATH=src python -m pytest tests/bench_layers.py -q --benchmark-json=layers.json
 
 Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
-- one dense round, with the gather index it builds, and that index alone;
+- one dense round through cipher._run, with the gather index it builds, and
+  that index alone;
 - the gather index of each stack shape the sweeps build beside one image:
   (M, W) = (256, 4) and (300, 2) in uniformity-large's batches, (64, 20) in
   avalanche-small's, in both directions;
@@ -20,9 +21,11 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
   XORed in (the damage of an error-propagation row), the private row
   scorer metrics._psnr_ssim (PSNR and SSIM against sums taken in advance),
   and metrics._reference_sums, which an error-propagation batch takes once;
-- experiments._draw_trials, the keys and single-LSB plaintexts of a batch of
-  1, 20 and 64 trials at M in {16, 300}: the per-trial draw cost beside the
-  cipher layers;
+- experiments._draw_trials, the reduced key parameters and single-LSB
+  plaintexts of a batch of 1, 20 and 64 trials at M in {16, 300}: the
+  per-trial draw cost beside the cipher layers;
+- cipher._run over the drawn parameters and plaintexts of a 20-trial batch
+  at M in {16, 64}, avalanche-small's batch shapes, at 1 and 6 rounds;
 - experiments._trial_streams, each trial through its own Generator (the
   route of error propagation and the control-random baseline), key only and
   with the single-LSB pixel, at the batch sizes of M in {16, 256, 512}.
@@ -56,7 +59,7 @@ def key_for(m: int, rounds: int = 1) -> cipher.CipherKey:
 
 
 def params_for(m: int) -> np.ndarray:
-    return cipher._key_params([key_for(m).params()], m)
+    return oracles.reduced_params([key_for(m)], m)
 
 
 def one_bit_image(m: int) -> np.ndarray:
@@ -68,7 +71,7 @@ def one_bit_image(m: int) -> np.ndarray:
 @pytest.mark.parametrize("m", SIZES)
 def test_dense_round_with_index(benchmark, m):
     flat = np.random.default_rng(m).integers(0, 256, m * m, dtype=np.uint8)
-    benchmark(cipher._dense_rounds, flat, params_for(m), m, 1, False)
+    benchmark(cipher._run, flat, params_for(m), m, 1, False)
 
 
 @pytest.mark.parametrize("m", SIZES)
@@ -139,6 +142,15 @@ def test_ssim(benchmark, m, kind):
 @pytest.mark.parametrize("m", [16, 300])
 def test_draw_trials(benchmark, m, trials):
     benchmark(experiments._draw_trials, 7, m, 6, 0, trials, True)
+
+
+@pytest.mark.parametrize("rounds", [1, 6])
+@pytest.mark.parametrize("m", [16, 64])
+def test_run_drawn_params(benchmark, m, rounds):
+    params, plains = experiments._draw_trials(7, m, rounds, 0, 20, True)
+    flat = plains.reshape(-1)
+    cipher._run(flat, params, m, rounds, False)  # the static tables
+    benchmark(cipher._run, flat, params, m, rounds, False)
 
 
 @pytest.mark.parametrize("single_lsb", [False, True], ids=["key", "single-lsb"])

@@ -404,6 +404,14 @@ def key_to_hex(key, m):
     return format(packed, f"0{q}x")
 
 
+def reduced_params(keys, m):
+    """Key parameters (a, b, rx, ry) mod M, int32, one row per key: the form
+    the cipher's private route takes.  keys are CipherKeys or 4-tuples of
+    Python integers, reduced one by one."""
+    rows = [key.params() if isinstance(key, CipherKey) else key for key in keys]
+    return np.array([[int(p) % m for p in row] for row in rows], dtype=np.int32)
+
+
 def derive_trial_key(master_seed, trial_index, m, rounds):
     """Trial key from the documented stream contract: the first four q-bit draws
     of default_rng((master_seed, trial_index, M, rounds))."""

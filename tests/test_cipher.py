@@ -1,4 +1,6 @@
+import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ def byte_sources() -> list[int]:
 
 def stack_index(keys, m: int, invert: bool = False) -> np.ndarray:
     """cipher._stack_index under a sequence of CipherKeys."""
-    return cipher._stack_index(cipher._key_params([k.params() for k in keys], m), m, invert)
+    return cipher._stack_index(oracles.reduced_params(keys, m), m, invert)
 
 
 def package_diffusion(image: np.ndarray) -> np.ndarray:
@@ -299,7 +301,7 @@ class TestStaticTables:
 
     @pytest.mark.parametrize("m", [16, 32, 64, 128, 196, 256, 300, 512])
     def test_gather_index_is_int32(self, m):
-        params = cipher._key_params([(m - 1, m + 3, 2 * m - 1, 7), (0, 0, 0, 0)], m)
+        params = oracles.reduced_params([(m - 1, m + 3, 2 * m - 1, 7), (0, 0, 0, 0)], m)
         index = cipher._gather_index(params, m)
         assert index.dtype == np.int32 and index.shape == (2, m * m)
 
@@ -383,7 +385,7 @@ class TestClosedFormInverse:
 
     @pytest.mark.parametrize("m", [16, 300, 512])
     def test_decrypt_index_is_int32(self, m):
-        params = cipher._key_params([(m - 1, m + 3, 2 * m - 1, 7), (0, 0, 0, 0)], m)
+        params = oracles.reduced_params([(m - 1, m + 3, 2 * m - 1, 7), (0, 0, 0, 0)], m)
         index = cipher._gather_index(params, m, True)
         assert index.dtype == np.int32 and index.shape == (2, m * m)
 
@@ -413,7 +415,7 @@ class TestBlockedIndex:
     @pytest.mark.parametrize("invert", [False, True], ids=["encrypt", "decrypt"])
     def test_build_allocates_the_index_and_small_blocks(self, invert):
         m = 512
-        params = cipher._key_params([(3, 5, 7, 11)], m)
+        params = oracles.reduced_params([(3, 5, 7, 11)], m)
         cipher._stack_index(params, m, invert)  # the static tables, not counted here
         tracemalloc.start()
         try:
@@ -426,17 +428,20 @@ class TestBlockedIndex:
 
 def run_switching(stack, keys, m, switch, invert):
     """All rounds of keys over stack, the first `switch` of them as sparse
-    rounds whatever the support, the rest dense."""
+    rounds whatever the support, the rest as the dense rounds of
+    cipher._rounds."""
     flat = stack.reshape(-1)
     blocks = np.flatnonzero(cipher._touched_blocks(flat))
-    keyed = cipher._key_params([k.params() for k in keys], m)
-    params = np.broadcast_to(keyed, (len(stack), 4))
+    params = oracles.reduced_params(keys, m)
+    per_image = np.broadcast_to(params, (len(stack), 4))
     for _ in range(switch):
-        flat, blocks = cipher._sparse_round(flat, blocks, params, m, invert)
+        flat, blocks = cipher._sparse_round(flat, blocks, per_image, m, invert)
         # every nonzero block of the new stack is among its touched blocks
         assert np.isin(np.flatnonzero(cipher._touched_blocks(flat)), blocks).all()
-    rounds = keys[0].rounds
-    return cipher._dense_rounds(flat, keyed, m, rounds - switch, invert).reshape(stack.shape)
+    # a fixed round cost of the whole stack's size keeps every round dense
+    with mock.patch.object(cipher, "_SPARSE_ROUND_BYTES", flat.size):
+        flat = cipher._run(flat, params, m, keys[0].rounds - switch, invert)
+    return flat.reshape(stack.shape)
 
 
 def sparse_stacks(rng, m, count):
@@ -516,6 +521,93 @@ class TestSparseRounds:
         for image, key, row in zip(stack, keys, encrypted):
             assert np.array_equal(row, cipher.encrypt(image, key))
         assert np.array_equal(cipher.decrypt(encrypted, keys), stack)
+
+
+def unreduced_keys(rng, m, count, rounds):
+    """count keys whose q-bit parameters are all at least M (M not a power of two)."""
+    top = 1 << cipher.param_bits(m)
+    return tuple(cipher.CipherKey(*(int(v) for v in rng.integers(m, top, size=4)), rounds=rounds)
+                 for _ in range(count))
+
+
+def count_index_builds(monkeypatch):
+    """The gather indices cipher._stack_index builds from now on, as (count, M*M) shapes."""
+    built = []
+    stack_index = cipher._stack_index
+
+    def spy(params, m, invert):
+        built.append((len(params), m * m))
+        return stack_index(params, m, invert)
+
+    monkeypatch.setattr(cipher, "_stack_index", spy)
+    return built
+
+
+class TestArrayRoute:
+    """cipher._run under reduced int32 parameters, one row per image or one
+    row for a whole stack, equals encrypt and decrypt under CipherKeys."""
+
+    @pytest.mark.parametrize("invert", [False, True], ids=["encrypt", "decrypt"])
+    @pytest.mark.parametrize("kind", ["few", "full", "mixed"])
+    @pytest.mark.parametrize("m", [20, 300])
+    def test_params_equal_cipher_keys(self, m, kind, invert):
+        rng = np.random.default_rng((m, len(kind), invert))
+        count, rounds = 4, 3
+        keys = unreduced_keys(rng, m, count, rounds)
+        stack = sparse_stacks(rng, m, count)[kind]
+        op = cipher.decrypt if invert else cipher.encrypt
+        for row_keys in (keys, keys[:1]):
+            params = oracles.reduced_params(row_keys, m)
+            assert params.dtype == np.int32 and params.shape == (len(row_keys), 4)
+            out = cipher._run(stack.reshape(-1), params, m, rounds, invert)
+            want = op(stack, row_keys if len(row_keys) > 1 else row_keys[0])
+            assert np.array_equal(out.reshape(stack.shape), want)
+
+
+class TestRoundGenerator:
+    """cipher._rounds yields the stack after each round: its k-th item is
+    the k-round encryption (or decryption), and it builds one gather index
+    at most, at its first dense round."""
+
+    ROUNDS = 7
+
+    @pytest.mark.parametrize("invert", [False, True], ids=["encrypt", "decrypt"])
+    @pytest.mark.parametrize("kind", ["few", "full", "mixed"])
+    @pytest.mark.parametrize("m, count", [(16, 3), (300, 3), (300, 20)])
+    def test_kth_yield_equals_k_rounds(self, m, count, kind, invert, monkeypatch):
+        rng = np.random.default_rng((m, count, len(kind), invert))
+        keys = tuple(random_key(rng, m, 1) for _ in range(count))
+        stack = sparse_stacks(rng, m, count)[kind]
+        op = cipher.decrypt if invert else cipher.encrypt
+        sparse = []
+        sparse_round = cipher._sparse_round
+        monkeypatch.setattr(cipher, "_sparse_round",
+                            lambda *args: sparse.append(1) or sparse_round(*args))
+        built = count_index_builds(monkeypatch)
+        params = oracles.reduced_params(keys, m)
+        stacks = cipher._rounds(stack.reshape(-1), params, m, invert)
+        yields = list(itertools.islice(stacks, self.ROUNDS))
+        sparse_rounds = len(sparse)
+        assert len(built) == (sparse_rounds < self.ROUNDS)
+        for k, flat in enumerate(yields, start=1):
+            k_keys = [cipher.CipherKey(*key.params(), rounds=k) for key in keys]
+            assert np.array_equal(flat.reshape(stack.shape), op(stack, k_keys)), k
+        if (m, count, kind) == (300, 20, "mixed"):
+            # the stack starts sparse and switches to dense mid-run
+            assert 0 < sparse_rounds < self.ROUNDS
+
+    def test_run_builds_one_index_at_most(self, monkeypatch):
+        built = count_index_builds(monkeypatch)
+        m = 512
+        image = np.zeros((m, m), dtype=np.uint8)
+        image[100, 200] = 4
+        params = oracles.reduced_params([(3, 5, 7, 11)], m)
+        for invert in (False, True):
+            cipher._run(image.reshape(-1), params, m, 2, invert)
+            assert built == []  # every round ran sparse
+            cipher._run(image.reshape(-1), params, m, 7, invert)
+            assert built == [(1, m * m)]
+            built.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -370,13 +370,30 @@ class TestLinearityShortcuts:
     @pytest.mark.parametrize("m", [16, 20, 64])
     def test_avalanche_batch_scores_equal_hamming_percent(self, m):
         task = (3, m, 2, 4, 13)
-        keys, plains = experiments._draw_trials(*task, single_lsb=True)
+        params, plains = experiments._draw_trials(*task, single_lsb=True)
+        keys = [oracles.trial_draws(3, index, m, 2)[1] for index in range(4, 13)]
+        assert np.array_equal(params, oracles.reduced_params(keys, m))
         ciphers = cipher.encrypt(plains, keys)
         zeros = np.zeros((m, m), dtype=np.uint8)
         assert experiments._avalanche_batch(task) == [
             (metrics.hamming_percent(zeros, c), metrics.hamming_percent(p, c))
             for p, c in zip(plains, ciphers)
         ]
+
+
+    def test_covered_batches_build_no_cipher_key(self, monkeypatch):
+        # the batches that first_words covers reach the cipher as one
+        # parameter array: no trial key becomes a CipherKey on the way
+        built = []
+        post_init = cipher.CipherKey.__post_init__
+        monkeypatch.setattr(cipher.CipherKey, "__post_init__",
+                            lambda key: built.append(key) or post_init(key))
+        cfg = small_cfg(sizes=(16, 20, 64), rounds=(1, 6), trials=30)
+        assert len(experiments.avalanche_sweep(cfg)) == 6
+        assert len(experiments.uniformity_sweep(cfg)) == 6
+        assert built == []
+        key = cipher.CipherKey(1, 2, 3, 4, rounds=1)
+        assert built == [key]
 
 
 class TestUniformitySweep:
@@ -556,7 +573,7 @@ class TestKeyspaceReport:
         keys = list(itertools.product(range(1 << report.param_bits), repeat=4))
         distinct = set()
         for start in range(0, len(keys), 4096):
-            index = cipher._gather_index(cipher._key_params(keys[start : start + 4096], m), m)
+            index = cipher._gather_index(oracles.reduced_params(keys[start : start + 4096], m), m)
             distinct.update(row.tobytes() for row in index)
         assert report.key_space == 65536
         assert len(distinct) == report.effective_key_space == 12**4 == 20736

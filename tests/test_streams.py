@@ -1,8 +1,8 @@
 """The batch derivation of the trial streams against numpy's own Generators.
 
 streams.first_words reimplements SeedSequence's entropy mixing and PCG64's
-seeding, and experiments._draw_trials turns the words into keys and pixels
-by numpy's bounded-integer rule.  numpy does not promise that Generator
+seeding, and experiments._draw_trials turns the words into reduced key
+parameters and pixels by numpy's bounded-integer rule.  numpy does not promise that Generator
 streams stay the same across versions (NEP 19): the sweeps' CSV bytes
 depend on the numpy version, and these tests pin the derivation against the
 numpy in use, so a numpy whose streams change fails here first.
@@ -53,6 +53,11 @@ class TestFirstWords:
         assert streams.first_words(0, start, stop, 16, 1, 3) is None
 
 
+def reduced(key, m):
+    """A CipherKey's parameters mod M, as one row of _draw_trials' params."""
+    return [p % m for p in key.params()]
+
+
 def record_replays(monkeypatch):
     """The trial indices that _draw_trials draws through their own Generators."""
     replayed = []
@@ -73,19 +78,20 @@ class TestDrawTrials:
         for k, (seed, rounds) in enumerate(itertools.product(SEEDS, ROUNDS)):
             start = 3 + 1009 * k
             stop = start + 40
-            keys, plains = experiments._draw_trials(seed, m, rounds, start, stop, True)
+            params, plains = experiments._draw_trials(seed, m, rounds, start, stop, True)
             assert replayed == []
-            for index, key, plain in zip(range(start, stop), keys, plains):
+            assert params.dtype == np.int32 and params.shape == (40, 4)
+            for index, row, plain in zip(range(start, stop), params.tolist(), plains):
                 _, expected_key, pixel = oracles.trial_draws(seed, index, m, rounds)
-                assert key == expected_key
+                assert row == reduced(expected_key, m)
                 assert np.flatnonzero(plain).tolist() == [pixel[0] * m + pixel[1]]
 
     @pytest.mark.parametrize("single_lsb", [False, True])
     @pytest.mark.parametrize("m", [16, 300])
     def test_streams_continue_where_the_draws_stop(self, m, single_lsb):
         draws = list(experiments._trial_streams(11, m, 6, range(40, 44), single_lsb))
-        keys, plains = experiments._draw_trials(11, m, 6, 40, 44, single_lsb)
-        assert [key for _, key, _ in draws] == keys
+        params, plains = experiments._draw_trials(11, m, 6, 40, 44, single_lsb)
+        assert [reduced(key, m) for _, key, _ in draws] == params.tolist()
         for index, (rng, key, pixel), plain in zip(range(40, 44), draws, plains):
             direct = np.random.default_rng((11, index, m, 6))
             assert key == cipher.key_from_stream(direct, m, 6)
@@ -137,11 +143,11 @@ class TestReplay:
     def test_rejected_pixel_replays(self, m, monkeypatch):
         monkeypatch.setattr(streams, "first_words", reject_pixel_of(1))
         replayed = record_replays(monkeypatch)
-        keys, plains = experiments._draw_trials(4, m, 6, 10, 13, True)
+        params, plains = experiments._draw_trials(4, m, 6, 10, 13, True)
         assert replayed == [11]
-        for index, key, plain in zip(range(10, 13), keys, plains):
+        for index, row, plain in zip(range(10, 13), params.tolist(), plains):
             _, expected_key, pixel = oracles.trial_draws(4, index, m, 6)
-            assert key == expected_key
+            assert row == reduced(expected_key, m)
             assert np.flatnonzero(plain).tolist() == [pixel[0] * m + pixel[1]]
         # every trial's stream goes on from its own Generator
         draws = experiments._trial_streams(4, m, 6, range(10, 13), True)
@@ -166,11 +172,12 @@ class TestReplay:
     def test_batch_across_two_to_the_32_replays(self, single_lsb, monkeypatch):
         start, stop = 2**32 - 2, 2**32 + 2
         replayed = record_replays(monkeypatch)
-        keys, plains = experiments._draw_trials(9, 16, 2, start, stop, single_lsb)
+        params, plains = experiments._draw_trials(9, 16, 2, start, stop, single_lsb)
         assert replayed == list(range(start, stop))
-        for index, key, plain in zip(range(start, stop), keys, plains):
+        assert params.dtype == np.int32
+        for index, row, plain in zip(range(start, stop), params.tolist(), plains):
             _, expected_key, pixel = oracles.trial_draws(9, index, 16, 2)
-            assert key == expected_key
+            assert row == reduced(expected_key, 16)
             expected = [pixel[0] * 16 + pixel[1]] if single_lsb else []
             assert np.flatnonzero(plain).tolist() == expected
 
@@ -183,13 +190,14 @@ class TestReplay:
     def test_real_rejection_replays(self, m, index, monkeypatch):
         start, stop = index - 1, index + 1
         replayed = record_replays(monkeypatch)
-        keys, plains = experiments._draw_trials(0, m, 1, start, stop, True)
+        params, plains = experiments._draw_trials(0, m, 1, start, stop, True)
         assert replayed == [index]
         draws = experiments._trial_streams(0, m, 1, range(start, stop), True)
-        for trial, key, plain, (rng, drawn_key, pixel) in zip(range(start, stop), keys, plains,
-                                                             draws):
+        for trial, row, plain, (rng, drawn_key, pixel) in zip(range(start, stop),
+                                                             params.tolist(), plains, draws):
             direct, expected_key, expected_pixel = oracles.trial_draws(0, trial, m, 1)
-            assert key == drawn_key == expected_key
+            assert drawn_key == expected_key
+            assert row == reduced(expected_key, m)
             assert pixel == expected_pixel
             assert np.flatnonzero(plain).tolist() == [pixel[0] * m + pixel[1]]
             assert rng.integers(0, 256, 8, dtype=np.uint8).tolist() == \
