@@ -93,6 +93,8 @@ def _config(args: argparse.Namespace, **fields) -> ExperimentConfig:
         seed = _int(text) if args.seed is None else args.seed
     except ValueError:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     return ExperimentConfig(trials=args.trials, master_seed=seed, **fields)
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from multiprocessing import get_context
+from multiprocessing.connection import wait
 from typing import ClassVar
 
 import numpy as np
@@ -176,15 +177,17 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     start..stop-1 in order.  Everything else a batch needs travels in its task.
 
     The static cipher tables of every size are built first, in this process,
-    whether the batches then run serially or not.  Before a pool starts, the
-    scramble positions of every size are built as well: forked pool workers
+    whether the batches then run serially or not.  Before the workers start,
+    the scramble positions of every size are built as well: forked workers
     inherit both, and the loaded numpy.random, where each fresh worker would
     otherwise build them again.  Under a spawn or forkserver start method the
     workers build their own; the results are the same.
 
-    The pool takes the tasks largest first, by M*M*rounds (stable, so a
-    cell's batches keep their order), so that no large cell starts last
-    while the other workers sit idle; the results are put back in task order.
+    With more than one worker, the batches run in _run_pool's processes
+    while this process waits.  The workers take the tasks largest first, by
+    M*M*rounds (stable, so a cell's batches keep their order), so that no
+    large cell starts last while the other workers sit idle; the results
+    are put back in task order.
     """
     cells = [(m, r) for m in sorted(cfg.sizes) for r in sorted(cfg.rounds)]
     tasks = []
@@ -202,16 +205,76 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
         for m in cfg.sizes:
             cipher.scramble_positions(m)
         order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1] ** 2 * tasks[i][2])
-        chunk = max(1, len(tasks) // (workers * 4))
-        batches = [None] * len(tasks)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = pool.map(batch_fn, [tasks[i] for i in order], chunksize=chunk)
-            for i, batch in zip(order, done):
-                batches[i] = batch
+        done = _run_pool(batch_fn, tasks, order, workers)
+        batches = [done[i] for i in range(len(tasks))]
     results = [value for batch in batches for value in batch]
     return [
         (m, r, results[i * cfg.trials : (i + 1) * cfg.trials]) for i, (m, r) in enumerate(cells)
     ]
+
+
+def _pool_worker(batch_fn, tasks, order, counter, conn) -> None:
+    """Run tasks[order[k]] for each position k this worker takes from counter.
+
+    Sends (None, {task index: batch}) once the order runs out, or
+    (exception, None) for the first batch that raises, through conn.
+    """
+    results = {}
+    try:
+        while True:
+            with counter.get_lock():
+                k = counter.value
+                counter.value = k + 1
+            if k >= len(order):
+                break
+            results[order[k]] = batch_fn(tasks[order[k]])
+    except Exception as exc:
+        conn.send((exc, None))
+    else:
+        conn.send((None, results))
+    conn.close()
+
+
+def _run_pool(batch_fn, tasks, order, workers: int) -> dict:
+    """{task index: batch} of every task, from workers _pool_worker processes
+    of the default start method.
+
+    The workers share one counter of positions in order.  A batch that
+    raises raises here; a worker that exits without sending its results
+    raises RuntimeError.  Every worker is joined before this returns or
+    raises, and after an error those still running are terminated first.
+    """
+    context = get_context()
+    counter = context.Value("q", 0)
+    procs, pending, batches = [], [], {}
+    try:
+        for _ in range(workers):
+            receive, send = context.Pipe(duplex=False)
+            proc = context.Process(target=_pool_worker, args=(batch_fn, tasks, order, counter, send))
+            proc.start()
+            procs.append(proc)
+            pending.append(receive)
+            # Now only the worker holds the sending end, so the pipe ends when the
+            # worker does, and no worker forked later inherits it.
+            send.close()
+        while pending:
+            for receive in wait(pending):
+                pending.remove(receive)
+                try:
+                    error, results = receive.recv()
+                except EOFError:
+                    raise RuntimeError("a sweep worker exited without sending its results") from None
+                if error is not None:
+                    raise error
+                batches.update(results)
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+    return batches
 
 
 def _trial_streams(master_seed: int, m: int, rounds: int, indices, single_lsb: bool):

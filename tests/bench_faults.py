@@ -7,12 +7,13 @@ Run it from the root of a checkout, for every workload or the ones named:
 
 For each workload it replays perfbench's closed loop at seed 0: one
 Bench.set_up(), then RUNS calls of Bench.run().  It prints the minor page
-faults (ru_minflt of this process plus its reaped children, so a pool's
-workers count), CPU ms and wall ms per run, each as the median over the
-runs with the mean and the quartiles beside it: a median of small fault
-counts sits on an integer, while the mean and the quartiles show a shift
-of the distribution.  A run that faults in fresh pages shows as a high
-fault count; a warm heap reads close to 0.
+faults (ru_minflt) and CPU ms per run of this process (caller), of the
+children it reaped during the run (children: a pooled sweep's workers), and
+their sum, then the wall ms per run.  Each is the median over the runs with
+the mean and the quartiles beside it: a median of small fault counts sits
+on an integer, while the mean and the quartiles show a shift of the
+distribution.  A run that faults in fresh pages shows as a high fault
+count; a warm heap reads close to 0.
 """
 
 from __future__ import annotations
@@ -31,29 +32,41 @@ RUNS = 40
 SEED = 0
 
 
-def minor_faults() -> int:
-    """Minor page faults of this process and of every child it has reaped."""
-    return sum(resource.getrusage(who).ru_minflt
-               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+WHO = {"caller": resource.RUSAGE_SELF, "children": resource.RUSAGE_CHILDREN}
 
 
-def measure(workload: harness.Workload) -> tuple[list[float], list[float], list[float]]:
-    """Minor faults, CPU ms and wall ms of each of RUNS runs after one set-up."""
+def usage() -> dict[str, float]:
+    """Minor page faults and CPU ms so far, of this process and of its reaped children."""
+    out = {}
+    for name, who in WHO.items():
+        ru = resource.getrusage(who)
+        out[f"faults {name}"] = ru.ru_minflt
+        out[f"cpu ms {name}"] = 1000.0 * (ru.ru_utime + ru.ru_stime)
+    return out
+
+
+def measure(workload: harness.Workload) -> tuple[dict[str, list[float]], list[float]]:
+    """Faults and CPU ms of the caller, its children and both ("total"), and
+    wall ms, of each of RUNS runs after one set-up."""
     bench = harness.Bench(workload, SEED)
-    faults, cpus, walls = [], [], []
+    series: dict[str, list[float]] = {}
+    walls = []
     try:
         bench.set_up()
         for _ in range(RUNS):
-            before = minor_faults()
-            wall, cpu = bench.run()
-            faults.append(minor_faults() - before)
+            before = usage()
+            wall, _ = bench.run()
+            after = usage()
             walls.append(1000.0 * wall)
-            cpus.append(1000.0 * cpu)
+            for kind in ("faults", "cpu ms"):
+                parts = [after[f"{kind} {name}"] - before[f"{kind} {name}"] for name in WHO]
+                for name, value in zip([*WHO, "total"], [*parts, sum(parts)]):
+                    series.setdefault(f"{kind} {name}", []).append(value)
         if bench.failed:
             raise SystemExit(f"{workload.name}: {bench.failed} failed trials: {bench.problems}")
     finally:
         bench.close()
-    return faults, cpus, walls
+    return series, walls
 
 
 def summary(values: list[float], fmt: str) -> str:
@@ -65,9 +78,12 @@ def summary(values: list[float], fmt: str) -> str:
 
 def main(names: list[str]) -> int:
     for name in names or list(harness.WORKLOADS):
-        faults, cpus, walls = measure(harness.WORKLOADS[name])
-        print(f"{name}: minor faults/run {summary(faults, '.3g')}, "
-              f"cpu ms/run {summary(cpus, '.1f')}, wall ms/run {summary(walls, '.1f')}")
+        series, walls = measure(harness.WORKLOADS[name])
+        print(f"{name}:")
+        for label, values in series.items():
+            fmt = ".4g" if label.startswith("faults") else ".1f"
+            print(f"  {label}/run {summary(values, fmt)}")
+        print(f"  wall ms/run {summary(walls, '.1f')}")
     return 0
 
 

@@ -29,6 +29,9 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
 - experiments._trial_streams, each trial through its own Generator (the
   route of error propagation and the control-random baseline), key only and
   with the single-LSB pixel, at the batch sizes of M in {16, 256, 512}.
+- experiments._sweep over uniformity-large's tasks (M in {256, 300, 512},
+  rounds 1 and 6, 10 trials) with batches that do nothing, at jobs=2 with
+  usable_cpus patched to 2: the fixed cost of the worker pool per sweep.
 
 The cases run on a warm heap: before the first one, one 30 MiB block is
 filled and freed.  Freeing a block that glibc mapped raises its mmap
@@ -157,3 +160,14 @@ def test_run_drawn_params(benchmark, m, rounds):
 @pytest.mark.parametrize("m, trials", [(16, 1024), (256, 4), (512, 1)])
 def test_trial_streams(benchmark, m, trials, single_lsb):
     benchmark(lambda: list(experiments._trial_streams(7, m, 6, range(trials), single_lsb)))
+
+
+def _no_op_batch(task: tuple) -> list[None]:
+    """A batch that does nothing: one None per trial."""
+    return [None] * (task[4] - task[3])
+
+
+def test_pool_fixed_cost(benchmark, monkeypatch):
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+    cfg = experiments.ExperimentConfig(sizes=(256, 300, 512), rounds=(1, 6), trials=10)
+    benchmark(experiments._sweep, _no_op_batch, cfg, 2, experiments.PLAINTEXT_SINGLE_LSB, False)

@@ -202,6 +202,18 @@ class TestOtherCommands:
         assert capsys.readouterr().err == "error: the master seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", [0, -4])
+    @pytest.mark.parametrize("command", ["avalanche", "uniformity", "errorprop"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, command, jobs):
+        image = tmp_path / "img.pgm"
+        image_io.write_pgm(np.zeros((16, 16), dtype=np.uint8), image)
+        out = tmp_path / "a.csv"
+        args = ["--image", image] if command == "errorprop" else ["--sizes", "16", "--rounds", "1"]
+        code = run([command, *args, "--trials", 2, "--jobs", jobs, "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
+
     def test_negative_seed_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "-3")
         out = tmp_path / "a.csv"

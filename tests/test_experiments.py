@@ -3,7 +3,9 @@ import itertools
 import math
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import signal
+import time
+import types
 
 import numpy as np
 import pytest
@@ -72,6 +74,86 @@ def _position_misses_batch(task: tuple) -> list[int]:
     return [cipher.scramble_positions.cache_info().misses] * (stop - start)
 
 
+# What _mark_batch reports: a forked worker sees the caller's value, a spawned
+# one imports this module afresh.
+_CALLER_MARK = "imported"
+
+
+def _mark_batch(task: tuple) -> list[str]:
+    """Per trial of a batch: _CALLER_MARK in the process that ran it."""
+    master_seed, m, rounds, start, stop = task
+    return [_CALLER_MARK] * (stop - start)
+
+
+def _failing_batch(task: tuple) -> list[float]:
+    """Raises ValueError on the first batch of a cell; any other batch sleeps
+    10 s, then scores each trial 1.0."""
+    master_seed, m, rounds, start, stop = task[:5]
+    if start == 0:
+        raise ValueError(f"batch at M={m}, r={rounds} failed")
+    time.sleep(10)
+    return [1.0] * (stop - start)
+
+
+def _exiting_batch(task: tuple) -> list[float]:
+    """Ends its process with status 3 on the first batch of the r=2 cell;
+    any other batch scores each trial 1.0."""
+    master_seed, m, rounds, start, stop = task[:5]
+    if (rounds, start) == (2, 0):
+        os._exit(3)
+    return [1.0] * (stop - start)
+
+
+def _logging_batch(task: tuple) -> list[int]:
+    """Appends one line per run of the batch to the file its task names; scores each trial 0."""
+    master_seed, m, rounds, start, stop, log = task
+    with open(log, "a", encoding="ascii") as fh:
+        fh.write(f"{m} {rounds} {start}\n")
+    return [0] * (stop - start)
+
+
+@pytest.fixture
+def deadline():
+    """Fails a sweep that has not returned within 60 s, where it would hang."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("the sweep did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class _InlineProcess:
+    """A worker process that runs its target in this process when started."""
+
+    def __init__(self, target, args):
+        self.target, self.args = target, args
+
+    def start(self):
+        self.target(*self.args)
+
+    def terminate(self):
+        pass
+
+    def join(self):
+        pass
+
+
+def _use_context(monkeypatch, method):
+    """Have _sweep's workers start by the named start method."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    monkeypatch.setattr(experiments, "get_context", functools.partial(multiprocessing.get_context, method))
+
+
 class TestWorkerCount:
     def test_huge_jobs_clamped_to_cores_and_tasks(self):
         cores = experiments.usable_cpus()
@@ -88,7 +170,7 @@ class TestWorkerCount:
             raise AssertionError("a pool was created for a process pinned to one CPU")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(experiments, "get_context", no_pool)
         assert experiments.usable_cpus() == 1
         assert experiments._worker_count(8, 100) == 1
         cfg = small_cfg(sizes=(16, 20), rounds=(1,), trials=3)
@@ -160,43 +242,37 @@ class TestSweepOrder:
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
         monkeypatch.setattr(experiments, "BATCH_PIXELS", 2 * 20 * 20)
 
-    @staticmethod
-    def use_pool(monkeypatch, method):
-        if method not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"no {method} start method here")
-        context = multiprocessing.get_context(method)
-        monkeypatch.setattr(
-            experiments, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=context)
-        )
-
     def test_pool_takes_largest_cells_first(self, monkeypatch):
+        # The first inline worker takes every position of the shared order,
+        # so it receives the tasks in the order the workers take them.
         received = []
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                pass
+        def avalanche_batch(task):
+            received.append(task)
+            return experiments._avalanche_batch(task)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize):
-                tasks = list(tasks)
-                received.extend(tasks)
-                return map(fn, tasks)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
-        pooled = experiments._sweep(experiments._avalanche_batch, self.CFG, 2)
+        inline = types.SimpleNamespace(
+            Process=_InlineProcess, Value=multiprocessing.Value, Pipe=multiprocessing.Pipe
+        )
+        monkeypatch.setattr(experiments, "get_context", lambda: inline)
+        pooled = experiments._sweep(avalanche_batch, self.CFG, 2)
         cells = [(m, r) for _, m, r, _, _ in received]
         assert cells == [(20, 3)] * 3 + [(16, 3)] * 2 + [(20, 1)] * 3 + [(16, 1)] * 2
         assert [(start, stop) for _, _, _, start, stop in received[:3]] == [(0, 2), (2, 4), (4, 5)]
         assert pooled == experiments._sweep(experiments._avalanche_batch, self.CFG, 1)
 
+    @pytest.mark.parametrize("method, mark", [("fork", "set by the caller"), ("spawn", "imported")])
+    def test_workers_start_by_the_method(self, monkeypatch, method, mark):
+        _use_context(monkeypatch, method)
+        monkeypatch.setitem(globals(), "_CALLER_MARK", "set by the caller")
+        marks = {value for _, _, chunk in experiments._sweep(_mark_batch, self.CFG, 2)
+                 for value in chunk}
+        assert marks == {mark}
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_same_cells_at_one_and_two_jobs(self, monkeypatch, method):
-        self.use_pool(monkeypatch, method)
+        _use_context(monkeypatch, method)
         serial = experiments._sweep(experiments._avalanche_batch, self.CFG, 1)
         assert [(m, r) for m, r, _ in serial] == [(16, 1), (16, 3), (20, 1), (20, 3)]
         assert all(len(chunk) == self.CFG.trials for _, _, chunk in serial)
@@ -205,7 +281,7 @@ class TestSweepOrder:
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_error_propagation_cell(self, monkeypatch, method):
         # errorprop's one cell, one trial per batch
-        self.use_pool(monkeypatch, method)
+        _use_context(monkeypatch, method)
         monkeypatch.setattr(experiments, "BATCH_PIXELS", 16 * 16)
         image = image_io.make_portrait_image(16)
         cfg = small_cfg(rounds=(2,), trials=3)
@@ -222,10 +298,7 @@ class TestSpawnWorkers:
 
     @pytest.fixture(autouse=True)
     def spawn_pool(self, monkeypatch):
-        spawn = multiprocessing.get_context("spawn")
-        monkeypatch.setattr(
-            experiments, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=spawn)
-        )
+        _use_context(monkeypatch, "spawn")
         # two workers even where this process may use one CPU
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
         # one trial per batch, so every run has several tasks
@@ -240,6 +313,65 @@ class TestSpawnWorkers:
         cfg = small_cfg(trials=3, error_percents=(0.0, 1.0))
         assert experiments.error_propagation(cfg, image, jobs=2, rounds=2) == \
             experiments.error_propagation(cfg, image, rounds=2)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestWorkerFailure:
+    """A batch that fails in a worker fails the sweep, without a hang, and
+    leaves no worker behind; so does a sweep that succeeds."""
+
+    # cells (16, 1) and (16, 2); one trial per batch, three batches per cell
+    CFG = small_cfg(sizes=(16,), rounds=(1, 2), trials=3)
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        # two workers even where this process may use one CPU
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiments, "BATCH_PIXELS", 16 * 16)
+
+    def test_succeeding_sweep_leaves_no_worker(self):
+        assert experiments.uniformity_sweep(self.CFG, jobs=2) == \
+            experiments.uniformity_sweep(self.CFG)
+        assert multiprocessing.active_children() == []
+
+    def test_exception_in_a_worker_reaches_the_caller(self):
+        # the first batch raises at once; the other worker, asleep in its
+        # first batch, is terminated instead of waited for
+        begin = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^batch at M=16, r=[12] failed$"):
+            experiments._sweep(_failing_batch, self.CFG, 2)
+        assert time.perf_counter() - begin < 8.0
+        assert multiprocessing.active_children() == []
+
+    def test_cli_reports_a_worker_exception_in_one_line(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(experiments, "_uniformity_batch", _failing_batch)
+        argv = ["uniformity", "--sizes", "16", "--rounds", "1,2", "--trials", "3",
+                "--jobs", "2", "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: batch at M=16, r=") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_exits_raises_runtime_error(self):
+        with pytest.raises(RuntimeError, match="exited without sending its results"):
+            experiments._sweep(_exiting_batch, self.CFG, 2)
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.usefixtures("deadline")
+def test_shared_counter_runs_each_task_once(monkeypatch, tmp_path):
+    # six workers, more than a small machine's CPUs, take 200 one-trial
+    # batches from the shared counter: a lost update would run a task twice
+    workers = 6
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
+    monkeypatch.setattr(experiments, "BATCH_PIXELS", 16 * 16)
+    log = tmp_path / "runs.log"
+    cfg = small_cfg(sizes=(16,), rounds=(1, 2), trials=100)
+    experiments._sweep(_logging_batch, cfg, workers, str(log))
+    runs = log.read_text(encoding="ascii").splitlines()
+    assert sorted(runs) == sorted(f"16 {r} {start}" for r in (1, 2) for start in range(100))
+    assert multiprocessing.active_children() == []
 
 
 class TestStats:
