@@ -56,10 +56,11 @@ Decryption rotates right, gathers and applies the same block XOR: x -> x xor
 A^-1 = J xor P^T = A^T.  Its gather index is the forward byte map, evaluated
 in closed form at every position: the in-block move takes position j to a
 static cell (cell_coords), the cat map (x + a*y + rx, b*x + (a*b + 1)*y + ry)
-mod M moves that cell, and the inverse of the scramble (scramble_positions)
-gives the position it lands on.  Only the cat map is keyed; the two static
-tables are cached per M and built where a direction first needs them (a
-sweep that starts a pool builds scramble_positions before it forks).
+mod M moves that cell, and the inverse of the scramble gives the position it
+lands on.  Only the cat map is keyed.  One cache, static_tables, holds every
+key-independent table of a size M, the scramble's inverse among them; only
+decryption's cells (cell_coords) are cached apart, built where its index
+first needs them.
 
 Sparse rounds.  A nonzero byte fills at most its 16-byte block under the
 block XOR, and the gather sends a block's 16 bytes into at most 16 blocks,
@@ -258,13 +259,22 @@ def _block_xor(data: np.ndarray) -> np.ndarray:
     return (lanes ^ fold[:, np.newaxis]).reshape(-1).view(np.uint8)
 
 
+# Most positions of a per-position table built in one pass, the gather
+# index and the scramble's inverse: every int32 temporary of a pass is 64 KiB
+# and each intp one 128 KiB, so a pass reuses the same few small buffers
+# whatever M and W are.
+_INDEX_BLOCK = 16384
+
+
 @functools.lru_cache(maxsize=8)
-def static_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The key-independent tables of side length M, read-only: (u, v, shift, complement).
+def static_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The key-independent tables of side length M, read-only: (u, v, shift, complement, scramble_pos).
 
     (u, v) is the int16 grid cell that the static scramble brings to each
     flat position; :func:`_gather_index` widens it.  shift is the uint8
     left-rotation amount s of each position, and complement is 8 - s.
+    scramble_pos is the int32 flat position that the scramble takes each
+    grid cell to, the inverse of (u, v): scramble_pos[u[k]*M + v[k]] = k.
     """
     flat = np.random.default_rng((SCRAMBLE_SEED, m)).permutation(m * m)
     coords = np.empty((2, m * m), dtype=np.int16)
@@ -274,45 +284,25 @@ def static_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     rng = np.random.default_rng((ROTATION_SEED, m))
     shift = rng.integers(0, 8, size=m * m, dtype=np.int32).astype(np.uint8)
     complement = 8 - shift
-    for table in (coords, shift, complement):
+    # Last and in blocks, so the build peaks at the int64 permutation: a sweep
+    # builds the tables before it forks a pool, and whole-array temporaries
+    # would stay in the caller's resident memory.
+    scramble_pos = np.empty(m * m, dtype=np.int32)
+    for start in range(0, m * m, _INDEX_BLOCK):
+        part = slice(start, start + _INDEX_BLOCK)
+        cell = coords[0, part].astype(np.intp)
+        cell *= m
+        cell += coords[1, part]
+        scramble_pos[cell] = np.arange(start, start + cell.size, dtype=np.int32)
+    for table in (coords, shift, complement, scramble_pos):
         table.flags.writeable = False
-    return coords[0], coords[1], shift, complement
+    return coords[0], coords[1], shift, complement, scramble_pos
 
 
 # The in-block move sends input byte i of a block to byte p0[i]: the inverse
 # of _PINV.
 _P0 = np.argsort(_PINV).astype(np.int32)
 _P0.flags.writeable = False
-
-
-# Most positions of a per-position table built in one pass, the gather
-# index and scramble_positions: every int32 temporary of a pass is 64 KiB and
-# each intp one 128 KiB, so a pass reuses the same few small buffers
-# whatever M and W are.
-_INDEX_BLOCK = 16384
-
-
-@functools.lru_cache(maxsize=8)
-def scramble_positions(m: int) -> np.ndarray:
-    """The int32 flat position that the static scramble takes each grid cell to, read-only.
-
-    It inverts static_tables' (u, v): scramble_pos[u[k]*M + v[k]] = k.
-    Only the forward byte map (:func:`_destination`) reads it, so it is
-    built where a direction first asks for it, not with static_tables; a
-    sweep that starts a pool builds it before the fork.
-    """
-    u, v, _, _ = static_tables(m)
-    scramble_pos = np.empty(m * m, dtype=np.int32)
-    # In blocks: a sweep builds it before it forks a pool, and whole-array
-    # temporaries would stay in the caller's resident memory.
-    for start in range(0, m * m, _INDEX_BLOCK):
-        part = slice(start, start + _INDEX_BLOCK)
-        flat = u[part].astype(np.intp)
-        flat *= m
-        flat += v[part]
-        scramble_pos[flat] = np.arange(start, start + flat.size, dtype=np.int32)
-    scramble_pos.flags.writeable = False
-    return scramble_pos
 
 
 def _cells(start: np.ndarray, m: int, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
@@ -385,8 +375,9 @@ def _destination(x0, y0, a, b, rx, ry, m: int) -> np.ndarray:
     (x0, y0) is a position's cell after the in-block move (:func:`_cells`).
     The cat map is evaluated forward, x = x0 + a*y0 + rx, then
     y = b*(x - rx) + y0 + ry, which is b*x0 + (a*b + 1)*y0 + ry, both mod M,
-    and scramble_positions gives the position the scramble takes (x, y) to.
-    At most three arrays of the result's size are alive at once.
+    and the scramble's inverse in static_tables gives the position the
+    scramble takes (x, y) to.  At most three arrays of the result's size are
+    alive at once.
     """
     x = a * y0
     x += x0
@@ -401,8 +392,9 @@ def _destination(x0, y0, a, b, rx, ry, m: int) -> np.ndarray:
     x *= m
     x += y
     del y
+    *_, scramble_pos = static_tables(m)
     # x is within [0, M*M): "clip" never clips, and unlike "raise" it does not buffer.
-    return np.take(scramble_positions(m), x, out=tmp, mode="clip")
+    return np.take(scramble_pos, x, out=tmp, mode="clip")
 
 
 def _gather_index(params: np.ndarray, m: int, invert: bool = False, positions: slice = slice(None)) -> np.ndarray:
@@ -418,7 +410,7 @@ def _gather_index(params: np.ndarray, m: int, invert: bool = False, positions: s
     if invert:
         x0, y0 = cell_coords(m)
         return _destination(x0[positions], y0[positions], a, b, rx, ry, m)
-    u, v, _, _ = static_tables(m)
+    u, v = static_tables(m)[:2]
     return _source(u[positions], v[positions], a, b, rx, ry, m)
 
 
@@ -503,7 +495,7 @@ def _sparse_round(
     local = start + _LANES
     a, b, rx, ry = params[image].T[:, :, np.newaxis]
     data = flat.reshape(-1, BLOCK_BYTES)[blocks]
-    u, v, shift, complement = static_tables(m)
+    u, v, shift, complement, _ = static_tables(m)
     if invert:
         by, back = complement[local], shift[local]
         target = _source(u[local], v[local], a, b, rx, ry, m)
@@ -574,7 +566,7 @@ def _rounds(flat: np.ndarray, params: np.ndarray, m: int, invert: bool) -> Itera
             flat, blocks = _sparse_round(flat, blocks, per_image, m, invert)
             yield flat
     index = _stack_index(params, m, invert)
-    _, _, shift, complement = static_tables(m)
+    _, _, shift, complement, _ = static_tables(m)
     while True:
         # Rows of the index's size: the whole stack, or each image under one key.
         if invert:

@@ -60,12 +60,15 @@ def _real(text: str) -> float:
 _real.__name__ = "float"  # argparse's message reads "invalid float value: ..."
 
 
-def _parse_percents(text: str) -> tuple[float, ...]:
+def _float_list(text: str) -> tuple[float, ...]:
     """argparse type: comma-separated decimals; '' is no percentages."""
     entries = text.split(",") if text else []
     if not all(_DECIMAL.fullmatch(entry) for entry in entries):
         raise ValueError(f"not a list of decimals: {text!r}")
     return tuple(float(entry) for entry in entries)
+
+
+_float_list.__name__ = "float_list"  # argparse's message reads "invalid float_list value: ..."
 
 
 def _fmt(value: float) -> str:
@@ -273,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("errorprop", parents=[run], help="channel-error propagation report")
     sub.add_argument("--image", required=True, help="input PGM (P5) path")
-    sub.add_argument("--percents", type=_parse_percents, default=experiments.DEFAULT_ERROR_PERCENTS,
+    sub.add_argument("--percents", type=_float_list, default=experiments.DEFAULT_ERROR_PERCENTS,
                      help="comma-separated bit-error percentages (default %(default)s)")
     sub.add_argument("--rounds", type=_int, default=experiments.SECURE_ROUNDS,
                      help="round count (default %(default)s, the secure configuration)")

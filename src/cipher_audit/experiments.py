@@ -177,9 +177,8 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     start..stop-1 in order.  Everything else a batch needs travels in its task.
 
     The static cipher tables of every size are built first, in this process,
-    whether the batches then run serially or not.  Before the workers start,
-    the scramble positions of every size are built as well: forked workers
-    inherit both, and the loaded numpy.random, where each fresh worker would
+    whether the batches then run serially or not: forked workers inherit
+    them, and the loaded numpy.random, where each fresh worker would
     otherwise build them again.  Under a spawn or forkserver start method the
     workers build their own; the results are the same.
 
@@ -202,8 +201,6 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     if workers == 1:
         batches = [batch_fn(task) for task in tasks]
     else:
-        for m in cfg.sizes:
-            cipher.scramble_positions(m)
         order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1] ** 2 * tasks[i][2])
         done = _run_pool(batch_fn, tasks, order, workers)
         batches = [done[i] for i in range(len(tasks))]

@@ -32,6 +32,9 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
 - experiments._sweep over uniformity-large's tasks (M in {256, 300, 512},
   rounds 1 and 6, 10 trials) with batches that do nothing, at jobs=2 with
   usable_cpus patched to 2: the fixed cost of the worker pool per sweep.
+- cipher.static_tables built from a cleared cache at each M: the one-time
+  cost of a size's key-independent tables.  It runs last, since each call
+  clears the tables of every size.
 
 The cases run on a warm heap: before the first one, one 30 MiB block is
 filled and freed.  Freeing a block that glibc mapped raises its mmap
@@ -99,7 +102,7 @@ def test_sparse_round(benchmark, m, blocks):
     ids = np.sort(rng.choice(m * m // cipher.BLOCK_BYTES, size=blocks, replace=False))
     flat = np.zeros(m * m, dtype=np.uint8)
     flat.reshape(-1, cipher.BLOCK_BYTES)[ids] = rng.integers(1, 256, (blocks, 16), dtype=np.uint8)
-    cipher.scramble_positions(m)
+    cipher.static_tables(m)
     benchmark(cipher._sparse_round, flat, ids, params_for(m), m, False)
 
 
@@ -107,7 +110,7 @@ def test_sparse_round(benchmark, m, blocks):
 @pytest.mark.parametrize("m", SIZES)
 def test_decrypt_index(benchmark, m, route):
     params = params_for(m)
-    cipher.scramble_positions(m)
+    cipher.static_tables(m)
     cipher.cell_coords(m)
     if route == "closed-form":
         benchmark(cipher._stack_index, params, m, True)
@@ -171,3 +174,8 @@ def test_pool_fixed_cost(benchmark, monkeypatch):
     monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
     cfg = experiments.ExperimentConfig(sizes=(256, 300, 512), rounds=(1, 6), trials=10)
     benchmark(experiments._sweep, _no_op_batch, cfg, 2, experiments.PLAINTEXT_SINGLE_LSB, False)
+
+
+@pytest.mark.parametrize("m", SIZES)
+def test_static_tables_build(benchmark, m):
+    benchmark.pedantic(cipher.static_tables, args=(m,), setup=cipher.static_tables.cache_clear, rounds=20)

@@ -252,7 +252,7 @@ class TestBitPermutation:
             assert np.array_equal(np.sort(index), identity)
             assert np.array_equal(index[inverse], identity)
             assert np.array_equal(inverse[index], identity)
-            u, v, _, _ = cipher.static_tables(m)
+            u, v, _, _, _ = cipher.static_tables(m)
             pairs = oracles.scramble_pairs(cipher.SCRAMBLE_SEED, m)
             assert list(zip(u.tolist(), v.tolist())) == [p for row in pairs for p in row]
 
@@ -268,7 +268,7 @@ class TestBitPermutation:
             assert r.bit_count() == byte.bit_count()
         assert np.array_equal(restored, data)
         m = 16
-        _, _, left, right = cipher.static_tables(m)
+        _, _, left, right, _ = cipher.static_tables(m)
         shifts = oracles.rotation_shifts(cipher.ROTATION_SEED, m)
         assert left.tolist() == [s for row in shifts for s in row]
         assert right.tolist() == [8 - s for row in shifts for s in row]
@@ -280,7 +280,8 @@ class TestStaticTables:
     that define them; the gather index is int32 at every standard size."""
 
     def test_build_peak_memory(self):
-        # the int64 permutation is freed before the rotation draw
+        # the int64 permutation is freed before the rotation draw, and the
+        # scramble's inverse is built in blocks
         cipher.static_tables.cache_clear()
         tracemalloc.start()
         try:
@@ -294,7 +295,7 @@ class TestStaticTables:
     def test_scramble_coords_equal_int64_permutation(self, m):
         flat = np.random.default_rng((cipher.SCRAMBLE_SEED, m)).permutation(m * m)
         want_u, want_v = np.divmod(flat, m)
-        u, v, _, _ = cipher.static_tables(m)
+        u, v, _, _, _ = cipher.static_tables(m)
         assert u.dtype == v.dtype == np.int16
         assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
         assert not u.flags.writeable and not v.flags.writeable
@@ -308,22 +309,21 @@ class TestStaticTables:
     @pytest.mark.parametrize("m", [4, 12, 196, 300, 512])
     def test_rotation_shifts_equal_int64_draw(self, m):
         want = np.random.default_rng((cipher.ROTATION_SEED, m)).integers(0, 8, size=m * m)
-        _, _, shift, complement = cipher.static_tables(m)
+        _, _, shift, complement, _ = cipher.static_tables(m)
         assert shift.dtype == complement.dtype == np.uint8
         assert np.array_equal(shift, want) and np.array_equal(complement, 8 - want)
         assert not shift.flags.writeable and not complement.flags.writeable
 
 
 class TestForwardTables:
-    """scramble_positions and cell_coords, the tables of the forward byte
-    map, have their own cache, built where a direction first needs them."""
+    """The tables of the forward byte map: the scramble's inverse, held by
+    static_tables, and cell_coords, which has its own cache and is built
+    where decryption's index first needs it."""
 
     @pytest.mark.parametrize("build, bound", [
-        (cipher.scramble_positions, 2 * 2**20),  # built in blocks: the table plus 1 MiB
         (cipher.cell_coords, 2.2 * 2**20),
     ])
     def test_build_peak_memory(self, build, bound):
-        cipher.static_tables(512)  # read by scramble_positions, not counted here
         build.cache_clear()
         tracemalloc.start()
         try:
@@ -335,8 +335,7 @@ class TestForwardTables:
 
     @pytest.mark.parametrize("m", [4, 12, 196, 300, 512])
     def test_scramble_positions_invert_the_scramble(self, m):
-        u, v, _, _ = cipher.static_tables(m)
-        scramble_pos = cipher.scramble_positions(m)
+        u, v, _, _, scramble_pos = cipher.static_tables(m)
         assert scramble_pos.dtype == np.int32 and not scramble_pos.flags.writeable
         assert np.array_equal(scramble_pos[u.astype(np.int64) * m + v], np.arange(m * m))
 
@@ -354,12 +353,10 @@ class TestForwardTables:
     def test_encrypt_builds_no_cell_table(self):
         # a sparse round finds the cells of its few blocks itself
         cipher.cell_coords.cache_clear()
-        cipher.scramble_positions.cache_clear()
         image = np.zeros((512, 512), dtype=np.uint8)
         image[7, 9] = 1
         cipher.encrypt(image, cipher.CipherKey(3, 5, 7, 11, rounds=1))
         assert cipher.cell_coords.cache_info().currsize == 0
-        assert cipher.scramble_positions.cache_info().currsize == 1
 
 
 class TestClosedFormInverse:

@@ -324,9 +324,9 @@ class TestParserErrors:
         (["avalanche", "--seed", "0x10"], "argument --seed: invalid int value: '0x10'"),
         (["avalanche", "--sizes", "16,,32"], "argument --sizes: invalid int_list value: '16,,32'"),
         (["errorprop", "--image", "img.pgm", "--percents", "1,,5"],
-         "argument --percents: invalid _parse_percents value: '1,,5'"),
+         "argument --percents: invalid float_list value: '1,,5'"),
         (["errorprop", "--image", "img.pgm", "--percents", "1_0"],
-         "argument --percents: invalid _parse_percents value: '1_0'"),
+         "argument --percents: invalid float_list value: '1_0'"),
         (["keyspace", "--dim", "16", "--rate", "١e3"], "argument --rate: invalid float value: '١e3'"),
         (["keyspace", "--dim", "16", "--rate", "1_000"],
          "argument --rate: invalid float value: '1_000'"),

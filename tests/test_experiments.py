@@ -66,14 +66,6 @@ def _misses_batch(task: tuple) -> list[tuple[int, int]]:
     return [(os.getpid(), cipher.static_tables.cache_info().misses)] * (stop - start)
 
 
-def _position_misses_batch(task: tuple) -> list[int]:
-    """Per trial of a batch: the scramble-position cache misses of the process
-    that ran it, after a dense decrypt at the batch's M, which reads them."""
-    master_seed, m, rounds, start, stop = task
-    cipher.decrypt(np.zeros((m, m), dtype=np.uint8), cipher.CipherKey(1, 2, 3, 4, rounds))
-    return [cipher.scramble_positions.cache_info().misses] * (stop - start)
-
-
 # What _mark_batch reports: a forked worker sees the caller's value, a spawned
 # one imports this module afresh.
 _CALLER_MARK = "imported"
@@ -215,16 +207,6 @@ class TestStaticTablesBeforeFork:
         assert len(results) == 8 and os.getpid() not in {pid for pid, _ in results}
         # the caller's two builds, inherited; no worker built a table of its own
         assert {misses for _, misses in results} == {2}
-
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork", reason="workers inherit tables by fork"
-    )
-    def test_forked_workers_inherit_scramble_positions(self):
-        cipher.scramble_positions.cache_clear()
-        cfg = small_cfg(sizes=(16, 20), rounds=(1, 2), trials=2)
-        misses = {value for _, _, chunk in experiments._sweep(_position_misses_batch, cfg, 2)
-                  for value in chunk}
-        assert misses == {2}
 
 
 class TestSweepOrder:
@@ -408,6 +390,17 @@ class TestAvalancheSweep:
         means = [cell.ps.mean for cell in report]
         for earlier, later in zip(means, means[1:]):
             assert later >= earlier - 0.5, f"PS regressed: {means}"
+
+    @pytest.mark.parametrize("m", [16, 32, 64, 128, 196, 256, 300, 512])
+    def test_frontier_is_log15_of_half_the_image_bits(self, m):
+        # A one-bit difference weighs 15 bits after round 1 and about 15 times
+        # more each round until it nears half of the 8*M*M bits, so mean PS
+        # first reaches 40% at the least k with 15**k >= 4*M*M: 3 at M=16,
+        # 6 at M=512, the paper's "at least 6 rounds".
+        frontier = next(k for k in itertools.count(1) if 15**k >= 4 * m * m)
+        cfg = small_cfg(sizes=(m,), rounds=(frontier - 1, frontier))
+        below, reached = (cell.ps.mean for cell in experiments.avalanche_sweep(cfg))
+        assert below < 40.0 <= reached
 
     def test_cells_ordered_and_counted(self):
         cfg = small_cfg(sizes=(32, 16), rounds=(2, 1), trials=3)
