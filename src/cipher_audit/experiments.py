@@ -9,6 +9,7 @@ task order after all trials return.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -171,10 +172,12 @@ BATCH_PIXELS = 1 << 18
 def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int, int, list]]:
     """Per-trial results of every (M, rounds) cell, as (M, rounds, results).
 
-    Each cell's trials are cut into consecutive batches of at most
-    BATCH_PIXELS pixels (at least one trial); batch_fn maps the task
-    (master_seed, M, rounds, start, stop, *extra) to the results of trials
-    start..stop-1 in order.  Everything else a batch needs travels in its task.
+    A task is one size and one range of trials under every round count:
+    each size's trials are cut into consecutive batches of at most
+    BATCH_PIXELS pixels per round count (at least one trial).  batch_fn maps
+    the task (master_seed, M, rounds, start, stop, *extra), rounds largest
+    first, to the results of trials start..stop-1 under each round count in
+    that order.  Everything else a batch needs travels in its task.
 
     The static cipher tables of every size are built first, in this process,
     whether the batches then run serially or not: forked workers inherit
@@ -183,31 +186,33 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     workers build their own; the results are the same.
 
     With more than one worker, the batches run in _run_pool's processes
-    while this process waits.  The workers take the tasks largest first, by
-    M*M*rounds (stable, so a cell's batches keep their order), so that no
-    large cell starts last while the other workers sit idle; the results
-    are put back in task order.
+    while this process waits.  The workers take the tasks largest M first
+    (every task carries the same round counts; stable, so a size's batches
+    keep their order), so that no large task starts last while the other
+    workers sit idle; the results are put back cell by cell.
     """
-    cells = [(m, r) for m in sorted(cfg.sizes) for r in sorted(cfg.rounds)]
+    rounds = tuple(sorted(cfg.rounds, reverse=True))
     tasks = []
-    for m, r in cells:
+    for m in sorted(cfg.sizes):
         step = max(1, BATCH_PIXELS // (m * m))
         for start in range(0, cfg.trials, step):
-            stop = min(start + step, cfg.trials)
-            tasks.append((cfg.master_seed, m, r, start, stop, *extra))
+            tasks.append((cfg.master_seed, m, rounds, start, min(start + step, cfg.trials), *extra))
     for m in cfg.sizes:
         cipher.static_tables(m)
     workers = _worker_count(jobs, len(tasks))
     if workers == 1:
         batches = [batch_fn(task) for task in tasks]
     else:
-        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1] ** 2 * tasks[i][2])
+        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
         done = _run_pool(batch_fn, tasks, order, workers)
         batches = [done[i] for i in range(len(tasks))]
-    results = [value for batch in batches for value in batch]
-    return [
-        (m, r, results[i * cfg.trials : (i + 1) * cfg.trials]) for i, (m, r) in enumerate(cells)
-    ]
+    cells = []
+    for (_, m, _, start, *_), batch in zip(tasks, batches):
+        if start == 0:
+            cells += [(m, r, []) for r in reversed(rounds)]
+        for (_, _, results), values in zip(cells[-len(rounds):], reversed(batch)):
+            results += values
+    return cells
 
 
 def _pool_worker(batch_fn, tasks, order, counter, conn) -> None:
@@ -290,62 +295,69 @@ def _trial_streams(master_seed: int, m: int, rounds: int, indices, single_lsb: b
         yield rng, key, pixel
 
 
-def _draw_trials(master_seed: int, m: int, rounds: int, start: int, stop: int, single_lsb: bool):
-    """Key parameters and plaintexts of trials start..stop-1: the draws of _trial_streams, batched.
+def _draw_trials(master_seed: int, m: int, rounds: tuple[int, ...], start: int, stop: int, single_lsb: bool):
+    """Key parameters and plaintexts of trials start..stop-1, as one (params, plains)
+    pair per round count, drawn in turn: the draws of _trial_streams, batched.
 
     numpy draws each bounded value from one 32-bit half of a 64-bit word,
     low half first, so a trial's six draws are the six halves of the first
-    three words of its stream, which streams.first_words gives for the whole
-    batch.  By numpy's rule (Lemire's), a draw below n takes x to
-    (x*n) >> 32 and rejects x when (x*n) mod 2**32 < (2**32 - n) mod n.  The
-    key's bound 2**q never rejects and takes the top q bits; a coordinate,
-    bound M, may.  A trial with a rejected coordinate, or every trial of a
-    batch that first_words does not cover, is drawn through _trial_streams.
-    The parameters are cipher._run's: (a, b, rx, ry) mod M, int32, one row
-    per trial; a trial that first_words covers builds no CipherKey.
+    three words of its stream, which streams.first_words gives for every
+    (round count, trial) of the batch.  By numpy's rule (Lemire's), a draw
+    below n takes x to (x*n) >> 32 and rejects x when (x*n) mod 2**32 <
+    (2**32 - n) mod n.  The key's bound 2**q never rejects and takes the top
+    q bits; a coordinate, bound M, may.  A (round count, trial) with a
+    rejected coordinate, or every one of a batch that first_words does not
+    cover, is drawn through _trial_streams.  The parameters are cipher._run's:
+    (a, b, rx, ry) mod M, int32, one row per trial; a trial that first_words
+    covers builds no CipherKey.
     """
     count = stop - start
-    plains = np.zeros((count, m, m), dtype=np.uint8)
-    params = np.empty((count, 4), dtype=np.int32)
+    params = np.empty((len(rounds), count, 4), dtype=np.int32)
+    pixels = np.empty((len(rounds), count, 2), dtype=np.intp)
     words = streams.first_words(master_seed, start, stop, m, rounds, 3)
     if words is None:
-        replay = range(count)
+        replay = itertools.product(range(len(rounds)), range(count))
     else:
         halves = words.astype("<u8", copy=False).view("<u4")
-        params[:] = halves[:, :4] >> (32 - cipher.param_bits(m))
-        replay = []
-        if single_lsb:
-            scaled = halves[:, 4:] * np.uint64(m)
-            rows, cols = (scaled >> 32).T
-            plains[np.arange(count), rows, cols] = 1
-            rejected = ((scaled & 0xFFFFFFFF) < (2**32 - m) % m).any(axis=1)
-            replay = np.flatnonzero(rejected).tolist()
-    draws = _trial_streams(master_seed, m, rounds, [start + i for i in replay], single_lsb)
-    for i, (_, key, pixel) in zip(replay, draws):
-        params[i] = key.params()
-        if single_lsb:
-            plains[i] = 0
-            plains[i][pixel] = 1
+        params[:] = halves[..., :4] >> (32 - cipher.param_bits(m))
+        scaled = halves[..., 4:] * np.uint64(m)
+        pixels[:] = scaled >> 32
+        rejected = ((scaled & 0xFFFFFFFF) < (2**32 - m) % m).any(axis=2)
+        replay = np.argwhere(rejected).tolist() if single_lsb else []
+    for k, i in replay:
+        [(_, key, pixel)] = _trial_streams(master_seed, m, rounds[k], [start + i], single_lsb)
+        params[k, i] = key.params()
+        pixels[k, i] = pixel if single_lsb else 0
     params %= m
-    return params, plains
+    for k in range(len(rounds)):
+        plains = np.zeros((count, m, m), dtype=np.uint8)
+        if single_lsb:
+            rows, cols = pixels[k].T
+            plains[np.arange(count), rows, cols] = 1
+        yield params[k], plains
 
 
 # ---------------------------------------------------------------------------
 # avalanche (plaintext sensitivity)
 # ---------------------------------------------------------------------------
 
-def _avalanche_batch(task: tuple[int, int, int, int, int]) -> list[tuple[float, float]]:
-    """PS and Diff of each trial of a batch.
+def _avalanche_batch(task: tuple) -> list[list[tuple[float, float]]]:
+    """PS and Diff of each trial of a batch, per round count.
 
     PS compares E(I) with E(I') for the all-zero I.  The cipher is linear
     over GF(2), so E(0) = 0 for every key, and PS is the bit weight of E(I'):
-    only I' is encrypted, the whole batch in one cipher._run call.  Both
-    scores of every trial come from two bit-percentage reductions over the
-    batch.
+    only I' is encrypted, a round count's trials in one cipher._run call.
+    Both scores of every trial come from two bit-percentage reductions over
+    the cell's stack.
     """
     _, m, rounds, _, _ = task
-    params, plains = _draw_trials(*task, single_lsb=True)
-    ciphers = cipher._run(plains.reshape(-1), params, m, rounds, False).reshape(plains.shape)
+    return [
+        _avalanche_scores(plains, cipher._run(plains.reshape(-1), params, m, r, False).reshape(plains.shape))
+        for r, (params, plains) in zip(rounds, _draw_trials(*task, single_lsb=True))
+    ]
+
+
+def _avalanche_scores(plains: np.ndarray, ciphers: np.ndarray) -> list[tuple[float, float]]:
     return list(zip(metrics.bit_percents(ciphers), metrics.bit_percents(plains ^ ciphers)))
 
 
@@ -367,17 +379,24 @@ def avalanche_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[SweepCell]:
 # uniformity (chi-square of ciphertext histograms)
 # ---------------------------------------------------------------------------
 
-def _uniformity_batch(task: tuple[int, int, int, int, int, str, bool]) -> list[float]:
+def _uniformity_batch(task: tuple) -> list[list[float]]:
+    """Chi-square of each trial's ciphertext histogram of a batch, per round count."""
     master_seed, m, rounds, start, stop, plaintext, control_random = task
     single_lsb = plaintext == PLAINTEXT_SINGLE_LSB
     if control_random:
         # Sanity oracle: uniform random bytes in place of the ciphertext
         # should score around 255 (the degrees of freedom).
-        draws = _trial_streams(master_seed, m, rounds, range(start, stop), single_lsb)
-        data = [rng.integers(0, 256, size=m * m, dtype=np.uint8) for rng, _, _ in draws]
-    else:
-        params, plains = _draw_trials(master_seed, m, rounds, start, stop, single_lsb)
-        data = cipher._run(plains.reshape(-1), params, m, rounds, False).reshape(plains.shape)
+        return [_chi_squares(rng.integers(0, 256, size=m * m, dtype=np.uint8)
+                             for rng, _, _ in _trial_streams(master_seed, m, r, range(start, stop), single_lsb))
+                for r in rounds]
+    drawn = _draw_trials(master_seed, m, rounds, start, stop, single_lsb)
+    return [
+        _chi_squares(cipher._run(plains.reshape(-1), params, m, r, False).reshape(plains.shape))
+        for r, (params, plains) in zip(rounds, drawn)
+    ]
+
+
+def _chi_squares(data) -> list[float]:
     return [metrics.chi_square(metrics.byte_histogram(d)) for d in data]
 
 
@@ -429,8 +448,8 @@ def _error_vectors(rng: np.random.Generator, m: int, counts: list[int]) -> np.nd
     return errors.reshape(-1, m, m)
 
 
-def _errprop_batch(task: tuple) -> list[list[tuple[float, float, float]]]:
-    """Dif, PSNR and SSIM of every row of each trial of a batch.
+def _errprop_batch(task: tuple) -> list[list[list[tuple[float, float, float]]]]:
+    """Dif, PSNR and SSIM of every row of each trial of a batch, per round count.
 
     A trial draws its key, then its error vectors e.  The damaged
     decryption is I xor D(e), so only the error vectors are decrypted: a
@@ -441,12 +460,14 @@ def _errprop_batch(task: tuple) -> list[list[tuple[float, float, float]]]:
     counts = _flip_counts(m, percents)
     reference = metrics._reference_sums(image)
     out = []
-    for rng, key, _ in _trial_streams(master_seed, m, rounds, range(start, stop), False):
-        damage = cipher.decrypt(_error_vectors(rng, m, counts), key)
-        out.append([
-            (dif, *metrics._psnr_ssim(reference, d))
-            for dif, d in zip(metrics.bit_percents(damage), image ^ damage)
-        ])
+    for r in rounds:
+        out.append(cell := [])
+        for rng, key, _ in _trial_streams(master_seed, m, r, range(start, stop), False):
+            damage = cipher.decrypt(_error_vectors(rng, m, counts), key)
+            cell.append([
+                (dif, *metrics._psnr_ssim(reference, d))
+                for dif, d in zip(metrics.bit_percents(damage), image ^ damage)
+            ])
     return out
 
 

@@ -4,12 +4,12 @@ Trial i of a sweep cell draws from np.random.default_rng((master_seed, i, M,
 rounds)): a PCG64 generator seeded by a SeedSequence over the tuple's 32-bit
 words.  Building one Generator per trial costs more than a small trial's
 cipher work, so first_words reimplements the two seeding steps for a whole
-batch of consecutive indices and returns the first words each stream would
-give, equal bit for bit to default_rng(...).bit_generator.random_raw(n):
+batch of (round count, index) pairs and returns the first words each stream
+would give, equal bit for bit to default_rng(...).bit_generator.random_raw(n):
 
 1. SeedSequence's entropy pool, as uint32 numpy ops with one column per
-   trial.  Only the index's words differ between the trials of a batch.
-2. PCG64's seeding and its first n steps, per trial, with Python's 128-bit
+   pair.  Only the index's and round count's words differ between columns.
+2. PCG64's seeding and its first n steps, per column, with Python's 128-bit
    integers: a 128-bit LCG whose output is the XSL-RR permutation of its
    state (O'Neill 2014).
 
@@ -142,24 +142,27 @@ def _pcg64_words(seeds: np.ndarray, n: int) -> np.ndarray:
     return (xored >> rot) | (xored << (-rot & np.uint64(63)))
 
 
-def first_words(master_seed: int, start: int, stop: int, m: int, rounds: int, n: int) -> np.ndarray | None:
-    """The first n raw 64-bit words of the streams of trials start..stop-1.
+def first_words(master_seed: int, start: int, stop: int, m: int, rounds: tuple[int, ...], n: int) -> np.ndarray | None:
+    """The first n raw 64-bit words of the streams of trials start..stop-1 under each round count.
 
-    Row i equals np.random.default_rng((master_seed, start + i, m, rounds))
-    .bit_generator.random_raw(n).  Returns None when the indices do not all
-    take the same number of 32-bit words (the batch straddles a power of
-    2**32); such a batch is left to default_rng.
+    words[k, i] equals np.random.default_rng((master_seed, start + i, m,
+    rounds[k])).bit_generator.random_raw(n): one column of one pass per
+    (round count, trial).  Returns None when the indices, or the round
+    counts, do not all take the same number of 32-bit words (they straddle
+    a power of 2**32); such a batch is left to default_rng.
     """
-    if len(_uint32_words(start)) != len(_uint32_words(stop - 1)):
+    index_words, round_words = len(_uint32_words(start)), len(_uint32_words(max(rounds)))
+    if len(_uint32_words(stop - 1)) != index_words or len(_uint32_words(min(rounds))) != round_words:
         return None
-    index = np.arange(start, stop, dtype=object)
+    index = np.tile(np.arange(start, stop, dtype=object), len(rounds))
+    counts = np.repeat(np.array(rounds, dtype=object), stop - start)
     rows = [
         *_uint32_words(master_seed),
-        *(index >> (32 * k) & MASK32 for k in range(len(_uint32_words(start)))),
+        *(index >> (32 * k) & MASK32 for k in range(index_words)),
         *_uint32_words(m),
-        *_uint32_words(rounds),
+        *(counts >> (32 * k) & MASK32 for k in range(round_words)),
     ]
-    entropy = np.empty((len(rows), stop - start), dtype=np.uint32)
+    entropy = np.empty((len(rows), index.size), dtype=np.uint32)
     for i, row in enumerate(rows):
         entropy[i] = row
-    return _pcg64_words(_seed_words(_pool(entropy)), n)
+    return _pcg64_words(_seed_words(_pool(entropy)), n).reshape(len(rounds), stop - start, n)

@@ -12,6 +12,10 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
   (M, W) = (256, 4) and (300, 2) in uniformity-large's batches, (64, 20) in
   avalanche-small's, in both directions;
 - one sparse round on 1, 16 and 256 touched 16-byte blocks;
+- at M = 256, one decryption round of one image, sparse on 1, 16 and 256
+  touched blocks beside dense with its gather index already built: the
+  rounds an error-propagation row runs, and what switching a row to sparse
+  rounds could save;
 - decryption's gather index, in closed form and by the oracle's scatter
   inversion of the encryption index;
 - byte_histogram of random bytes (dense route) and of a one-round
@@ -22,10 +26,12 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
   scorer metrics._psnr_ssim (PSNR and SSIM against sums taken in advance),
   and metrics._reference_sums, which an error-propagation batch takes once;
 - experiments._draw_trials, the reduced key parameters and single-LSB
-  plaintexts of a batch of 1, 20 and 64 trials at M in {16, 300}: the
-  per-trial draw cost beside the cipher layers;
-- cipher._run over the drawn parameters and plaintexts of a 20-trial batch
-  at M in {16, 64}, avalanche-small's batch shapes, at 1 and 6 rounds;
+  plaintexts of every round count of one sweep task: 20 trials under
+  rounds 7..1 at M in {16, 64} (avalanche-small's tasks) and one trial
+  under rounds 6 and 1 at M = 512 (uniformity-large's): the draw cost
+  beside the cipher layers;
+- cipher._run over those drawn parameters and plaintexts, one call per
+  round count of the task;
 - experiments._trial_streams, each trial through its own Generator (the
   route of error propagation and the control-random baseline), key only and
   with the single-LSB pixel, at the batch sizes of M in {16, 256, 512}.
@@ -52,7 +58,9 @@ import oracles
 
 SIZES = (16, 64, 256, 512)
 TOUCHED_BLOCKS = (1, 16, 256)
-DRAW_TRIALS = (1, 20, 64)
+# (M, trials, round counts) of one sweep task
+TASKS = [(16, 20, (7, 6, 5, 4, 3, 2, 1)), (64, 20, (7, 6, 5, 4, 3, 2, 1)), (512, 1, (6, 1))]
+TASK_IDS = ["16x20-r7..1", "64x20-r7..1", "512x1-r6,1"]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -93,17 +101,38 @@ def test_stack_index(benchmark, m, count, invert):
     benchmark(cipher._stack_index, params, m, invert)
 
 
+def touched_image(m: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """A flat M x M image of random bytes in `blocks` 16-byte blocks and zeros
+    elsewhere, with the ids of those blocks."""
+    rng = np.random.default_rng((m, blocks))
+    ids = np.sort(rng.choice(m * m // cipher.BLOCK_BYTES, size=blocks, replace=False))
+    flat = np.zeros(m * m, dtype=np.uint8)
+    flat.reshape(-1, cipher.BLOCK_BYTES)[ids] = rng.integers(1, 256, (blocks, 16), dtype=np.uint8)
+    return flat, ids
+
+
 @pytest.mark.parametrize("blocks", TOUCHED_BLOCKS)
 @pytest.mark.parametrize("m", SIZES)
 def test_sparse_round(benchmark, m, blocks):
     if blocks * cipher.BLOCK_BYTES > m * m:
         pytest.skip(f"an {m}x{m} image has fewer than {blocks} blocks")
-    rng = np.random.default_rng((m, blocks))
-    ids = np.sort(rng.choice(m * m // cipher.BLOCK_BYTES, size=blocks, replace=False))
-    flat = np.zeros(m * m, dtype=np.uint8)
-    flat.reshape(-1, cipher.BLOCK_BYTES)[ids] = rng.integers(1, 256, (blocks, 16), dtype=np.uint8)
+    flat, ids = touched_image(m, blocks)
     cipher.static_tables(m)
     benchmark(cipher._sparse_round, flat, ids, params_for(m), m, False)
+
+
+@pytest.mark.parametrize("blocks", [*TOUCHED_BLOCKS, "dense"])
+def test_decrypt_round_m256(benchmark, blocks):
+    m = 256
+    if blocks == "dense":
+        flat = np.random.default_rng(m).integers(0, 256, m * m, dtype=np.uint8)
+        rounds = cipher._rounds(flat, params_for(m), m, True)
+        next(rounds)  # the gather index
+        benchmark(next, rounds)
+    else:
+        flat, ids = touched_image(m, blocks)
+        cipher.static_tables(m)
+        benchmark(cipher._sparse_round, flat, ids, params_for(m), m, True)
 
 
 @pytest.mark.parametrize("route", ["closed-form", "scatter"])
@@ -144,19 +173,21 @@ def test_ssim(benchmark, m, kind):
         benchmark(metrics._reference_sums, clean)
 
 
-@pytest.mark.parametrize("trials", DRAW_TRIALS)
-@pytest.mark.parametrize("m", [16, 300])
-def test_draw_trials(benchmark, m, trials):
-    benchmark(experiments._draw_trials, 7, m, 6, 0, trials, True)
+@pytest.mark.parametrize("m, trials, rounds", TASKS, ids=TASK_IDS)
+def test_draw_trials(benchmark, m, trials, rounds):
+    benchmark(lambda: list(experiments._draw_trials(7, m, rounds, 0, trials, True)))
 
 
-@pytest.mark.parametrize("rounds", [1, 6])
-@pytest.mark.parametrize("m", [16, 64])
-def test_run_drawn_params(benchmark, m, rounds):
-    params, plains = experiments._draw_trials(7, m, rounds, 0, 20, True)
-    flat = plains.reshape(-1)
-    cipher._run(flat, params, m, rounds, False)  # the static tables
-    benchmark(cipher._run, flat, params, m, rounds, False)
+@pytest.mark.parametrize("m, trials, rounds", TASKS, ids=TASK_IDS)
+def test_run_drawn_params(benchmark, m, trials, rounds):
+    cells = list(zip(rounds, experiments._draw_trials(7, m, rounds, 0, trials, True)))
+
+    def run():
+        for r, (params, plains) in cells:
+            cipher._run(plains.reshape(-1), params, m, r, False)
+
+    run()  # the static tables
+    benchmark(run)
 
 
 @pytest.mark.parametrize("single_lsb", [False, True], ids=["key", "single-lsb"])
@@ -165,9 +196,9 @@ def test_trial_streams(benchmark, m, trials, single_lsb):
     benchmark(lambda: list(experiments._trial_streams(7, m, 6, range(trials), single_lsb)))
 
 
-def _no_op_batch(task: tuple) -> list[None]:
-    """A batch that does nothing: one None per trial."""
-    return [None] * (task[4] - task[3])
+def _no_op_batch(task: tuple) -> list[list[None]]:
+    """A batch that does nothing: one None per round count and trial."""
+    return [[None] * (task[4] - task[3]) for _ in task[2]]
 
 
 def test_pool_fixed_cost(benchmark, monkeypatch):

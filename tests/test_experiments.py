@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -6,9 +7,12 @@ import os
 import signal
 import time
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cipher_audit import cipher, cli, experiments, image_io, metrics
 from cipher_audit.experiments import ExperimentConfig, Stats
@@ -58,12 +62,13 @@ def _table_misses(m: int) -> int:
     return cipher.static_tables.cache_info().misses - misses
 
 
-def _misses_batch(task: tuple) -> list[tuple[int, int]]:
-    """Per trial of a batch: the process that ran it and that process's
-    static-table cache misses after an encrypt at the batch's M."""
+def _misses_batch(task: tuple) -> list[list[tuple[int, int]]]:
+    """Per round count and trial of a batch: the process that ran it and
+    that process's static-table cache misses after an encrypt at the batch's M."""
     master_seed, m, rounds, start, stop = task
-    cipher.encrypt(np.zeros((m, m), dtype=np.uint8), cipher.CipherKey(1, 2, 3, 4, rounds))
-    return [(os.getpid(), cipher.static_tables.cache_info().misses)] * (stop - start)
+    cipher.encrypt(np.zeros((m, m), dtype=np.uint8), cipher.CipherKey(1, 2, 3, 4, rounds[0]))
+    return [[(os.getpid(), cipher.static_tables.cache_info().misses)] * (stop - start)
+            for _ in rounds]
 
 
 # What _mark_batch reports: a forked worker sees the caller's value, a spawned
@@ -71,37 +76,38 @@ def _misses_batch(task: tuple) -> list[tuple[int, int]]:
 _CALLER_MARK = "imported"
 
 
-def _mark_batch(task: tuple) -> list[str]:
-    """Per trial of a batch: _CALLER_MARK in the process that ran it."""
+def _mark_batch(task: tuple) -> list[list[str]]:
+    """Per round count and trial of a batch: _CALLER_MARK in the process that ran it."""
     master_seed, m, rounds, start, stop = task
-    return [_CALLER_MARK] * (stop - start)
+    return [[_CALLER_MARK] * (stop - start) for _ in rounds]
 
 
-def _failing_batch(task: tuple) -> list[float]:
-    """Raises ValueError on the first batch of a cell; any other batch sleeps
-    10 s, then scores each trial 1.0."""
+def _failing_batch(task: tuple) -> list[list[float]]:
+    """Raises ValueError on the first batch of a size, naming its largest
+    round count; any other batch sleeps 10 s, then scores each trial 1.0."""
     master_seed, m, rounds, start, stop = task[:5]
     if start == 0:
-        raise ValueError(f"batch at M={m}, r={rounds} failed")
+        raise ValueError(f"batch at M={m}, r={rounds[0]} failed")
     time.sleep(10)
-    return [1.0] * (stop - start)
+    return [[1.0] * (stop - start) for _ in rounds]
 
 
-def _exiting_batch(task: tuple) -> list[float]:
-    """Ends its process with status 3 on the first batch of the r=2 cell;
-    any other batch scores each trial 1.0."""
+def _exiting_batch(task: tuple) -> list[list[float]]:
+    """Ends its process with status 3 on the first batch of a size whose
+    round counts include 2; any other batch scores each trial 1.0."""
     master_seed, m, rounds, start, stop = task[:5]
-    if (rounds, start) == (2, 0):
+    if 2 in rounds and start == 0:
         os._exit(3)
-    return [1.0] * (stop - start)
+    return [[1.0] * (stop - start) for _ in rounds]
 
 
-def _logging_batch(task: tuple) -> list[int]:
-    """Appends one line per run of the batch to the file its task names; scores each trial 0."""
+def _logging_batch(task: tuple) -> list[list[int]]:
+    """Appends one line per run of the batch to the file its task names;
+    scores each trial 0 under each round count."""
     master_seed, m, rounds, start, stop, log = task
     with open(log, "a", encoding="ascii") as fh:
-        fh.write(f"{m} {rounds} {start}\n")
-    return [0] * (stop - start)
+        fh.write(f"{m} {start}\n")
+    return [[0] * (stop - start) for _ in rounds]
 
 
 @pytest.fixture
@@ -210,12 +216,12 @@ class TestStaticTablesBeforeFork:
 
 
 class TestSweepOrder:
-    """_sweep hands a pool its tasks largest cell first, and gives the same
+    """_sweep hands a pool its tasks largest size first, and gives the same
     cells, in cell order, with the same trials, at jobs 1 and 2 under either
     start method."""
 
-    # cells (16, 1), (16, 3), (20, 1), (20, 3); batches of 3 trials at
-    # M=16 and 2 at M=20, the last one short
+    # cells (16, 1), (16, 3), (20, 1), (20, 3); tasks of 3 trials at M=16
+    # and 2 at M=20 under both round counts, the last one short
     CFG = small_cfg(sizes=(20, 16), rounds=(3, 1), trials=5)
 
     @pytest.fixture(autouse=True)
@@ -226,7 +232,8 @@ class TestSweepOrder:
 
     def test_pool_takes_largest_cells_first(self, monkeypatch):
         # The first inline worker takes every position of the shared order,
-        # so it receives the tasks in the order the workers take them.
+        # so it receives the tasks in the order the workers take them: one
+        # size and trial range each, under every round count, largest first.
         received = []
 
         def avalanche_batch(task):
@@ -238,9 +245,10 @@ class TestSweepOrder:
         )
         monkeypatch.setattr(experiments, "get_context", lambda: inline)
         pooled = experiments._sweep(avalanche_batch, self.CFG, 2)
-        cells = [(m, r) for _, m, r, _, _ in received]
-        assert cells == [(20, 3)] * 3 + [(16, 3)] * 2 + [(20, 1)] * 3 + [(16, 1)] * 2
-        assert [(start, stop) for _, _, _, start, stop in received[:3]] == [(0, 2), (2, 4), (4, 5)]
+        cells = [(m, rounds) for _, m, rounds, _, _ in received]
+        assert cells == [(20, (3, 1))] * 3 + [(16, (3, 1))] * 2
+        assert [(start, stop) for _, _, _, start, stop in received] == \
+            [(0, 2), (2, 4), (4, 5), (0, 3), (3, 5)]
         assert pooled == experiments._sweep(experiments._avalanche_batch, self.CFG, 1)
 
     @pytest.mark.parametrize("method, mark", [("fork", "set by the caller"), ("spawn", "imported")])
@@ -302,7 +310,7 @@ class TestWorkerFailure:
     """A batch that fails in a worker fails the sweep, without a hang, and
     leaves no worker behind; so does a sweep that succeeds."""
 
-    # cells (16, 1) and (16, 2); one trial per batch, three batches per cell
+    # cells (16, 1) and (16, 2); three one-trial tasks, each under both round counts
     CFG = small_cfg(sizes=(16,), rounds=(1, 2), trials=3)
 
     @pytest.fixture(autouse=True)
@@ -349,10 +357,10 @@ def test_shared_counter_runs_each_task_once(monkeypatch, tmp_path):
     monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
     monkeypatch.setattr(experiments, "BATCH_PIXELS", 16 * 16)
     log = tmp_path / "runs.log"
-    cfg = small_cfg(sizes=(16,), rounds=(1, 2), trials=100)
+    cfg = small_cfg(sizes=(16, 20), rounds=(1, 2), trials=100)
     experiments._sweep(_logging_batch, cfg, workers, str(log))
     runs = log.read_text(encoding="ascii").splitlines()
-    assert sorted(runs) == sorted(f"16 {r} {start}" for r in (1, 2) for start in range(100))
+    assert sorted(runs) == sorted(f"{m} {start}" for m in (16, 20) for start in range(100))
     assert multiprocessing.active_children() == []
 
 
@@ -415,11 +423,13 @@ class TestAvalancheSweep:
         assert serial == parallel
 
     def test_trial_uses_derived_key_stream(self):
-        # every trial of a batch recomputed by hand from the documented stream contract
-        master_seed, m, rounds, start, stop = 5, 16, 6, 3, 7
-        batch = experiments._avalanche_batch((master_seed, m, rounds, start, stop))
-        assert len(batch) == stop - start
-        for w, (ps, _) in zip(range(start, stop), batch):
+        # every trial of a batch recomputed by hand from the documented stream
+        # contract, under each of the task's round counts
+        master_seed, m, start, stop = 5, 16, 3, 7
+        batches = experiments._avalanche_batch((master_seed, m, (6, 2), start, stop))
+        assert [len(batch) for batch in batches] == [stop - start] * 2
+        for (rounds, w), (ps, _) in zip(itertools.product((6, 2), range(start, stop)),
+                                        itertools.chain(*batches)):
             rng = np.random.default_rng((master_seed, w, m, rounds))
             key = cipher.key_from_stream(rng, m, rounds)
             assert key == oracles.derive_trial_key(master_seed, w, m, rounds)
@@ -440,12 +450,13 @@ class TestLinearityShortcuts:
     @pytest.mark.parametrize("m", [16, 20, 64])
     def test_avalanche_trial_equals_direct_route(self, m):
         for master_seed in (0, 5, 123):
-            for rounds in (1, 2, 6):
+            for rounds in ((6, 2, 1), (2,)):
                 for start, stop in ((0, 32), (7, 8), (5, 12)):
                     batch = experiments._avalanche_batch((master_seed, m, rounds, start, stop))
                     assert batch == [
-                        oracles.avalanche_trial((master_seed, m, rounds, index))
-                        for index in range(start, stop)
+                        [oracles.avalanche_trial((master_seed, m, r, index))
+                         for index in range(start, stop)]
+                        for r in rounds
                     ]
 
     @pytest.mark.parametrize("m", [16, 20, 64])
@@ -453,15 +464,15 @@ class TestLinearityShortcuts:
         image = image_io.make_portrait_image(m)
         percents = (0.0, 0.01, 5.0, 100.0)
         for master_seed in (0, 9):
-            for rounds in (2, 6):
-                for start, stop in ((0, 4), (3, 4), (9, 12)):
-                    batch = experiments._errprop_batch(
-                        (master_seed, m, rounds, start, stop, percents, image)
-                    )
-                    assert batch == [
-                        oracles.errprop_trial((master_seed, m, rounds, index, percents), image)
-                        for index in range(start, stop)
-                    ]
+            for start, stop in ((0, 4), (3, 4), (9, 12)):
+                batch = experiments._errprop_batch(
+                    (master_seed, m, (6, 2), start, stop, percents, image)
+                )
+                assert batch == [
+                    [oracles.errprop_trial((master_seed, m, r, index, percents), image)
+                     for index in range(start, stop)]
+                    for r in (6, 2)
+                ]
 
     @pytest.mark.parametrize("plaintext", [experiments.PLAINTEXT_SINGLE_LSB,
                                            experiments.PLAINTEXT_ALL_ZERO])
@@ -477,33 +488,35 @@ class TestLinearityShortcuts:
 
         monkeypatch.setattr(metrics, "byte_histogram", recording_histogram)
         single_lsb = plaintext == experiments.PLAINTEXT_SINGLE_LSB
-        for master_seed, rounds, start, stop in ((0, 1, 0, 2), (7, 6, 5, 8), (2**32, 3, 1, 2)):
+        for master_seed, rounds, start, stop in ((0, (1,), 0, 2), (7, (6, 3), 5, 8),
+                                                 (2**32, (3,), 1, 2)):
             scored.clear()
             batch = experiments._uniformity_batch(
                 (master_seed, m, rounds, start, stop, plaintext, True)
             )
             direct = [
-                oracles.control_random_bytes((master_seed, m, rounds, index, single_lsb))
-                for index in range(start, stop)
+                [oracles.control_random_bytes((master_seed, m, r, index, single_lsb))
+                 for index in range(start, stop)]
+                for r in rounds
             ]
-            assert len(scored) == len(direct)
-            for data, expected in zip(scored, direct):
+            assert len(scored) == len(rounds) * (stop - start)
+            for data, expected in zip(scored, itertools.chain(*direct)):
                 np.testing.assert_array_equal(data.reshape(-1), expected)
-            assert batch == pytest.approx([oracles.chi_square_direct(d) for d in direct],
-                                          rel=1e-12)
+            assert batch == [pytest.approx([oracles.chi_square_direct(d) for d in cell], rel=1e-12)
+                             for cell in direct]
 
     @pytest.mark.parametrize("m", [16, 20, 64])
     def test_avalanche_batch_scores_equal_hamming_percent(self, m):
-        task = (3, m, 2, 4, 13)
-        params, plains = experiments._draw_trials(*task, single_lsb=True)
-        keys = [oracles.trial_draws(3, index, m, 2)[1] for index in range(4, 13)]
-        assert np.array_equal(params, oracles.reduced_params(keys, m))
-        ciphers = cipher.encrypt(plains, keys)
+        task = (3, m, (5, 2), 4, 13)
         zeros = np.zeros((m, m), dtype=np.uint8)
-        assert experiments._avalanche_batch(task) == [
-            (metrics.hamming_percent(zeros, c), metrics.hamming_percent(p, c))
-            for p, c in zip(plains, ciphers)
-        ]
+        expected = []
+        for r, (params, plains) in zip((5, 2), experiments._draw_trials(*task, single_lsb=True)):
+            keys = [oracles.trial_draws(3, index, m, r)[1] for index in range(4, 13)]
+            assert np.array_equal(params, oracles.reduced_params(keys, m))
+            ciphers = cipher.encrypt(plains, keys)
+            expected.append([(metrics.hamming_percent(zeros, c), metrics.hamming_percent(p, c))
+                             for p, c in zip(plains, ciphers)])
+        assert experiments._avalanche_batch(task) == expected
 
 
     def test_covered_batches_build_no_cipher_key(self, monkeypatch):
@@ -594,11 +607,39 @@ class TestBatching:
 
         def record(task):
             calls.append(task[3:5])
-            return [None] * (task[4] - task[3])
+            return [[None] * (task[4] - task[3])]
 
         cfg = small_cfg(sizes=(256, 512, 16), rounds=(1,), trials=6)
         experiments._sweep(record, cfg, 1)
         assert calls == [(0, 6), (0, 4), (4, 6), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
+
+
+def _recording_batch(task: tuple) -> list[list[tuple[int, int, int, int]]]:
+    """(M, rounds, trial, task start) for each round count and trial of a batch; no cipher."""
+    master_seed, m, rounds, start, stop = task
+    return [[(m, r, trial, start) for trial in range(start, stop)] for r in rounds]
+
+
+class TestTaskCutting:
+    @settings(max_examples=25, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 150).map(lambda k: 4 * k), min_size=1, max_size=3,
+                          unique=True),
+           rounds=st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True),
+           trials=st.integers(1, 400))
+    def test_every_trial_once_and_no_stack_grows(self, sizes, rounds, trials):
+        cfg = small_cfg(sizes=tuple(sizes), rounds=tuple(rounds), trials=trials)
+        serial = experiments._sweep(_recording_batch, cfg, 1)
+        assert [(m, r) for m, r, _ in serial] == \
+            [(m, r) for m in sorted(sizes) for r in sorted(rounds)]
+        for m, r, values in serial:
+            # each (M, r, trial) exactly once, in trial order
+            assert [value[:3] for value in values] == [(m, r, trial) for trial in range(trials)]
+            # a cell's share of a task is no larger than a whole batch's stack
+            shares = collections.Counter(start for *_, start in values)
+            assert max(shares.values()) <= max(1, experiments.BATCH_PIXELS // (m * m))
+        # two workers even where this process may use one CPU
+        with mock.patch.object(experiments, "usable_cpus", lambda: 2):
+            assert experiments._sweep(_recording_batch, cfg, 2) == serial
 
 
 class TestErrorPropagation:
