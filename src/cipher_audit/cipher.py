@@ -27,10 +27,10 @@ shifts, which the construction allows:
 
 - The matrix is A = J xor P (all-ones xor a permutation), so output byte j of
   a block is the XOR of the whole block xor input byte pinv[j].  The block
-  XOR is folded on two uint64 lanes per block and broadcast back; the
-  in-block move by pinv is a byte permutation like stages (a) and (b).  The
-  stored form of the diffusion layer is that permutation, _PINV; the matrix
-  is derived from it.
+  XOR is folded from a block's two uint64 lanes and XORed into each lane in
+  turn, through strided views; the in-block move by pinv is a byte
+  permutation like stages (a) and (b).  The stored form of the diffusion
+  layer is that permutation, _PINV; the matrix is derived from it.
 - The in-block move, the cat map and the scramble compose into one flat
   gather index per (key, M).  The cat-map part is evaluated in closed form
   from its inverse [[ab+1, -a], [-b, 1]] mod M at the scramble's coordinates.
@@ -249,14 +249,19 @@ def _block_xor(data: np.ndarray) -> np.ndarray:
     This is A = J xor P without the in-block move by P, which the gather
     index carries.  It is its own inverse: the 16 copies of the block XOR
     cancel in pairs, so the block XOR of the output is that of the input.
+    The output is a fresh C-contiguous buffer; data is not written.
     """
     lanes = data.view(np.uint64).reshape(-1, 2)
     fold = lanes[:, 0] ^ lanes[:, 1]
-    fold ^= fold >> 32
-    fold ^= fold >> 16
-    fold ^= fold >> 8
-    fold = (fold & 0xFF) * 0x0101010101010101
-    return (lanes ^ fold[:, np.newaxis]).reshape(-1).view(np.uint8)
+    out = np.empty_like(lanes)
+    tmp = out.reshape(-1)[: fold.size]  # scratch until the lanes are written
+    for bits in (32, 16, 8):
+        fold ^= np.right_shift(fold, bits, out=tmp)
+    fold &= 0xFF
+    fold *= 0x0101010101010101
+    for k in range(2):
+        np.bitwise_xor(lanes[:, k], fold, out=out[:, k])
+    return out.reshape(-1).view(np.uint8)
 
 
 # Most positions of a per-position table built in one pass, the gather
@@ -330,8 +335,13 @@ def cell_coords(m: int) -> tuple[np.ndarray, np.ndarray]:
 def _reduce(values: np.ndarray, m: int, tmp: np.ndarray) -> None:
     """Reduce values mod m in place, to [0, m); tmp is overwritten.
 
-    numpy divides an integer array by a scalar far faster than it takes the remainder.
+    A power of two m is one mask: the low bits of a two's-complement integer
+    are its residue.  Otherwise numpy divides by a scalar far faster than it
+    takes the remainder.
     """
+    if m & (m - 1) == 0:
+        values &= m - 1
+        return
     np.floor_divide(values, m, out=tmp)
     tmp *= m
     values -= tmp

@@ -8,6 +8,8 @@ tier-1 suite does not collect it; run it by path from the root of a checkout:
 Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
 - one dense round through cipher._run, with the gather index it builds, and
   that index alone;
+- two of a dense round's layers alone, on random bytes: the block XOR
+  (cipher._block_xor) and the bit rotation (cipher._rotate);
 - the gather index of each stack shape the sweeps build beside one image:
   (M, W) = (256, 4) and (300, 2) in uniformity-large's batches, (64, 20) in
   avalanche-small's, in both directions;
@@ -86,6 +88,19 @@ def one_bit_image(m: int) -> np.ndarray:
 def test_dense_round_with_index(benchmark, m):
     flat = np.random.default_rng(m).integers(0, 256, m * m, dtype=np.uint8)
     benchmark(cipher._run, flat, params_for(m), m, 1, False)
+
+
+@pytest.mark.parametrize("m", SIZES)
+def test_block_xor(benchmark, m):
+    flat = np.random.default_rng(m).integers(0, 256, m * m, dtype=np.uint8)
+    benchmark(cipher._block_xor, flat)
+
+
+@pytest.mark.parametrize("m", SIZES)
+def test_rotate(benchmark, m):
+    flat = np.random.default_rng(m).integers(0, 256, m * m, dtype=np.uint8)
+    _, _, shift, complement, _ = cipher.static_tables(m)
+    benchmark(cipher._rotate, flat, shift, complement)
 
 
 @pytest.mark.parametrize("m", SIZES)

@@ -289,6 +289,50 @@ def stack_index_whole(params, m, invert):
     return (index + offsets[:, np.newaxis]).reshape(-1)
 
 
+def block_xor_broadcast(data):
+    """XOR every byte of a flat buffer with the XOR of its 16-byte block: the
+    block XOR folded on a block's two uint64 lanes and broadcast back over
+    them as one (n, 1) operand."""
+    lanes = data.view(np.uint64).reshape(-1, 2)
+    fold = lanes[:, 0] ^ lanes[:, 1]
+    fold ^= fold >> 32
+    fold ^= fold >> 16
+    fold ^= fold >> 8
+    fold = (fold & 0xFF) * 0x0101010101010101
+    return (lanes ^ fold[:, np.newaxis]).reshape(-1).view(np.uint8)
+
+
+def gather_index_closed_form(params, m, invert):
+    """Gather index of one round's byte permutations, one list per key row
+    of params, evaluated position by position with Python's % on Python
+    integers.
+
+    Encryption: output position k reads the cell whose cat-map image is the
+    scramble's source cell (u, v) of k, with the in-block move by pinv undone.
+    Decryption: output position j reads the position that the in-block move,
+    the cat map and the scramble carry j to.  pinv is read off the matrix.
+    """
+    pinv = [row.index(0) for row in cipher.build_diffusion_matrix().tolist()]
+    sources = [cell for row in scramble_pairs(cipher.SCRAMBLE_SEED, m) for cell in row]
+    if invert:
+        lands = {cell: k for k, cell in enumerate(sources)}
+        p0 = [pinv.index(i) for i in range(16)]
+        cells = [divmod(j - j % 16 + p0[j % 16], m) for j in range(m * m)]
+    rows = []
+    for a, b, rx, ry in (tuple(int(p) for p in row) for row in params):
+        if invert:
+            rows.append([lands[(x0 + a * y0 + rx) % m, (b * x0 + (a * b + 1) * y0 + ry) % m]
+                         for x0, y0 in cells])
+            continue
+        index = []
+        for u, v in sources:
+            y = (v - ry - b * (u - rx)) % m
+            cell = ((u - rx - a * y) % m) * m + y
+            index.append(cell - cell % 16 + pinv[cell % 16])
+        rows.append(index)
+    return rows
+
+
 def rotation_shifts(seed, m):
     """Static left-rotation amount of each grid position."""
     return np.random.default_rng((seed, m)).integers(0, 8, size=(m, m)).tolist()

@@ -124,6 +124,17 @@ class TestDiffuse:
         x = np.frombuffer(data, dtype=np.uint8)
         assert np.array_equal(cipher._block_xor(cipher._block_xor(x)), x)
 
+    @pytest.mark.parametrize("count, m", [(1, 512), (20, 64), (3, 12)])
+    def test_stack_equals_broadcast_reference(self, count, m):
+        data = np.random.default_rng((count, m)).integers(0, 256, count * m * m, dtype=np.uint8)
+        before = data.copy()
+        out = cipher._block_xor(data)
+        assert np.array_equal(out, oracles.block_xor_broadcast(data))
+        assert np.array_equal(data, before)
+        # a fresh buffer: _rounds never writes to a stack it has yielded
+        assert out.dtype == np.uint8 and out.shape == data.shape
+        assert out.flags.c_contiguous and not np.shares_memory(out, data)
+
     def test_bulk_matches_per_block(self):
         rng = np.random.default_rng(11)
         matrix = cipher.build_diffusion_matrix()
@@ -421,6 +432,36 @@ class TestBlockedIndex:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * m * m + 2**20
+
+
+class TestReduction:
+    """_reduce masks where M is a power of two and divides otherwise; both
+    branches are checked against np.mod and, through _gather_index, against
+    the cat map's closed form in Python integers."""
+
+    @pytest.mark.parametrize("m", [4, 12, 16, 300, 512, 16384])
+    def test_reduce_equals_np_mod(self, m):
+        bound = 2 * m * m  # the byte maps' intermediates lie in (-bound, bound)
+        rng = np.random.default_rng(m)
+        edges = [1 - bound, -m - 1, -m, -1, 0, 1, m - 1, m, m + 1, bound - 1]
+        values = np.concatenate([edges, rng.integers(1 - bound, bound, size=50000)]).astype(np.int32)
+        want = np.mod(values, m)
+        tmp = np.empty_like(values)
+        cipher._reduce(values, m, tmp)
+        assert values.dtype == np.int32
+        assert np.array_equal(values, want)
+
+    @pytest.mark.parametrize("invert", [False, True], ids=["encrypt", "decrypt"])
+    @pytest.mark.parametrize("m", [12, 16, 64, 256, 300, 512])
+    def test_gather_index_equals_python_closed_form(self, m, invert):
+        rng = np.random.default_rng((m, invert))
+        params = np.array(
+            [[0, 0, 0, 0], [m - 1] * 4, [0, m - 1, m - 1, 0], *rng.integers(0, m, size=(2, 4))],
+            dtype=np.int32,
+        )
+        index = cipher._gather_index(params, m, invert)
+        for row, want, key in zip(index, oracles.gather_index_closed_form(params, m, invert), params):
+            assert row.tolist() == want, key
 
 
 def run_switching(stack, keys, m, switch, invert):
