@@ -39,17 +39,17 @@ shifts, which the construction allows:
 - The rotation is two uint8 shifts, (z << s) | (z >> (8 - s)), over cached
   grids of s and 8 - s.
 
-encrypt and decrypt take an M x M image under one key, or a (W, M, M) stack
-under one key for every image or under W keys that share the round count.
-They reduce the key parameters mod M once, into an int32 row per key, for
-the private route _run, which the sweeps call with their drawn arrays.  _run
-drains _rounds, a generator of the stack after each round.  Only the gather
-index depends on the key.  A call builds it at most once, at its first dense
-round, as one intp array with row w offset by w*M*M into the flat stack,
-allocated first and filled in blocks of at most _INDEX_BLOCK positions, each
-block evaluated in int32 for all of its keys at once.  One key's index is
-one image long and is applied to each image in turn.  A round is one block
-XOR, one gather and one rotation over the whole stack.
+encrypt and decrypt take one M x M image under one CipherKey and reduce its
+parameters mod M, as Python integers, into one int32 row (_key_row).  The
+one route into the rounds is _run: the public calls pass that row, the
+sweeps a flat (W, M, M) stack with one row for every image or one per image.
+_run drains _rounds, a generator of the stack after each round.  Only the
+gather index depends on the key.  A call builds it at most once, at its
+first dense round, as one intp array with row w offset by w*M*M into the
+flat stack, allocated first and filled in blocks of at most _INDEX_BLOCK
+positions, each block evaluated in int32 for all of its keys at once.  One
+key's index is one image long and is applied to each image in turn.  A
+round is one block XOR, one gather and one rotation over the whole stack.
 
 Decryption rotates right, gathers and applies the same block XOR: x -> x xor
 (block XOR of x) is an involution on 16-byte blocks, which is why
@@ -81,7 +81,7 @@ import functools
 import itertools
 import operator
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -531,34 +531,6 @@ def _sparse_round(
 # full cipher
 # ---------------------------------------------------------------------------
 
-def _flat_stack(
-    data: np.ndarray, key: CipherKey | Sequence[CipherKey]
-) -> tuple[np.ndarray, int, np.ndarray, int]:
-    """The bytes of an image or a stack, flat and C-contiguous, with M, the key parameters and rounds.
-
-    An M x M image takes one CipherKey.  A (W, M, M) stack takes one
-    CipherKey for every image, or a sequence of W keys that share the round
-    count.  The parameters, Python integers of any size, are reduced mod M
-    into int32, one row per key.
-    """
-    stack = np.ndim(data) == 3
-    if stack and len(data) == 0:
-        raise DimensionError("a stack needs at least one image")
-    m = validate_image(data[0] if stack else data)
-    if isinstance(key, CipherKey):
-        keys = (key,)
-    elif not stack:
-        raise DimensionError("a key sequence needs a (W, M, M) stack of images")
-    else:
-        keys = tuple(key)
-        if len(keys) != len(data):
-            raise ValueError(f"a stack of {len(data)} images needs {len(data)} keys, got {len(keys)}")
-        if len({k.rounds for k in keys}) != 1:
-            raise ValueError("the keys of a stack must share one round count")
-    params = np.array([[p % m for p in k.params()] for k in keys], dtype=np.int32)
-    return np.ascontiguousarray(data).reshape(-1), m, params, keys[0].rounds
-
-
 def _rounds(flat: np.ndarray, params: np.ndarray, m: int, invert: bool) -> Iterator[np.ndarray]:
     """The flat stack after each round of encrypt (or with invert, decrypt), without end.
 
@@ -592,25 +564,30 @@ def _run(flat: np.ndarray, params: np.ndarray, m: int, rounds: int, invert: bool
     """rounds rounds of encrypt (or with invert, decrypt) over a flat stack: the last of :func:`_rounds`.
 
     params holds the key parameters mod M, int32: one row that every image
-    shares, or one row per image.
+    shares, or one row per image.  It is the one route into the rounds: for
+    encrypt and decrypt (one image, one row) and for the sweeps' stacks.
     """
     for flat in itertools.islice(_rounds(flat, params, m, invert), rounds):
         pass
     return flat
 
 
-def encrypt(image: np.ndarray, key: CipherKey | Sequence[CipherKey]) -> np.ndarray:
-    """Run key.rounds rounds of diffusion followed by the bit permutation.
-
-    image is an M x M image under one CipherKey, or a (W, M, M) stack under
-    one CipherKey or a sequence of W keys with one round count: image w
-    under key w.
-    """
-    flat, m, params, rounds = _flat_stack(image, key)
-    return _run(flat, params, m, rounds, False).reshape(image.shape)
+def _key_row(key: CipherKey, m: int) -> np.ndarray:
+    """A key's (a, b, rx, ry) mod M, reduced as Python integers of any size: :func:`_run`'s int32 row."""
+    if not isinstance(key, CipherKey):
+        raise TypeError(f"key must be one CipherKey, got {type(key).__name__}")
+    return np.array([p % m for p in key.params()], dtype=np.int32)
 
 
-def decrypt(cipher: np.ndarray, key: CipherKey | Sequence[CipherKey]) -> np.ndarray:
-    """Exact inverse of :func:`encrypt`, on the same images and keys."""
-    flat, m, params, rounds = _flat_stack(cipher, key)
-    return _run(flat, params, m, rounds, True).reshape(cipher.shape)
+def encrypt(image: np.ndarray, key: CipherKey) -> np.ndarray:
+    """Run key.rounds rounds of diffusion followed by the bit permutation on one M x M image."""
+    m = validate_image(image)
+    flat = np.ascontiguousarray(image).reshape(-1)
+    return _run(flat, _key_row(key, m)[np.newaxis], m, key.rounds, False).reshape(m, m)
+
+
+def decrypt(cipher: np.ndarray, key: CipherKey) -> np.ndarray:
+    """Exact inverse of :func:`encrypt`, on one M x M image under the same key."""
+    m = validate_image(cipher)
+    flat = np.ascontiguousarray(cipher).reshape(-1)
+    return _run(flat, _key_row(key, m)[np.newaxis], m, key.rounds, True).reshape(m, m)

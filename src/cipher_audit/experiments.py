@@ -280,19 +280,20 @@ def _run_pool(batch_fn, tasks, order, workers: int) -> dict:
 
 
 def _trial_streams(master_seed: int, m: int, rounds: int, indices, single_lsb: bool):
-    """Each trial of indices through its own Generator, as (rng, key, pixel).
+    """Each trial of indices through its own Generator, as (rng, params, pixel).
 
     Trial index draws from default_rng((master_seed, index, M, rounds)): its
-    key's four q-bit parameters, then, if single_lsb, the row and column of
-    the pixel whose LSB is set in the otherwise all-zero plaintext (pixel is
+    key's four q-bit parameters, yielded as cipher._run's int32 row
+    (a, b, rx, ry) mod M, then, if single_lsb, the row and column of the
+    pixel whose LSB is set in the otherwise all-zero plaintext (pixel is
     None without).  rng is yielded after those draws, so a sweep that keeps
     drawing goes on from the trial's own stream.
     """
     for index in indices:
         rng = np.random.default_rng((master_seed, index, m, rounds))
-        key = cipher.key_from_stream(rng, m, rounds)
+        params = cipher._key_row(cipher.key_from_stream(rng, m, rounds), m)
         pixel = tuple(int(v) for v in rng.integers(0, m, size=2)) if single_lsb else None
-        yield rng, key, pixel
+        yield rng, params, pixel
 
 
 def _draw_trials(master_seed: int, m: int, rounds: tuple[int, ...], start: int, stop: int, single_lsb: bool):
@@ -307,9 +308,9 @@ def _draw_trials(master_seed: int, m: int, rounds: tuple[int, ...], start: int, 
     (2**32 - n) mod n.  The key's bound 2**q never rejects and takes the top
     q bits; a coordinate, bound M, may.  A (round count, trial) with a
     rejected coordinate, or every one of a batch that first_words does not
-    cover, is drawn through _trial_streams.  The parameters are cipher._run's:
-    (a, b, rx, ry) mod M, int32, one row per trial; a trial that first_words
-    covers builds no CipherKey.
+    cover, is drawn through _trial_streams, whose row is written as it is.
+    The parameters are cipher._run's: (a, b, rx, ry) mod M, int32, one row
+    per trial; a trial that first_words covers builds no CipherKey.
     """
     count = stop - start
     params = np.empty((len(rounds), count, 4), dtype=np.int32)
@@ -325,8 +326,8 @@ def _draw_trials(master_seed: int, m: int, rounds: tuple[int, ...], start: int, 
         rejected = ((scaled & 0xFFFFFFFF) < (2**32 - m) % m).any(axis=2)
         replay = np.argwhere(rejected).tolist() if single_lsb else []
     for k, i in replay:
-        [(_, key, pixel)] = _trial_streams(master_seed, m, rounds[k], [start + i], single_lsb)
-        params[k, i] = key.params()
+        [(_, row, pixel)] = _trial_streams(master_seed, m, rounds[k], [start + i], single_lsb)
+        params[k, i] = row
         pixels[k, i] = pixel if single_lsb else 0
     params %= m
     for k in range(len(rounds)):
@@ -453,7 +454,8 @@ def _errprop_batch(task: tuple) -> list[list[list[tuple[float, float, float]]]]:
 
     A trial draws its key, then its error vectors e.  The damaged
     decryption is I xor D(e), so only the error vectors are decrypted: a
-    trial's rows as one stack under the trial's key.  Dif is the bit
+    trial's rows as one stack in one cipher._run call under the trial's one
+    parameter row, so one gather index serves every row.  Dif is the bit
     percentage of D(e).  The window sums of I are computed once per batch.
     """
     master_seed, m, rounds, start, stop, percents, image = task
@@ -462,8 +464,9 @@ def _errprop_batch(task: tuple) -> list[list[list[tuple[float, float, float]]]]:
     out = []
     for r in rounds:
         out.append(cell := [])
-        for rng, key, _ in _trial_streams(master_seed, m, r, range(start, stop), False):
-            damage = cipher.decrypt(_error_vectors(rng, m, counts), key)
+        for rng, params, _ in _trial_streams(master_seed, m, r, range(start, stop), False):
+            errors = _error_vectors(rng, m, counts)
+            damage = cipher._run(errors.reshape(-1), params[np.newaxis], m, r, True).reshape(errors.shape)
             cell.append([
                 (dif, *metrics._psnr_ssim(reference, d))
                 for dif, d in zip(metrics.bit_percents(damage), image ^ damage)

@@ -456,6 +456,28 @@ def reduced_params(keys, m):
     return np.array([[int(p) % m for p in row] for row in rows], dtype=np.int32)
 
 
+def per_image(op, stack, keys):
+    """op (cipher.encrypt or cipher.decrypt) on each image of a (W, M, M)
+    stack, one public call per image, stacked: image w under keys[w], or
+    every image under keys if it is one CipherKey."""
+    if isinstance(keys, CipherKey):
+        keys = [keys] * len(stack)
+    return np.stack([op(image, key) for image, key in zip(stack, keys, strict=True)])
+
+
+def count_index_builds(monkeypatch):
+    """The gather indices cipher._stack_index builds from now on, as (count, M*M) shapes."""
+    built = []
+    stack_index = cipher._stack_index
+
+    def spy(params, m, invert):
+        built.append((len(params), m * m))
+        return stack_index(params, m, invert)
+
+    monkeypatch.setattr(cipher, "_stack_index", spy)
+    return built
+
+
 def derive_trial_key(master_seed, trial_index, m, rounds):
     """Trial key from the documented stream contract: the first four q-bit draws
     of default_rng((master_seed, trial_index, M, rounds))."""

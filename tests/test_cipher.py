@@ -482,6 +482,13 @@ def run_switching(stack, keys, m, switch, invert):
     return flat.reshape(stack.shape)
 
 
+def run_stack(stack, keys, m, rounds, invert):
+    """rounds rounds of cipher._run over a (W, M, M) stack under a sequence
+    of CipherKeys: W keys, one per image, or one key that every image shares."""
+    flat = cipher._run(stack.reshape(-1), oracles.reduced_params(keys, m), m, rounds, invert)
+    return flat.reshape(stack.shape)
+
+
 def sparse_stacks(rng, m, count):
     """Stacks of count images: all zero, a few random bytes per image, every
     block nonzero, and one dense image among one-bit images."""
@@ -522,7 +529,8 @@ class TestSparseRounds:
     @pytest.mark.parametrize("rounds", [1, 2, 3, 6])
     @pytest.mark.parametrize("m, count", [(36, 40), (300, 2), (512, 1)])
     def test_public_route_equals_dense(self, m, count, rounds):
-        # one-bit stacks large enough that encrypt and decrypt start sparse
+        # one-bit stacks large enough that the stack starts sparse, and at
+        # M >= 300 each of its images alone does too
         rng = np.random.default_rng((m, count, rounds))
         keys = tuple(random_key(rng, m, rounds) for _ in range(count))
         stack = sparse_stacks(rng, m, count)["few" if m == 36 else "mixed"]
@@ -530,8 +538,11 @@ class TestSparseRounds:
             stack[0] = 0
             stack[0, 3, 4] = 0x80
         for invert, op in ((False, cipher.encrypt), (True, cipher.decrypt)):
-            assert np.array_equal(op(stack, keys), run_switching(stack, keys, m, 0, invert))
-        assert np.array_equal(cipher.decrypt(cipher.encrypt(stack, keys), keys), stack)
+            dense = run_switching(stack, keys, m, 0, invert)
+            assert np.array_equal(run_stack(stack, keys, m, rounds, invert), dense)
+            assert np.array_equal(oracles.per_image(op, stack, keys), dense)
+        encrypted = oracles.per_image(cipher.encrypt, stack, keys)
+        assert np.array_equal(oracles.per_image(cipher.decrypt, encrypted, keys), stack)
 
     def test_one_bit_round_builds_no_gather_index(self, monkeypatch):
         def no_index(*args):
@@ -554,11 +565,10 @@ class TestSparseRounds:
         rng = np.random.default_rng(count)
         keys = tuple(random_key(rng, m, rounds) for _ in range(count))
         stack = sparse_stacks(rng, m, count)["mixed"]
-        encrypted = cipher.encrypt(stack, keys)
+        encrypted = run_stack(stack, keys, m, rounds, False)
         assert np.array_equal(encrypted, run_switching(stack, keys, m, 0, False))
-        for image, key, row in zip(stack, keys, encrypted):
-            assert np.array_equal(row, cipher.encrypt(image, key))
-        assert np.array_equal(cipher.decrypt(encrypted, keys), stack)
+        assert np.array_equal(encrypted, oracles.per_image(cipher.encrypt, stack, keys))
+        assert np.array_equal(run_stack(encrypted, keys, m, rounds, True), stack)
 
 
 def unreduced_keys(rng, m, count, rounds):
@@ -566,19 +576,6 @@ def unreduced_keys(rng, m, count, rounds):
     top = 1 << cipher.param_bits(m)
     return tuple(cipher.CipherKey(*(int(v) for v in rng.integers(m, top, size=4)), rounds=rounds)
                  for _ in range(count))
-
-
-def count_index_builds(monkeypatch):
-    """The gather indices cipher._stack_index builds from now on, as (count, M*M) shapes."""
-    built = []
-    stack_index = cipher._stack_index
-
-    def spy(params, m, invert):
-        built.append((len(params), m * m))
-        return stack_index(params, m, invert)
-
-    monkeypatch.setattr(cipher, "_stack_index", spy)
-    return built
 
 
 class TestArrayRoute:
@@ -598,8 +595,21 @@ class TestArrayRoute:
             params = oracles.reduced_params(row_keys, m)
             assert params.dtype == np.int32 and params.shape == (len(row_keys), 4)
             out = cipher._run(stack.reshape(-1), params, m, rounds, invert)
-            want = op(stack, row_keys if len(row_keys) > 1 else row_keys[0])
+            want = oracles.per_image(op, stack, row_keys if len(row_keys) > 1 else row_keys[0])
             assert np.array_equal(out.reshape(stack.shape), want)
+
+    @pytest.mark.parametrize("invert", [False, True], ids=["encrypt", "decrypt"])
+    @pytest.mark.parametrize("m", [20, 300])
+    def test_any_size_parameters_reduce_mod_m(self, m, invert):
+        # fields of 2**64 and more: a fixed-width cast before the reduction overflows
+        key = cipher.CipherKey(2**70 + 3, 2**64 + 7, 2**40, 5, rounds=3)
+        reduced = cipher.CipherKey(*(p % m for p in key.params()), rounds=3)
+        op = cipher.decrypt if invert else cipher.encrypt
+        rng = np.random.default_rng((m, invert))
+        one_bit = np.zeros((m, m), dtype=np.uint8)
+        one_bit[3, 5] = 1
+        for image in (rng.integers(0, 256, (m, m), dtype=np.uint8), one_bit):
+            assert np.array_equal(op(image, key), op(image, reduced))
 
 
 class TestRoundGenerator:
@@ -621,7 +631,7 @@ class TestRoundGenerator:
         sparse_round = cipher._sparse_round
         monkeypatch.setattr(cipher, "_sparse_round",
                             lambda *args: sparse.append(1) or sparse_round(*args))
-        built = count_index_builds(monkeypatch)
+        built = oracles.count_index_builds(monkeypatch)
         params = oracles.reduced_params(keys, m)
         stacks = cipher._rounds(stack.reshape(-1), params, m, invert)
         yields = list(itertools.islice(stacks, self.ROUNDS))
@@ -629,13 +639,13 @@ class TestRoundGenerator:
         assert len(built) == (sparse_rounds < self.ROUNDS)
         for k, flat in enumerate(yields, start=1):
             k_keys = [cipher.CipherKey(*key.params(), rounds=k) for key in keys]
-            assert np.array_equal(flat.reshape(stack.shape), op(stack, k_keys)), k
+            assert np.array_equal(flat.reshape(stack.shape), oracles.per_image(op, stack, k_keys)), k
         if (m, count, kind) == (300, 20, "mixed"):
             # the stack starts sparse and switches to dense mid-run
             assert 0 < sparse_rounds < self.ROUNDS
 
     def test_run_builds_one_index_at_most(self, monkeypatch):
-        built = count_index_builds(monkeypatch)
+        built = oracles.count_index_builds(monkeypatch)
         m = 512
         image = np.zeros((m, m), dtype=np.uint8)
         image[100, 200] = 4
@@ -807,8 +817,9 @@ class TestCipherRoundtrip:
 
 
 class TestStack:
-    """A (W, M, M) stack under W keys, or under one key for every image, is
-    W single-image calls in one, in both directions."""
+    """A (W, M, M) stack on cipher._run, under W parameter rows or one row
+    for every image, is W single-image public calls in one, in both
+    directions; the public calls take one image under one CipherKey."""
 
     @staticmethod
     def mixed_keys(rng, m, rounds):
@@ -824,11 +835,9 @@ class TestStack:
         rng = np.random.default_rng((m, rounds))
         keys = self.mixed_keys(rng, m, rounds)
         images = rng.integers(0, 256, (len(keys), m, m), dtype=np.uint8)
-        encrypted = cipher.encrypt(images, keys)
-        assert encrypted.shape == images.shape
-        for image, key, row in zip(images, keys, encrypted):
-            assert np.array_equal(row, cipher.encrypt(image, key))
-            assert np.array_equal(cipher.decrypt(row, key), image)
+        encrypted = run_stack(images, keys, m, rounds, False)
+        assert np.array_equal(encrypted, oracles.per_image(cipher.encrypt, images, keys))
+        assert np.array_equal(oracles.per_image(cipher.decrypt, encrypted, keys), images)
 
     @pytest.mark.parametrize("one_key", [False, True])
     @pytest.mark.parametrize("rounds", [1, 2, 6])
@@ -838,63 +847,64 @@ class TestStack:
         keys = self.mixed_keys(rng, m, rounds)
         images = rng.integers(0, 256, (len(keys), m, m), dtype=np.uint8)
         if one_key:
-            keys = [keys[-1]] * len(keys)
-        stack_keys = keys[0] if one_key else keys
-        decrypted = cipher.decrypt(images, stack_keys)
-        assert decrypted.shape == images.shape
-        for image, key, row in zip(images, keys, decrypted):
-            assert np.array_equal(row, cipher.decrypt(image, key))
-        encrypted = cipher.encrypt(images, stack_keys)
-        for image, key, row in zip(images, keys, encrypted):
-            assert np.array_equal(row, cipher.encrypt(image, key))
-        assert np.array_equal(cipher.decrypt(encrypted, stack_keys), images)
+            keys = keys[-1:]
+        public_keys = keys[0] if one_key else keys
+        decrypted = run_stack(images, keys, m, rounds, True)
+        assert np.array_equal(decrypted, oracles.per_image(cipher.decrypt, images, public_keys))
+        encrypted = run_stack(images, keys, m, rounds, False)
+        assert np.array_equal(encrypted, oracles.per_image(cipher.encrypt, images, public_keys))
+        assert np.array_equal(run_stack(encrypted, keys, m, rounds, True), images)
 
     def test_one_image_stack(self):
         rng = np.random.default_rng(3)
         image = rng.integers(0, 256, (12, 12), dtype=np.uint8)
         key = random_key(rng, 12, 2)
-        assert np.array_equal(cipher.encrypt(image[np.newaxis], [key])[0], cipher.encrypt(image, key))
-        assert np.array_equal(cipher.decrypt(image[np.newaxis], [key])[0], cipher.decrypt(image, key))
-        assert np.array_equal(cipher.decrypt(image[np.newaxis], key)[0], cipher.decrypt(image, key))
+        for invert, op in ((False, cipher.encrypt), (True, cipher.decrypt)):
+            assert np.array_equal(run_stack(image[np.newaxis], [key], 12, 2, invert)[0], op(image, key))
 
     def test_stack_not_mutated_and_views(self):
         rng = np.random.default_rng(4)
         images = rng.integers(0, 256, (3, 8, 8), dtype=np.uint8)
         copy = images.copy()
         keys = [random_key(rng, 8, 2) for _ in range(3)]
-        for view in (images, images[::-1], images.transpose(0, 2, 1)):
-            assert np.array_equal(cipher.encrypt(view, keys),
-                                  cipher.encrypt(np.ascontiguousarray(view), keys))
+        for invert in (False, True):
+            run_stack(images, keys, 8, 2, invert)
+        for view in (images[::-1], images.transpose(0, 2, 1)):
+            for op in (cipher.encrypt, cipher.decrypt):
+                assert np.array_equal(oracles.per_image(op, view, keys),
+                                      oracles.per_image(op, np.ascontiguousarray(view), keys))
         assert np.array_equal(images, copy)
 
-    def test_mismatched_rounds_rejected(self):
-        keys = [cipher.CipherKey(1, 2, 3, 4, rounds=2), cipher.CipherKey(1, 2, 3, 4, rounds=3)]
-        with pytest.raises(ValueError, match="round count"):
-            cipher.encrypt(np.zeros((2, 8, 8), dtype=np.uint8), keys)
-
-    @pytest.mark.parametrize("count", [1, 3])
-    def test_key_count_must_match(self, count):
-        keys = [cipher.CipherKey(1, 2, 3, 4, rounds=1)] * count
-        with pytest.raises(ValueError, match="needs 2 keys"):
-            cipher.encrypt(np.zeros((2, 8, 8), dtype=np.uint8), keys)
-
-    @pytest.mark.parametrize("shape", [(0, 8, 8), (8, 8), (2, 8, 12)])
+    @pytest.mark.parametrize("shape", [(0, 8, 8), (2, 8, 8), (2, 8, 12)])
     def test_bad_stack_shape_rejected(self, shape):
-        keys = [cipher.CipherKey(1, 2, 3, 4, rounds=1)] * 2
-        with pytest.raises(cipher.DimensionError):
-            cipher.encrypt(np.zeros(shape, dtype=np.uint8), keys)
+        # a stack goes through cipher._run, not the public calls
+        key = cipher.CipherKey(1, 2, 3, 4, rounds=1)
+        for op in (cipher.encrypt, cipher.decrypt):
+            for keys in (key, [key] * shape[0]):
+                with pytest.raises(cipher.DimensionError, match="2-D"):
+                    op(np.zeros(shape, dtype=np.uint8), keys)
+
+    KEY = cipher.CipherKey(1, 2, 3, 4, rounds=1)
+
+    @pytest.mark.parametrize("op", [cipher.encrypt, cipher.decrypt])
+    @pytest.mark.parametrize("keys", [[KEY], (KEY, KEY), (1, 2, 3, 4)], ids=["list", "tuple", "fields"])
+    def test_key_sequence_rejected(self, keys, op):
+        # a one-line TypeError, not an AttributeError from a missing .params()
+        with pytest.raises(TypeError, match="CipherKey"):
+            op(np.zeros((8, 8), dtype=np.uint8), keys)
 
     def test_decrypt_checks_stacks_as_encrypt_does(self):
         key = cipher.CipherKey(1, 2, 3, 4, rounds=1)
-        stack = np.zeros((2, 8, 8), dtype=np.uint8)
-        with pytest.raises(ValueError, match="round count"):
-            cipher.decrypt(stack, [key, cipher.CipherKey(1, 2, 3, 4, rounds=2)])
-        for count in (1, 3):
-            with pytest.raises(ValueError, match="needs 2 keys"):
-                cipher.decrypt(stack, [key] * count)
-        for shape in ((0, 8, 8), (8, 8), (2, 8, 12)):
-            with pytest.raises(cipher.DimensionError):
-                cipher.decrypt(np.zeros(shape, dtype=np.uint8), [key] * 2)
+        image = np.zeros((8, 8), dtype=np.uint8)
+        for data, keys, error in ((image[np.newaxis], key, cipher.DimensionError),
+                                  (np.stack([image, image]), [key, key], cipher.DimensionError),
+                                  (image, [key], TypeError)):
+            messages = []
+            for op in (cipher.encrypt, cipher.decrypt):
+                with pytest.raises(error) as raised:
+                    op(data, keys)
+                messages.append(str(raised.value))
+            assert messages[0] == messages[1]
 
     @pytest.mark.parametrize("op", [cipher.encrypt, cipher.decrypt])
     @pytest.mark.parametrize("shape", [(0, 8, 8), (2, 8, 12), (8,), (1, 2, 8, 8)])

@@ -474,6 +474,15 @@ class TestLinearityShortcuts:
                     for r in (6, 2)
                 ]
 
+    def test_errprop_batch_builds_one_index_per_trial(self, monkeypatch):
+        # a trial's rows share its one parameter row: a row per error vector
+        # would build a (5, M*M) index, five times the memory
+        m, trials = 64, 3
+        built = oracles.count_index_builds(monkeypatch)
+        task = (5, m, (6,), 0, trials, (0.1, 1.0, 5.0, 50.0), image_io.make_portrait_image(m))
+        experiments._errprop_batch(task)
+        assert built == [(1, m * m)] * trials
+
     @pytest.mark.parametrize("plaintext", [experiments.PLAINTEXT_SINGLE_LSB,
                                            experiments.PLAINTEXT_ALL_ZERO])
     @pytest.mark.parametrize("m", [16, 300])
@@ -513,7 +522,7 @@ class TestLinearityShortcuts:
         for r, (params, plains) in zip((5, 2), experiments._draw_trials(*task, single_lsb=True)):
             keys = [oracles.trial_draws(3, index, m, r)[1] for index in range(4, 13)]
             assert np.array_equal(params, oracles.reduced_params(keys, m))
-            ciphers = cipher.encrypt(plains, keys)
+            ciphers = oracles.per_image(cipher.encrypt, plains, keys)
             expected.append([(metrics.hamming_percent(zeros, c), metrics.hamming_percent(p, c))
                              for p, c in zip(plains, ciphers)])
         assert experiments._avalanche_batch(task) == expected

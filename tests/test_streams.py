@@ -122,10 +122,11 @@ class TestDrawTrials:
         drawn = experiments._draw_trials(11, m, (6, 2), 40, 44, single_lsb)
         for r, (params, plains) in zip((6, 2), drawn):
             draws = list(experiments._trial_streams(11, m, r, range(40, 44), single_lsb))
-            assert [reduced(key, m) for _, key, _ in draws] == params.tolist()
-            for index, (rng, key, pixel), plain in zip(range(40, 44), draws, plains):
+            assert [row.tolist() for _, row, _ in draws] == params.tolist()
+            for index, (rng, row, pixel), plain in zip(range(40, 44), draws, plains):
                 direct = np.random.default_rng((11, index, m, r))
-                assert key == cipher.key_from_stream(direct, m, r)
+                assert row.dtype == np.int32
+                assert row.tolist() == reduced(cipher.key_from_stream(direct, m, r), m)
                 if single_lsb:
                     assert pixel == tuple(int(v) for v in direct.integers(0, m, size=2))
                     assert np.flatnonzero(plain).tolist() == [pixel[0] * m + pixel[1]]
@@ -183,9 +184,9 @@ class TestReplay:
             assert_trial_draws(4, m, r, range(10, 13), params, plains)
         # every trial's stream goes on from its own Generator
         draws = experiments._trial_streams(4, m, 1, range(10, 13), True)
-        for index, (rng, key, pixel) in zip(range(10, 13), draws):
+        for index, (rng, row, pixel) in zip(range(10, 13), draws):
             direct, expected_key, expected_pixel = oracles.trial_draws(4, index, m, 1)
-            assert (key, pixel) == (expected_key, expected_pixel)
+            assert (row.tolist(), pixel) == (reduced(expected_key, m), expected_pixel)
             assert rng.bit_generator.random_raw(3).tolist() == \
                 direct.bit_generator.random_raw(3).tolist()
 
@@ -222,11 +223,10 @@ class TestReplay:
         [(params, plains)] = experiments._draw_trials(0, m, (1,), start, stop, True)
         assert replayed == [(1, index)]
         draws = experiments._trial_streams(0, m, 1, range(start, stop), True)
-        for trial, row, plain, (rng, drawn_key, pixel) in zip(range(start, stop),
+        for trial, row, plain, (rng, drawn_row, pixel) in zip(range(start, stop),
                                                              params.tolist(), plains, draws):
             direct, expected_key, expected_pixel = oracles.trial_draws(0, trial, m, 1)
-            assert drawn_key == expected_key
-            assert row == reduced(expected_key, m)
+            assert drawn_row.tolist() == row == reduced(expected_key, m)
             assert pixel == expected_pixel
             assert np.flatnonzero(plain).tolist() == [pixel[0] * m + pixel[1]]
             assert rng.integers(0, 256, 8, dtype=np.uint8).tolist() == \
