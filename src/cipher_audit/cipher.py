@@ -119,6 +119,13 @@ def check_side(m: int) -> int:
     return m
 
 
+def check_rounds(r: int) -> int:
+    """Check a round count r, 1 <= r < 2**32 (one 32-bit word of a sweep trial's seed), and return it."""
+    if not 1 <= r < 2**32:
+        raise ValueError(f"round counts must be within 1..{2**32 - 1}, got {r}")
+    return r
+
+
 def validate_image(image: np.ndarray) -> int:
     """Check an image array and return its side length M.
 
@@ -174,8 +181,7 @@ class CipherKey:
         for name in ("a", "b", "rx", "ry"):
             if getattr(self, name) < 0:
                 raise ValueError(f"key parameter {name} must be non-negative")
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        check_rounds(self.rounds)
 
     def params(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.rx, self.ry)

@@ -230,14 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--in", dest="infile", required=True, help="input PGM (P5) path")
     sub.add_argument("--out", dest="outfile", required=True, help="output blob path")
     sub.add_argument("--key-hex", required=True, help="4q-bit key as q hex digits")
-    sub.add_argument("--rounds", type=_int, required=True, help="round count r >= 1")
+    sub.add_argument("--rounds", type=_int, required=True, help="round count, 1 <= r < 2^32")
     sub.set_defaults(func=_cmd_encrypt)
 
     sub = commands.add_parser("decrypt", help="decrypt a raw ciphertext blob into a PGM")
     sub.add_argument("--in", dest="infile", required=True, help="input blob path")
     sub.add_argument("--out", dest="outfile", required=True, help="output PGM path")
     sub.add_argument("--key-hex", required=True, help="4q-bit key as q hex digits")
-    sub.add_argument("--rounds", type=_int, required=True, help="round count r >= 1")
+    sub.add_argument("--rounds", type=_int, required=True, help="round count, 1 <= r < 2^32")
     sub.add_argument("--dim", type=_int, required=True, help="side length M of the blob")
     sub.set_defaults(func=_cmd_decrypt)
 

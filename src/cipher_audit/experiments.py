@@ -9,8 +9,8 @@ task order after all trials return.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
@@ -48,6 +48,15 @@ class ExperimentConfig:
     error_percents: tuple[float, ...] = DEFAULT_ERROR_PERCENTS
 
     def __post_init__(self) -> None:
+        # Stored as Python integers: a numpy integer behaves as its int twin,
+        # and a float is refused rather than truncated into a different sweep.
+        for name in ("sizes", "rounds", "trials", "master_seed"):
+            value = getattr(self, name)
+            try:
+                value = tuple(map(operator.index, value)) if name in ("sizes", "rounds") else operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be integral, got {value!r}") from None
+            object.__setattr__(self, name, value)
         if not self.sizes:
             raise ValueError("at least one image size is required")
         for m in self.sizes:
@@ -55,10 +64,10 @@ class ExperimentConfig:
         if not self.rounds:
             raise ValueError("at least one round count is required")
         for r in self.rounds:
-            if r < 1:
-                raise ValueError(f"round counts must be >= 1, got {r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+            cipher.check_rounds(r)
+        # Each trial index is one 32-bit word of its stream's seed.
+        if not 1 <= self.trials <= 2**32:
+            raise ValueError(f"trials must be within 1..{2**32}, got {self.trials}")
         if self.master_seed < 0:
             raise ValueError(f"the master seed must be >= 0, got {self.master_seed}")
         for p in self.error_percents:
@@ -177,7 +186,9 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     BATCH_PIXELS pixels per round count (at least one trial).  batch_fn maps
     the task (master_seed, M, rounds, start, stop, *extra), rounds largest
     first, to the results of trials start..stop-1 under each round count in
-    that order.  Everything else a batch needs travels in its task.
+    that order: _cipher_batch, whose extra is (single_lsb, score), for every
+    sweep that encrypts; _control_batch; or _errprop_batch.  Everything else
+    a batch needs travels in its task.
 
     The static cipher tables of every size are built first, in this process,
     whether the batches then run serially or not: forked workers inherit
@@ -306,30 +317,20 @@ def _draw_trials(master_seed: int, m: int, rounds: tuple[int, ...], start: int, 
     (round count, trial) of the batch.  By numpy's rule (Lemire's), a draw
     below n takes x to (x*n) >> 32 and rejects x when (x*n) mod 2**32 <
     (2**32 - n) mod n.  The key's bound 2**q never rejects and takes the top
-    q bits; a coordinate, bound M, may.  A (round count, trial) with a
-    rejected coordinate, or every one of a batch that first_words does not
-    cover, is drawn through _trial_streams, whose row is written as it is.
-    The parameters are cipher._run's: (a, b, rx, ry) mod M, int32, one row
-    per trial; a trial that first_words covers builds no CipherKey.
+    q bits; a coordinate, bound M, may.  A (round count, trial) whose
+    single-LSB pixel numpy rejects is drawn through _trial_streams, whose
+    row is written as it is.  The parameters are cipher._run's: (a, b, rx,
+    ry) mod M, int32, one row per trial; no trial builds a CipherKey.
     """
     count = stop - start
-    params = np.empty((len(rounds), count, 4), dtype=np.int32)
-    pixels = np.empty((len(rounds), count, 2), dtype=np.intp)
-    words = streams.first_words(master_seed, start, stop, m, rounds, 3)
-    if words is None:
-        replay = itertools.product(range(len(rounds)), range(count))
-    else:
-        halves = words.astype("<u8", copy=False).view("<u4")
-        params[:] = halves[..., :4] >> (32 - cipher.param_bits(m))
-        scaled = halves[..., 4:] * np.uint64(m)
-        pixels[:] = scaled >> 32
-        rejected = ((scaled & 0xFFFFFFFF) < (2**32 - m) % m).any(axis=2)
-        replay = np.argwhere(rejected).tolist() if single_lsb else []
-    for k, i in replay:
-        [(_, row, pixel)] = _trial_streams(master_seed, m, rounds[k], [start + i], single_lsb)
-        params[k, i] = row
-        pixels[k, i] = pixel if single_lsb else 0
-    params %= m
+    halves = streams.first_words(master_seed, start, stop, m, rounds).astype("<u8", copy=False).view("<u4")
+    params = ((halves[..., :4] >> (32 - cipher.param_bits(m))) % m).astype(np.int32)
+    scaled = halves[..., 4:] * np.uint64(m)
+    pixels = (scaled >> 32).astype(np.intp)
+    if single_lsb:
+        for k, i in np.argwhere(((scaled & 0xFFFFFFFF) < (2**32 - m) % m).any(axis=2)).tolist():
+            [(_, row, pixel)] = _trial_streams(master_seed, m, rounds[k], [start + i], True)
+            params[k, i], pixels[k, i] = row, pixel
     for k in range(len(rounds)):
         plains = np.zeros((count, m, m), dtype=np.uint8)
         if single_lsb:
@@ -338,27 +339,40 @@ def _draw_trials(master_seed: int, m: int, rounds: tuple[int, ...], start: int, 
         yield params[k], plains
 
 
+def _cipher_batch(task: tuple) -> list[list]:
+    """Scores of each trial of a batch, per round count: the sweeps' one route through the cipher.
+
+    The task ends in (single_lsb, score).  Each round count's trials, drawn
+    by _draw_trials, are encrypted in one cipher._run call, and
+    score(plains, ciphers) maps the two (trials, M, M) stacks to one result
+    per trial.
+    """
+    master_seed, m, rounds, start, stop, single_lsb, score = task
+    return [
+        score(plains, cipher._run(plains.reshape(-1), params, m, r, False).reshape(plains.shape))
+        for r, (params, plains) in zip(rounds, _draw_trials(master_seed, m, rounds, start, stop, single_lsb))
+    ]
+
+
+def _control_batch(task: tuple) -> list[list[float]]:
+    """Chi-square of uniform random bytes in place of each trial's ciphertext, per
+    round count: a sanity oracle that should score about 255 (the degrees of
+    freedom).  The bytes come from each trial's own Generator, after its draws."""
+    master_seed, m, rounds, start, stop, single_lsb = task
+    return [
+        _chi_squares(None, [rng.integers(0, 256, size=m * m, dtype=np.uint8)
+                            for rng, _, _ in _trial_streams(master_seed, m, r, range(start, stop), single_lsb)])
+        for r in rounds
+    ]
+
+
 # ---------------------------------------------------------------------------
 # avalanche (plaintext sensitivity)
 # ---------------------------------------------------------------------------
 
-def _avalanche_batch(task: tuple) -> list[list[tuple[float, float]]]:
-    """PS and Diff of each trial of a batch, per round count.
-
-    PS compares E(I) with E(I') for the all-zero I.  The cipher is linear
-    over GF(2), so E(0) = 0 for every key, and PS is the bit weight of E(I'):
-    only I' is encrypted, a round count's trials in one cipher._run call.
-    Both scores of every trial come from two bit-percentage reductions over
-    the cell's stack.
-    """
-    _, m, rounds, _, _ = task
-    return [
-        _avalanche_scores(plains, cipher._run(plains.reshape(-1), params, m, r, False).reshape(plains.shape))
-        for r, (params, plains) in zip(rounds, _draw_trials(*task, single_lsb=True))
-    ]
-
-
 def _avalanche_scores(plains: np.ndarray, ciphers: np.ndarray) -> list[tuple[float, float]]:
+    """PS and Diff of each trial.  PS compares E(I) with E(I') for the all-zero I;
+    the cipher is linear over GF(2), so E(0) = 0 and PS is the bit weight of E(I')."""
     return list(zip(metrics.bit_percents(ciphers), metrics.bit_percents(plains ^ ciphers)))
 
 
@@ -372,7 +386,7 @@ def avalanche_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[SweepCell]:
             ps=Stats.from_values([ps for ps, _ in chunk]),
             diff=Stats.from_values([diff for _, diff in chunk]),
         )
-        for m, r, chunk in _sweep(_avalanche_batch, cfg, jobs)
+        for m, r, chunk in _sweep(_cipher_batch, cfg, jobs, True, _avalanche_scores)
     ]
 
 
@@ -380,25 +394,9 @@ def avalanche_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[SweepCell]:
 # uniformity (chi-square of ciphertext histograms)
 # ---------------------------------------------------------------------------
 
-def _uniformity_batch(task: tuple) -> list[list[float]]:
-    """Chi-square of each trial's ciphertext histogram of a batch, per round count."""
-    master_seed, m, rounds, start, stop, plaintext, control_random = task
-    single_lsb = plaintext == PLAINTEXT_SINGLE_LSB
-    if control_random:
-        # Sanity oracle: uniform random bytes in place of the ciphertext
-        # should score around 255 (the degrees of freedom).
-        return [_chi_squares(rng.integers(0, 256, size=m * m, dtype=np.uint8)
-                             for rng, _, _ in _trial_streams(master_seed, m, r, range(start, stop), single_lsb))
-                for r in rounds]
-    drawn = _draw_trials(master_seed, m, rounds, start, stop, single_lsb)
-    return [
-        _chi_squares(cipher._run(plains.reshape(-1), params, m, r, False).reshape(plains.shape))
-        for r, (params, plains) in zip(rounds, drawn)
-    ]
-
-
-def _chi_squares(data) -> list[float]:
-    return [metrics.chi_square(metrics.byte_histogram(d)) for d in data]
+def _chi_squares(plains, ciphers) -> list[float]:
+    """Chi-square of each ciphertext's byte histogram; the plaintexts are not scored."""
+    return [metrics.chi_square(metrics.byte_histogram(c)) for c in ciphers]
 
 
 def uniformity_sweep(
@@ -416,10 +414,12 @@ def uniformity_sweep(
     """
     if plaintext not in (PLAINTEXT_SINGLE_LSB, PLAINTEXT_ALL_ZERO):
         raise ValueError(f"unknown plaintext mode {plaintext!r}")
-    return [
-        UniformityCell(size=m, rounds=r, chi2=Stats.from_values(chunk))
-        for m, r, chunk in _sweep(_uniformity_batch, cfg, jobs, plaintext, control_random)
-    ]
+    single_lsb = plaintext == PLAINTEXT_SINGLE_LSB
+    if control_random:
+        cells = _sweep(_control_batch, cfg, jobs, single_lsb)
+    else:
+        cells = _sweep(_cipher_batch, cfg, jobs, single_lsb, _chi_squares)
+    return [UniformityCell(size=m, rounds=r, chi2=Stats.from_values(chunk)) for m, r, chunk in cells]
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,16 @@ Trial i of a sweep cell draws from np.random.default_rng((master_seed, i, M,
 rounds)): a PCG64 generator seeded by a SeedSequence over the tuple's 32-bit
 words.  Building one Generator per trial costs more than a small trial's
 cipher work, so first_words reimplements the two seeding steps for a whole
-batch of (round count, index) pairs and returns the first words each stream
-would give, equal bit for bit to default_rng(...).bit_generator.random_raw(n):
+batch of (round count, index) pairs and returns the first three words each
+stream would give, equal bit for bit to default_rng(...).bit_generator.random_raw(3):
 
 1. SeedSequence's entropy pool, as uint32 numpy ops with one column per
-   pair.  Only the index's and round count's words differ between columns.
-2. PCG64's seeding and its first n steps, per column, with Python's 128-bit
-   integers: a 128-bit LCG whose output is the XSL-RR permutation of its
-   state (O'Neill 2014).
+   pair.  A trial index and a round count are one 32-bit word each (the
+   sweeps keep both below 2**32), and only those two rows differ between
+   columns.
+2. PCG64's seeding and its first three steps, per column, with Python's
+   128-bit integers: a 128-bit LCG whose output is the XSL-RR permutation
+   of its state (O'Neill 2014).
 
 numpy does not promise that Generator streams stay the same across versions
 (NEP 19).  The sweeps' CSV bytes already depend on the numpy version, and
@@ -36,15 +38,6 @@ MIX_MULT_R = 0x4973F715
 
 # PCG64's 128-bit LCG multiplier.
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _uint32_words(n: int) -> list[int]:
-    """The 32-bit words SeedSequence reads from a non-negative integer, least
-    significant first; 0 is one word."""
-    words = [n & MASK32]
-    while n := n >> 32:
-        words.append(n & MASK32)
-    return words
 
 
 def _hash_consts(init: int, mult: int, calls: range | list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -142,27 +135,21 @@ def _pcg64_words(seeds: np.ndarray, n: int) -> np.ndarray:
     return (xored >> rot) | (xored << (-rot & np.uint64(63)))
 
 
-def first_words(master_seed: int, start: int, stop: int, m: int, rounds: tuple[int, ...], n: int) -> np.ndarray | None:
-    """The first n raw 64-bit words of the streams of trials start..stop-1 under each round count.
+def first_words(master_seed: int, start: int, stop: int, m: int, rounds: tuple[int, ...]) -> np.ndarray:
+    """The first three raw 64-bit words of the streams of trials start..stop-1 under each round count.
 
     words[k, i] equals np.random.default_rng((master_seed, start + i, m,
-    rounds[k])).bit_generator.random_raw(n): one column of one pass per
-    (round count, trial).  Returns None when the indices, or the round
-    counts, do not all take the same number of 32-bit words (they straddle
-    a power of 2**32); such a batch is left to default_rng.
+    rounds[k])).bit_generator.random_raw(3): one column of one pass per
+    (round count, trial).  The trial indices and the round counts must be
+    below 2**32, as ExperimentConfig's bounds keep them; the seed may take
+    any number of words.
     """
-    index_words, round_words = len(_uint32_words(start)), len(_uint32_words(max(rounds)))
-    if len(_uint32_words(stop - 1)) != index_words or len(_uint32_words(min(rounds))) != round_words:
-        return None
-    index = np.tile(np.arange(start, stop, dtype=object), len(rounds))
-    counts = np.repeat(np.array(rounds, dtype=object), stop - start)
-    rows = [
-        *_uint32_words(master_seed),
-        *(index >> (32 * k) & MASK32 for k in range(index_words)),
-        *_uint32_words(m),
-        *(counts >> (32 * k) & MASK32 for k in range(round_words)),
-    ]
-    entropy = np.empty((len(rows), index.size), dtype=np.uint32)
-    for i, row in enumerate(rows):
-        entropy[i] = row
-    return _pcg64_words(_seed_words(_pool(entropy)), n).reshape(len(rounds), stop - start, n)
+    # SeedSequence reads the seed as 32-bit words, least significant first; 0 is one word.
+    seed = [master_seed >> shift & MASK32 for shift in range(0, max(master_seed.bit_length(), 1), 32)]
+    entropy = np.empty((len(seed) + 3, len(rounds), stop - start), dtype=np.uint32)
+    entropy[: len(seed)] = np.array(seed, dtype=np.uint32)[:, np.newaxis, np.newaxis]
+    entropy[-3] = np.arange(start, stop, dtype=np.uint32)
+    entropy[-2] = m
+    entropy[-1] = np.array(rounds, dtype=np.uint32)[:, np.newaxis]
+    words = _pcg64_words(_seed_words(_pool(entropy.reshape(len(entropy), -1))), 3)
+    return words.reshape(len(rounds), stop - start, 3)

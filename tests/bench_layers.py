@@ -27,6 +27,9 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
   XORed in (the damage of an error-propagation row), the private row
   scorer metrics._psnr_ssim (PSNR and SSIM against sums taken in advance),
   and metrics._reference_sums, which an error-propagation batch takes once;
+- streams.first_words, the first three words of every (round count,
+  trial) stream of one sweep task, at the task shapes below: its fixed
+  cost per call beside the per-column work;
 - experiments._draw_trials, the reduced key parameters and single-LSB
   plaintexts of every round count of one sweep task: 20 trials under
   rounds 7..1 at M in {16, 64} (avalanche-small's tasks) and one trial
@@ -54,7 +57,7 @@ instead of being returned to the system and faulted in again every call.
 import numpy as np
 import pytest
 
-from cipher_audit import cipher, experiments, image_io, metrics
+from cipher_audit import cipher, experiments, image_io, metrics, streams
 
 import oracles
 
@@ -189,6 +192,11 @@ def test_ssim(benchmark, m, kind):
 
 
 @pytest.mark.parametrize("m, trials, rounds", TASKS, ids=TASK_IDS)
+def test_first_words(benchmark, m, trials, rounds):
+    benchmark(streams.first_words, 7, 0, trials, m, rounds)
+
+
+@pytest.mark.parametrize("m, trials, rounds", TASKS, ids=TASK_IDS)
 def test_draw_trials(benchmark, m, trials, rounds):
     benchmark(lambda: list(experiments._draw_trials(7, m, rounds, 0, trials, True)))
 
@@ -219,7 +227,7 @@ def _no_op_batch(task: tuple) -> list[list[None]]:
 def test_pool_fixed_cost(benchmark, monkeypatch):
     monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
     cfg = experiments.ExperimentConfig(sizes=(256, 300, 512), rounds=(1, 6), trials=10)
-    benchmark(experiments._sweep, _no_op_batch, cfg, 2, experiments.PLAINTEXT_SINGLE_LSB, False)
+    benchmark(experiments._sweep, _no_op_batch, cfg, 2, True, experiments._chi_squares)
 
 
 @pytest.mark.parametrize("m", SIZES)

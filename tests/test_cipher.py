@@ -703,6 +703,14 @@ class TestKeys:
         with pytest.raises(ValueError):
             cipher.CipherKey(1, 1, 1, 1, rounds=0)
 
+    @pytest.mark.parametrize("rounds", [2**32, 2**63])
+    def test_round_counts_from_2_to_the_32_rejected(self, rounds):
+        # a round count above sys.maxsize once failed deep in the rounds
+        with pytest.raises(ValueError, match=f"^round counts must be within 1..{2**32 - 1}, got {rounds}$"):
+            cipher.CipherKey(1, 2, 3, 4, rounds=rounds)
+        assert cipher.check_rounds(2**32 - 1) == 2**32 - 1
+        assert cipher.CipherKey(1, 2, 3, 4, rounds=2**32 - 1).rounds == 2**32 - 1
+
     @pytest.mark.parametrize("fields, name", [
         ((1.5, 0, 0, 0, 1), "a"),
         ((np.float64(3.9), 0, 0, 0, 1), "a"),

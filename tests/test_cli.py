@@ -304,6 +304,28 @@ class TestSideRule:
         assert not out.exists()
 
 
+class TestRoundRule:
+    """One round-count rule, 1 <= r < 2**32, with one message at every command."""
+
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt", "avalanche", "uniformity", "errorprop"])
+    def test_cli_rejects_2_to_the_32(self, tmp_path, capsys, command):
+        image, blob, out = tmp_path / "in.pgm", tmp_path / "c.bin", tmp_path / "out"
+        image_io.write_pgm(image_io.make_portrait_image(16), image)
+        blob.write_bytes(bytes(16 * 16))
+        argv = {
+            "encrypt": ["--in", image, "--key-hex", "9a2f"],
+            "decrypt": ["--in", blob, "--key-hex", "9a2f", "--dim", 16],
+            "avalanche": ["--sizes", 16, "--trials", 1],
+            "uniformity": ["--sizes", 16, "--trials", 1],
+            "errorprop": ["--image", image, "--trials", 1],
+        }[command]
+        assert run([command, *argv, "--rounds", 2**32, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: round counts must be within 1..4294967295, got 4294967296\n"
+        assert not out.exists()
+
+
 class TestParserErrors:
     """A command line that argparse rejects gives one stderr line and exit code 2."""
 

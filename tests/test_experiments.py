@@ -20,6 +20,10 @@ from cipher_audit.experiments import ExperimentConfig, Stats
 import oracles
 
 
+# _sweep's extra task fields for the avalanche sweep's batches
+AVALANCHE = (True, experiments._avalanche_scores)
+
+
 def small_cfg(**overrides) -> ExperimentConfig:
     base = dict(sizes=(16,), rounds=(6,), trials=20, master_seed=5)
     base.update(overrides)
@@ -47,6 +51,34 @@ class TestConfig:
     def test_rejects_empty_rounds(self):
         with pytest.raises(ValueError, match="round count"):
             ExperimentConfig(rounds=())
+
+    @pytest.mark.parametrize("rounds", [0, 2**32, 2**63])
+    def test_rejects_round_count_out_of_range(self, rounds):
+        with pytest.raises(ValueError, match=f"^round counts must be within 1..{2**32 - 1}, got {rounds}$"):
+            ExperimentConfig(rounds=(1, rounds))
+
+    def test_rejects_more_than_2_to_the_32_trials(self):
+        # each trial index is one 32-bit word of its stream's seed
+        with pytest.raises(ValueError, match=f"^trials must be within 1..{2**32}, got {2**32 + 1}$"):
+            ExperimentConfig(trials=2**32 + 1)
+        assert ExperimentConfig(trials=2**32).trials == 2**32
+
+    def test_numpy_integers_equal_their_int_twins(self):
+        cfg = ExperimentConfig(sizes=(np.int32(16),), rounds=(np.uint8(2),), trials=np.int64(2),
+                               master_seed=np.uint64(5))
+        twin = ExperimentConfig(sizes=(16,), rounds=(2,), trials=2, master_seed=5)
+        assert cfg == twin
+        assert all(type(v) is int for v in (*cfg.sizes, *cfg.rounds, cfg.trials, cfg.master_seed))
+        assert experiments.avalanche_sweep(cfg) == experiments.avalanche_sweep(twin)
+        assert experiments.uniformity_sweep(cfg) == experiments.uniformity_sweep(twin)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sizes", (16.0,)), ("rounds", (6.0,)), ("trials", 2.5), ("master_seed", 1.5),
+        ("trials", np.float64(2.0)),
+    ])
+    def test_rejects_non_integer_field(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be integral, got "):
+            ExperimentConfig(**{field: value})
 
     def test_defaults_mirror_reference_grid(self):
         cfg = ExperimentConfig()
@@ -238,18 +270,18 @@ class TestSweepOrder:
 
         def avalanche_batch(task):
             received.append(task)
-            return experiments._avalanche_batch(task)
+            return experiments._cipher_batch(task)
 
         inline = types.SimpleNamespace(
             Process=_InlineProcess, Value=multiprocessing.Value, Pipe=multiprocessing.Pipe
         )
         monkeypatch.setattr(experiments, "get_context", lambda: inline)
-        pooled = experiments._sweep(avalanche_batch, self.CFG, 2)
-        cells = [(m, rounds) for _, m, rounds, _, _ in received]
+        pooled = experiments._sweep(avalanche_batch, self.CFG, 2, *AVALANCHE)
+        cells = [(m, rounds) for _, m, rounds, *_ in received]
         assert cells == [(20, (3, 1))] * 3 + [(16, (3, 1))] * 2
-        assert [(start, stop) for _, _, _, start, stop in received] == \
+        assert [(start, stop) for _, _, _, start, stop, *_ in received] == \
             [(0, 2), (2, 4), (4, 5), (0, 3), (3, 5)]
-        assert pooled == experiments._sweep(experiments._avalanche_batch, self.CFG, 1)
+        assert pooled == experiments._sweep(experiments._cipher_batch, self.CFG, 1, *AVALANCHE)
 
     @pytest.mark.parametrize("method, mark", [("fork", "set by the caller"), ("spawn", "imported")])
     def test_workers_start_by_the_method(self, monkeypatch, method, mark):
@@ -263,10 +295,10 @@ class TestSweepOrder:
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_same_cells_at_one_and_two_jobs(self, monkeypatch, method):
         _use_context(monkeypatch, method)
-        serial = experiments._sweep(experiments._avalanche_batch, self.CFG, 1)
+        serial = experiments._sweep(experiments._cipher_batch, self.CFG, 1, *AVALANCHE)
         assert [(m, r) for m, r, _ in serial] == [(16, 1), (16, 3), (20, 1), (20, 3)]
         assert all(len(chunk) == self.CFG.trials for _, _, chunk in serial)
-        assert experiments._sweep(experiments._avalanche_batch, self.CFG, 2) == serial
+        assert experiments._sweep(experiments._cipher_batch, self.CFG, 2, *AVALANCHE) == serial
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_error_propagation_cell(self, monkeypatch, method):
@@ -334,7 +366,7 @@ class TestWorkerFailure:
         assert multiprocessing.active_children() == []
 
     def test_cli_reports_a_worker_exception_in_one_line(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(experiments, "_uniformity_batch", _failing_batch)
+        monkeypatch.setattr(experiments, "_cipher_batch", _failing_batch)
         argv = ["uniformity", "--sizes", "16", "--rounds", "1,2", "--trials", "3",
                 "--jobs", "2", "--out", str(tmp_path / "x.csv")]
         assert cli.main(argv) == 2
@@ -426,7 +458,7 @@ class TestAvalancheSweep:
         # every trial of a batch recomputed by hand from the documented stream
         # contract, under each of the task's round counts
         master_seed, m, start, stop = 5, 16, 3, 7
-        batches = experiments._avalanche_batch((master_seed, m, (6, 2), start, stop))
+        batches = experiments._cipher_batch((master_seed, m, (6, 2), start, stop, *AVALANCHE))
         assert [len(batch) for batch in batches] == [stop - start] * 2
         for (rounds, w), (ps, _) in zip(itertools.product((6, 2), range(start, stop)),
                                         itertools.chain(*batches)):
@@ -452,7 +484,7 @@ class TestLinearityShortcuts:
         for master_seed in (0, 5, 123):
             for rounds in ((6, 2, 1), (2,)):
                 for start, stop in ((0, 32), (7, 8), (5, 12)):
-                    batch = experiments._avalanche_batch((master_seed, m, rounds, start, stop))
+                    batch = experiments._cipher_batch((master_seed, m, rounds, start, stop, *AVALANCHE))
                     assert batch == [
                         [oracles.avalanche_trial((master_seed, m, r, index))
                          for index in range(start, stop)]
@@ -500,9 +532,7 @@ class TestLinearityShortcuts:
         for master_seed, rounds, start, stop in ((0, (1,), 0, 2), (7, (6, 3), 5, 8),
                                                  (2**32, (3,), 1, 2)):
             scored.clear()
-            batch = experiments._uniformity_batch(
-                (master_seed, m, rounds, start, stop, plaintext, True)
-            )
+            batch = experiments._control_batch((master_seed, m, rounds, start, stop, single_lsb))
             direct = [
                 [oracles.control_random_bytes((master_seed, m, r, index, single_lsb))
                  for index in range(start, stop)]
@@ -525,12 +555,32 @@ class TestLinearityShortcuts:
             ciphers = oracles.per_image(cipher.encrypt, plains, keys)
             expected.append([(metrics.hamming_percent(zeros, c), metrics.hamming_percent(p, c))
                              for p, c in zip(plains, ciphers)])
-        assert experiments._avalanche_batch(task) == expected
+        assert experiments._cipher_batch((*task, *AVALANCHE)) == expected
+
+    @pytest.mark.parametrize("single_lsb", [False, True])
+    def test_score_sees_each_round_count_once(self, single_lsb):
+        # largest round count first, as _sweep orders a task's round counts,
+        # with the ciphertexts of per-image encrypt under the trials' keys
+        m, rounds, start, stop = 20, (5, 2, 1), 4, 9
+        received = []
+
+        def score(plains, ciphers):
+            received.append((plains.copy(), ciphers.copy()))
+            return [len(received)] * len(plains)
+
+        batch = experiments._cipher_batch((3, m, rounds, start, stop, single_lsb, score))
+        assert batch == [[1] * 5, [2] * 5, [3] * 5]
+        for r, (plains, ciphers) in zip(rounds, received, strict=True):
+            draws = [oracles.trial_draws(3, index, m, r) for index in range(start, stop)]
+            for plain, (_, _, (x, y)) in zip(plains, draws, strict=True):
+                assert np.flatnonzero(plain).tolist() == ([x * m + y] if single_lsb else [])
+            keys = [key for _, key, _ in draws]
+            np.testing.assert_array_equal(ciphers, oracles.per_image(cipher.encrypt, plains, keys))
 
 
     def test_covered_batches_build_no_cipher_key(self, monkeypatch):
-        # the batches that first_words covers reach the cipher as one
-        # parameter array: no trial key becomes a CipherKey on the way
+        # the trials reach the cipher as one parameter array: no trial key
+        # becomes a CipherKey on the way
         built = []
         post_init = cipher.CipherKey.__post_init__
         monkeypatch.setattr(cipher.CipherKey, "__post_init__",

@@ -18,14 +18,16 @@ from cipher_audit import cipher, experiments, image_io, streams
 import oracles
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**70 + 3)
-ROUNDS = (1, 6, 2**32 + 1)
-# round counts of one task: largest first, each set of one 32-bit word count
-ROUND_SETS = ((7, 6, 1), (2**32 + 6, 2**32 + 1))
+ROUNDS = (1, 6, 2**32 - 1)
+# round counts of one task, largest first
+ROUND_SETS = ((7, 6, 1), (2**32 - 1, 2))
 SIZES = (*experiments.DEFAULT_SIZES, 4, 20)
+# (start, stop, round counts) of a task at the top of the trial-index and round-count ranges
+LAST_TRIALS = (2**32 - 3, 2**32, (2**32 - 1, 1))
 
 
-def raw_words(master_seed, index, m, rounds, n=3):
-    return np.random.default_rng((master_seed, index, m, rounds)).bit_generator.random_raw(n)
+def raw_words(master_seed, index, m, rounds):
+    return np.random.default_rng((master_seed, index, m, rounds)).bit_generator.random_raw(3)
 
 
 class TestFirstWords:
@@ -34,43 +36,36 @@ class TestFirstWords:
         # 15 (seed, rounds) pairs of 100 trials each, at offsets other than 0
         for k, (seed, rounds) in enumerate(itertools.product(SEEDS, ROUNDS)):
             start = 1 + 997 * k
-            words = streams.first_words(seed, start, start + 100, m, (rounds,), 3)
+            words = streams.first_words(seed, start, start + 100, m, (rounds,))
             assert words.shape == (1, 100, 3)
             for index, row in zip(range(start, start + 100), words[0]):
                 np.testing.assert_array_equal(row, raw_words(seed, index, m, rounds))
 
     def test_large_batch_and_word_counts(self):
         # one 1024-trial batch (M=16's batch size), and more than 4 entropy
-        # words: an index, seed and round count of two or three words each
-        [words] = streams.first_words(7, 3, 1027, 16, (6,), 4)
+        # words: a seed of three words
+        [words] = streams.first_words(7, 3, 1027, 16, (6,))
         for index, row in zip(range(3, 1027), words):
-            np.testing.assert_array_equal(row, raw_words(7, index, 16, 6, 4))
-        start = 2**32 + 9
-        [words] = streams.first_words(2**70 + 3, start, start + 5, 300, (2**32 + 1,), 3)
-        for index, row in zip(range(start, start + 5), words):
-            np.testing.assert_array_equal(row, raw_words(2**70 + 3, index, 300, 2**32 + 1))
+            np.testing.assert_array_equal(row, raw_words(7, index, 16, 6))
+        [words] = streams.first_words(2**70 + 3, 9, 14, 300, (2**32 - 1,))
+        for index, row in zip(range(9, 14), words):
+            np.testing.assert_array_equal(row, raw_words(2**70 + 3, index, 300, 2**32 - 1))
 
     @pytest.mark.parametrize("m", [16, 300])
     def test_round_counts_in_one_pass(self, m):
         # every (round count, trial) column of one call, in the given order
         rounds = (1, 6, 7)
-        words = streams.first_words(2**32, 5, 25, m, rounds, 3)
+        words = streams.first_words(2**32, 5, 25, m, rounds)
         assert words.shape == (3, 20, 3)
         for (r, index), row in zip(itertools.product(rounds, range(5, 25)), words.reshape(-1, 3)):
             np.testing.assert_array_equal(row, raw_words(2**32, index, m, r))
 
-    @pytest.mark.parametrize("start, stop", [(2**32 - 2, 2**32 + 1), (2**64 - 1, 2**64 + 1)])
-    def test_uneven_index_words_are_not_covered(self, start, stop):
-        assert streams.first_words(0, start, stop, 16, (1,), 3) is None
-
-    def test_uneven_round_words_are_not_covered(self, monkeypatch):
-        rounds = (1, 2**32 + 1)
-        assert streams.first_words(3, 0, 4, 20, rounds, 3) is None
-        replayed = record_replays(monkeypatch)
-        drawn = list(experiments._draw_trials(3, 20, rounds, 0, 4, True))
-        assert replayed == [(r, index) for r in rounds for index in range(4)]
-        for r, (params, plains) in zip(rounds, drawn):
-            assert_trial_draws(3, 20, r, range(4), params, plains)
+    def test_last_indices_and_round_count(self):
+        # the largest trial indices and round count that a sweep can reach
+        start, stop, rounds = LAST_TRIALS
+        words = streams.first_words(2**70 + 3, start, stop, 20, rounds)
+        for (r, index), row in zip(itertools.product(rounds, range(start, stop)), words.reshape(-1, 3)):
+            np.testing.assert_array_equal(row, raw_words(2**70 + 3, index, 20, r))
 
 
 def reduced(key, m):
@@ -136,6 +131,13 @@ class TestDrawTrials:
                 assert rng.bit_generator.random_raw(5).tolist() == \
                     direct.bit_generator.random_raw(5).tolist()
 
+    @pytest.mark.parametrize("single_lsb", [False, True])
+    def test_last_indices_and_round_count(self, single_lsb):
+        start, stop, rounds = LAST_TRIALS
+        drawn = experiments._draw_trials(9, 20, rounds, start, stop, single_lsb)
+        for r, (params, plains) in zip(rounds, drawn, strict=True):
+            assert_trial_draws(9, 20, r, range(start, stop), params, plains, single_lsb)
+
     def test_continuing_sweeps_skip_the_batch_derivation(self, monkeypatch):
         # error propagation and the control-random baseline draw every trial
         # through its own Generator, never through first_words
@@ -147,9 +149,8 @@ class TestDrawTrials:
         errprop = experiments._errprop_batch((3, m, (6, 2), 5, 8, percents, image))
         assert errprop == [[oracles.errprop_trial((3, m, r, index, percents), image)
                             for index in range(5, 8)] for r in (6, 2)]
-        for single_lsb, plaintext in ((True, experiments.PLAINTEXT_SINGLE_LSB),
-                                      (False, experiments.PLAINTEXT_ALL_ZERO)):
-            control = experiments._uniformity_batch((3, m, (6, 2), 5, 8, plaintext, True))
+        for single_lsb in (True, False):
+            control = experiments._control_batch((3, m, (6, 2), 5, 8, single_lsb))
             expected = [[oracles.control_random_bytes((3, m, r, index, single_lsb))
                          for index in range(5, 8)] for r in (6, 2)]
             assert control == [pytest.approx([oracles.chi_square_direct(d) for d in cell],
@@ -161,8 +162,8 @@ def reject_pixel_of(trial, cell=0, first_words=streams.first_words):
     position cell set to 0, a value that numpy's rule rejects for every M
     that is not a power of two."""
 
-    def patched(master_seed, start, stop, m, rounds, n):
-        words = first_words(master_seed, start, stop, m, rounds, n).copy()
+    def patched(master_seed, start, stop, m, rounds):
+        words = first_words(master_seed, start, stop, m, rounds).copy()
         words[cell, trial, 2] &= np.uint64(0xFFFFFFFF00000000)
         return words
 
@@ -192,24 +193,14 @@ class TestReplay:
 
     def test_rejected_pixel_scores_as_direct_route(self, monkeypatch):
         m = 20
-        task = (6, m, (3, 1), 0, 4)
-        avalanche = experiments._avalanche_batch(task)
-        control = experiments._uniformity_batch((*task, experiments.PLAINTEXT_SINGLE_LSB, True))
+        task = (6, m, (3, 1), 0, 4, True)
+        avalanche = experiments._cipher_batch((*task, experiments._avalanche_scores))
+        control = experiments._control_batch(task)
         monkeypatch.setattr(streams, "first_words", reject_pixel_of(2, cell=1))
-        assert experiments._avalanche_batch(task) == avalanche
-        assert experiments._uniformity_batch(
-            (*task, experiments.PLAINTEXT_SINGLE_LSB, True)) == control
+        assert experiments._cipher_batch((*task, experiments._avalanche_scores)) == avalanche
+        assert experiments._control_batch(task) == control
         assert avalanche == [[oracles.avalanche_trial((6, m, r, index)) for index in range(4)]
                              for r in (3, 1)]
-
-    @pytest.mark.parametrize("single_lsb", [False, True])
-    def test_batch_across_two_to_the_32_replays(self, single_lsb, monkeypatch):
-        start, stop = 2**32 - 2, 2**32 + 2
-        replayed = record_replays(monkeypatch)
-        drawn = list(experiments._draw_trials(9, 16, (2, 1), start, stop, single_lsb))
-        assert replayed == [(r, index) for r in (2, 1) for index in range(start, stop)]
-        for r, (params, plains) in zip((2, 1), drawn):
-            assert_trial_draws(9, 16, r, range(start, stop), params, plains, single_lsb)
 
     # Trials whose pixel draw numpy itself rejects, found by scanning
     # first_words at seed 0, r=1: the row draw of M=1012's trial 3225644 and
@@ -236,7 +227,6 @@ class TestReplay:
         direct, _, _ = oracles.trial_draws(0, index, m, 1)
         assert advanced.integers(0, 256, 8, dtype=np.uint8).tolist() != \
             direct.integers(0, 256, 8, dtype=np.uint8).tolist()
-        [control] = experiments._uniformity_batch(
-            (0, m, (1,), index, index + 1, experiments.PLAINTEXT_SINGLE_LSB, True))
+        [control] = experiments._control_batch((0, m, (1,), index, index + 1, True))
         expected = oracles.control_random_bytes((0, m, 1, index, True))
         assert control == pytest.approx([oracles.chi_square_direct(expected)], rel=1e-12)
