@@ -65,14 +65,16 @@ first needs them.
 Sparse rounds.  A nonzero byte fills at most its 16-byte block under the
 block XOR, and the gather sends a block's 16 bytes into at most 16 blocks,
 so a one-bit image touches one block, then at most 16, 256, ... blocks.
-While a stack's touched blocks are few, a round runs on them alone: each of
-their bytes is carried by the closed-form map of its direction (forward for
-encryption, inverse for decryption) at its own position, into a fresh zero
-stack, and no M*M gather index is built.  The switch is read from the input:
-the touched blocks are counted in the input and after each sparse round, and
-a round runs sparse while they are at most (S - 24576) / 144 for a stack of S
-bytes, the point where a sparse round stops being cheaper than a dense one.
-From the first round over that limit the remaining rounds run dense.
+While a stack's touched blocks are few, a round of encryption runs on them
+alone: each of their bytes is carried by the forward map (_destination) at
+its own position, into a fresh zero stack, and no M*M gather index is
+built.  The switch is read from the input: the touched blocks are counted
+in the input and after each sparse round, and a round runs sparse while
+they are at most (S - 24576) / 144 for a stack of S bytes, the point where
+a sparse round stops being cheaper than a dense one.  From the first round
+over that limit the remaining rounds run dense.  Decryption runs dense
+only: the sweeps decrypt only error-propagation stacks, whose default 5%
+row touches every block.
 """
 
 from __future__ import annotations
@@ -479,8 +481,6 @@ def _rotate(data: np.ndarray, by: np.ndarray, back: np.ndarray) -> np.ndarray:
 _SPARSE_BYTE_COST = 9
 _SPARSE_ROUND_BYTES = 24576
 
-_LANES = np.arange(BLOCK_BYTES, dtype=np.intp)
-
 
 def _touched_blocks(flat: np.ndarray) -> np.ndarray:
     """Mark of each 16-byte block of a flat stack: nonzero where the block holds a nonzero byte.
@@ -492,45 +492,33 @@ def _touched_blocks(flat: np.ndarray) -> np.ndarray:
 
 
 def _sparse_round(
-    flat: np.ndarray, blocks: np.ndarray, params: np.ndarray, m: int, invert: bool
+    flat: np.ndarray, blocks: np.ndarray, params: np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One round of encrypt (or with invert, decrypt) on the touched blocks of a flat stack.
+    """One round of encrypt on the touched blocks of a flat stack.
 
     flat is zero outside the 16-byte blocks whose ids, ascending, are
     blocks; params holds the reduced key of every image.  Returns the next
     stack and its touched blocks in the same form.  A block never spans two
     images, so each block's image and key are taken once and broadcast over
-    its 16 bytes.  Encryption XORs the blocks, carries every byte to its
-    _destination and rotates it there; decryption rotates back, carries
-    every byte to its _source and XORs the blocks it lands in.
+    its 16 bytes.  The blocks are XORed, and every byte is carried to its
+    _destination and rotated there.
     """
     n = m * m
     image = blocks // (n // BLOCK_BYTES)
     offset = image * n
     start = (blocks * BLOCK_BYTES - offset).astype(np.int32)[:, np.newaxis]
-    local = start + _LANES
     a, b, rx, ry = params[image].T[:, :, np.newaxis]
-    data = flat.reshape(-1, BLOCK_BYTES)[blocks]
-    u, v, shift, complement, _ = static_tables(m)
-    if invert:
-        by, back = complement[local], shift[local]
-        target = _source(u[local], v[local], a, b, rx, ry, m)
-    else:
-        data = _block_xor(data.reshape(-1)).reshape(-1, BLOCK_BYTES)
-        target = _destination(*_cells(start, m), a, b, rx, ry, m)
-        by, back = shift[target], complement[target]
-    values = data << by
-    values |= data >> back
+    data = _block_xor(flat.reshape(-1, BLOCK_BYTES)[blocks].reshape(-1)).reshape(-1, BLOCK_BYTES)
+    target = _destination(*_cells(start, m), a, b, rx, ry, m)
+    _, _, shift, complement, _ = static_tables(m)
+    values = data << shift[target]
+    values |= data >> complement[target]
     target = target + offset[:, np.newaxis]  # intp: a stack may hold more than 2**31 bytes
     out = np.zeros_like(flat)
     out[target] = values
     mark = np.zeros(flat.size // BLOCK_BYTES, dtype=bool)
     mark[target // BLOCK_BYTES] = True
-    blocks = np.flatnonzero(mark)
-    if invert:
-        rows = out.reshape(-1, BLOCK_BYTES)
-        rows[blocks] = _block_xor(rows[blocks].reshape(-1)).reshape(-1, BLOCK_BYTES)
-    return out, blocks
+    return out, np.flatnonzero(mark)
 
 
 # ---------------------------------------------------------------------------
@@ -540,18 +528,19 @@ def _sparse_round(
 def _rounds(flat: np.ndarray, params: np.ndarray, m: int, invert: bool) -> Iterator[np.ndarray]:
     """The flat stack after each round of encrypt (or with invert, decrypt), without end.
 
-    params holds the reduced key parameters: one row, or one per image.  The
-    rounds run sparse, then dense, by the switch of the module docstring; the
-    gather index is built when the first dense round is asked for, and a
-    stack's images switch together.  No yielded stack is written to again.
+    params holds the reduced key parameters: one row, or one per image.
+    Encryption runs sparse, then dense, by the switch of the module
+    docstring, and decryption dense only; the gather index is built when the
+    first dense round is asked for, and a stack's images switch together.
+    No yielded stack is written to again.
     """
     # the most touched blocks with which a sparse round costs no more than a dense one
     limit = (flat.size - _SPARSE_ROUND_BYTES) / (_SPARSE_BYTE_COST * BLOCK_BYTES)
-    if limit >= 1 and np.count_nonzero(touched := _touched_blocks(flat)) <= limit:
+    if not invert and limit >= 1 and np.count_nonzero(touched := _touched_blocks(flat)) <= limit:
         blocks = np.flatnonzero(touched)
         per_image = np.broadcast_to(params, (flat.size // (m * m), 4))
         while blocks.size <= limit:
-            flat, blocks = _sparse_round(flat, blocks, per_image, m, invert)
+            flat, blocks = _sparse_round(flat, blocks, per_image, m)
             yield flat
     index = _stack_index(params, m, invert)
     _, _, shift, complement, _ = static_tables(m)

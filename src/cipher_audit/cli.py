@@ -51,6 +51,14 @@ def _int_list(span):
     return int_list
 
 
+def _round_range(lo: int, hi: int) -> range:
+    """Round counts lo..hi, inclusive; both ends pass cipher.check_rounds before the range is expanded."""
+    try:
+        return range(cipher.check_rounds(lo), cipher.check_rounds(hi) + 1)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _real(text: str) -> float:
     if not _REAL.fullmatch(text):
         raise ValueError(f"not a decimal: {text!r}")
@@ -256,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                           lambda lo, hi: [m for m in experiments.DEFAULT_SIZES if lo <= m <= hi]),
                       default=experiments.DEFAULT_SIZES,
                       help="comma-separated sizes, or a..b for the standard grid within bounds")
-    grid.add_argument("--rounds", type=_int_list(lambda lo, hi: range(lo, hi + 1)),
+    grid.add_argument("--rounds", type=_int_list(_round_range),
                       default=experiments.DEFAULT_ROUNDS,
                       help="comma-separated round counts, or an inclusive a..b range")
 

@@ -83,7 +83,7 @@ _STATE_CONSTS = tuple(c.reshape(2, POOL_SIZE, 1) for c in _hash_consts(INIT_B, M
 
 
 def _pool(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence.mix_entropy of the uint32 rows of entropy, one column per stream.
+    """SeedSequence.mix_entropy of the uint32 rows of entropy, at least POOL_SIZE, one column per stream.
 
     mix_entropy hashes each entropy word into its pool word, then every pool
     word into every other, then every word past the pool into every pool
@@ -92,9 +92,7 @@ def _pool(entropy: np.ndarray) -> np.ndarray:
     source is one hash and one mix over the whole pool, after which its own
     row is put back.
     """
-    pool = np.zeros((POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
-    pool[: len(entropy)] = entropy[:POOL_SIZE]
-    pool = _hashmix(pool, _FIRST_CONSTS)
+    pool = _hashmix(entropy[:POOL_SIZE], _FIRST_CONSTS)
     for src, consts in enumerate(_PAIR_CONSTS):
         mixed = _mix(pool, _hashmix(pool[src], consts))
         mixed[src] = pool[src]

@@ -13,11 +13,9 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
 - the gather index of each stack shape the sweeps build beside one image:
   (M, W) = (256, 4) and (300, 2) in uniformity-large's batches, (64, 20) in
   avalanche-small's, in both directions;
-- one sparse round on 1, 16 and 256 touched 16-byte blocks;
-- at M = 256, one decryption round of one image, sparse on 1, 16 and 256
-  touched blocks beside dense with its gather index already built: the
-  rounds an error-propagation row runs, and what switching a row to sparse
-  rounds could save;
+- one sparse encryption round on 1, 16 and 256 touched 16-byte blocks;
+- at M = 256, one decryption round of one image, with its gather index
+  already built: the rounds an error-propagation row runs;
 - decryption's gather index, in closed form and by the oracle's scatter
   inversion of the encryption index;
 - byte_histogram of random bytes (dense route) and of a one-round
@@ -136,21 +134,15 @@ def test_sparse_round(benchmark, m, blocks):
         pytest.skip(f"an {m}x{m} image has fewer than {blocks} blocks")
     flat, ids = touched_image(m, blocks)
     cipher.static_tables(m)
-    benchmark(cipher._sparse_round, flat, ids, params_for(m), m, False)
+    benchmark(cipher._sparse_round, flat, ids, params_for(m), m)
 
 
-@pytest.mark.parametrize("blocks", [*TOUCHED_BLOCKS, "dense"])
-def test_decrypt_round_m256(benchmark, blocks):
+def test_decrypt_round_m256(benchmark):
     m = 256
-    if blocks == "dense":
-        flat = np.random.default_rng(m).integers(0, 256, m * m, dtype=np.uint8)
-        rounds = cipher._rounds(flat, params_for(m), m, True)
-        next(rounds)  # the gather index
-        benchmark(next, rounds)
-    else:
-        flat, ids = touched_image(m, blocks)
-        cipher.static_tables(m)
-        benchmark(cipher._sparse_round, flat, ids, params_for(m), m, True)
+    flat = np.random.default_rng(m).integers(0, 256, m * m, dtype=np.uint8)
+    rounds = cipher._rounds(flat, params_for(m), m, True)
+    next(rounds)  # the gather index
+    benchmark(next, rounds)
 
 
 @pytest.mark.parametrize("route", ["closed-form", "scatter"])

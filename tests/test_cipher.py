@@ -464,29 +464,31 @@ class TestReduction:
             assert row.tolist() == want, key
 
 
-def run_switching(stack, keys, m, switch, invert):
-    """All rounds of keys over stack, the first `switch` of them as sparse
-    rounds whatever the support, the rest as the dense rounds of
-    cipher._rounds."""
-    flat = stack.reshape(-1)
-    blocks = np.flatnonzero(cipher._touched_blocks(flat))
-    params = oracles.reduced_params(keys, m)
-    per_image = np.broadcast_to(params, (len(stack), 4))
-    for _ in range(switch):
-        flat, blocks = cipher._sparse_round(flat, blocks, per_image, m, invert)
-        # every nonzero block of the new stack is among its touched blocks
-        assert np.isin(np.flatnonzero(cipher._touched_blocks(flat)), blocks).all()
-    # a fixed round cost of the whole stack's size keeps every round dense
-    with mock.patch.object(cipher, "_SPARSE_ROUND_BYTES", flat.size):
-        flat = cipher._run(flat, params, m, keys[0].rounds - switch, invert)
-    return flat.reshape(stack.shape)
-
-
 def run_stack(stack, keys, m, rounds, invert):
     """rounds rounds of cipher._run over a (W, M, M) stack under a sequence
     of CipherKeys: W keys, one per image, or one key that every image shares."""
     flat = cipher._run(stack.reshape(-1), oracles.reduced_params(keys, m), m, rounds, invert)
     return flat.reshape(stack.shape)
+
+
+def run_dense(stack, keys, m, rounds, invert):
+    """run_stack with every round dense: a fixed round cost of the whole
+    stack's size keeps the sparse rounds off."""
+    with mock.patch.object(cipher, "_SPARSE_ROUND_BYTES", stack.size):
+        return run_stack(stack, keys, m, rounds, invert)
+
+
+def run_switching(stack, keys, m, switch):
+    """All rounds of encryption under keys over stack, the first `switch` of
+    them as sparse rounds whatever the support, the rest dense."""
+    flat = stack.reshape(-1)
+    blocks = np.flatnonzero(cipher._touched_blocks(flat))
+    per_image = np.broadcast_to(oracles.reduced_params(keys, m), (len(stack), 4))
+    for _ in range(switch):
+        flat, blocks = cipher._sparse_round(flat, blocks, per_image, m)
+        # every nonzero block of the new stack is among its touched blocks
+        assert np.isin(np.flatnonzero(cipher._touched_blocks(flat)), blocks).all()
+    return run_dense(flat.reshape(stack.shape), keys, m, keys[0].rounds - switch, False)
 
 
 def sparse_stacks(rng, m, count):
@@ -507,8 +509,9 @@ def sparse_stacks(rng, m, count):
 
 
 class TestSparseRounds:
-    """Sparse rounds give the dense rounds' bytes, in both directions, for
-    every round at which the stack may switch to dense."""
+    """Sparse rounds of encryption give the dense rounds' bytes for every
+    round at which the stack may switch to dense; decryption, dense only,
+    inverts each of them."""
 
     ROUNDS = 3
 
@@ -521,10 +524,14 @@ class TestSparseRounds:
         keys = TestStack.mixed_keys(rng, m, self.ROUNDS)[:count]
         keys = tuple(keys[-1:] if one_key else keys)
         for name, stack in sparse_stacks(rng, m, count).items():
-            dense = run_switching(stack, keys, m, 0, invert)
+            dense = run_switching(stack, keys, m, 0)
             for switch in range(1, self.ROUNDS + 1):
-                assert np.array_equal(run_switching(stack, keys, m, switch, invert), dense), \
-                    (name, switch)
+                encrypted = run_switching(stack, keys, m, switch)
+                if invert:
+                    assert np.array_equal(run_stack(encrypted, keys, m, self.ROUNDS, True), stack), \
+                        (name, switch)
+                else:
+                    assert np.array_equal(encrypted, dense), (name, switch)
 
     @pytest.mark.parametrize("rounds", [1, 2, 3, 6])
     @pytest.mark.parametrize("m, count", [(36, 40), (300, 2), (512, 1)])
@@ -538,7 +545,7 @@ class TestSparseRounds:
             stack[0] = 0
             stack[0, 3, 4] = 0x80
         for invert, op in ((False, cipher.encrypt), (True, cipher.decrypt)):
-            dense = run_switching(stack, keys, m, 0, invert)
+            dense = run_dense(stack, keys, m, rounds, invert)
             assert np.array_equal(run_stack(stack, keys, m, rounds, invert), dense)
             assert np.array_equal(oracles.per_image(op, stack, keys), dense)
         encrypted = oracles.per_image(cipher.encrypt, stack, keys)
@@ -553,9 +560,26 @@ class TestSparseRounds:
         image = np.zeros((512, 512), dtype=np.uint8)
         image[100, 200] = 4
         for rounds in (1, 2, 3):
-            key = random_key(rng, 512, rounds)
-            assert cipher.encrypt(image, key).any()
-            assert cipher.decrypt(image, key).any()
+            assert cipher.encrypt(image, random_key(rng, 512, rounds)).any()
+
+    def test_decryption_runs_no_sparse_round(self, monkeypatch):
+        def no_sparse_round(*args):
+            raise AssertionError("decryption ran a sparse round")
+
+        monkeypatch.setattr(cipher, "_sparse_round", no_sparse_round)
+        built = oracles.count_index_builds(monkeypatch)
+        m = 512
+        rng = np.random.default_rng(3)
+        # the one-bit image of the test above, whose encryption runs these rounds sparse
+        image = np.zeros((1, m, m), dtype=np.uint8)
+        image[0, 100, 200] = 4
+        for rounds in (1, 2, 3):
+            keys = (random_key(rng, m, rounds),)
+            built.clear()
+            decrypted = oracles.per_image(cipher.decrypt, image, keys)
+            assert built == [(1, m * m)]
+            assert np.array_equal(decrypted, run_dense(image, keys, m, rounds, True))
+            assert np.array_equal(run_dense(decrypted, keys, m, rounds, False), image)
 
     @pytest.mark.parametrize("count", [4, 20])
     def test_mixed_stack_switches_together(self, count):
@@ -566,7 +590,7 @@ class TestSparseRounds:
         keys = tuple(random_key(rng, m, rounds) for _ in range(count))
         stack = sparse_stacks(rng, m, count)["mixed"]
         encrypted = run_stack(stack, keys, m, rounds, False)
-        assert np.array_equal(encrypted, run_switching(stack, keys, m, 0, False))
+        assert np.array_equal(encrypted, run_dense(stack, keys, m, rounds, False))
         assert np.array_equal(encrypted, oracles.per_image(cipher.encrypt, stack, keys))
         assert np.array_equal(run_stack(encrypted, keys, m, rounds, True), stack)
 
@@ -615,7 +639,7 @@ class TestArrayRoute:
 class TestRoundGenerator:
     """cipher._rounds yields the stack after each round: its k-th item is
     the k-round encryption (or decryption), and it builds one gather index
-    at most, at its first dense round."""
+    at most, at its first dense round; decryption's rounds are all dense."""
 
     ROUNDS = 7
 
@@ -640,7 +664,9 @@ class TestRoundGenerator:
         for k, flat in enumerate(yields, start=1):
             k_keys = [cipher.CipherKey(*key.params(), rounds=k) for key in keys]
             assert np.array_equal(flat.reshape(stack.shape), oracles.per_image(op, stack, k_keys)), k
-        if (m, count, kind) == (300, 20, "mixed"):
+        if invert:
+            assert sparse_rounds == 0
+        elif (m, count, kind) == (300, 20, "mixed"):
             # the stack starts sparse and switches to dense mid-run
             assert 0 < sparse_rounds < self.ROUNDS
 
@@ -652,7 +678,9 @@ class TestRoundGenerator:
         params = oracles.reduced_params([(3, 5, 7, 11)], m)
         for invert in (False, True):
             cipher._run(image.reshape(-1), params, m, 2, invert)
-            assert built == []  # every round ran sparse
+            # encryption ran every round sparse; decryption runs dense only
+            assert built == ([(1, m * m)] if invert else [])
+            built.clear()
             cipher._run(image.reshape(-1), params, m, 7, invert)
             assert built == [(1, m * m)]
             built.clear()

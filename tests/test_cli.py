@@ -325,6 +325,25 @@ class TestRoundRule:
         assert captured.err == "error: round counts must be within 1..4294967295, got 4294967296\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["avalanche", "uniformity"])
+    @pytest.mark.parametrize("span, bad", [("0..4611686018427387904", 0), ("5..4294967296", 2**32)])
+    def test_cli_checks_range_ends_before_expanding(self, tmp_path, capsys, monkeypatch, command, span, bad):
+        # Expanding either range would build billions of integers; a range
+        # that long fails here instead.
+        def short_range(*args):
+            assert len(range(*args)) <= 2**16, "a --rounds range was expanded before its ends were checked"
+            return range(*args)
+
+        monkeypatch.setattr(cli, "range", short_range, raising=False)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            run([command, "--sizes", 16, "--trials", 1, "--rounds", span, "--out", out])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: argument --rounds: round counts must be within 1..4294967295, got {bad}\n"
+        assert not out.exists()
+
 
 class TestParserErrors:
     """A command line that argparse rejects gives one stderr line and exit code 2."""

@@ -515,6 +515,22 @@ class TestLinearityShortcuts:
         experiments._errprop_batch(task)
         assert built == [(1, m * m)] * trials
 
+    def test_error_propagation_decrypts_dense_only(self, monkeypatch, portrait_256):
+        # With no percentage rows a trial decrypts one one-bit error vector,
+        # a stack that would start sparse if decryption had sparse rounds.
+        def no_sparse_round(*args):
+            raise AssertionError("decryption ran a sparse round")
+
+        monkeypatch.setattr(cipher, "_sparse_round", no_sparse_round)
+        m, trials = 256, 3
+        cfg = small_cfg(trials=trials, error_percents=())
+        built = oracles.count_index_builds(monkeypatch)
+        [row] = experiments.error_propagation(cfg, portrait_256)
+        assert built == [(1, m * m)] * trials
+        rows = [oracles.errprop_trial((cfg.master_seed, m, experiments.SECURE_ROUNDS, index, ()), portrait_256)[0]
+                for index in range(trials)]
+        assert (row.dif, row.psnr, row.ssim) == tuple(Stats.from_values(column) for column in zip(*rows))
+
     @pytest.mark.parametrize("plaintext", [experiments.PLAINTEXT_SINGLE_LSB,
                                            experiments.PLAINTEXT_ALL_ZERO])
     @pytest.mark.parametrize("m", [16, 300])
