@@ -36,8 +36,8 @@ shifts, which the construction allows:
   from its inverse [[ab+1, -a], [-b, 1]] mod M at the scramble's coordinates.
   The widths are fixed: the scramble's coordinates are int16 and the index
   is built in int32, which check_side's bound M <= MAX_SIDE guarantees.
-- The rotation is two uint8 shifts, (z << s) | (z >> (8 - s)), over cached
-  grids of s and 8 - s.
+- The rotation is two uint8 shifts, (z << s) | (z >> (8 - s)), over a cached
+  grid of s; a call derives 8 - s once.
 
 encrypt and decrypt take one M x M image under one CipherKey and reduce its
 parameters mod M, as Python integers, into one int32 row (_key_row).  The
@@ -53,14 +53,13 @@ round is one block XOR, one gather and one rotation over the whole stack.
 
 Decryption rotates right, gathers and applies the same block XOR: x -> x xor
 (block XOR of x) is an involution on 16-byte blocks, which is why
-A^-1 = J xor P^T = A^T.  Its gather index is the forward byte map, evaluated
-in closed form at every position: the in-block move takes position j to a
-static cell (cell_coords), the cat map (x + a*y + rx, b*x + (a*b + 1)*y + ry)
-mod M moves that cell, and the inverse of the scramble gives the position it
-lands on.  Only the cat map is keyed.  One cache, static_tables, holds every
-key-independent table of a size M, the scramble's inverse among them; only
-decryption's cells (cell_coords) are cached apart, built where its index
-first needs them.
+A^-1 = J xor P^T = A^T.  Its gather index is the forward byte map
+(_destination), evaluated in closed form at every position: the in-block move
+takes position j to a cell, one division by M from j's block start, the cat
+map (x + a*y + rx, b*x + (a*b + 1)*y + ry) mod M moves that cell, and the
+inverse of the scramble gives the position it lands on.  Only the cat map is
+keyed.  One cache, static_tables, holds every key-independent table of a size
+M; it is the module's only per-size state.
 
 Sparse rounds.  A nonzero byte fills at most its 16-byte block under the
 block XOR, and the gather sends a block's 16 bytes into at most 16 blocks,
@@ -280,14 +279,16 @@ _INDEX_BLOCK = 16384
 
 
 @functools.lru_cache(maxsize=8)
-def static_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The key-independent tables of side length M, read-only: (u, v, shift, complement, scramble_pos).
+def static_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The key-independent tables of side length M, read-only: (u, v, shift, scramble_pos).
 
     (u, v) is the int16 grid cell that the static scramble brings to each
     flat position; :func:`_gather_index` widens it.  shift is the uint8
-    left-rotation amount s of each position, and complement is 8 - s.
-    scramble_pos is the int32 flat position that the scramble takes each
-    grid cell to, the inverse of (u, v): scramble_pos[u[k]*M + v[k]] = k.
+    left-rotation amount s of each position; the right shift 8 - s is
+    derived where a round needs it.  scramble_pos is the int32 flat position
+    that the scramble takes each grid cell to, the inverse of (u, v):
+    scramble_pos[u[k]*M + v[k]] = k.  This is the only per-size state of
+    the module.
     """
     flat = np.random.default_rng((SCRAMBLE_SEED, m)).permutation(m * m)
     coords = np.empty((2, m * m), dtype=np.int16)
@@ -296,7 +297,6 @@ def static_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     # An int32 draw below 2**32 gives the values of the default int64 one.
     rng = np.random.default_rng((ROTATION_SEED, m))
     shift = rng.integers(0, 8, size=m * m, dtype=np.int32).astype(np.uint8)
-    complement = 8 - shift
     # Last and in blocks, so the build peaks at the int64 permutation: a sweep
     # builds the tables before it forks a pool, and whole-array temporaries
     # would stay in the caller's resident memory.
@@ -307,37 +307,15 @@ def static_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
         cell *= m
         cell += coords[1, part]
         scramble_pos[cell] = np.arange(start, start + cell.size, dtype=np.int32)
-    for table in (coords, shift, complement, scramble_pos):
+    for table in (coords, shift, scramble_pos):
         table.flags.writeable = False
-    return coords[0], coords[1], shift, complement, scramble_pos
+    return coords[0], coords[1], shift, scramble_pos
 
 
 # The in-block move sends input byte i of a block to byte p0[i]: the inverse
 # of _PINV.
 _P0 = np.argsort(_PINV).astype(np.int32)
 _P0.flags.writeable = False
-
-
-def _cells(start: np.ndarray, m: int, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
-    """Grid cell (x0, y0) that the in-block move takes the 16 bytes of each block to.
-
-    start holds the flat position of each block's first byte, as a column;
-    byte i of a block moves to byte p0[i] of the same block.
-    """
-    return np.divmod(start + _P0, m, out=out, casting="same_kind")
-
-
-@functools.lru_cache(maxsize=8)
-def cell_coords(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_cells` of every flat position of side length M, as int16, read-only: (x0, y0).
-
-    Only decryption's gather index reads it; a sparse round takes the cells
-    of its few blocks directly.
-    """
-    coords = np.empty((2, m * m // BLOCK_BYTES, BLOCK_BYTES), dtype=np.int16)
-    _cells(np.arange(0, m * m, BLOCK_BYTES, dtype=np.int32)[:, np.newaxis], m, out=tuple(coords))
-    coords.flags.writeable = False
-    return coords[0].reshape(-1), coords[1].reshape(-1)
 
 
 def _reduce(values: np.ndarray, m: int, tmp: np.ndarray) -> None:
@@ -387,30 +365,37 @@ def _source(u, v, a, b, rx, ry, m: int) -> np.ndarray:
     return cell
 
 
-def _destination(x0, y0, a, b, rx, ry, m: int) -> np.ndarray:
-    """Flat position that one round's byte permutations carry the byte of cell (x0, y0) to.
+def _destination(start, a, b, rx, ry, m: int) -> np.ndarray:
+    """Flat position that one round's byte permutations carry each byte of a block to.
 
-    (x0, y0) is a position's cell after the in-block move (:func:`_cells`).
-    The cat map is evaluated forward, x = x0 + a*y0 + rx, then
-    y = b*(x - rx) + y0 + ry, which is b*x0 + (a*b + 1)*y0 + ry, both mod M,
-    and the scramble's inverse in static_tables gives the position the
-    scramble takes (x, y) to.  At most three arrays of the result's size are
-    alive at once.
+    start holds the flat position of each block's first byte, int32, as a
+    column.  The in-block move takes byte i of a block to byte p0[i], whose
+    cell is (x0, y0) = divmod(start + p0[i], M).  The cat map is evaluated
+    forward, x = x0 + a*y0 + rx, then y = b*(x - rx) + y0 + ry, which is
+    b*x0 + (a*b + 1)*y0 + ry, both mod M, and the scramble's inverse in
+    static_tables gives the position the scramble takes (x, y) to.  The
+    result has one row of 16 bytes per block, broadcast against the key
+    parameters.
     """
+    y0 = start + _P0
+    x0 = y0 // m
+    y0 -= x0 * m
     x = a * y0
     x += x0
+    del x0
     x += rx
     tmp = np.empty_like(x)
     _reduce(x, m, tmp)
     y = x - rx
     y *= b
     y += y0
+    del y0
     y += ry
     _reduce(y, m, tmp)
     x *= m
     x += y
     del y
-    *_, scramble_pos = static_tables(m)
+    scramble_pos = static_tables(m)[3]
     # x is within [0, M*M): "clip" never clips, and unlike "raise" it does not buffer.
     return np.take(scramble_pos, x, out=tmp, mode="clip")
 
@@ -418,16 +403,20 @@ def _destination(x0, y0, a, b, rx, ry, m: int) -> np.ndarray:
 def _gather_index(params: np.ndarray, m: int, invert: bool = False, positions: slice = slice(None)) -> np.ndarray:
     """Gather index of the byte permutations of one round at positions, int32, one row per key.
 
-    params holds key parameters reduced mod M, int32, one row per key.
-    For encryption, output position k takes the byte at _source of the
+    params holds key parameters reduced mod M, int32, one row per key;
+    positions is a step-1 slice whose ends are whole 16-byte blocks.  For
+    encryption, output position k takes the byte at _source of the
     scramble's coordinates of k.  For decryption, the inverse: output
-    position j takes the byte at _destination of j, so both directions are
-    closed forms evaluated for all keys in one pass.
+    position j takes the byte at _destination of j, evaluated for the
+    blocks of positions, so both directions are closed forms evaluated for
+    all keys in one pass.
     """
-    a, b, rx, ry = params.T[:, :, np.newaxis]
     if invert:
-        x0, y0 = cell_coords(m)
-        return _destination(x0[positions], y0[positions], a, b, rx, ry, m)
+        span = range(m * m)[positions]
+        start = np.arange(span.start, span.stop, BLOCK_BYTES, dtype=np.int32)[:, np.newaxis]
+        a, b, rx, ry = params.T[:, :, np.newaxis, np.newaxis]
+        return _destination(start, a, b, rx, ry, m).reshape(len(params), -1)
+    a, b, rx, ry = params.T[:, :, np.newaxis]
     u, v = static_tables(m)[:2]
     return _source(u[positions], v[positions], a, b, rx, ry, m)
 
@@ -500,8 +489,9 @@ def _sparse_round(
     blocks; params holds the reduced key of every image.  Returns the next
     stack and its touched blocks in the same form.  A block never spans two
     images, so each block's image and key are taken once and broadcast over
-    its 16 bytes.  The blocks are XORed, and every byte is carried to its
-    _destination and rotated there.
+    its 16 bytes.  The blocks are XORed, every byte is carried to the
+    _destination of its block's start, and the shift s there, gathered once,
+    rotates it as (z << s) | (z >> (8 - s)).
     """
     n = m * m
     image = blocks // (n // BLOCK_BYTES)
@@ -509,10 +499,10 @@ def _sparse_round(
     start = (blocks * BLOCK_BYTES - offset).astype(np.int32)[:, np.newaxis]
     a, b, rx, ry = params[image].T[:, :, np.newaxis]
     data = _block_xor(flat.reshape(-1, BLOCK_BYTES)[blocks].reshape(-1)).reshape(-1, BLOCK_BYTES)
-    target = _destination(*_cells(start, m), a, b, rx, ry, m)
-    _, _, shift, complement, _ = static_tables(m)
-    values = data << shift[target]
-    values |= data >> complement[target]
+    target = _destination(start, a, b, rx, ry, m)
+    shift = static_tables(m)[2][target]
+    values = data << shift
+    values |= data >> np.subtract(8, shift, out=shift)
     target = target + offset[:, np.newaxis]  # intp: a stack may hold more than 2**31 bytes
     out = np.zeros_like(flat)
     out[target] = values
@@ -532,7 +522,8 @@ def _rounds(flat: np.ndarray, params: np.ndarray, m: int, invert: bool) -> Itera
     Encryption runs sparse, then dense, by the switch of the module
     docstring, and decryption dense only; the gather index is built when the
     first dense round is asked for, and a stack's images switch together.
-    No yielded stack is written to again.
+    The dense rounds rotate by the cached shifts s and by 8 - s, derived once
+    per call.  No yielded stack is written to again.
     """
     # the most touched blocks with which a sparse round costs no more than a dense one
     limit = (flat.size - _SPARSE_ROUND_BYTES) / (_SPARSE_BYTE_COST * BLOCK_BYTES)
@@ -543,15 +534,16 @@ def _rounds(flat: np.ndarray, params: np.ndarray, m: int, invert: bool) -> Itera
             flat, blocks = _sparse_round(flat, blocks, per_image, m)
             yield flat
     index = _stack_index(params, m, invert)
-    _, _, shift, complement, _ = static_tables(m)
+    shift = static_tables(m)[2]
+    back = 8 - shift
     while True:
         # Rows of the index's size: the whole stack, or each image under one key.
         if invert:
-            flat = _rotate(flat, complement, shift).reshape(-1, index.size).take(index, axis=1)
+            flat = _rotate(flat, back, shift).reshape(-1, index.size).take(index, axis=1)
             flat = _block_xor(flat)
         else:
             flat = _block_xor(flat).reshape(-1, index.size).take(index, axis=1)
-            flat = _rotate(flat, shift, complement)
+            flat = _rotate(flat, shift, back)
         yield flat
 
 

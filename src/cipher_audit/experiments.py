@@ -254,29 +254,33 @@ def _run_pool(batch_fn, tasks, order, workers: int) -> dict:
 
     The workers share one counter of positions in order.  A batch that
     raises raises here; a worker that exits without sending its results
-    raises RuntimeError.  Every worker is joined before this returns or
-    raises, and after an error those still running are terminated first.
+    raises ChildProcessError with its exit code.  Every worker is joined
+    before this returns or raises, and after an error those still running
+    are terminated first.
     """
     context = get_context()
     counter = context.Value("q", 0)
-    procs, pending, batches = [], [], {}
+    procs, pending, batches = [], {}, {}
     try:
         for _ in range(workers):
             receive, send = context.Pipe(duplex=False)
             proc = context.Process(target=_pool_worker, args=(batch_fn, tasks, order, counter, send))
             proc.start()
             procs.append(proc)
-            pending.append(receive)
+            pending[receive] = proc
             # Now only the worker holds the sending end, so the pipe ends when the
             # worker does, and no worker forked later inherits it.
             send.close()
         while pending:
-            for receive in wait(pending):
-                pending.remove(receive)
+            for receive in wait(list(pending)):
+                proc = pending.pop(receive)
                 try:
                     error, results = receive.recv()
                 except EOFError:
-                    raise RuntimeError("a sweep worker exited without sending its results") from None
+                    proc.join()
+                    raise ChildProcessError(
+                        f"a sweep worker exited with code {proc.exitcode} without sending its results"
+                    ) from None
                 if error is not None:
                     raise error
                 batches.update(results)

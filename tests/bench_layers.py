@@ -100,8 +100,8 @@ def test_block_xor(benchmark, m):
 @pytest.mark.parametrize("m", SIZES)
 def test_rotate(benchmark, m):
     flat = np.random.default_rng(m).integers(0, 256, m * m, dtype=np.uint8)
-    _, _, shift, complement, _ = cipher.static_tables(m)
-    benchmark(cipher._rotate, flat, shift, complement)
+    shift = cipher.static_tables(m)[2]
+    benchmark(cipher._rotate, flat, shift, 8 - shift)
 
 
 @pytest.mark.parametrize("m", SIZES)
@@ -150,7 +150,6 @@ def test_decrypt_round_m256(benchmark):
 def test_decrypt_index(benchmark, m, route):
     params = params_for(m)
     cipher.static_tables(m)
-    cipher.cell_coords(m)
     if route == "closed-form":
         benchmark(cipher._stack_index, params, m, True)
     else:

@@ -263,7 +263,7 @@ class TestBitPermutation:
             assert np.array_equal(np.sort(index), identity)
             assert np.array_equal(index[inverse], identity)
             assert np.array_equal(inverse[index], identity)
-            u, v, _, _, _ = cipher.static_tables(m)
+            u, v, _, _ = cipher.static_tables(m)
             pairs = oracles.scramble_pairs(cipher.SCRAMBLE_SEED, m)
             assert list(zip(u.tolist(), v.tolist())) == [p for row in pairs for p in row]
 
@@ -279,11 +279,10 @@ class TestBitPermutation:
             assert r.bit_count() == byte.bit_count()
         assert np.array_equal(restored, data)
         m = 16
-        _, _, left, right, _ = cipher.static_tables(m)
+        _, _, shift, _ = cipher.static_tables(m)
         shifts = oracles.rotation_shifts(cipher.ROTATION_SEED, m)
-        assert left.tolist() == [s for row in shifts for s in row]
-        assert right.tolist() == [8 - s for row in shifts for s in row]
-        assert not left.flags.writeable and not right.flags.writeable
+        assert shift.tolist() == [s for row in shifts for s in row]
+        assert not shift.flags.writeable
 
 
 class TestStaticTables:
@@ -306,7 +305,7 @@ class TestStaticTables:
     def test_scramble_coords_equal_int64_permutation(self, m):
         flat = np.random.default_rng((cipher.SCRAMBLE_SEED, m)).permutation(m * m)
         want_u, want_v = np.divmod(flat, m)
-        u, v, _, _, _ = cipher.static_tables(m)
+        u, v, _, _ = cipher.static_tables(m)
         assert u.dtype == v.dtype == np.int16
         assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
         assert not u.flags.writeable and not v.flags.writeable
@@ -320,54 +319,52 @@ class TestStaticTables:
     @pytest.mark.parametrize("m", [4, 12, 196, 300, 512])
     def test_rotation_shifts_equal_int64_draw(self, m):
         want = np.random.default_rng((cipher.ROTATION_SEED, m)).integers(0, 8, size=m * m)
-        _, _, shift, complement, _ = cipher.static_tables(m)
-        assert shift.dtype == complement.dtype == np.uint8
-        assert np.array_equal(shift, want) and np.array_equal(complement, 8 - want)
-        assert not shift.flags.writeable and not complement.flags.writeable
+        _, _, shift, _ = cipher.static_tables(m)
+        assert shift.dtype == np.uint8
+        assert np.array_equal(shift, want)
+        assert not shift.flags.writeable
+
+    def test_static_tables_is_the_only_cache(self):
+        # encrypting and decrypting, sparse and dense, fill no other cache
+        caches = [f for f in vars(cipher).values() if hasattr(f, "cache_info")]
+        assert cipher.static_tables in caches
+        for cache in caches:
+            cache.cache_clear()
+        m = 48
+        rng = np.random.default_rng(m)
+        one_bit = np.zeros((m, m), dtype=np.uint8)
+        one_bit[5, 7] = 1
+        key = random_key(rng, m, 3)
+        for image in (one_bit, rng.integers(0, 256, (m, m), dtype=np.uint8)):
+            assert np.array_equal(cipher.decrypt(cipher.encrypt(image, key), key), image)
+        filled = [cache.__name__ for cache in caches if cache.cache_info().currsize]
+        assert filled == ["static_tables"]
 
 
 class TestForwardTables:
-    """The tables of the forward byte map: the scramble's inverse, held by
-    static_tables, and cell_coords, which has its own cache and is built
-    where decryption's index first needs it."""
-
-    @pytest.mark.parametrize("build, bound", [
-        (cipher.cell_coords, 2.2 * 2**20),
-    ])
-    def test_build_peak_memory(self, build, bound):
-        build.cache_clear()
-        tracemalloc.start()
-        try:
-            build(512)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+    """The forward byte map: the scramble's inverse, held by static_tables,
+    and the cells that _destination derives from each block's start."""
 
     @pytest.mark.parametrize("m", [4, 12, 196, 300, 512])
     def test_scramble_positions_invert_the_scramble(self, m):
-        u, v, _, _, scramble_pos = cipher.static_tables(m)
+        u, v, _, scramble_pos = cipher.static_tables(m)
         assert scramble_pos.dtype == np.int32 and not scramble_pos.flags.writeable
         assert np.array_equal(scramble_pos[u.astype(np.int64) * m + v], np.arange(m * m))
 
     @pytest.mark.parametrize("m", [4, 12, 20, 300])
     def test_cell_coords_undo_the_in_block_move(self, m):
         # position j's byte lands, after the in-block move, in the cell whose
-        # flat position f satisfies pinv[f % 16] == j % 16 within j's block
+        # flat position f satisfies pinv[f % 16] == j % 16 within j's block;
+        # under the zero key the cat map leaves that cell where it is, and
+        # the scramble takes it to scramble_pos[f]
         moved = {src: j for j, src in enumerate(byte_sources())}
-        want = [divmod(j - j % 16 + moved[j % 16], m) for j in range(m * m)]
-        x0, y0 = cipher.cell_coords(m)
-        assert x0.dtype == y0.dtype == np.int16
-        assert not x0.flags.writeable and not y0.flags.writeable
-        assert list(zip(x0.tolist(), y0.tolist())) == want
-
-    def test_encrypt_builds_no_cell_table(self):
-        # a sparse round finds the cells of its few blocks itself
-        cipher.cell_coords.cache_clear()
-        image = np.zeros((512, 512), dtype=np.uint8)
-        image[7, 9] = 1
-        cipher.encrypt(image, cipher.CipherKey(3, 5, 7, 11, rounds=1))
-        assert cipher.cell_coords.cache_info().currsize == 0
+        *_, scramble_pos = cipher.static_tables(m)
+        want = [int(scramble_pos[j - j % 16 + moved[j % 16]]) for j in range(m * m)]
+        start = np.arange(0, m * m, 16, dtype=np.int32)[:, np.newaxis]
+        zero = np.zeros((1, 1), dtype=np.int32)
+        got = cipher._destination(start, zero, zero, zero, zero, m)
+        assert got.dtype == np.int32 and got.shape == (m * m // 16, 16)
+        assert got.reshape(-1).tolist() == want
 
 
 class TestClosedFormInverse:

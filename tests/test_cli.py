@@ -1,7 +1,14 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from cipher_audit import cipher, cli, experiments, image_io
+
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 def run(args) -> int:
@@ -53,6 +60,28 @@ class TestEncryptDecrypt:
         image_io.write_pgm(np.zeros((16, 16), dtype=np.uint8), plain)
         assert run(["encrypt", "--in", plain, "--out", tmp_path / "c.bin",
                     "--key-hex", "9a2f", "--rounds", 0]) != 0
+
+    def test_out_of_memory_is_one_line(self, tmp_path):
+        # At M = 4096 a round's gather index alone is 128 MiB; under a
+        # 500 MiB address-space cap the child runs out of memory in its rounds.
+        resource = pytest.importorskip("resource")
+        cap = 500 * 2**20
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        plain, blob = tmp_path / "in.pgm", tmp_path / "c.bin"
+        image_io.write_pgm(image_io.make_test_image("uniform-random", 4096, seed=0), plain)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cipher_audit.cli", "encrypt", "--in", str(plain), "--out", str(blob),
+             "--key-hex", "000000000000", "--rounds", "6"],
+            env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not blob.exists()
 
     def test_missing_input_fails(self, tmp_path):
         assert run(["encrypt", "--in", tmp_path / "nope.pgm", "--out", tmp_path / "c.bin",

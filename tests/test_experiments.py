@@ -375,8 +375,18 @@ class TestWorkerFailure:
         assert not (tmp_path / "x.csv").exists()
         assert multiprocessing.active_children() == []
 
-    def test_worker_that_exits_raises_runtime_error(self):
-        with pytest.raises(RuntimeError, match="exited without sending its results"):
+    def test_cli_reports_a_worker_exit_in_one_line(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(experiments, "_cipher_batch", _exiting_batch)
+        argv = ["uniformity", "--sizes", "16", "--rounds", "1,2", "--trials", "3",
+                "--jobs", "2", "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: a sweep worker exited with code 3 without sending its results\n"
+        assert not (tmp_path / "x.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_exits_raises_child_process_error(self):
+        with pytest.raises(ChildProcessError, match=r"^a sweep worker exited with code 3 without sending its results$"):
             experiments._sweep(_exiting_batch, self.CFG, 2)
         assert multiprocessing.active_children() == []
 
