@@ -98,7 +98,14 @@ def _write_report(args: argparse.Namespace, header: list[str], rows: list[list[s
 
 
 def _config(args: argparse.Namespace, **fields) -> ExperimentConfig:
-    """The sweep's configuration; without --seed, the master seed comes from the environment."""
+    """The sweep's configuration; without --seed, the master seed comes from the environment.
+
+    Also checks that the directory of --out exists, so that a sweep is not
+    run only to find it cannot write its report.
+    """
+    directory = os.path.dirname(args.outfile) or os.curdir
+    if not os.path.isdir(directory):
+        raise ValueError(f"the directory of --out does not exist: {directory}")
     text = os.environ.get(SEED_ENV_VAR, "0")
     try:
         seed = _int(text) if args.seed is None else args.seed
@@ -256,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=_int, default=None,
                      help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
     run.add_argument("--jobs", type=_int, default=experiments.usable_cpus(),
-                     help="worker processes (default: every CPU this process may run on); "
+                     help="processes that run batches, this one included, so N starts N-1 "
+                          "helpers (default: every CPU this process may run on); "
                           "results do not depend on it")
     run.add_argument("--out", dest="outfile", required=True, help="output CSV path")
     grid = argparse.ArgumentParser(add_help=False)

@@ -9,6 +9,8 @@ task order after all trials return.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 import os
@@ -190,17 +192,17 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     sweep that encrypts; _control_batch; or _errprop_batch.  Everything else
     a batch needs travels in its task.
 
-    The static cipher tables of every size are built first, in this process,
-    whether the batches then run serially or not: forked workers inherit
-    them, and the loaded numpy.random, where each fresh worker would
-    otherwise build them again.  Under a spawn or forkserver start method the
-    workers build their own; the results are the same.
+    The static cipher tables of every size are built first, in this process:
+    forked helpers inherit them, and the loaded numpy.random, where each
+    fresh helper would otherwise build them again.  Under a spawn or
+    forkserver start method the helpers build their own; the results are
+    the same.
 
-    With more than one worker, the batches run in _run_pool's processes
-    while this process waits.  The workers take the tasks largest M first
-    (every task carries the same round counts; stable, so a size's batches
-    keep their order), so that no large task starts last while the other
-    workers sit idle; the results are put back cell by cell.
+    The batches run in _run_pool, in this process and, with more than one
+    worker, in workers - 1 helper processes beside it.  They are taken
+    largest M first (every task carries the same round counts; stable, so a
+    size's batches keep their order), so that no large task starts last
+    while the other workers sit idle; the results are put back cell by cell.
     """
     rounds = tuple(sorted(cfg.rounds, reverse=True))
     tasks = []
@@ -210,37 +212,43 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
             tasks.append((cfg.master_seed, m, rounds, start, min(start + step, cfg.trials), *extra))
     for m in cfg.sizes:
         cipher.static_tables(m)
-    workers = _worker_count(jobs, len(tasks))
-    if workers == 1:
-        batches = [batch_fn(task) for task in tasks]
-    else:
-        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
-        done = _run_pool(batch_fn, tasks, order, workers)
-        batches = [done[i] for i in range(len(tasks))]
+    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
+    done = _run_pool(batch_fn, tasks, order, _worker_count(jobs, len(tasks)))
     cells = []
-    for (_, m, _, start, *_), batch in zip(tasks, batches):
+    for i, (_, m, _, start, *_) in enumerate(tasks):
         if start == 0:
             cells += [(m, r, []) for r in reversed(rounds)]
-        for (_, _, results), values in zip(cells[-len(rounds):], reversed(batch)):
+        for (_, _, results), values in zip(cells[-len(rounds):], reversed(done[i])):
             results += values
     return cells
 
 
+def _next_position(counter) -> int:
+    """The next position of the shared counter, taken under its lock."""
+    with counter.get_lock():
+        k = counter.value
+        counter.value = k + 1
+    return k
+
+
+def _run_batches(batch_fn, tasks, order, take) -> dict:
+    """{task index: batch} of tasks[order[k]] for each position k that take()
+    returns, until one runs past the order.  The task loop of the caller
+    and of every helper."""
+    results = {}
+    while (k := take()) < len(order):
+        results[order[k]] = batch_fn(tasks[order[k]])
+    return results
+
+
 def _pool_worker(batch_fn, tasks, order, counter, conn) -> None:
-    """Run tasks[order[k]] for each position k this worker takes from counter.
+    """A helper process: run the task loop on the shared counter.
 
     Sends (None, {task index: batch}) once the order runs out, or
     (exception, None) for the first batch that raises, through conn.
     """
-    results = {}
     try:
-        while True:
-            with counter.get_lock():
-                k = counter.value
-                counter.value = k + 1
-            if k >= len(order):
-                break
-            results[order[k]] = batch_fn(tasks[order[k]])
+        results = _run_batches(batch_fn, tasks, order, functools.partial(_next_position, counter))
     except Exception as exc:
         conn.send((exc, None))
     else:
@@ -249,41 +257,56 @@ def _pool_worker(batch_fn, tasks, order, counter, conn) -> None:
 
 
 def _run_pool(batch_fn, tasks, order, workers: int) -> dict:
-    """{task index: batch} of every task, from workers _pool_worker processes
-    of the default start method.
+    """{task index: batch} of every task, from workers processes: this one
+    and workers - 1 _pool_worker helpers of the default start method.
 
-    The workers share one counter of positions in order.  A batch that
-    raises raises here; a worker that exits without sending its results
-    raises ChildProcessError with its exit code.  Every worker is joined
+    With one worker nothing is started: this process runs the order
+    through.  Otherwise the helpers and this process share one counter of
+    positions in order, and before each position it takes this process
+    checks the helpers' pipes without blocking, so a helper's failure ends the sweep
+    after at most one more batch here.  A batch that raises, here or in a
+    helper, raises here; a helper that exits without sending its results
+    raises ChildProcessError with its exit code.  Every helper is joined
     before this returns or raises, and after an error those still running
     are terminated first.
     """
+    if workers == 1:
+        return _run_batches(batch_fn, tasks, order, itertools.count().__next__)
     context = get_context()
     counter = context.Value("q", 0)
     procs, pending, batches = [], {}, {}
+
+    def collect(timeout):
+        for receive in wait(list(pending), timeout):
+            proc = pending.pop(receive)
+            try:
+                error, results = receive.recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(
+                    f"a sweep worker exited with code {proc.exitcode} without sending its results"
+                ) from None
+            if error is not None:
+                raise error
+            batches.update(results)
+
+    def take():
+        collect(0)
+        return _next_position(counter)
+
     try:
-        for _ in range(workers):
+        for _ in range(workers - 1):
             receive, send = context.Pipe(duplex=False)
             proc = context.Process(target=_pool_worker, args=(batch_fn, tasks, order, counter, send))
             proc.start()
             procs.append(proc)
             pending[receive] = proc
-            # Now only the worker holds the sending end, so the pipe ends when the
-            # worker does, and no worker forked later inherits it.
+            # Now only the helper holds the sending end, so the pipe ends when the
+            # helper does, and no helper forked later inherits it.
             send.close()
+        batches.update(_run_batches(batch_fn, tasks, order, take))
         while pending:
-            for receive in wait(list(pending)):
-                proc = pending.pop(receive)
-                try:
-                    error, results = receive.recv()
-                except EOFError:
-                    proc.join()
-                    raise ChildProcessError(
-                        f"a sweep worker exited with code {proc.exitcode} without sending its results"
-                    ) from None
-                if error is not None:
-                    raise error
-                batches.update(results)
+            collect(None)
     except BaseException:
         for proc in procs:
             proc.terminate()

@@ -39,8 +39,10 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
   route of error propagation and the control-random baseline), key only and
   with the single-LSB pixel, at the batch sizes of M in {16, 256, 512}.
 - experiments._sweep over uniformity-large's tasks (M in {256, 300, 512},
-  rounds 1 and 6, 10 trials) with batches that do nothing, at jobs=2 with
-  usable_cpus patched to 2: the fixed cost of the worker pool per sweep.
+  rounds 1 and 6, 10 trials) with batches that do nothing, with
+  usable_cpus patched to 2: at jobs=1 the caller alone, at jobs=2 the
+  caller and one helper, so the difference is the fixed cost of starting,
+  feeding and joining one helper per sweep.
 - cipher.static_tables built from a cleared cache at each M: the one-time
   cost of a size's key-independent tables.  It runs last, since each call
   clears the tables of every size.
@@ -215,10 +217,11 @@ def _no_op_batch(task: tuple) -> list[list[None]]:
     return [[None] * (task[4] - task[3]) for _ in task[2]]
 
 
-def test_pool_fixed_cost(benchmark, monkeypatch):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pool_fixed_cost(benchmark, monkeypatch, jobs):
     monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
     cfg = experiments.ExperimentConfig(sizes=(256, 300, 512), rounds=(1, 6), trials=10)
-    benchmark(experiments._sweep, _no_op_batch, cfg, 2, True, experiments._chi_squares)
+    benchmark(experiments._sweep, _no_op_batch, cfg, jobs, True, experiments._chi_squares)
 
 
 @pytest.mark.parametrize("m", SIZES)

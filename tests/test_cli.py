@@ -243,6 +243,24 @@ class TestOtherCommands:
         assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("parent", ["missing", "img.pgm"])
+    @pytest.mark.parametrize("command", ["avalanche", "uniformity", "errorprop"])
+    def test_missing_out_directory_fails_before_the_sweep(self, tmp_path, monkeypatch, capsys,
+                                                          command, parent):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(experiments, "_sweep", no_sweep)
+        image = tmp_path / "img.pgm"
+        image_io.write_pgm(np.zeros((16, 16), dtype=np.uint8), image)
+        out = tmp_path / parent / "a.csv"
+        args = ["--image", image] if command == "errorprop" else ["--sizes", "16", "--rounds", "1"]
+        code = run([command, *args, "--trials", 200, "--jobs", 1, "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: the directory of --out does not exist: {tmp_path / parent}\n"
+        assert list(tmp_path.iterdir()) == [image]
+
     def test_negative_seed_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "-3")
         out = tmp_path / "a.csv"

@@ -94,42 +94,92 @@ def _table_misses(m: int) -> int:
     return cipher.static_tables.cache_info().misses - misses
 
 
+def _in_helper() -> bool:
+    """Whether this process is a sweep's helper rather than its caller."""
+    return multiprocessing.parent_process() is not None
+
+
+def _await_helpers() -> None:
+    """In the caller: wait until every helper process has ended."""
+    while multiprocessing.active_children():
+        time.sleep(0.005)
+
+
 def _misses_batch(task: tuple) -> list[list[tuple[int, int]]]:
     """Per round count and trial of a batch: the process that ran it and
-    that process's static-table cache misses after an encrypt at the batch's M."""
+    that process's static-table cache misses after an encrypt at the batch's M.
+    In the caller it first waits for the helpers to end, so that they take
+    every other batch."""
     master_seed, m, rounds, start, stop = task
+    if not _in_helper():
+        _await_helpers()
     cipher.encrypt(np.zeros((m, m), dtype=np.uint8), cipher.CipherKey(1, 2, 3, 4, rounds[0]))
     return [[(os.getpid(), cipher.static_tables.cache_info().misses)] * (stop - start)
             for _ in rounds]
 
 
-# What _mark_batch reports: a forked worker sees the caller's value, a spawned
+# What _mark_batch reports: a forked helper sees the caller's value, a spawned
 # one imports this module afresh.
 _CALLER_MARK = "imported"
 
 
-def _mark_batch(task: tuple) -> list[list[str]]:
-    """Per round count and trial of a batch: _CALLER_MARK in the process that ran it."""
+def _mark_batch(task: tuple) -> list[list[tuple[bool, str]]]:
+    """Per round count and trial of a batch: whether a helper ran it, and
+    _CALLER_MARK in the process that did.  In the caller it first waits for
+    the helpers to end, so that they take every other batch."""
     master_seed, m, rounds, start, stop = task
-    return [[_CALLER_MARK] * (stop - start) for _ in rounds]
+    if not _in_helper():
+        _await_helpers()
+    return [[(_in_helper(), _CALLER_MARK)] * (stop - start) for _ in rounds]
 
 
 def _failing_batch(task: tuple) -> list[list[float]]:
-    """Raises ValueError on the first batch of a size, naming its largest
-    round count; any other batch sleeps 10 s, then scores each trial 1.0."""
+    """Raises ValueError in a helper, naming the batch's size and largest
+    round count.  In the caller it waits for the helpers to end, so that one
+    of them takes a batch and its exception crosses the pipe; it scores each
+    trial 1.0."""
     master_seed, m, rounds, start, stop = task[:5]
-    if start == 0:
+    if _in_helper():
         raise ValueError(f"batch at M={m}, r={rounds[0]} failed")
-    time.sleep(10)
+    _await_helpers()
     return [[1.0] * (stop - start) for _ in rounds]
 
 
 def _exiting_batch(task: tuple) -> list[list[float]]:
-    """Ends its process with status 3 on the first batch of a size whose
-    round counts include 2; any other batch scores each trial 1.0."""
+    """Ends a helper with status 3 on a batch whose round counts include 2.
+    In the caller it waits for the helpers to end, so that one of them takes
+    a batch; it scores each trial 1.0."""
     master_seed, m, rounds, start, stop = task[:5]
-    if 2 in rounds and start == 0:
+    if not _in_helper():
+        _await_helpers()
+    elif 2 in rounds:
         os._exit(3)
+    return [[1.0] * (stop - start) for _ in rounds]
+
+
+class _CallerError(Exception):
+    """Raised by _caller_failing_batch in the caller."""
+
+
+def _caller_failing_batch(task: tuple) -> list[list[float]]:
+    """Raises _CallerError in the caller; in a helper, sleeps 10 s, then scores each trial 1.0."""
+    master_seed, m, rounds, start, stop = task
+    if not _in_helper():
+        raise _CallerError(f"batch at M={m}, start={start} failed in the caller")
+    time.sleep(10)
+    return [[1.0] * (stop - start) for _ in rounds]
+
+
+def _helper_exiting_batch(task: tuple) -> list[list[float]]:
+    """Ends a helper with status 3.  In the caller it appends the batch's
+    start to the file its task names and waits for the helpers to end; it
+    scores each trial 1.0."""
+    master_seed, m, rounds, start, stop, log = task
+    if _in_helper():
+        os._exit(3)
+    with open(log, "a", encoding="ascii") as fh:
+        fh.write(f"{start}\n")
+    _await_helpers()
     return [[1.0] * (stop - start) for _ in rounds]
 
 
@@ -177,6 +227,22 @@ class _InlineProcess:
         pass
 
 
+class _CountingContext:
+    """The default start method's context, keeping every process it makes."""
+
+    def __init__(self):
+        self.context = multiprocessing.get_context()
+        self.procs = []
+
+    def __getattr__(self, name):
+        return getattr(self.context, name)
+
+    def Process(self, *args, **kwargs):
+        proc = self.context.Process(*args, **kwargs)
+        self.procs.append(proc)
+        return proc
+
+
 def _use_context(monkeypatch, method):
     """Have _sweep's workers start by the named start method."""
     if method not in multiprocessing.get_all_start_methods():
@@ -212,6 +278,7 @@ class TestWorkerCount:
         assert cli.build_parser().parse_args(["uniformity", "--out", "x.csv"]).jobs == 3
 
 
+@pytest.mark.usefixtures("deadline")
 class TestStaticTablesBeforeFork:
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -242,11 +309,13 @@ class TestStaticTablesBeforeFork:
         cfg = small_cfg(sizes=(16, 20), rounds=(1, 2), trials=2)
         results = [value for _, _, chunk in experiments._sweep(_misses_batch, cfg, 2)
                    for value in chunk]
-        assert len(results) == 8 and os.getpid() not in {pid for pid, _ in results}
-        # the caller's two builds, inherited; no worker built a table of its own
+        # the caller ran one batch and the helper the other
+        assert len(results) == 8 and len({pid for pid, _ in results}) == 2
+        # the caller's two builds, inherited; the helper built no table of its own
         assert {misses for _, misses in results} == {2}
 
 
+@pytest.mark.usefixtures("deadline")
 class TestSweepOrder:
     """_sweep hands a pool its tasks largest size first, and gives the same
     cells, in cell order, with the same trials, at jobs 1 and 2 under either
@@ -263,8 +332,9 @@ class TestSweepOrder:
         monkeypatch.setattr(experiments, "BATCH_PIXELS", 2 * 20 * 20)
 
     def test_pool_takes_largest_cells_first(self, monkeypatch):
-        # The first inline worker takes every position of the shared order,
-        # so it receives the tasks in the order the workers take them: one
+        # The inline helper runs to its end when started, so it takes every
+        # position of the shared order before the caller takes one, and
+        # receives the tasks in the order the workers take them: one
         # size and trial range each, under every round count, largest first.
         received = []
 
@@ -289,7 +359,7 @@ class TestSweepOrder:
         monkeypatch.setitem(globals(), "_CALLER_MARK", "set by the caller")
         marks = {value for _, _, chunk in experiments._sweep(_mark_batch, self.CFG, 2)
                  for value in chunk}
-        assert marks == {mark}
+        assert marks == {(True, mark), (False, "set by the caller")}
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
@@ -357,10 +427,10 @@ class TestWorkerFailure:
         assert multiprocessing.active_children() == []
 
     def test_exception_in_a_worker_reaches_the_caller(self):
-        # the first batch raises at once; the other worker, asleep in its
-        # first batch, is terminated instead of waited for
+        # the helper's first batch raises; the caller, having waited for the
+        # helper to end, finds the exception in its pipe before its next take
         begin = time.perf_counter()
-        with pytest.raises(ValueError, match=r"^batch at M=16, r=[12] failed$"):
+        with pytest.raises(ValueError, match=r"^batch at M=16, r=2 failed$"):
             experiments._sweep(_failing_batch, self.CFG, 2)
         assert time.perf_counter() - begin < 8.0
         assert multiprocessing.active_children() == []
@@ -388,6 +458,62 @@ class TestWorkerFailure:
     def test_worker_that_exits_raises_child_process_error(self):
         with pytest.raises(ChildProcessError, match=r"^a sweep worker exited with code 3 without sending its results$"):
             experiments._sweep(_exiting_batch, self.CFG, 2)
+        assert multiprocessing.active_children() == []
+
+    def test_exception_in_the_caller_terminates_the_helper(self, monkeypatch):
+        # the caller's first batch raises; the helper, asleep in its batch,
+        # is terminated and joined instead of waited for
+        context = _CountingContext()
+        monkeypatch.setattr(experiments, "get_context", lambda: context)
+        begin = time.perf_counter()
+        with pytest.raises(_CallerError, match=r"^batch at M=16, start=[012] failed in the caller$"):
+            experiments._sweep(_caller_failing_batch, self.CFG, 2)
+        assert time.perf_counter() - begin < 8.0
+        assert [proc.exitcode for proc in context.procs] == [-signal.SIGTERM]
+        assert multiprocessing.active_children() == []
+
+    def test_helper_exit_ends_the_sweep_before_the_order_runs_out(self, tmp_path):
+        # the helper dies in its first batch while the caller runs its own;
+        # the caller sees the closed pipe after that batch, with 19 of the
+        # 20 tasks never started
+        log = tmp_path / "caller.log"
+        cfg = small_cfg(sizes=(16,), rounds=(1, 2), trials=20)
+        with pytest.raises(ChildProcessError, match=r"^a sweep worker exited with code 3 without sending its results$"):
+            experiments._sweep(_helper_exiting_batch, cfg, 2, str(log))
+        assert len(log.read_text(encoding="ascii").splitlines()) == 1
+        assert multiprocessing.active_children() == []
+
+
+class TestHelperCount:
+    """--jobs counts the processes that run batches, the caller among them:
+    a sweep at jobs J starts J - 1 helpers, and at jobs 1 none."""
+
+    # cells (16, 1) and (16, 6); seven one-trial tasks, more than any J here
+    CFG = small_cfg(sizes=(16,), rounds=(1, 6), trials=7)
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        # three workers even where this process may use fewer CPUs
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(experiments, "BATCH_PIXELS", 16 * 16)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_jobs_minus_one_helpers_start(self, monkeypatch, jobs):
+        serial = experiments.uniformity_sweep(self.CFG)
+        context = _CountingContext()
+        monkeypatch.setattr(experiments, "get_context", lambda: context)
+        assert experiments.uniformity_sweep(self.CFG, jobs=jobs) == serial
+        assert len(context.procs) == jobs - 1
+        assert [proc.exitcode for proc in context.procs] == [0] * (jobs - 1)
+        assert multiprocessing.active_children() == []
+
+    def test_one_job_starts_nothing(self, monkeypatch):
+        def no_context(*args, **kwargs):
+            raise AssertionError("a context was asked for at jobs=1")
+
+        monkeypatch.setattr(experiments, "get_context", no_context)
+        cells = experiments.uniformity_sweep(self.CFG, jobs=1)
+        assert [(c.size, c.rounds, c.chi2.count) for c in cells] == [(16, 1, 7), (16, 6, 7)]
         assert multiprocessing.active_children() == []
 
 
@@ -688,15 +814,18 @@ class TestBatching:
         assert experiments.error_propagation(cfg, image, rounds=2) == default
 
     def test_batch_boundaries(self):
+        # at jobs=1 the caller runs the order alone: largest M first, each
+        # size's batches in trial order
         calls = []
 
         def record(task):
-            calls.append(task[3:5])
+            calls.append(task[1:2] + task[3:5])
             return [[None] * (task[4] - task[3])]
 
         cfg = small_cfg(sizes=(256, 512, 16), rounds=(1,), trials=6)
         experiments._sweep(record, cfg, 1)
-        assert calls == [(0, 6), (0, 4), (4, 6), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
+        assert calls == [(512, 0, 1), (512, 1, 2), (512, 2, 3), (512, 3, 4), (512, 4, 5), (512, 5, 6),
+                         (256, 0, 4), (256, 4, 6), (16, 0, 6)]
 
 
 def _recording_batch(task: tuple) -> list[list[tuple[int, int, int, int]]]:
