@@ -100,9 +100,13 @@ def _write_report(args: argparse.Namespace, header: list[str], rows: list[list[s
 def _config(args: argparse.Namespace, **fields) -> ExperimentConfig:
     """The sweep's configuration; without --seed, the master seed comes from the environment.
 
-    Also checks that the directory of --out exists, so that a sweep is not
-    run only to find it cannot write its report.
+    Also checks that --out names a file in a directory that exists, so that
+    a sweep is not run only to find it cannot write its report.
     """
+    if not args.outfile:
+        raise ValueError("--out is empty")
+    if os.path.isdir(args.outfile):
+        raise ValueError(f"--out is a directory: {args.outfile}")
     directory = os.path.dirname(args.outfile) or os.curdir
     if not os.path.isdir(directory):
         raise ValueError(f"the directory of --out does not exist: {directory}")
@@ -169,10 +173,7 @@ def _cmd_avalanche(args: argparse.Namespace) -> int:
 
 def _cmd_uniformity(args: argparse.Namespace) -> int:
     cfg = _config(args, sizes=args.sizes, rounds=args.rounds)
-    report = experiments.uniformity_sweep(
-        cfg, jobs=args.jobs, plaintext=args.plaintext,
-        control_random=args.control_random,
-    )
+    report = experiments.uniformity_sweep(cfg, jobs=args.jobs, plaintext=args.plaintext)
     header = ["size", "rounds", "trials",
               "chi2_min", "chi2_mean", "chi2_max", "chi2_std", "threshold"]
     rows = [
@@ -286,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                                              experiments.PLAINTEXT_ALL_ZERO],
                      default=experiments.PLAINTEXT_SINGLE_LSB,
                      help="plaintext fed to the cipher (default %(default)s)")
-    sub.add_argument("--control-random", action="store_true",
-                     help="score uniform random bytes instead of ciphertext (sanity check, ~255)")
     sub.set_defaults(func=_cmd_uniformity)
 
     sub = commands.add_parser("errorprop", parents=[run], help="channel-error propagation report")

@@ -189,8 +189,8 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     the task (master_seed, M, rounds, start, stop, *extra), rounds largest
     first, to the results of trials start..stop-1 under each round count in
     that order: _cipher_batch, whose extra is (single_lsb, score), for every
-    sweep that encrypts; _control_batch; or _errprop_batch.  Everything else
-    a batch needs travels in its task.
+    sweep that encrypts, or _errprop_batch.  Everything else a batch needs
+    travels in its task.
 
     The static cipher tables of every size are built first, in this process:
     forked helpers inherit them, and the loaded numpy.random, where each
@@ -381,18 +381,6 @@ def _cipher_batch(task: tuple) -> list[list]:
     ]
 
 
-def _control_batch(task: tuple) -> list[list[float]]:
-    """Chi-square of uniform random bytes in place of each trial's ciphertext, per
-    round count: a sanity oracle that should score about 255 (the degrees of
-    freedom).  The bytes come from each trial's own Generator, after its draws."""
-    master_seed, m, rounds, start, stop, single_lsb = task
-    return [
-        _chi_squares(None, [rng.integers(0, 256, size=m * m, dtype=np.uint8)
-                            for rng, _, _ in _trial_streams(master_seed, m, r, range(start, stop), single_lsb)])
-        for r in rounds
-    ]
-
-
 # ---------------------------------------------------------------------------
 # avalanche (plaintext sensitivity)
 # ---------------------------------------------------------------------------
@@ -430,22 +418,19 @@ def uniformity_sweep(
     cfg: ExperimentConfig,
     jobs: int = 1,
     plaintext: str = PLAINTEXT_SINGLE_LSB,
-    control_random: bool = False,
 ) -> list[UniformityCell]:
     """Chi-square of ciphertext byte histograms per grid cell.
 
     The default plaintext carries a single set LSB: the cipher is linear, so
     the all-zero image encrypts to itself for every key and round (chi-square
     255 * M * M, the single-bin maximum).  That degenerate mode is available
-    as plaintext="all-zero" to demonstrate the weakness.
+    as plaintext="all-zero" to demonstrate the weakness.  The yardstick is
+    closed-form: for N uniform random bytes the chi-square has mean 255 and
+    variance 510 * (1 - 1/N).
     """
     if plaintext not in (PLAINTEXT_SINGLE_LSB, PLAINTEXT_ALL_ZERO):
         raise ValueError(f"unknown plaintext mode {plaintext!r}")
-    single_lsb = plaintext == PLAINTEXT_SINGLE_LSB
-    if control_random:
-        cells = _sweep(_control_batch, cfg, jobs, single_lsb)
-    else:
-        cells = _sweep(_cipher_batch, cfg, jobs, single_lsb, _chi_squares)
+    cells = _sweep(_cipher_batch, cfg, jobs, plaintext == PLAINTEXT_SINGLE_LSB, _chi_squares)
     return [UniformityCell(size=m, rounds=r, chi2=Stats.from_values(chunk)) for m, r, chunk in cells]
 
 

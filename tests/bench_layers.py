@@ -35,9 +35,10 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
   beside the cipher layers;
 - cipher._run over those drawn parameters and plaintexts, one call per
   round count of the task;
-- experiments._trial_streams, each trial through its own Generator (the
-  route of error propagation and the control-random baseline), key only and
-  with the single-LSB pixel, at the batch sizes of M in {16, 256, 512}.
+- experiments._trial_streams, each trial through its own Generator, key
+  only (the route of error propagation) and with the single-LSB pixel (the
+  route of a pixel that _draw_trials replays), at the batch sizes of M in
+  {16, 256, 512}.
 - experiments._sweep over uniformity-large's tasks (M in {256, 300, 512},
   rounds 1 and 6, 10 trials) with batches that do nothing, with
   usable_cpus patched to 2: at jobs=1 the caller alone, at jobs=2 the

@@ -420,18 +420,6 @@ def errprop_trial(task, image):
     return out
 
 
-def control_random_bytes(task):
-    """The M*M bytes that stand in for the ciphertext of one control-random
-    uniformity trial: the trial's stream draws the key, then, for the
-    single-LSB plaintext, the pixel, then the bytes."""
-    master_seed, m, rounds, index, single_lsb = task
-    rng = np.random.default_rng((master_seed, index, m, rounds))
-    cipher.key_from_stream(rng, m, rounds)
-    if single_lsb:
-        rng.integers(0, m, size=2)
-    return rng.integers(0, 256, size=m * m, dtype=np.uint8)
-
-
 # ---------------------------------------------------------------------------
 # keys and records
 # ---------------------------------------------------------------------------

@@ -120,15 +120,6 @@ class TestSweepCommands:
         sizes = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
         assert sizes == ["16", "32", "64"]
 
-    def test_uniformity_control_random(self, tmp_path):
-        out = tmp_path / "u.csv"
-        assert run(["uniformity", "--sizes", "64", "--rounds", "1", "--trials", 20,
-                    "--seed", 1, "--jobs", 1, "--control-random", "--out", out]) == 0
-        row = out.read_text().splitlines()[1].split(",")
-        mean_chi2 = float(row[4])
-        assert 200.0 <= mean_chi2 <= 310.0
-        assert row[-1] == "293.0000"
-
     def test_errorprop_csv(self, tmp_path, portrait_64):
         image = tmp_path / "img.pgm"
         image_io.write_pgm(portrait_64, image)
@@ -259,6 +250,21 @@ class TestOtherCommands:
         assert code == 2
         assert capsys.readouterr().err == \
             f"error: the directory of --out does not exist: {tmp_path / parent}\n"
+        assert list(tmp_path.iterdir()) == [image]
+
+    @pytest.mark.parametrize("kind", ["empty", "directory"])
+    @pytest.mark.parametrize("command", ["avalanche", "uniformity", "errorprop"])
+    def test_out_that_names_no_file_fails_before_the_sweep(self, tmp_path, monkeypatch, capsys,
+                                                           command, kind):
+        monkeypatch.setattr(experiments, "_sweep", lambda *args: pytest.fail("the sweep started"))
+        image = tmp_path / "img.pgm"
+        image_io.write_pgm(np.zeros((16, 16), dtype=np.uint8), image)
+        out, message = ("", "--out is empty") if kind == "empty" else \
+            (tmp_path, f"--out is a directory: {tmp_path}")
+        args = ["--image", image] if command == "errorprop" else ["--sizes", "16", "--rounds", "1"]
+        code = run([command, *args, "--trials", 200, "--jobs", 1, "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == [image]
 
     def test_negative_seed_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
@@ -400,6 +406,8 @@ class TestParserErrors:
         (["avalanche", "--trials", "abc"], "argument --trials: invalid int value: 'abc'"),
         (["uniformity", "--plaintext", "ones"], "argument --plaintext: invalid choice"),
         (["avalanche", "--bogus"], "unrecognized arguments: --bogus"),
+        # retired: tests/test_metrics.py pins the chi-square of uniform bytes
+        (["uniformity", "--control-random"], "unrecognized arguments: --control-random"),
         (["keyspace"], "the following arguments are required: --dim"),
         (["errorprop", "--image", "img.pgm"], "the following arguments are required: --out"),
         (["cipher"], "argument command: invalid choice: 'cipher'"),
@@ -418,8 +426,8 @@ class TestParserErrors:
         (["keyspace", "--dim", "16", "--rate", "١e3"], "argument --rate: invalid float value: '١e3'"),
         (["keyspace", "--dim", "16", "--rate", "1_000"],
          "argument --rate: invalid float value: '1_000'"),
-    ], ids=["sizes", "trials", "choice", "unknown-flag", "missing-dim", "missing-out", "command",
-            "no-command", "non-ascii-digits", "underscore", "plus-sign", "space", "hex-seed",
+    ], ids=["sizes", "trials", "choice", "unknown-flag", "retired-flag", "missing-dim", "missing-out",
+            "command", "no-command", "non-ascii-digits", "underscore", "plus-sign", "space", "hex-seed",
             "blank-size", "blank-percent", "underscore-percent", "non-ascii-rate", "underscore-rate"])
     def test_one_line(self, tmp_path, capsys, argv, message):
         out = tmp_path / "a.csv"

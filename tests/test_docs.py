@@ -1,6 +1,7 @@
 import functools
 import pathlib
 import re
+import shlex
 
 import pytest
 
@@ -26,3 +27,20 @@ def test_readme_names_some_package_attributes():
 def test_readme_name_resolves(name):
     module, _, path = name.partition(".")
     functools.reduce(getattr, path.split("."), MODULES[module])
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each `cipher-audit ...` line of README's sh blocks, with
+    continuation lines joined and comments dropped."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [argv for line in lines if (argv := shlex.split(line, comments=True))[:1] == ["cipher-audit"]]
+
+
+def test_readme_shows_some_commands():
+    assert len(readme_commands()) >= 5
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_parses(argv):
+    cli.build_parser().parse_args(argv[1:])

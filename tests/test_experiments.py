@@ -667,35 +667,6 @@ class TestLinearityShortcuts:
                 for index in range(trials)]
         assert (row.dif, row.psnr, row.ssim) == tuple(Stats.from_values(column) for column in zip(*rows))
 
-    @pytest.mark.parametrize("plaintext", [experiments.PLAINTEXT_SINGLE_LSB,
-                                           experiments.PLAINTEXT_ALL_ZERO])
-    @pytest.mark.parametrize("m", [16, 300])
-    def test_control_random_equals_direct_route(self, m, plaintext, monkeypatch):
-        # the bytes each trial scores, not only their chi-square, are the direct route's
-        scored = []
-        histogram = metrics.byte_histogram
-
-        def recording_histogram(data):
-            scored.append(data.copy())
-            return histogram(data)
-
-        monkeypatch.setattr(metrics, "byte_histogram", recording_histogram)
-        single_lsb = plaintext == experiments.PLAINTEXT_SINGLE_LSB
-        for master_seed, rounds, start, stop in ((0, (1,), 0, 2), (7, (6, 3), 5, 8),
-                                                 (2**32, (3,), 1, 2)):
-            scored.clear()
-            batch = experiments._control_batch((master_seed, m, rounds, start, stop, single_lsb))
-            direct = [
-                [oracles.control_random_bytes((master_seed, m, r, index, single_lsb))
-                 for index in range(start, stop)]
-                for r in rounds
-            ]
-            assert len(scored) == len(rounds) * (stop - start)
-            for data, expected in zip(scored, itertools.chain(*direct)):
-                np.testing.assert_array_equal(data.reshape(-1), expected)
-            assert batch == [pytest.approx([oracles.chi_square_direct(d) for d in cell], rel=1e-12)
-                             for cell in direct]
-
     @pytest.mark.parametrize("m", [16, 20, 64])
     def test_avalanche_batch_scores_equal_hamming_percent(self, m):
         task = (3, m, (5, 2), 4, 13)
@@ -759,12 +730,6 @@ class TestUniformitySweep:
         cell = report[0]
         assert cell.chi2.minimum == cell.chi2.maximum == pytest.approx(255.0 * 16 * 16)
 
-    def test_control_random_scores_near_dof(self):
-        cfg = small_cfg(sizes=(64,), rounds=(1,), trials=40)
-        report = experiments.uniformity_sweep(cfg, control_random=True)
-        # mean of chi2_255 is 255; allow generous sampling slack
-        assert 230.0 <= report[0].chi2.mean <= 280.0
-
     def test_unknown_plaintext_rejected(self):
         with pytest.raises(ValueError, match="plaintext"):
             experiments.uniformity_sweep(small_cfg(), plaintext="lena")
@@ -793,18 +758,14 @@ class TestBatching:
         monkeypatch.setattr(experiments, "BATCH_PIXELS", pixels)
         assert experiments.avalanche_sweep(cfg) == default
 
-    @pytest.mark.parametrize("control_random", [False, True])
     @pytest.mark.parametrize("plaintext", [experiments.PLAINTEXT_SINGLE_LSB,
                                            experiments.PLAINTEXT_ALL_ZERO])
     @pytest.mark.parametrize("pixels", LIMITS)
-    def test_uniformity_batches(self, pixels, plaintext, control_random, monkeypatch):
+    def test_uniformity_batches(self, pixels, plaintext, monkeypatch):
         cfg = small_cfg(sizes=(16,), rounds=(1, 6), trials=7)
-        default = experiments.uniformity_sweep(cfg, plaintext=plaintext,
-                                               control_random=control_random)
+        default = experiments.uniformity_sweep(cfg, plaintext=plaintext)
         monkeypatch.setattr(experiments, "BATCH_PIXELS", pixels)
-        batched = experiments.uniformity_sweep(cfg, plaintext=plaintext,
-                                               control_random=control_random)
-        assert batched == default
+        assert experiments.uniformity_sweep(cfg, plaintext=plaintext) == default
 
     def test_errorprop_batches(self, monkeypatch):
         image = image_io.make_portrait_image(16)

@@ -172,6 +172,18 @@ class TestChiSquare:
         hist[3] = 10
         assert metrics.chi_square(hist) > 0.0
 
+    def test_uniform_bytes_score_the_closed_form(self):
+        # For N uniform bytes the statistic has mean 255 (the degrees of
+        # freedom) and variance 510 * (1 - 1/N), std 22.58 at N = 64 * 64:
+        # the yardstick of the uniformity sweep's ciphertexts.
+        count, n = 400, 64 * 64
+        images = np.random.default_rng(0).integers(0, 256, size=(count, 64, 64), dtype=np.uint8)
+        scores = np.array([metrics.chi_square(metrics.byte_histogram(x)) for x in images])
+        sigma = math.sqrt(510 * (1 - 1 / n))
+        # within 4 standard errors: of the mean, and (normal theory) of the std
+        assert abs(scores.mean() - 255) <= 4 * sigma / math.sqrt(count)
+        assert abs(scores.std() - sigma) <= 4 * sigma / math.sqrt(2 * count)
+
 
 class TestPsnr:
     def test_identical_images_give_inf(self):

@@ -139,8 +139,8 @@ class TestDrawTrials:
             assert_trial_draws(9, 20, r, range(start, stop), params, plains, single_lsb)
 
     def test_continuing_sweeps_skip_the_batch_derivation(self, monkeypatch):
-        # error propagation and the control-random baseline draw every trial
-        # through its own Generator, never through first_words
+        # error propagation draws every trial through its own Generator,
+        # never through first_words
         def unused(*args):
             raise AssertionError("first_words called")
 
@@ -149,12 +149,6 @@ class TestDrawTrials:
         errprop = experiments._errprop_batch((3, m, (6, 2), 5, 8, percents, image))
         assert errprop == [[oracles.errprop_trial((3, m, r, index, percents), image)
                             for index in range(5, 8)] for r in (6, 2)]
-        for single_lsb in (True, False):
-            control = experiments._control_batch((3, m, (6, 2), 5, 8, single_lsb))
-            expected = [[oracles.control_random_bytes((3, m, r, index, single_lsb))
-                         for index in range(5, 8)] for r in (6, 2)]
-            assert control == [pytest.approx([oracles.chi_square_direct(d) for d in cell],
-                                              rel=1e-12) for cell in expected]
 
 
 def reject_pixel_of(trial, cell=0, first_words=streams.first_words):
@@ -195,10 +189,8 @@ class TestReplay:
         m = 20
         task = (6, m, (3, 1), 0, 4, True)
         avalanche = experiments._cipher_batch((*task, experiments._avalanche_scores))
-        control = experiments._control_batch(task)
         monkeypatch.setattr(streams, "first_words", reject_pixel_of(2, cell=1))
         assert experiments._cipher_batch((*task, experiments._avalanche_scores)) == avalanche
-        assert experiments._control_batch(task) == control
         assert avalanche == [[oracles.avalanche_trial((6, m, r, index)) for index in range(4)]
                              for r in (3, 1)]
 
@@ -227,6 +219,3 @@ class TestReplay:
         direct, _, _ = oracles.trial_draws(0, index, m, 1)
         assert advanced.integers(0, 256, 8, dtype=np.uint8).tolist() != \
             direct.integers(0, 256, 8, dtype=np.uint8).tolist()
-        [control] = experiments._control_batch((0, m, (1,), index, index + 1, True))
-        expected = oracles.control_random_bytes((0, m, 1, index, True))
-        assert control == pytest.approx([oracles.chi_square_direct(expected)], rel=1e-12)
