@@ -27,17 +27,27 @@ shifts, which the construction allows:
 
 - The matrix is A = J xor P (all-ones xor a permutation), so output byte j of
   a block is the XOR of the whole block xor input byte pinv[j].  The block
-  XOR is folded from a block's two uint64 lanes and XORed into each lane in
-  turn, through strided views; the in-block move by pinv is a byte
-  permutation like stages (a) and (b).  The stored form of the diffusion
-  layer is that permutation, _PINV; the matrix is derived from it.
-- The in-block move, the cat map and the scramble compose into one flat
-  gather index per (key, M).  The cat-map part is evaluated in closed form
-  from its inverse [[ab+1, -a], [-b, 1]] mod M at the scramble's coordinates.
-  The widths are fixed: the scramble's coordinates are int16 and the index
-  is built in int32, which check_side's bound M <= MAX_SIDE guarantees.
+  XOR (BX) is folded from a block's two uint64 lanes and XORed into each
+  lane in turn, through strided views; the in-block move by pinv (Pm) is a
+  byte permutation like stages (a) and (b).  The stored form of the
+  diffusion layer is that permutation, _PINV; the matrix is derived from it.
+- Encryption runs in a frame where Pm is gone from every round.  One round
+  is Rot . Scr . C . Pm . BX (rotation, scramble, cat map, in-block move,
+  block XOR).  BX XORs every byte with its block's XOR, so it commutes with
+  any permutation inside a block.  With Pi = Pm, Pi . Round . Pi^-1 =
+  (Pi Rot Pi^-1) . (Pi Scr) . C . BX, so r rounds are E = Pi^-1 . F^r . Pi,
+  where F is that framed round and both bracketed maps are static.  Pi
+  moves byte pi(k) = (k & -16) | pinv[k & 15] to position k; encrypt moves
+  its image in and the result back out, one in-block pass each, and the
+  sweeps draw their plaintexts in the frame and score framed stacks.
+- F's cat map and scramble compose into one flat gather index per (key,
+  M): the cat map's inverse [[ab+1, -a], [-b, 1]] mod M in closed form, at
+  the scramble's coordinates held in the frame.  Only the cat map is keyed,
+  and it is the whole index.  The widths are fixed: the scramble's
+  coordinates are int16 and the index is built in int32, which check_side's
+  bound M <= MAX_SIDE guarantees.
 - The rotation is two uint8 shifts, (z << s) | (z >> (8 - s)), over a cached
-  grid of s; a call derives 8 - s once.
+  grid of s (encryption's in the frame); a call derives 8 - s once.
 
 encrypt and decrypt take one M x M image under one CipherKey and reduce its
 parameters mod M, as Python integers, into one int32 row (_key_row).  The
@@ -51,26 +61,29 @@ positions, each block evaluated in int32 for all of its keys at once.  One
 key's index is one image long and is applied to each image in turn.  A
 round is one block XOR, one gather and one rotation over the whole stack.
 
-Decryption rotates right, gathers and applies the same block XOR: x -> x xor
-(block XOR of x) is an involution on 16-byte blocks, which is why
-A^-1 = J xor P^T = A^T.  Its gather index is the forward byte map
+Decryption runs natural, outside the frame.  It rotates right, gathers and
+applies the same block XOR: x -> x xor (block XOR of x) is an involution on
+16-byte blocks, which is why A^-1 = J xor P^T = A^T.  Its gather index is the forward byte map
 (_destination), evaluated in closed form at every position: the in-block move
 takes position j to a cell, one division by M from j's block start, the cat
 map (x + a*y + rx, b*x + (a*b + 1)*y + ry) mod M moves that cell, and the
 inverse of the scramble gives the position it lands on.  Only the cat map is
 keyed.  One cache, static_tables, holds every key-independent table of a size
-M; it is the module's only per-size state.
+M, encryption's framed ones and decryption's natural ones; it is the
+module's only per-size state.
 
 Sparse rounds.  A nonzero byte fills at most its 16-byte block under the
 block XOR, and the gather sends a block's 16 bytes into at most 16 blocks,
 so a one-bit image touches one block, then at most 16, 256, ... blocks.
 While a stack's touched blocks are few, a round of encryption runs on them
 alone: each of their bytes is carried by the forward map (_destination) at
-its own position, into a fresh zero stack, and no M*M gather index is
-built.  The switch is read from the input: the touched blocks are counted
-in the input and after each sparse round, and a round runs sparse while
-they are at most (S - 24576) / 144 for a stack of S bytes, the point where
-a sparse round stops being cheaper than a dense one.  From the first round
+its own cell, then into the frame, into a fresh zero stack, and no M*M
+gather index is built.  The frame keeps every byte in its block, so a
+stack touches the same blocks in the frame and out of it.  The switch is
+read from the input: the touched blocks are counted in the input and after
+each sparse round, and a round runs sparse while they are at most
+(S - 24576) / 144 for a stack of S bytes, the point where a sparse round
+stops being cheaper than a dense one.  From the first round
 over that limit the remaining rounds run dense.  Decryption runs dense
 only: the sweeps decrypt only error-propagation stacks, whose default 5%
 row touches every block.
@@ -228,6 +241,11 @@ def key_from_stream(rng: np.random.Generator, m: int, rounds: int) -> CipherKey:
 _PINV = np.argsort(np.random.default_rng(DIFFUSION_SEED).permutation(BLOCK_BYTES)).astype(np.int32)
 _PINV.flags.writeable = False
 
+# The in-block move sends input byte i of a block to byte p0[i]: the inverse
+# of _PINV.
+_P0 = np.argsort(_PINV).astype(np.int32)
+_P0.flags.writeable = False
+
 
 def build_diffusion_matrix() -> np.ndarray:
     """The single static diffusion matrix (identical for every key and round).
@@ -279,24 +297,31 @@ _INDEX_BLOCK = 16384
 
 
 @functools.lru_cache(maxsize=8)
-def static_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The key-independent tables of side length M, read-only: (u, v, shift, scramble_pos).
+def static_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The key-independent tables of side length M, read-only: (u, v, shift, natural_shift, scramble_pos).
 
-    (u, v) is the int16 grid cell that the static scramble brings to each
-    flat position; :func:`_gather_index` widens it.  shift is the uint8
-    left-rotation amount s of each position; the right shift 8 - s is
-    derived where a round needs it.  scramble_pos is the int32 flat position
-    that the scramble takes each grid cell to, the inverse of (u, v):
-    scramble_pos[u[k]*M + v[k]] = k.  This is the only per-size state of
+    The first three are encryption's and are held in its frame (see the
+    module docstring): entry k is the natural table's entry at pi(k) =
+    (k & -16) | pinv[k & 15].  (u, v) is the int16 grid cell that the
+    static scramble brings to position pi(k); :func:`_gather_index` widens
+    it.  shift is the uint8 left-rotation amount s at pi(k).  The last two
+    are decryption's and are natural: natural_shift is the rotation amount
+    of each position, and scramble_pos is the int32 flat position that the
+    scramble takes each grid cell to, the inverse of the scramble:
+    scramble_pos[u[k]*M + v[k]] = pi(k).  The right shifts 8 - s are
+    derived where a round needs them.  This is the only per-size state of
     the module.
     """
     flat = np.random.default_rng((SCRAMBLE_SEED, m)).permutation(m * m)
     coords = np.empty((2, m * m), dtype=np.int16)
     np.divmod(flat, m, out=(coords[0], coords[1]), casting="same_kind")
-    del flat  # the int64 permutation: 8*M*M bytes, freed before the rotation draw
+    del flat  # the int64 permutation: 8*M*M bytes, freed before the framing and the rotation draw
+    framed = coords.reshape(2, -1, BLOCK_BYTES)
+    framed[...] = framed[:, :, _PINV]
     # An int32 draw below 2**32 gives the values of the default int64 one.
     rng = np.random.default_rng((ROTATION_SEED, m))
-    shift = rng.integers(0, 8, size=m * m, dtype=np.int32).astype(np.uint8)
+    natural_shift = rng.integers(0, 8, size=m * m, dtype=np.int32).astype(np.uint8)
+    shift = natural_shift.reshape(-1, BLOCK_BYTES)[:, _PINV].reshape(-1)
     # Last and in blocks, so the build peaks at the int64 permutation: a sweep
     # builds the tables before it forks a pool, and whole-array temporaries
     # would stay in the caller's resident memory.
@@ -306,16 +331,11 @@ def static_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
         cell = coords[0, part].astype(np.intp)
         cell *= m
         cell += coords[1, part]
-        scramble_pos[cell] = np.arange(start, start + cell.size, dtype=np.int32)
-    for table in (coords, shift, scramble_pos):
+        starts = np.arange(start, start + cell.size, BLOCK_BYTES, dtype=np.int32)[:, np.newaxis]
+        scramble_pos[cell] = (starts + _PINV).reshape(-1)
+    for table in (coords, shift, natural_shift, scramble_pos):
         table.flags.writeable = False
-    return coords[0], coords[1], shift, scramble_pos
-
-
-# The in-block move sends input byte i of a block to byte p0[i]: the inverse
-# of _PINV.
-_P0 = np.argsort(_PINV).astype(np.int32)
-_P0.flags.writeable = False
+    return coords[0], coords[1], shift, natural_shift, scramble_pos
 
 
 def _reduce(values: np.ndarray, m: int, tmp: np.ndarray) -> None:
@@ -340,12 +360,13 @@ def _reduce(values: np.ndarray, m: int, tmp: np.ndarray) -> None:
 # (-2*M*M, 2*M*M), which int32 holds for M <= MAX_SIDE.
 
 def _source(u, v, a, b, rx, ry, m: int) -> np.ndarray:
-    """Flat position whose block-XORed byte one round's byte permutations carry to scramble coordinates (u, v).
+    """Flat cell x*M + y that the cat map carries to grid cell (u, v).
 
     The cat map (x, y) -> (x + a*y + rx, b*x + (a*b + 1)*y + ry) is inverted
     in closed form: y = (v - ry) - b*(u - rx), then x = (u - rx) - a*y, both
-    mod M, and the in-block move by pinv is undone.  The steps run in place,
-    so at most three arrays of the result's size are alive at once.
+    mod M.  In encryption's frame this is the whole gather index: the
+    in-block move is not in it.  The steps run in place, so at most three
+    arrays of the result's size are alive at once.
     """
     x = u - rx
     y = v - ry
@@ -358,27 +379,24 @@ def _source(u, v, a, b, rx, ry, m: int) -> np.ndarray:
     cell = x
     cell *= m
     cell += y
-    low = np.bitwise_and(cell, BLOCK_BYTES - 1, out=y)
-    cell &= -BLOCK_BYTES
-    # low is within [0, 16): "clip" never clips, and unlike a fancy index it does not buffer.
-    cell |= np.take(_PINV, low, mode="clip")
     return cell
 
 
-def _destination(start, a, b, rx, ry, m: int) -> np.ndarray:
-    """Flat position that one round's byte permutations carry each byte of a block to.
+def _destination(cell, a, b, rx, ry, m: int) -> np.ndarray:
+    """Natural flat position that the cat map and the scramble carry each flat grid cell to.
 
-    start holds the flat position of each block's first byte, int32, as a
-    column.  The in-block move takes byte i of a block to byte p0[i], whose
-    cell is (x0, y0) = divmod(start + p0[i], M).  The cat map is evaluated
-    forward, x = x0 + a*y0 + rx, then y = b*(x - rx) + y0 + ry, which is
-    b*x0 + (a*b + 1)*y0 + ry, both mod M, and the scramble's inverse in
-    static_tables gives the position the scramble takes (x, y) to.  The
-    result has one row of 16 bytes per block, broadcast against the key
+    cell holds int32 flat cells, one row of 16 per block, and is
+    overwritten.  Decryption passes start + p0, the cells that the in-block
+    move takes a block's bytes to; a sparse round of encryption, in its
+    frame, passes start + arange(16).  With (x0, y0) = divmod(cell, M), the
+    cat map is evaluated forward, x = x0 + a*y0 + rx, then y = b*(x - rx) +
+    y0 + ry, which is b*x0 + (a*b + 1)*y0 + ry, both mod M, and the
+    scramble's inverse in static_tables gives the position the scramble
+    takes (x, y) to.  The result broadcasts the cells against the key
     parameters.
     """
-    y0 = start + _P0
-    x0 = y0 // m
+    x0 = cell // m
+    y0 = cell
     y0 -= x0 * m
     x = a * y0
     x += x0
@@ -395,7 +413,7 @@ def _destination(start, a, b, rx, ry, m: int) -> np.ndarray:
     x *= m
     x += y
     del y
-    scramble_pos = static_tables(m)[3]
+    scramble_pos = static_tables(m)[4]
     # x is within [0, M*M): "clip" never clips, and unlike "raise" it does not buffer.
     return np.take(scramble_pos, x, out=tmp, mode="clip")
 
@@ -405,17 +423,18 @@ def _gather_index(params: np.ndarray, m: int, invert: bool = False, positions: s
 
     params holds key parameters reduced mod M, int32, one row per key;
     positions is a step-1 slice whose ends are whole 16-byte blocks.  For
-    encryption, output position k takes the byte at _source of the
-    scramble's coordinates of k.  For decryption, the inverse: output
-    position j takes the byte at _destination of j, evaluated for the
-    blocks of positions, so both directions are closed forms evaluated for
-    all keys in one pass.
+    encryption, in its frame, output position k takes the byte at
+    _source of the framed scramble coordinates (u, v) of k.  For
+    decryption, natural, the inverse of the natural round: output position
+    j takes the byte at _destination of j's cell after the in-block move,
+    evaluated for the blocks of positions, so both directions are closed
+    forms evaluated for all keys in one pass.
     """
     if invert:
         span = range(m * m)[positions]
         start = np.arange(span.start, span.stop, BLOCK_BYTES, dtype=np.int32)[:, np.newaxis]
         a, b, rx, ry = params.T[:, :, np.newaxis, np.newaxis]
-        return _destination(start, a, b, rx, ry, m).reshape(len(params), -1)
+        return _destination(start + _P0, a, b, rx, ry, m).reshape(len(params), -1)
     a, b, rx, ry = params.T[:, :, np.newaxis]
     u, v = static_tables(m)[:2]
     return _source(u[positions], v[positions], a, b, rx, ry, m)
@@ -483,15 +502,16 @@ def _touched_blocks(flat: np.ndarray) -> np.ndarray:
 def _sparse_round(
     flat: np.ndarray, blocks: np.ndarray, params: np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One round of encrypt on the touched blocks of a flat stack.
+    """One round of encrypt, in its frame, on the touched blocks of a flat stack.
 
     flat is zero outside the 16-byte blocks whose ids, ascending, are
     blocks; params holds the reduced key of every image.  Returns the next
     stack and its touched blocks in the same form.  A block never spans two
     images, so each block's image and key are taken once and broadcast over
-    its 16 bytes.  The blocks are XORed, every byte is carried to the
-    _destination of its block's start, and the shift s there, gathered once,
-    rotates it as (z << s) | (z >> (8 - s)).
+    its 16 bytes.  The blocks are XORed, and every byte at cell j is carried
+    to its natural _destination d, which the in-block move by p0 takes into
+    the frame, (d & -16) | p0[d & 15]; the framed shift s there, gathered
+    once, rotates it as (z << s) | (z >> (8 - s)).
     """
     n = m * m
     image = blocks // (n // BLOCK_BYTES)
@@ -499,7 +519,10 @@ def _sparse_round(
     start = (blocks * BLOCK_BYTES - offset).astype(np.int32)[:, np.newaxis]
     a, b, rx, ry = params[image].T[:, :, np.newaxis]
     data = _block_xor(flat.reshape(-1, BLOCK_BYTES)[blocks].reshape(-1)).reshape(-1, BLOCK_BYTES)
-    target = _destination(start, a, b, rx, ry, m)
+    target = _destination(start + np.arange(BLOCK_BYTES, dtype=np.int32), a, b, rx, ry, m)
+    low = target & (BLOCK_BYTES - 1)
+    target &= -BLOCK_BYTES
+    target |= np.take(_P0, low, mode="clip")
     shift = static_tables(m)[2][target]
     values = data << shift
     values |= data >> np.subtract(8, shift, out=shift)
@@ -518,11 +541,13 @@ def _sparse_round(
 def _rounds(flat: np.ndarray, params: np.ndarray, m: int, invert: bool) -> Iterator[np.ndarray]:
     """The flat stack after each round of encrypt (or with invert, decrypt), without end.
 
-    params holds the reduced key parameters: one row, or one per image.
-    Encryption runs sparse, then dense, by the switch of the module
-    docstring, and decryption dense only; the gather index is built when the
-    first dense round is asked for, and a stack's images switch together.
-    The dense rounds rotate by the cached shifts s and by 8 - s, derived once
+    Encryption takes and yields stacks in its frame, decryption natural
+    ones (see the module docstring).  params holds the reduced key
+    parameters: one row, or one per image.  Encryption runs sparse, then
+    dense, by the switch of the module docstring, and decryption dense
+    only; the gather index is built when the first dense round is asked
+    for, and a stack's images switch together.  The dense rounds rotate by
+    the cached shifts s of the direction's frame and by 8 - s, derived once
     per call.  No yielded stack is written to again.
     """
     # the most touched blocks with which a sparse round costs no more than a dense one
@@ -534,7 +559,7 @@ def _rounds(flat: np.ndarray, params: np.ndarray, m: int, invert: bool) -> Itera
             flat, blocks = _sparse_round(flat, blocks, per_image, m)
             yield flat
     index = _stack_index(params, m, invert)
-    shift = static_tables(m)[2]
+    shift = static_tables(m)[3 if invert else 2]
     back = 8 - shift
     while True:
         # Rows of the index's size: the whole stack, or each image under one key.
@@ -567,10 +592,15 @@ def _key_row(key: CipherKey, m: int) -> np.ndarray:
 
 
 def encrypt(image: np.ndarray, key: CipherKey) -> np.ndarray:
-    """Run key.rounds rounds of diffusion followed by the bit permutation on one M x M image."""
+    """Run key.rounds rounds of diffusion followed by the bit permutation on one M x M image.
+
+    The rounds run in encryption's frame: the image is moved into it, byte
+    pi(k) to position k, and the result back out, one in-block pass each.
+    """
     m = validate_image(image)
-    flat = np.ascontiguousarray(image).reshape(-1)
-    return _run(flat, _key_row(key, m)[np.newaxis], m, key.rounds, False).reshape(m, m)
+    framed = image.reshape(-1, BLOCK_BYTES)[:, _PINV].reshape(-1)
+    flat = _run(framed, _key_row(key, m)[np.newaxis], m, key.rounds, False)
+    return flat.reshape(-1, BLOCK_BYTES)[:, _P0].reshape(m, m)
 
 
 def decrypt(cipher: np.ndarray, key: CipherKey) -> np.ndarray:

@@ -347,7 +347,10 @@ def _draw_trials(master_seed: int, m: int, rounds: tuple[int, ...], start: int, 
     q bits; a coordinate, bound M, may.  A (round count, trial) whose
     single-LSB pixel numpy rejects is drawn through _trial_streams, whose
     row is written as it is.  The parameters are cipher._run's: (a, b, rx,
-    ry) mod M, int32, one row per trial; no trial builds a CipherKey.
+    ry) mod M, int32, one row per trial; no trial builds a CipherKey.  The
+    plaintexts are in encryption's frame, which cipher._run takes: the
+    pixel at natural position p = row*M + column is written at (p & -16) |
+    p0[p & 15].
     """
     count = stop - start
     halves = streams.first_words(master_seed, start, stop, m, rounds).astype("<u8", copy=False).view("<u4")
@@ -359,11 +362,13 @@ def _draw_trials(master_seed: int, m: int, rounds: tuple[int, ...], start: int, 
             [(_, row, pixel)] = _trial_streams(master_seed, m, rounds[k], [start + i], True)
             params[k, i], pixels[k, i] = row, pixel
     for k in range(len(rounds)):
-        plains = np.zeros((count, m, m), dtype=np.uint8)
+        plains = np.zeros((count, m * m), dtype=np.uint8)
         if single_lsb:
             rows, cols = pixels[k].T
-            plains[np.arange(count), rows, cols] = 1
-        yield params[k], plains
+            p = rows * m + cols
+            low = p % cipher.BLOCK_BYTES
+            plains[np.arange(count), p - low + cipher._P0[low]] = 1
+        yield params[k], plains.reshape(count, m, m)
 
 
 def _cipher_batch(task: tuple) -> list[list]:
@@ -372,7 +377,12 @@ def _cipher_batch(task: tuple) -> list[list]:
     The task ends in (single_lsb, score).  Each round count's trials, drawn
     by _draw_trials, are encrypted in one cipher._run call, and
     score(plains, ciphers) maps the two (trials, M, M) stacks to one result
-    per trial.
+    per trial.  Both stacks are in encryption's frame, not in the image's
+    byte order: every 16-byte block holds its bytes moved by one fixed
+    permutation.  So a score must return the same values for any
+    permutation of the 16 positions applied to every block of both stacks,
+    as a bit weight, the weight of plain xor cipher and a byte histogram
+    do.
     """
     master_seed, m, rounds, start, stop, single_lsb, score = task
     return [

@@ -67,16 +67,22 @@ def write_pgm(image: np.ndarray, path) -> None:
 
 
 def read_raw(path, m: int) -> np.ndarray:
-    """Read a headerless ciphertext blob of exactly M*M bytes."""
+    """Read a headerless ciphertext blob of exactly M*M bytes.
+
+    At most M*M + 1 bytes are read: a longer input, even an endless one such
+    as a device, is rejected without being read to its end.
+    """
     check_side(m)
+    size = m * m
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            data = fh.read(size + 1)
     except OSError as exc:
         raise OSError(f"cannot read blob {path}: {exc}") from exc
-    if len(data) != m * m:
-        raise DimensionError(
-            f"{path}: blob has {len(data)} bytes, expected {m * m} for M={m}"
-        )
+    if len(data) > size:
+        raise DimensionError(f"{path}: blob has more than {size} bytes, expected {size} for M={m}")
+    if len(data) != size:
+        raise DimensionError(f"{path}: blob has {len(data)} bytes, expected {size} for M={m}")
     return np.frombuffer(data, dtype=np.uint8).reshape(m, m).copy()
 
 

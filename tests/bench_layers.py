@@ -13,7 +13,12 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
 - the gather index of each stack shape the sweeps build beside one image:
   (M, W) = (256, 4) and (300, 2) in uniformity-large's batches, (64, 20) in
   avalanche-small's, in both directions;
-- one sparse encryption round on 1, 16 and 256 touched 16-byte blocks;
+- encryption's gather index over one block of 16384 positions (the
+  bare inverse cat map, at M in {256, 300, 512}), and the two in-block
+  passes with which encrypt moves its image into its frame and back;
+- one sparse encryption round on 1, 16 and 256 touched 16-byte blocks,
+  and at M = 512 on 1024 and 3375 touched blocks beside one dense round
+  with its gather index: the two sides of the sparse switch;
 - at M = 256, one decryption round of one image, with its gather index
   already built: the rounds an error-propagation row runs;
 - decryption's gather index, in closed form and by the oracle's scatter
@@ -112,6 +117,26 @@ def test_encrypt_index(benchmark, m):
     benchmark(cipher._stack_index, params_for(m), m, False)
 
 
+@pytest.mark.parametrize("m", [256, 300, 512])
+def test_encrypt_index_block(benchmark, m):
+    part = slice(0, cipher._INDEX_BLOCK)
+    cipher.static_tables(m)
+    benchmark(cipher._gather_index, params_for(m), m, False, part)
+
+
+@pytest.mark.parametrize("m", SIZES)
+def test_frame_passes(benchmark, m):
+    # the passes of encrypt: image bytes into encryption's frame, and the
+    # result back out
+    image = np.random.default_rng(m).integers(0, 256, (m, m), dtype=np.uint8)
+
+    def passes():
+        framed = image.reshape(-1, cipher.BLOCK_BYTES)[:, cipher._PINV].reshape(-1)
+        return framed.reshape(-1, cipher.BLOCK_BYTES)[:, cipher._P0].reshape(m, m)
+
+    benchmark(passes)
+
+
 @pytest.mark.parametrize("invert", [False, True], ids=["encrypt", "decrypt"])
 @pytest.mark.parametrize("m, count", [(256, 4), (300, 2), (64, 20)])
 def test_stack_index(benchmark, m, count, invert):
@@ -138,6 +163,20 @@ def test_sparse_round(benchmark, m, blocks):
     flat, ids = touched_image(m, blocks)
     cipher.static_tables(m)
     benchmark(cipher._sparse_round, flat, ids, params_for(m), m)
+
+
+@pytest.mark.parametrize("route", ["sparse-1024", "sparse-3375", "dense"])
+def test_sparse_switch_m512(benchmark, route):
+    # the sparse switch at M=512 and W=1 runs a round sparse up to 1649
+    # touched blocks; a dense round builds its gather index first
+    m = 512
+    cipher.static_tables(m)
+    if route == "dense":
+        flat = np.random.default_rng(m).integers(0, 256, m * m, dtype=np.uint8)
+        benchmark(cipher._run, flat, params_for(m), m, 1, False)
+    else:
+        flat, ids = touched_image(m, int(route.split("-")[1]))
+        benchmark(cipher._sparse_round, flat, ids, params_for(m), m)
 
 
 def test_decrypt_round_m256(benchmark):

@@ -1,10 +1,13 @@
 """Independent reference implementations used to cross-check the package.
 
 The package runs a cipher round as block XOR -> fused gather -> rotation
-by shifts, over one image or a stack.  Everything here follows the cipher's definition instead: matrix
-products over GF(2), the cat map applied per bit-plane, the static stages
-rebuilt from their seeds.  Most of it is plain Python loops; the numpy
-helpers (GF(2) elimination, bit-planes) share no code with the package.
+by shifts, over one image or a stack, and runs encryption in a frame where
+every 16-byte block is permuted by the diffusion's in-block move
+(:func:`frame`, :func:`unframe`).  Everything here follows the cipher's
+definition instead: matrix products over GF(2), the cat map applied per
+bit-plane, the static stages rebuilt from their seeds.  Most of it is
+plain Python loops; the numpy helpers (GF(2) elimination, bit-planes)
+share no code with the package.
 The experiment trials here take the direct route that the package skips by
 linearity: they encrypt every plaintext, decrypt every corrupted
 ciphertext, and score SSIM from float64 integral images.
@@ -271,6 +274,29 @@ def scramble_pairs(seed, m):
     return [[divmod(int(flat[x * m + y]), m) for y in range(m)] for x in range(m)]
 
 
+def byte_sources():
+    """pinv: output byte j of a block is the block XOR xor input byte pinv[j],
+    read off the matrix (the one 0 in row j of A = J xor P)."""
+    return [row.index(0) for row in cipher.build_diffusion_matrix().tolist()]
+
+
+def frame(data):
+    """data moved into encryption's frame: in every 16 consecutive bytes
+    (row-major), position k holds the byte at pinv[k] of the block.  In this
+    frame one round's diffusion is the block XOR alone: the diffusion
+    layer's in-block move by pinv is what moving the data in does."""
+    data = np.asarray(data)
+    return data.reshape(-1, 16)[:, byte_sources()].reshape(data.shape)
+
+
+def unframe(data):
+    """Undo :func:`frame`: position pinv[k] of every block gets the byte at k."""
+    data = np.asarray(data)
+    out = np.empty_like(data).reshape(-1, 16)
+    out[:, byte_sources()] = data.reshape(-1, 16)
+    return out.reshape(data.shape)
+
+
 def inverse_index_by_scatter(index):
     """Inverse of a flat gather index (a permutation), by one scatter:
     inverse[index[k]] = k."""
@@ -307,17 +333,21 @@ def gather_index_closed_form(params, m, invert):
     of params, evaluated position by position with Python's % on Python
     integers.
 
-    Encryption: output position k reads the cell whose cat-map image is the
-    scramble's source cell (u, v) of k, with the in-block move by pinv undone.
-    Decryption: output position j reads the position that the in-block move,
-    the cat map and the scramble carry j to.  pinv is read off the matrix.
+    Encryption, in its frame (see :func:`frame`): output position k reads
+    the cell whose cat-map image is the scramble's source cell (u, v) of
+    position k - k % 16 + pinv[k % 16]; no in-block move enters the index.
+    Decryption, natural: output position j reads the position that the
+    in-block move, the cat map and the scramble carry j to.  pinv is read
+    off the matrix.
     """
-    pinv = [row.index(0) for row in cipher.build_diffusion_matrix().tolist()]
+    pinv = byte_sources()
     sources = [cell for row in scramble_pairs(cipher.SCRAMBLE_SEED, m) for cell in row]
     if invert:
         lands = {cell: k for k, cell in enumerate(sources)}
         p0 = [pinv.index(i) for i in range(16)]
         cells = [divmod(j - j % 16 + p0[j % 16], m) for j in range(m * m)]
+    else:
+        framed = [sources[k - k % 16 + pinv[k % 16]] for k in range(m * m)]
     rows = []
     for a, b, rx, ry in (tuple(int(p) for p in row) for row in params):
         if invert:
@@ -325,10 +355,9 @@ def gather_index_closed_form(params, m, invert):
                          for x0, y0 in cells])
             continue
         index = []
-        for u, v in sources:
+        for u, v in framed:
             y = (v - ry - b * (u - rx)) % m
-            cell = ((u - rx - a * y) % m) * m + y
-            index.append(cell - cell % 16 + pinv[cell % 16])
+            index.append(((u - rx - a * y) % m) * m + y)
         rows.append(index)
     return rows
 

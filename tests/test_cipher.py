@@ -30,21 +30,22 @@ def trial_key(master_seed: int, trial_index: int, m: int, rounds: int) -> cipher
     return cipher.key_from_stream(rng, m, rounds)
 
 
-def byte_sources() -> list[int]:
-    """pinv: output byte j of a block is the block XOR xor input byte pinv[j],
-    read off the matrix (the one 0 in row j of A = J xor P)."""
-    return [row.index(0) for row in cipher.build_diffusion_matrix().tolist()]
-
-
 def stack_index(keys, m: int, invert: bool = False) -> np.ndarray:
     """cipher._stack_index under a sequence of CipherKeys."""
     return cipher._stack_index(oracles.reduced_params(keys, m), m, invert)
 
 
+def natural_index(index: np.ndarray) -> np.ndarray:
+    """Encryption's flat gather index moved out of its frame, into the
+    image's byte order: natural position j reads pi(index[pi^-1(j)]), with
+    pi(k) = k - k % 16 + pinv[k % 16] (stack offsets are whole blocks)."""
+    return oracles.frame(np.arange(index.size))[oracles.unframe(index)]
+
+
 def package_diffusion(image: np.ndarray) -> np.ndarray:
     """The package's diffusion layer: block XOR, then the in-block move by pinv."""
     flat = cipher._block_xor(np.ascontiguousarray(image).reshape(-1))
-    return flat.reshape(-1, 16)[:, byte_sources()].reshape(image.shape)
+    return flat.reshape(-1, 16)[:, oracles.byte_sources()].reshape(image.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -150,24 +151,20 @@ class TestDiffuse:
 # ---------------------------------------------------------------------------
 
 def decode_index(index: np.ndarray, m: int) -> list[tuple[int, int]]:
-    """Grid cell (x, y) of the diffused image that each output position reads,
-    undoing the in-block move folded into the fused index."""
-    sources = byte_sources()
-    moved = {src: j for j, src in enumerate(sources)}
-    cells = []
-    for f in index.tolist():
-        cell = f - f % 16 + moved[f % 16]
-        cells.append(divmod(cell, m))
-    return cells
+    """Grid cell (x, y) of the diffused image that each output position of
+    encryption's frame reads: in the frame the block-XORed stack is the
+    diffused image, so the index holds the cell's flat position itself."""
+    return [divmod(f, m) for f in index.tolist()]
 
 
 def cat_map_sources(key: cipher.CipherKey, m: int) -> list[tuple[int, int]]:
     """Cell that the oracle cat map sends to the scramble's source of each
-    output position; the fused index must read exactly these cells."""
+    output position, in encryption's frame (entry k is natural position
+    pi(k)'s); the fused index must read exactly these cells."""
     scramble = oracles.scramble_pairs(cipher.SCRAMBLE_SEED, m)
     table = oracles.cat_map_table(*key.params(), m)
     moved_to = {target: cell for cell, target in table.items()}
-    return [moved_to[scramble[k // m][k % m]] for k in range(m * m)]
+    return [moved_to[scramble[k // m][k % m]] for k in oracles.frame(np.arange(m * m)).tolist()]
 
 
 class TestCatMap:
@@ -257,15 +254,16 @@ class TestBitPermutation:
         rng = np.random.default_rng(5)
         for m in (12, 16):
             key = random_key(rng, m, 1)
-            index = stack_index([key], m)
+            index = natural_index(stack_index([key], m))
             inverse = stack_index([key], m, True)
             identity = np.arange(m * m)
             assert np.array_equal(np.sort(index), identity)
             assert np.array_equal(index[inverse], identity)
             assert np.array_equal(inverse[index], identity)
-            u, v, _, _ = cipher.static_tables(m)
+            u, v = cipher.static_tables(m)[:2]
             pairs = oracles.scramble_pairs(cipher.SCRAMBLE_SEED, m)
-            assert list(zip(u.tolist(), v.tolist())) == [p for row in pairs for p in row]
+            assert list(zip(oracles.unframe(u).tolist(), oracles.unframe(v).tolist())) == \
+                [p for row in pairs for p in row]
 
     def test_rotation_roundtrip_preserves_bit_count(self):
         # 4096 positions hold every (shift, byte) pair twice
@@ -279,10 +277,10 @@ class TestBitPermutation:
             assert r.bit_count() == byte.bit_count()
         assert np.array_equal(restored, data)
         m = 16
-        _, _, shift, _ = cipher.static_tables(m)
-        shifts = oracles.rotation_shifts(cipher.ROTATION_SEED, m)
-        assert shift.tolist() == [s for row in shifts for s in row]
-        assert not shift.flags.writeable
+        _, _, shift, natural_shift, _ = cipher.static_tables(m)
+        shifts = [s for row in oracles.rotation_shifts(cipher.ROTATION_SEED, m) for s in row]
+        assert natural_shift.tolist() == oracles.unframe(shift).tolist() == shifts
+        assert not shift.flags.writeable and not natural_shift.flags.writeable
 
 
 class TestStaticTables:
@@ -305,9 +303,10 @@ class TestStaticTables:
     def test_scramble_coords_equal_int64_permutation(self, m):
         flat = np.random.default_rng((cipher.SCRAMBLE_SEED, m)).permutation(m * m)
         want_u, want_v = np.divmod(flat, m)
-        u, v, _, _ = cipher.static_tables(m)
+        u, v = cipher.static_tables(m)[:2]
         assert u.dtype == v.dtype == np.int16
-        assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+        # held in encryption's frame
+        assert np.array_equal(oracles.unframe(u), want_u) and np.array_equal(oracles.unframe(v), want_v)
         assert not u.flags.writeable and not v.flags.writeable
 
     @pytest.mark.parametrize("m", [16, 32, 64, 128, 196, 256, 300, 512])
@@ -319,10 +318,12 @@ class TestStaticTables:
     @pytest.mark.parametrize("m", [4, 12, 196, 300, 512])
     def test_rotation_shifts_equal_int64_draw(self, m):
         want = np.random.default_rng((cipher.ROTATION_SEED, m)).integers(0, 8, size=m * m)
-        _, _, shift, _ = cipher.static_tables(m)
-        assert shift.dtype == np.uint8
-        assert np.array_equal(shift, want)
-        assert not shift.flags.writeable
+        _, _, shift, natural_shift, _ = cipher.static_tables(m)
+        assert shift.dtype == natural_shift.dtype == np.uint8
+        # decryption's shifts are natural, encryption's in its frame
+        assert np.array_equal(natural_shift, want)
+        assert np.array_equal(oracles.unframe(shift), want)
+        assert not shift.flags.writeable and not natural_shift.flags.writeable
 
     def test_static_tables_is_the_only_cache(self):
         # encrypting and decrypting, sparse and dense, fill no other cache
@@ -342,13 +343,15 @@ class TestStaticTables:
 
 
 class TestForwardTables:
-    """The forward byte map: the scramble's inverse, held by static_tables,
-    and the cells that _destination derives from each block's start."""
+    """The forward byte map: the scramble's inverse, held natural by
+    static_tables, at the cells that decryption's index passes to
+    _destination, each block's start plus p0."""
 
     @pytest.mark.parametrize("m", [4, 12, 196, 300, 512])
     def test_scramble_positions_invert_the_scramble(self, m):
-        u, v, _, scramble_pos = cipher.static_tables(m)
+        u, v, *_, scramble_pos = cipher.static_tables(m)
         assert scramble_pos.dtype == np.int32 and not scramble_pos.flags.writeable
+        u, v = oracles.unframe(u), oracles.unframe(v)
         assert np.array_equal(scramble_pos[u.astype(np.int64) * m + v], np.arange(m * m))
 
     @pytest.mark.parametrize("m", [4, 12, 20, 300])
@@ -357,12 +360,13 @@ class TestForwardTables:
         # flat position f satisfies pinv[f % 16] == j % 16 within j's block;
         # under the zero key the cat map leaves that cell where it is, and
         # the scramble takes it to scramble_pos[f]
-        moved = {src: j for j, src in enumerate(byte_sources())}
+        moved = {src: j for j, src in enumerate(oracles.byte_sources())}
         *_, scramble_pos = cipher.static_tables(m)
         want = [int(scramble_pos[j - j % 16 + moved[j % 16]]) for j in range(m * m)]
         start = np.arange(0, m * m, 16, dtype=np.int32)[:, np.newaxis]
+        p0 = np.array([moved[i] for i in range(16)], dtype=np.int32)
         zero = np.zeros((1, 1), dtype=np.int32)
-        got = cipher._destination(start, zero, zero, zero, zero, m)
+        got = cipher._destination(start + p0, zero, zero, zero, zero, m)
         assert got.dtype == np.int32 and got.shape == (m * m // 16, 16)
         assert got.reshape(-1).tolist() == want
 
@@ -383,7 +387,7 @@ class TestClosedFormInverse:
         ]
         for start in range(0, len(keys), 4):
             group = keys[start : start + 4]
-            forward = stack_index(group, m)
+            forward = natural_index(stack_index(group, m))
             inverse = stack_index(group, m, True)
             assert inverse.dtype == np.intp
             assert np.array_equal(inverse, oracles.inverse_index_by_scatter(forward))
@@ -463,9 +467,14 @@ class TestReduction:
 
 def run_stack(stack, keys, m, rounds, invert):
     """rounds rounds of cipher._run over a (W, M, M) stack under a sequence
-    of CipherKeys: W keys, one per image, or one key that every image shares."""
-    flat = cipher._run(stack.reshape(-1), oracles.reduced_params(keys, m), m, rounds, invert)
-    return flat.reshape(stack.shape)
+    of CipherKeys: W keys, one per image, or one key that every image shares.
+    Encryption runs in its frame, as encrypt does: the stack is moved into
+    it and the result back out."""
+    params = oracles.reduced_params(keys, m)
+    if invert:
+        return cipher._run(stack.reshape(-1), params, m, rounds, True).reshape(stack.shape)
+    flat = cipher._run(oracles.frame(stack).reshape(-1), params, m, rounds, False)
+    return oracles.unframe(flat).reshape(stack.shape)
 
 
 def run_dense(stack, keys, m, rounds, invert):
@@ -477,15 +486,16 @@ def run_dense(stack, keys, m, rounds, invert):
 
 def run_switching(stack, keys, m, switch):
     """All rounds of encryption under keys over stack, the first `switch` of
-    them as sparse rounds whatever the support, the rest dense."""
-    flat = stack.reshape(-1)
+    them as sparse rounds whatever the support, the rest dense; the sparse
+    rounds run in encryption's frame."""
+    flat = oracles.frame(stack).reshape(-1)
     blocks = np.flatnonzero(cipher._touched_blocks(flat))
     per_image = np.broadcast_to(oracles.reduced_params(keys, m), (len(stack), 4))
     for _ in range(switch):
         flat, blocks = cipher._sparse_round(flat, blocks, per_image, m)
         # every nonzero block of the new stack is among its touched blocks
         assert np.isin(np.flatnonzero(cipher._touched_blocks(flat)), blocks).all()
-    return run_dense(flat.reshape(stack.shape), keys, m, keys[0].rounds - switch, False)
+    return run_dense(oracles.unframe(flat).reshape(stack.shape), keys, m, keys[0].rounds - switch, False)
 
 
 def sparse_stacks(rng, m, count):
@@ -615,7 +625,9 @@ class TestArrayRoute:
         for row_keys in (keys, keys[:1]):
             params = oracles.reduced_params(row_keys, m)
             assert params.dtype == np.int32 and params.shape == (len(row_keys), 4)
-            out = cipher._run(stack.reshape(-1), params, m, rounds, invert)
+            # encryption runs in its frame
+            move_in, move_out = (np.asarray, np.asarray) if invert else (oracles.frame, oracles.unframe)
+            out = move_out(cipher._run(move_in(stack).reshape(-1), params, m, rounds, invert))
             want = oracles.per_image(op, stack, row_keys if len(row_keys) > 1 else row_keys[0])
             assert np.array_equal(out.reshape(stack.shape), want)
 
@@ -654,13 +666,15 @@ class TestRoundGenerator:
                             lambda *args: sparse.append(1) or sparse_round(*args))
         built = oracles.count_index_builds(monkeypatch)
         params = oracles.reduced_params(keys, m)
-        stacks = cipher._rounds(stack.reshape(-1), params, m, invert)
+        # encryption runs in its frame
+        move_in, move_out = (np.asarray, np.asarray) if invert else (oracles.frame, oracles.unframe)
+        stacks = cipher._rounds(move_in(stack).reshape(-1), params, m, invert)
         yields = list(itertools.islice(stacks, self.ROUNDS))
         sparse_rounds = len(sparse)
         assert len(built) == (sparse_rounds < self.ROUNDS)
         for k, flat in enumerate(yields, start=1):
             k_keys = [cipher.CipherKey(*key.params(), rounds=k) for key in keys]
-            assert np.array_equal(flat.reshape(stack.shape), oracles.per_image(op, stack, k_keys)), k
+            assert np.array_equal(move_out(flat).reshape(stack.shape), oracles.per_image(op, stack, k_keys)), k
         if invert:
             assert sparse_rounds == 0
         elif (m, count, kind) == (300, 20, "mixed"):

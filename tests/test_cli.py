@@ -87,6 +87,16 @@ class TestEncryptDecrypt:
         assert run(["encrypt", "--in", tmp_path / "nope.pgm", "--out", tmp_path / "c.bin",
                     "--key-hex", "9a2f", "--rounds", 1]) != 0
 
+    def test_long_blob_is_one_line(self, tmp_path, capsys):
+        blob, out = tmp_path / "c.bin", tmp_path / "out.pgm"
+        blob.write_bytes(bytes(10 * 16 * 16))
+        assert run(["decrypt", "--in", blob, "--out", out, "--key-hex", "9a2f",
+                    "--rounds", 1, "--dim", 16]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {blob}: blob has more than 256 bytes, expected 256 for M=16\n"
+        assert not out.exists()
+
     def test_keyspace_note_printed(self, tmp_path, capsys):
         plain = tmp_path / "in.pgm"
         image_io.write_pgm(np.zeros((256, 256), dtype=np.uint8), plain)
@@ -355,6 +365,7 @@ class TestSideRule:
         assert captured.out == ""
         assert captured.err == f"error: side lengths must be multiples of 4 and >= 4, got {m}\n"
         assert not out.exists()
+
 
 
 class TestRoundRule:

@@ -675,6 +675,8 @@ class TestLinearityShortcuts:
         for r, (params, plains) in zip((5, 2), experiments._draw_trials(*task, single_lsb=True)):
             keys = [oracles.trial_draws(3, index, m, r)[1] for index in range(4, 13)]
             assert np.array_equal(params, oracles.reduced_params(keys, m))
+            # the drawn plaintexts are in encryption's frame
+            plains = oracles.unframe(plains)
             ciphers = oracles.per_image(cipher.encrypt, plains, keys)
             expected.append([(metrics.hamming_percent(zeros, c), metrics.hamming_percent(p, c))
                              for p, c in zip(plains, ciphers)])
@@ -683,7 +685,8 @@ class TestLinearityShortcuts:
     @pytest.mark.parametrize("single_lsb", [False, True])
     def test_score_sees_each_round_count_once(self, single_lsb):
         # largest round count first, as _sweep orders a task's round counts,
-        # with the ciphertexts of per-image encrypt under the trials' keys
+        # with the ciphertexts of per-image encrypt under the trials' keys;
+        # both stacks are in encryption's frame
         m, rounds, start, stop = 20, (5, 2, 1), 4, 9
         received = []
 
@@ -694,6 +697,7 @@ class TestLinearityShortcuts:
         batch = experiments._cipher_batch((3, m, rounds, start, stop, single_lsb, score))
         assert batch == [[1] * 5, [2] * 5, [3] * 5]
         for r, (plains, ciphers) in zip(rounds, received, strict=True):
+            plains, ciphers = oracles.unframe(plains), oracles.unframe(ciphers)
             draws = [oracles.trial_draws(3, index, m, r) for index in range(start, stop)]
             for plain, (_, _, (x, y)) in zip(plains, draws, strict=True):
                 assert np.flatnonzero(plain).tolist() == ([x * m + y] if single_lsb else [])
@@ -714,6 +718,31 @@ class TestLinearityShortcuts:
         assert built == []
         key = cipher.CipherKey(1, 2, 3, 4, rounds=1)
         assert built == [key]
+
+
+class TestScoreContract:
+    """_cipher_batch scores stacks in encryption's frame, where every
+    16-byte block holds its bytes moved by one fixed permutation.  A score
+    must give the same values for any permutation of a block's 16
+    positions applied to every block of both stacks."""
+
+    @given(st.permutations(range(16)), st.integers(0, 2**32 - 1),
+           st.sampled_from([4, 12, 16, 20, 64]), st.integers(1, 5), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_scores_blind_to_one_in_block_permutation(self, sigma, seed, m, count, one_bit):
+        rng = np.random.default_rng(seed)
+        plains = rng.integers(0, 256, (count, m, m), dtype=np.uint8)
+        if one_bit:
+            plains = np.zeros_like(plains)
+            plains[np.arange(count), rng.integers(0, m, count), rng.integers(0, m, count)] = 1
+        ciphers = rng.integers(0, 256, (count, m, m), dtype=np.uint8)
+        ciphers[:, : m // 4] = 0  # a histogram far from uniform as well
+
+        def moved(stack):
+            return stack.reshape(-1, 16)[:, list(sigma)].reshape(stack.shape)
+
+        for score in (experiments._avalanche_scores, experiments._chi_squares):
+            assert score(moved(plains), moved(ciphers)) == score(plains, ciphers)
 
 
 class TestUniformitySweep:

@@ -119,6 +119,34 @@ class TestRawBlobs:
         with pytest.raises(DimensionError, match="expected 64"):
             image_io.read_raw(path, 8)
 
+    @pytest.mark.parametrize("size", [8 * 8 + 1, 10 * 8 * 8], ids=["one-more", "ten-times"])
+    def test_long_blob_rejected_after_one_byte_more(self, tmp_path, monkeypatch, size):
+        # an endless input such as /dev/zero must fail without being read to
+        # its end: every read goes through an opener that counts its bytes
+        path = tmp_path / "c.bin"
+        path.write_bytes(bytes(size))
+        returned = []
+
+        class Counting:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def read(self, n=-1):
+                data = self.fh.read(n)
+                returned.append(len(data))
+                return data
+
+        monkeypatch.setattr(image_io, "open", lambda *args: Counting(open(*args)), raising=False)
+        with pytest.raises(DimensionError, match="^.*c.bin: blob has more than 64 bytes, expected 64 for M=8$"):
+            image_io.read_raw(path, 8)
+        assert sum(returned) == 65
+
 
 class TestMakeTestImage:
     def test_all_zero(self):

@@ -89,13 +89,14 @@ def record_replays(monkeypatch):
 
 def assert_trial_draws(seed, m, rounds, indices, params, plains, single_lsb=True):
     """params and plains hold the reduced keys and single-LSB plaintexts
-    (all-zero ones without single_lsb) of the trials' own Generators."""
+    (all-zero ones without single_lsb) of the trials' own Generators; the
+    plaintexts are in encryption's frame."""
     assert params.dtype == np.int32 and params.shape == (len(indices), 4)
     for index, row, plain in zip(indices, params.tolist(), plains, strict=True):
         _, expected_key, pixel = oracles.trial_draws(seed, index, m, rounds)
         assert row == reduced(expected_key, m)
         expected = [pixel[0] * m + pixel[1]] if single_lsb else []
-        assert np.flatnonzero(plain).tolist() == expected
+        assert np.flatnonzero(oracles.unframe(plain)).tolist() == expected
 
 
 class TestDrawTrials:
@@ -124,7 +125,7 @@ class TestDrawTrials:
                 assert row.tolist() == reduced(cipher.key_from_stream(direct, m, r), m)
                 if single_lsb:
                     assert pixel == tuple(int(v) for v in direct.integers(0, m, size=2))
-                    assert np.flatnonzero(plain).tolist() == [pixel[0] * m + pixel[1]]
+                    assert np.flatnonzero(oracles.unframe(plain)).tolist() == [pixel[0] * m + pixel[1]]
                 else:
                     assert pixel is None
                     assert not plain.any()
@@ -211,7 +212,7 @@ class TestReplay:
             direct, expected_key, expected_pixel = oracles.trial_draws(0, trial, m, 1)
             assert drawn_row.tolist() == row == reduced(expected_key, m)
             assert pixel == expected_pixel
-            assert np.flatnonzero(plain).tolist() == [pixel[0] * m + pixel[1]]
+            assert np.flatnonzero(oracles.unframe(plain)).tolist() == [pixel[0] * m + pixel[1]]
             assert rng.integers(0, 256, 8, dtype=np.uint8).tolist() == \
                 direct.integers(0, 256, 8, dtype=np.uint8).tolist()
         advanced = np.random.default_rng((0, index, m, 1))
