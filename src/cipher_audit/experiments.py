@@ -80,7 +80,11 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class Stats:
     """min/mean/max/std (population) of one metric over the trials it was
-    finite for; count says how many that was."""
+    finite for; count says how many that was.
+
+    A sweep builds the Stats of all its cells with from_rows, from one
+    (cells, trials) array; from_values takes one cell's values.
+    """
 
     minimum: float
     mean: float
@@ -101,6 +105,25 @@ class Stats:
             std=float(arr.std()),
             count=int(arr.size),
         )
+
+    @classmethod
+    def from_rows(cls, values: np.ndarray) -> list["Stats"]:
+        """from_values of each row of a 2-D array, in one row-wise pass.
+
+        numpy reduces each contiguous row of a C-ordered float64 array with
+        the routine it uses on a 1-D array (pairwise summation for the mean
+        and the std), so every figure equals from_values' to the last bit.
+        A row that holds a non-finite value goes through from_values, which
+        drops those values.
+        """
+        arr = np.ascontiguousarray(values, dtype=np.float64)
+        finite = np.isfinite(arr).all(axis=1)
+        rows = arr if finite.all() else arr[finite]
+        figures = zip(rows.min(axis=1).tolist(), rows.mean(axis=1).tolist(),
+                      rows.max(axis=1).tolist(), rows.std(axis=1).tolist())
+        count = arr.shape[1]
+        return [cls(*next(figures), count) if whole else cls.from_values(row)
+                for whole, row in zip(finite.tolist(), arr)]
 
 
 @dataclass(frozen=True)
@@ -180,7 +203,7 @@ def _worker_count(jobs: int, n_tasks: int) -> int:
 BATCH_PIXELS = 1 << 18
 
 
-def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int, int, list]]:
+def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int, int, np.ndarray]]:
     """Per-trial results of every (M, rounds) cell, as (M, rounds, results).
 
     A task is one size and one range of trials under every round count:
@@ -188,9 +211,10 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     BATCH_PIXELS pixels per round count (at least one trial).  batch_fn maps
     the task (master_seed, M, rounds, start, stop, *extra), rounds largest
     first, to the results of trials start..stop-1 under each round count in
-    that order: _cipher_batch, whose extra is (single_lsb, score), for every
-    sweep that encrypts, or _errprop_batch.  Everything else a batch needs
-    travels in its task.
+    that order, one array row per trial: _cipher_batch, whose extra is
+    (single_lsb, score), for every sweep that encrypts, or _errprop_batch.
+    Everything else a batch needs travels in its task.  A cell's results
+    are its tasks' arrays concatenated in task order, so row i is trial i.
 
     The static cipher tables of every size are built first, in this process:
     forked helpers inherit them, and the loaded numpy.random, where each
@@ -218,9 +242,9 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     for i, (_, m, _, start, *_) in enumerate(tasks):
         if start == 0:
             cells += [(m, r, []) for r in reversed(rounds)]
-        for (_, _, results), values in zip(cells[-len(rounds):], reversed(done[i])):
-            results += values
-    return cells
+        for (_, _, parts), values in zip(cells[-len(rounds):], reversed(done[i])):
+            parts.append(values)
+    return [(m, r, np.concatenate(parts)) for m, r, parts in cells]
 
 
 def _next_position(counter) -> int:
@@ -371,15 +395,15 @@ def _draw_trials(master_seed: int, m: int, rounds: tuple[int, ...], start: int, 
         yield params[k], plains.reshape(count, m, m)
 
 
-def _cipher_batch(task: tuple) -> list[list]:
+def _cipher_batch(task: tuple) -> list[np.ndarray]:
     """Scores of each trial of a batch, per round count: the sweeps' one route through the cipher.
 
     The task ends in (single_lsb, score).  Each round count's trials, drawn
     by _draw_trials, are encrypted in one cipher._run call, and
-    score(plains, ciphers) maps the two (trials, M, M) stacks to one result
-    per trial.  Both stacks are in encryption's frame, not in the image's
-    byte order: every 16-byte block holds its bytes moved by one fixed
-    permutation.  So a score must return the same values for any
+    score(plains, ciphers) maps the two (trials, M, M) stacks to one array
+    with one row per trial.  Both stacks are in encryption's frame, not in
+    the image's byte order: every 16-byte block holds its bytes moved by one
+    fixed permutation.  So a score must return the same values for any
     permutation of the 16 positions applied to every block of both stacks,
     as a bit weight, the weight of plain xor cipher and a byte histogram
     do.
@@ -395,33 +419,42 @@ def _cipher_batch(task: tuple) -> list[list]:
 # avalanche (plaintext sensitivity)
 # ---------------------------------------------------------------------------
 
-def _avalanche_scores(plains: np.ndarray, ciphers: np.ndarray) -> list[tuple[float, float]]:
-    """PS and Diff of each trial.  PS compares E(I) with E(I') for the all-zero I;
-    the cipher is linear over GF(2), so E(0) = 0 and PS is the bit weight of E(I')."""
-    return list(zip(metrics.bit_percents(ciphers), metrics.bit_percents(plains ^ ciphers)))
+def _avalanche_scores(plains: np.ndarray, ciphers: np.ndarray) -> np.ndarray:
+    """PS and Diff bit weights of each trial, as an int64 (trials, 2) array.
+
+    PS compares E(I) with E(I') for the all-zero I; the cipher is linear
+    over GF(2), so E(0) = 0 and PS is the bit weight of E(I').  Diff is the
+    weight of plains xor ciphers, taken on their 8-byte lanes.
+    """
+    lanes = [np.ascontiguousarray(s).reshape(len(s), -1).view(np.uint64) for s in (plains, ciphers)]
+    diff = np.bitwise_xor(*lanes).view(np.uint8)
+    return np.stack([metrics.bit_weights(ciphers), metrics.bit_weights(diff)], axis=1)
 
 
 def avalanche_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[SweepCell]:
     """PS (ciphertext change from a one-bit plaintext change) and Diff
-    (plain-vs-cipher distance of the flipped image) per grid cell."""
-    return [
-        SweepCell(
-            size=m,
-            rounds=r,
-            ps=Stats.from_values([ps for ps, _ in chunk]),
-            diff=Stats.from_values([diff for _, diff in chunk]),
-        )
-        for m, r, chunk in _sweep(_cipher_batch, cfg, jobs, True, _avalanche_scores)
-    ]
+    (plain-vs-cipher distance of the flipped image) per grid cell.
+
+    Each cell's weights become percentages in one float64 operation,
+    100.0 * weight / (8 * M * M), and every cell's PS and Diff Stats come
+    from one (2 * cells, trials) array.
+    """
+    cells = _sweep(_cipher_batch, cfg, jobs, True, _avalanche_scores)
+    weights = np.stack([scores.T for _, _, scores in cells])
+    bits = np.array([8 * m * m for m, _, _ in cells])
+    stats = Stats.from_rows((100.0 * weights / bits[:, np.newaxis, np.newaxis]).reshape(-1, cfg.trials))
+    return [SweepCell(size=m, rounds=r, ps=ps, diff=diff)
+            for (m, r, _), ps, diff in zip(cells, stats[0::2], stats[1::2])]
 
 
 # ---------------------------------------------------------------------------
 # uniformity (chi-square of ciphertext histograms)
 # ---------------------------------------------------------------------------
 
-def _chi_squares(plains, ciphers) -> list[float]:
-    """Chi-square of each ciphertext's byte histogram; the plaintexts are not scored."""
-    return [metrics.chi_square(metrics.byte_histogram(c)) for c in ciphers]
+def _chi_squares(plains, ciphers) -> np.ndarray:
+    """Chi-square of each ciphertext's byte histogram, as a float64 (trials,)
+    array; the plaintexts are not scored."""
+    return np.array([metrics.chi_square(metrics.byte_histogram(c)) for c in ciphers])
 
 
 def uniformity_sweep(
@@ -441,7 +474,8 @@ def uniformity_sweep(
     if plaintext not in (PLAINTEXT_SINGLE_LSB, PLAINTEXT_ALL_ZERO):
         raise ValueError(f"unknown plaintext mode {plaintext!r}")
     cells = _sweep(_cipher_batch, cfg, jobs, plaintext == PLAINTEXT_SINGLE_LSB, _chi_squares)
-    return [UniformityCell(size=m, rounds=r, chi2=Stats.from_values(chunk)) for m, r, chunk in cells]
+    stats = Stats.from_rows(np.stack([chi2 for _, _, chi2 in cells]))
+    return [UniformityCell(size=m, rounds=r, chi2=chi2) for (m, r, _), chi2 in zip(cells, stats)]
 
 
 # ---------------------------------------------------------------------------
@@ -471,28 +505,29 @@ def _error_vectors(rng: np.random.Generator, m: int, counts: list[int]) -> np.nd
     return errors.reshape(-1, m, m)
 
 
-def _errprop_batch(task: tuple) -> list[list[list[tuple[float, float, float]]]]:
-    """Dif, PSNR and SSIM of every row of each trial of a batch, per round count.
+def _errprop_batch(task: tuple) -> list[np.ndarray]:
+    """Dif, PSNR and SSIM of every row of each trial of a batch, per round
+    count, as one float64 (trials, rows, 3) array.
 
     A trial draws its key, then its error vectors e.  The damaged
     decryption is I xor D(e), so only the error vectors are decrypted: a
     trial's rows as one stack in one cipher._run call under the trial's one
     parameter row, so one gather index serves every row.  Dif is the bit
-    percentage of D(e).  The window sums of I are computed once per batch.
+    percentage of D(e), from one lane popcount pass over the stack.  The
+    window sums of I are computed once per batch.
     """
     master_seed, m, rounds, start, stop, percents, image = task
     counts = _flip_counts(m, percents)
     reference = metrics._reference_sums(image)
     out = []
     for r in rounds:
-        out.append(cell := [])
-        for rng, params, _ in _trial_streams(master_seed, m, r, range(start, stop), False):
+        out.append(cell := np.empty((stop - start, len(counts), 3)))
+        trials = _trial_streams(master_seed, m, r, range(start, stop), False)
+        for scores, (rng, params, _) in zip(cell, trials):
             errors = _error_vectors(rng, m, counts)
             damage = cipher._run(errors.reshape(-1), params[np.newaxis], m, r, True).reshape(errors.shape)
-            cell.append([
-                (dif, *metrics._psnr_ssim(reference, d))
-                for dif, d in zip(metrics.bit_percents(damage), image ^ damage)
-            ])
+            scores[:, 0] = metrics.bit_percents(damage)
+            scores[:, 1:] = [metrics._psnr_ssim(reference, d) for d in image ^ damage]
     return out
 
 
@@ -527,20 +562,13 @@ def error_propagation(
         [100.0 / (8 * m * m), *cfg.error_percents],
         _flip_counts(m, cfg.error_percents),
     )
-    report = []
-    for pos, (mode, percent, flips) in enumerate(labels):
-        rows = [trial[pos] for trial in results]
-        report.append(
-            ErrorPropagationRow(
-                mode=mode,
-                percent=percent,
-                flipped_bits=flips,
-                dif=Stats.from_values([r[0] for r in rows]),
-                psnr=Stats.from_values([r[1] for r in rows]),
-                ssim=Stats.from_values([r[2] for r in rows]),
-            )
-        )
-    return report
+    # one row of trials per (corruption level, score): (levels * 3, trials)
+    stats = Stats.from_rows(results.transpose(1, 2, 0).reshape(-1, cfg.trials))
+    return [
+        ErrorPropagationRow(mode=mode, percent=percent, flipped_bits=flips,
+                            dif=stats[3 * pos], psnr=stats[3 * pos + 1], ssim=stats[3 * pos + 2])
+        for pos, (mode, percent, flips) in enumerate(labels)
+    ]
 
 
 # ---------------------------------------------------------------------------

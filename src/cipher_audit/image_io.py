@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import re
-from pathlib import Path
-
 import numpy as np
 
 from .cipher import DimensionError, check_side, validate_image
@@ -27,26 +24,61 @@ class UnsupportedDepthError(ValueError):
 # decimals, each after whitespace or '#' comments that run to the end of the
 # line, then exactly one whitespace byte before the raster.  A field has at
 # most 10 digits, far below int()'s 4300-digit limit.
-_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d{1,10})" * 3 + rb"\s")
+_PGM_FIELD_DIGITS = 10
+# Most bytes of a comment line held at once while it is skipped.
+_PGM_COMMENT_CHUNK = 4096
+
+
+def _read_pgm_header(fh, path) -> list[int]:
+    """Width, height and maxval of a P5 header, read from fh byte by byte
+    through the one whitespace byte that ends it.  A comment is skipped in
+    chunks of at most _PGM_COMMENT_CHUNK bytes, so even an endless input is
+    held only a chunk at a time."""
+    bad = PgmParseError(f"{path}: not a binary PGM header (P5, then decimal width, height and maxval)")
+    if fh.read(2) != b"P5":
+        raise bad
+    fields = []
+    byte = fh.read(1)
+    while len(fields) < 3:
+        if not (byte.isspace() or byte == b"#"):
+            raise bad
+        while byte.isspace() or byte == b"#":
+            if byte == b"#":
+                while not (line := fh.readline(_PGM_COMMENT_CHUNK)).endswith(b"\n"):
+                    if not line:
+                        raise bad
+            byte = fh.read(1)
+        digits = b""
+        while byte.isdigit():
+            digits += byte
+            if len(digits) > _PGM_FIELD_DIGITS:
+                raise bad
+            byte = fh.read(1)
+        if not digits:
+            raise bad
+        fields.append(int(digits))
+    if not byte.isspace():
+        raise bad
+    return fields
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a square 8-bit binary PGM (P5) into an M x M uint8 array."""
+    """Read a square 8-bit binary PGM (P5) into an M x M uint8 array.
+
+    The header is read first and its side checked, then exactly M*M bytes
+    of raster: bytes after the raster are never read, so a long or endless
+    input costs no more memory than the image.
+    """
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            w, h, depth = _read_pgm_header(fh, path)
+            if w != h:
+                raise DimensionError(f"{path}: image must be square, got {w}x{h}")
+            if depth != PGM_MAXVAL:
+                raise UnsupportedDepthError(f"{path}: only 8-bit PGM supported, maxval={depth}")
+            payload = fh.read(check_side(w) * h)
     except OSError as exc:
         raise OSError(f"cannot read PGM {path}: {exc}") from exc
-    header = _PGM_HEADER.match(data)
-    if header is None:
-        raise PgmParseError(
-            f"{path}: not a binary PGM header (P5, then decimal width, height and maxval)"
-        )
-    w, h, depth = (int(field) for field in header.groups())
-    if w != h:
-        raise DimensionError(f"{path}: image must be square, got {w}x{h}")
-    if depth != PGM_MAXVAL:
-        raise UnsupportedDepthError(f"{path}: only 8-bit PGM supported, maxval={depth}")
-    payload = data[header.end() : header.end() + w * h]
     if len(payload) != w * h:
         raise PgmParseError(f"{path}: payload has {len(payload)} bytes, expected {w * h}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).copy()

@@ -28,11 +28,26 @@ def _as_bytes(data: np.ndarray | bytes | bytearray) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def bit_percents(rows: np.ndarray) -> list[float]:
-    """Percentage of set bits in each row, along the first axis, of a uint8 array."""
+def bit_weights(rows: np.ndarray) -> np.ndarray:
+    """Set bits in each row, along the first axis, of a uint8 array, as int64.
+
+    Each row is counted in one np.bitwise_count pass over its bytes read as
+    8-byte lanes; a row whose length is not a multiple of 8 counts its last
+    bytes as uint8.
+    """
+    flat = np.ascontiguousarray(rows).reshape(len(rows), -1)
+    cut = flat.shape[1] - flat.shape[1] % 8
+    weights = np.bitwise_count(flat[:, :cut].view(np.uint64)).sum(axis=1, dtype=np.int64)
+    if cut < flat.shape[1]:
+        weights += np.bitwise_count(flat[:, cut:]).sum(axis=1, dtype=np.int64)
+    return weights
+
+
+def bit_percents(rows: np.ndarray) -> np.ndarray:
+    """Percentage of set bits in each row, along the first axis, of a uint8
+    array, as float64: 100.0 * weight / bits, the weight from bit_weights."""
     flat = rows.reshape(len(rows), -1)
-    bits = 8 * flat.shape[1]
-    return [100.0 * int(w) / bits for w in np.bitwise_count(flat).sum(axis=1, dtype=np.int64)]
+    return 100.0 * bit_weights(flat) / (8 * flat.shape[1])
 
 
 def hamming_percent(x: np.ndarray | bytes, y: np.ndarray | bytes) -> float:
@@ -43,7 +58,7 @@ def hamming_percent(x: np.ndarray | bytes, y: np.ndarray | bytes) -> float:
         raise ValueError(f"length mismatch: {a.size} vs {b.size} bytes")
     if a.size == 0:
         raise ValueError("byte sequences must be non-empty")
-    return bit_percents((a ^ b)[np.newaxis])[0]
+    return float(bit_percents((a ^ b)[np.newaxis])[0])
 
 
 def byte_histogram(data: np.ndarray | bytes) -> np.ndarray:

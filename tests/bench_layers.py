@@ -49,6 +49,12 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
   usable_cpus patched to 2: at jobs=1 the caller alone, at jobs=2 the
   caller and one helper, so the difference is the fixed cost of starting,
   feeding and joining one helper per sweep.
+- experiments._avalanche_scores on one task's stacks at M in {16, 64, 512},
+  with the default avalanche sweep's trials per task (1000, 64 and 1):
+  PS and Diff bit weights, one lane popcount pass per stack;
+- experiments.Stats for the default avalanche grid, 56 cells of PS and Diff
+  over 1000 trials: from_rows on the one (112, 1000) array the sweep
+  builds, beside from_values on each of its rows.
 - cipher.static_tables built from a cleared cache at each M: the one-time
   cost of a size's key-independent tables.  It runs last, since each call
   clears the tables of every size.
@@ -262,6 +268,29 @@ def test_pool_fixed_cost(benchmark, monkeypatch, jobs):
     monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
     cfg = experiments.ExperimentConfig(sizes=(256, 300, 512), rounds=(1, 6), trials=10)
     benchmark(experiments._sweep, _no_op_batch, cfg, jobs, True, experiments._chi_squares)
+
+
+@pytest.mark.parametrize("m", [16, 64, 512])
+def test_avalanche_scores(benchmark, m):
+    # one task's stacks: one-bit plaintexts and random ciphertexts; the
+    # popcount's cost does not depend on the bytes
+    trials = min(experiments.DEFAULT_TRIALS, max(1, experiments.BATCH_PIXELS // (m * m)))
+    rng = np.random.default_rng(m)
+    plains = np.zeros((trials, m, m), dtype=np.uint8)
+    plains[np.arange(trials), rng.integers(0, m, trials), rng.integers(0, m, trials)] = 1
+    ciphers = rng.integers(0, 256, (trials, m, m), dtype=np.uint8)
+    benchmark(experiments._avalanche_scores, plains, ciphers)
+
+
+@pytest.mark.parametrize("route", ["from-rows", "from-values"])
+def test_avalanche_grid_stats(benchmark, route):
+    # PS and Diff percentages of the default grid: 56 cells x 1000 trials
+    cells = len(experiments.DEFAULT_SIZES) * len(experiments.DEFAULT_ROUNDS)
+    values = np.random.default_rng(56).uniform(0, 100, (2 * cells, experiments.DEFAULT_TRIALS))
+    if route == "from-rows":
+        benchmark(experiments.Stats.from_rows, values)
+    else:
+        benchmark(lambda: [experiments.Stats.from_values(row) for row in values])
 
 
 @pytest.mark.parametrize("m", SIZES)

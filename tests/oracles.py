@@ -63,6 +63,13 @@ def popcount_bytes(data):
     return sum(int(byte).bit_count() for byte in bytes(data))
 
 
+def row_bit_weights(rows):
+    """Set bits of each row, along the first axis, of a uint8 array: one
+    np.bitwise_count over single bytes, with no 8-byte lanes."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    return np.bitwise_count(rows.reshape(len(rows), -1)).sum(axis=1, dtype=np.int64)
+
+
 def encrypt_one_round_trace(image, key, matrix, scramble_pairs, rotation):
     """Hand-sequenced single round: diffusion, cat map, scramble, rotation.
 
@@ -401,6 +408,15 @@ def avalanche_trial(task):
     c0 = cipher.encrypt(plain, key)
     c1 = cipher.encrypt(plain_flipped, key)
     return metrics.hamming_percent(c0, c1), metrics.hamming_percent(plain_flipped, c1)
+
+
+def avalanche_percents(batch, m):
+    """A _cipher_batch of _avalanche_scores read as each trial's (PS, Diff)
+    percentages, per round count: its int64 (trials, 2) bit weights each
+    taken to 100.0 * weight / (8 * M * M), as avalanche_sweep does."""
+    for weights in batch:
+        assert weights.dtype == np.int64 and weights.shape == (len(weights), 2)
+    return [[tuple(row) for row in (100.0 * weights / (8 * m * m)).tolist()] for weights in batch]
 
 
 def flip_bits(data, positions):

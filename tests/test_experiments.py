@@ -30,6 +30,15 @@ def small_cfg(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+def assert_same_cells(cells, expected):
+    """Two _sweep results hold the same (M, rounds) cells in the same order,
+    each with equal result arrays of one dtype."""
+    assert [(m, r) for m, r, _ in cells] == [(m, r) for m, r, _ in expected]
+    for (_, _, values), (_, _, twin) in zip(cells, expected):
+        assert values.dtype == twin.dtype
+        assert np.array_equal(values, twin)
+
+
 class TestConfig:
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError, match="multiples of 4"):
@@ -123,14 +132,15 @@ def _misses_batch(task: tuple) -> list[list[tuple[int, int]]]:
 _CALLER_MARK = "imported"
 
 
-def _mark_batch(task: tuple) -> list[list[tuple[bool, str]]]:
+def _mark_batch(task: tuple) -> list[list[tuple[bool, bool]]]:
     """Per round count and trial of a batch: whether a helper ran it, and
-    _CALLER_MARK in the process that did.  In the caller it first waits for
-    the helpers to end, so that they take every other batch."""
+    whether _CALLER_MARK reads "set by the caller" in the process that did.
+    In the caller it first waits for the helpers to end, so that they take
+    every other batch."""
     master_seed, m, rounds, start, stop = task
     if not _in_helper():
         _await_helpers()
-    return [[(_in_helper(), _CALLER_MARK)] * (stop - start) for _ in rounds]
+    return [[(_in_helper(), _CALLER_MARK == "set by the caller")] * (stop - start) for _ in rounds]
 
 
 def _failing_batch(task: tuple) -> list[list[float]]:
@@ -351,15 +361,15 @@ class TestSweepOrder:
         assert cells == [(20, (3, 1))] * 3 + [(16, (3, 1))] * 2
         assert [(start, stop) for _, _, _, start, stop, *_ in received] == \
             [(0, 2), (2, 4), (4, 5), (0, 3), (3, 5)]
-        assert pooled == experiments._sweep(experiments._cipher_batch, self.CFG, 1, *AVALANCHE)
+        assert_same_cells(pooled, experiments._sweep(experiments._cipher_batch, self.CFG, 1, *AVALANCHE))
 
     @pytest.mark.parametrize("method, mark", [("fork", "set by the caller"), ("spawn", "imported")])
     def test_workers_start_by_the_method(self, monkeypatch, method, mark):
         _use_context(monkeypatch, method)
         monkeypatch.setitem(globals(), "_CALLER_MARK", "set by the caller")
-        marks = {value for _, _, chunk in experiments._sweep(_mark_batch, self.CFG, 2)
-                 for value in chunk}
-        assert marks == {(True, mark), (False, "set by the caller")}
+        marks = {tuple(value) for _, _, chunk in experiments._sweep(_mark_batch, self.CFG, 2)
+                 for value in chunk.tolist()}
+        assert marks == {(True, mark == "set by the caller"), (False, True)}
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
@@ -367,8 +377,8 @@ class TestSweepOrder:
         _use_context(monkeypatch, method)
         serial = experiments._sweep(experiments._cipher_batch, self.CFG, 1, *AVALANCHE)
         assert [(m, r) for m, r, _ in serial] == [(16, 1), (16, 3), (20, 1), (20, 3)]
-        assert all(len(chunk) == self.CFG.trials for _, _, chunk in serial)
-        assert experiments._sweep(experiments._cipher_batch, self.CFG, 2, *AVALANCHE) == serial
+        assert all(chunk.shape == (self.CFG.trials, 2) for _, _, chunk in serial)
+        assert_same_cells(experiments._sweep(experiments._cipher_batch, self.CFG, 2, *AVALANCHE), serial)
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_error_propagation_cell(self, monkeypatch, method):
@@ -379,8 +389,8 @@ class TestSweepOrder:
         cfg = small_cfg(rounds=(2,), trials=3)
         percents = (0.0, 1.0)
         serial = experiments._sweep(experiments._errprop_batch, cfg, 1, percents, image)
-        assert [(m, r, len(chunk)) for m, r, chunk in serial] == [(16, 2, 3)]
-        assert experiments._sweep(experiments._errprop_batch, cfg, 2, percents, image) == serial
+        assert [(m, r, chunk.shape) for m, r, chunk in serial] == [(16, 2, (3, 3, 3))]
+        assert_same_cells(experiments._sweep(experiments._errprop_batch, cfg, 2, percents, image), serial)
 
 
 class TestSpawnWorkers:
@@ -549,6 +559,27 @@ class TestStats:
         assert stats.count == 0
         assert stats.mean == math.inf
 
+    # up to 1100 trials: numpy's pairwise sum splits a row in 128-value
+    # blocks, so the default 1000 trials recurse three levels deep
+    @given(st.integers(1, 60), st.integers(1, 1100), st.integers(-3, 6), st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.integers(0, 59), st.integers(0, 1099),
+                              st.sampled_from([math.inf, -math.inf, math.nan])), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_from_values_of_each_row(self, cells, trials, magnitude, seed, holes):
+        # row-wise min, mean, max and std equal the 1-D reductions bit for
+        # bit; a row with an inf or nan takes from_values' filter path
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((cells, trials)) * 10.0**magnitude + rng.uniform(-1, 1, (cells, 1))
+        for row, column, hole in holes:
+            values[row % cells, column % trials] = hole
+        rows = Stats.from_rows(values)
+        assert len(rows) == cells
+        for stats, row in zip(rows, values):
+            expected = Stats.from_values(row)
+            assert stats == expected
+            assert all(type(v) is float for v in (stats.minimum, stats.mean, stats.maximum, stats.std))
+            assert type(stats.count) is int
+
 
 class TestAvalancheSweep:
     def test_saturates_at_six_rounds(self):
@@ -594,7 +625,8 @@ class TestAvalancheSweep:
         # every trial of a batch recomputed by hand from the documented stream
         # contract, under each of the task's round counts
         master_seed, m, start, stop = 5, 16, 3, 7
-        batches = experiments._cipher_batch((master_seed, m, (6, 2), start, stop, *AVALANCHE))
+        batches = oracles.avalanche_percents(
+            experiments._cipher_batch((master_seed, m, (6, 2), start, stop, *AVALANCHE)), m)
         assert [len(batch) for batch in batches] == [stop - start] * 2
         for (rounds, w), (ps, _) in zip(itertools.product((6, 2), range(start, stop)),
                                         itertools.chain(*batches)):
@@ -621,7 +653,7 @@ class TestLinearityShortcuts:
             for rounds in ((6, 2, 1), (2,)):
                 for start, stop in ((0, 32), (7, 8), (5, 12)):
                     batch = experiments._cipher_batch((master_seed, m, rounds, start, stop, *AVALANCHE))
-                    assert batch == [
+                    assert oracles.avalanche_percents(batch, m) == [
                         [oracles.avalanche_trial((master_seed, m, r, index))
                          for index in range(start, stop)]
                         for r in rounds
@@ -636,11 +668,15 @@ class TestLinearityShortcuts:
                 batch = experiments._errprop_batch(
                     (master_seed, m, (6, 2), start, stop, percents, image)
                 )
-                assert batch == [
+                expected = [
                     [oracles.errprop_trial((master_seed, m, r, index, percents), image)
                      for index in range(start, stop)]
                     for r in (6, 2)
                 ]
+                assert len(batch) == len(expected)
+                for scores, trials in zip(batch, expected):
+                    assert scores.dtype == np.float64
+                    assert np.array_equal(scores, trials)
 
     def test_errprop_batch_builds_one_index_per_trial(self, monkeypatch):
         # a trial's rows share its one parameter row: a row per error vector
@@ -680,7 +716,7 @@ class TestLinearityShortcuts:
             ciphers = oracles.per_image(cipher.encrypt, plains, keys)
             expected.append([(metrics.hamming_percent(zeros, c), metrics.hamming_percent(p, c))
                              for p, c in zip(plains, ciphers)])
-        assert experiments._cipher_batch((*task, *AVALANCHE)) == expected
+        assert oracles.avalanche_percents(experiments._cipher_batch((*task, *AVALANCHE)), m) == expected
 
     @pytest.mark.parametrize("single_lsb", [False, True])
     def test_score_sees_each_round_count_once(self, single_lsb):
@@ -742,7 +778,9 @@ class TestScoreContract:
             return stack.reshape(-1, 16)[:, list(sigma)].reshape(stack.shape)
 
         for score in (experiments._avalanche_scores, experiments._chi_squares):
-            assert score(moved(plains), moved(ciphers)) == score(plains, ciphers)
+            scores = score(plains, ciphers)
+            assert len(scores) == count
+            assert np.array_equal(score(moved(plains), moved(ciphers)), scores)
 
 
 class TestUniformitySweep:
@@ -837,13 +875,13 @@ class TestTaskCutting:
             [(m, r) for m in sorted(sizes) for r in sorted(rounds)]
         for m, r, values in serial:
             # each (M, r, trial) exactly once, in trial order
-            assert [value[:3] for value in values] == [(m, r, trial) for trial in range(trials)]
+            assert values[:, :3].tolist() == [[m, r, trial] for trial in range(trials)]
             # a cell's share of a task is no larger than a whole batch's stack
-            shares = collections.Counter(start for *_, start in values)
+            shares = collections.Counter(values[:, 3].tolist())
             assert max(shares.values()) <= max(1, experiments.BATCH_PIXELS // (m * m))
         # two workers even where this process may use one CPU
         with mock.patch.object(experiments, "usable_cpus", lambda: 2):
-            assert experiments._sweep(_recording_batch, cfg, 2) == serial
+            assert_same_cells(experiments._sweep(_recording_batch, cfg, 2), serial)
 
 
 class TestErrorPropagation:

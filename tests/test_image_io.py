@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,82 @@ class TestReadWritePgm:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError, match="cannot read"):
             image_io.read_pgm(tmp_path / "nope.pgm")
+
+    PADDING = 20 << 20
+
+    def test_bytes_after_the_raster_are_never_read(self, tmp_path, monkeypatch):
+        # a 16x16 PGM followed by 20 MiB: an endless input such as a device
+        # must load no more than its header and raster.  Every read goes
+        # through an opener that counts the bytes it returns.
+        header = b"P5\n# made by hand\n16 16\n255\n"
+        image = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        path = tmp_path / "padded.pgm"
+        path.write_bytes(header + image.tobytes() + bytes(self.PADDING))
+        returned = []
+        monkeypatch.setattr(image_io, "open", lambda *args: _Counting(open(*args), returned), raising=False)
+        tracemalloc.start()
+        try:
+            back = image_io.read_pgm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, image)
+        assert sum(returned) == len(header) + image.size
+        assert peak < 1 << 20
+
+    def test_endless_comment_is_read_a_chunk_at_a_time(self, tmp_path):
+        # a comment with no end of line fails once the input ends, holding
+        # one chunk of it at a time
+        path = tmp_path / "comment.pgm"
+        path.write_bytes(b"P5 4 #" + b"c" * self.PADDING)
+        tracemalloc.start()
+        try:
+            with pytest.raises(image_io.PgmParseError, match="not a binary PGM header"):
+                image_io.read_pgm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("side, message", [
+        (15, "side lengths must be multiples of 4 and >= 4, got 15"),
+        (32768, "side lengths must be at most 32764, got 32768"),
+    ])
+    def test_side_checked_before_the_raster(self, tmp_path, monkeypatch, side, message):
+        # a header's side is checked before M*M bytes are asked for: a lying
+        # header cannot make the reader allocate for a raster of any size
+        header = f"P5 {side} {side} 255\n".encode()
+        path = tmp_path / "side.pgm"
+        path.write_bytes(header + bytes(64))
+        returned = []
+        monkeypatch.setattr(image_io, "open", lambda *args: _Counting(open(*args), returned), raising=False)
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            image_io.read_pgm(path)
+        assert sum(returned) == len(header)
+
+
+class _Counting:
+    """A file opened for reading that appends the length of what each read
+    returns to a list."""
+
+    def __init__(self, fh, returned):
+        self.fh, self.returned = fh, returned
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def read(self, n=-1):
+        data = self.fh.read(n)
+        self.returned.append(len(data))
+        return data
+
+    def readline(self, limit=-1):
+        data = self.fh.readline(limit)
+        self.returned.append(len(data))
+        return data
 
 
 class TestRawBlobs:

@@ -62,7 +62,29 @@ class TestHammingPercent:
         stack = np.random.default_rng(4).integers(0, 256, (5, 12, 12), dtype=np.uint8)
         stack[0] = 0
         expected = [100.0 * oracles.popcount_bytes(s.tobytes()) / (8 * s.size) for s in stack]
-        assert metrics.bit_percents(stack) == expected
+        percents = metrics.bit_percents(stack)
+        assert percents.dtype == np.float64
+        assert np.array_equal(percents, expected)
+
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 17, 4097])
+    def test_lanes_and_last_bytes_match_byte_popcount(self, length):
+        # 8-byte lanes plus length % 8 bytes counted one by one, on rows that
+        # start at every offset of a lane (a slice of a wider buffer)
+        rng = np.random.default_rng(length)
+        wide = rng.integers(0, 256, (6, length + 3), dtype=np.uint8)
+        wide[0] = 0
+        wide[1] = 0xFF
+        for offset in range(4):
+            rows = wide[:, offset : offset + length]
+            weights = metrics.bit_weights(rows)
+            assert weights.dtype == np.int64
+            assert np.array_equal(weights, oracles.row_bit_weights(rows))
+            assert weights[1] == 8 * length
+            assert np.array_equal(metrics.bit_percents(rows),
+                                  [100.0 * int(w) / (8 * length) for w in oracles.row_bit_weights(rows)])
+        x, y = wide[2, :length].tobytes(), wide[3, 1 : length + 1].tobytes()
+        expected = 100.0 * oracles.popcount_bytes(bytes(a ^ b for a, b in zip(x, y))) / (8 * length)
+        assert metrics.hamming_percent(x, y) == expected
 
 
 def _half_lanes(extra: int) -> np.ndarray:

@@ -148,8 +148,10 @@ class TestDrawTrials:
         m, image, percents = 16, image_io.make_portrait_image(16), (0.1, 5.0)
         monkeypatch.setattr(streams, "first_words", unused)
         errprop = experiments._errprop_batch((3, m, (6, 2), 5, 8, percents, image))
-        assert errprop == [[oracles.errprop_trial((3, m, r, index, percents), image)
-                            for index in range(5, 8)] for r in (6, 2)]
+        expected = [[oracles.errprop_trial((3, m, r, index, percents), image)
+                     for index in range(5, 8)] for r in (6, 2)]
+        assert len(errprop) == len(expected)
+        assert all(np.array_equal(scores, trials) for scores, trials in zip(errprop, expected))
 
 
 def reject_pixel_of(trial, cell=0, first_words=streams.first_words):
@@ -189,9 +191,11 @@ class TestReplay:
     def test_rejected_pixel_scores_as_direct_route(self, monkeypatch):
         m = 20
         task = (6, m, (3, 1), 0, 4, True)
-        avalanche = experiments._cipher_batch((*task, experiments._avalanche_scores))
+        avalanche = oracles.avalanche_percents(
+            experiments._cipher_batch((*task, experiments._avalanche_scores)), m)
         monkeypatch.setattr(streams, "first_words", reject_pixel_of(2, cell=1))
-        assert experiments._cipher_batch((*task, experiments._avalanche_scores)) == avalanche
+        assert oracles.avalanche_percents(
+            experiments._cipher_batch((*task, experiments._avalanche_scores)), m) == avalanche
         assert avalanche == [[oracles.avalanche_trial((6, m, r, index)) for index in range(4)]
                              for r in (3, 1)]
 
