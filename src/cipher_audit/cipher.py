@@ -303,7 +303,7 @@ def static_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     The first three are encryption's and are held in its frame (see the
     module docstring): entry k is the natural table's entry at pi(k) =
     (k & -16) | pinv[k & 15].  (u, v) is the int16 grid cell that the
-    static scramble brings to position pi(k); :func:`_gather_index` widens
+    static scramble brings to position pi(k); :func:`_stack_index` widens
     it.  shift is the uint8 left-rotation amount s at pi(k).  The last two
     are decryption's and are natural: natural_shift is the rotation amount
     of each position, and scramble_pos is the int32 flat position that the
@@ -385,14 +385,14 @@ def _source(u, v, a, b, rx, ry, m: int) -> np.ndarray:
 def _destination(cell, a, b, rx, ry, m: int) -> np.ndarray:
     """Natural flat position that the cat map and the scramble carry each flat grid cell to.
 
-    cell holds int32 flat cells, one row of 16 per block, and is
-    overwritten.  Decryption passes start + p0, the cells that the in-block
+    cell holds int32 flat cells and is overwritten.  Decryption's index
+    passes each block's start + p0, flattened: the cells that the in-block
     move takes a block's bytes to; a sparse round of encryption, in its
-    frame, passes start + arange(16).  With (x0, y0) = divmod(cell, M), the
-    cat map is evaluated forward, x = x0 + a*y0 + rx, then y = b*(x - rx) +
-    y0 + ry, which is b*x0 + (a*b + 1)*y0 + ry, both mod M, and the
-    scramble's inverse in static_tables gives the position the scramble
-    takes (x, y) to.  The result broadcasts the cells against the key
+    frame, passes start + arange(16), one row per block.  With (x0, y0) =
+    divmod(cell, M), the cat map is evaluated forward, x = x0 + a*y0 + rx,
+    then y = b*(x - rx) + y0 + ry, which is b*x0 + (a*b + 1)*y0 + ry, both
+    mod M, and the scramble's inverse in static_tables gives the position
+    the scramble takes (x, y) to.  The result broadcasts the cells against the key
     parameters.
     """
     x0 = cell // m
@@ -418,63 +418,66 @@ def _destination(cell, a, b, rx, ry, m: int) -> np.ndarray:
     return np.take(scramble_pos, x, out=tmp, mode="clip")
 
 
-def _gather_index(params: np.ndarray, m: int, invert: bool = False, positions: slice = slice(None)) -> np.ndarray:
-    """Gather index of the byte permutations of one round at positions, int32, one row per key.
-
-    params holds key parameters reduced mod M, int32, one row per key;
-    positions is a step-1 slice whose ends are whole 16-byte blocks.  For
-    encryption, in its frame, output position k takes the byte at
-    _source of the framed scramble coordinates (u, v) of k.  For
-    decryption, natural, the inverse of the natural round: output position
-    j takes the byte at _destination of j's cell after the in-block move,
-    evaluated for the blocks of positions, so both directions are closed
-    forms evaluated for all keys in one pass.
-    """
-    if invert:
-        span = range(m * m)[positions]
-        start = np.arange(span.start, span.stop, BLOCK_BYTES, dtype=np.int32)[:, np.newaxis]
-        a, b, rx, ry = params.T[:, :, np.newaxis, np.newaxis]
-        return _destination(start + _P0, a, b, rx, ry, m).reshape(len(params), -1)
-    a, b, rx, ry = params.T[:, :, np.newaxis]
-    u, v = static_tables(m)[:2]
-    return _source(u[positions], v[positions], a, b, rx, ry, m)
-
-
 def _stack_index(params: np.ndarray, m: int, invert: bool) -> np.ndarray:
     """Flat gather index of one round under reduced key parameters: one key, or one per image.
 
+    params holds key parameters reduced mod M, int32, one row per key.
     Row w is offset by w*M*M, so a single key's index covers one image and
     is applied to every image of a stack in turn.  Adding the offsets also
     widens the index to intp, which take() would otherwise do in every
-    round.  With invert, the index is decryption's.
+    round.  For encryption, in its frame, position k takes the byte at
+    _source of the framed scramble cell (u, v) of k.  With invert, the
+    index is decryption's, natural: position j takes the byte at
+    _destination of j's cell after the in-block move, its block's start
+    plus p0.
 
     The intp index is allocated first and filled in blocks of at most
     _INDEX_BLOCK positions: whole rows of keys while M*M <= _INDEX_BLOCK,
-    otherwise consecutive segments of one key's row.
+    otherwise consecutive segments of one key's row.  Each block is one
+    closed form evaluated in int32 for all of its keys at once.
     """
     n = m * m
     index = np.empty((len(params), n), dtype=np.intp)
     rows = max(1, _INDEX_BLOCK // n)
     span = min(n, _INDEX_BLOCK)
+    u, v = static_tables(m)[:2]
     for first in range(0, len(params), rows):
         keys = params[first : first + rows]
         offsets = np.arange(first * n, (first + len(keys)) * n, n, dtype=np.intp)[:, np.newaxis]
+        a, b, rx, ry = keys.T[:, :, np.newaxis]
         for start in range(0, n, span):
-            part = slice(start, start + span)
-            np.add(_gather_index(keys, m, invert, part), offsets, out=index[first : first + rows, part])
+            stop = min(start + span, n)
+            part = slice(start, stop)
+            if invert:
+                cells = np.arange(start, stop, BLOCK_BYTES, dtype=np.int32)[:, np.newaxis] + _P0
+                block = _destination(cells.reshape(-1), a, b, rx, ry, m)
+            else:
+                block = _source(u[part], v[part], a, b, rx, ry, m)
+            np.add(block, offsets, out=index[first : first + rows, part])
     return index.reshape(-1)
 
 
-def _rotate(data: np.ndarray, by: np.ndarray, back: np.ndarray) -> np.ndarray:
-    """(z << by) | (z >> back) for every byte z of a flat stack of images.
+def _framed(p: np.ndarray) -> np.ndarray:
+    """Position in encryption's frame of the byte at each natural position p.
 
-    by and back are per-position grids of one image.  With back = 8 - by
-    this rotates left by `by`; swapped, it rotates right.  A uint8 shift by 8
-    gives 0, so a zero shift leaves the byte as it is.
+    That is (p & -16) | p0[p & 15], in p's dtype: the frame keeps every
+    byte in its 16-byte block.
     """
-    z = data.reshape(-1, by.size)
-    out = z << by
-    out |= z >> back
+    framed = p & -BLOCK_BYTES
+    framed |= np.take(_P0, p & (BLOCK_BYTES - 1), mode="clip")
+    return framed
+
+
+def _rotate(data: np.ndarray, by: np.ndarray, back: np.ndarray) -> np.ndarray:
+    """(z << by) | (z >> back) for every byte z of data, flattened.
+
+    by and back broadcast against data: a per-position grid of one image
+    against a stack with one image per row, or one amount per byte.  With
+    back = 8 - by this rotates left by `by`; swapped, it rotates right.  A
+    uint8 shift by 8 gives 0, so a zero shift leaves the byte as it is.
+    """
+    out = data << by
+    out |= data >> back
     return out.reshape(-1)
 
 
@@ -509,24 +512,19 @@ def _sparse_round(
     stack and its touched blocks in the same form.  A block never spans two
     images, so each block's image and key are taken once and broadcast over
     its 16 bytes.  The blocks are XORed, and every byte at cell j is carried
-    to its natural _destination d, which the in-block move by p0 takes into
-    the frame, (d & -16) | p0[d & 15]; the framed shift s there, gathered
-    once, rotates it as (z << s) | (z >> (8 - s)).
+    to its natural _destination, then _framed into the frame, where
+    _rotate turns it by the framed shift s gathered there.
     """
     n = m * m
     image = blocks // (n // BLOCK_BYTES)
     offset = image * n
     start = (blocks * BLOCK_BYTES - offset).astype(np.int32)[:, np.newaxis]
     a, b, rx, ry = params[image].T[:, :, np.newaxis]
-    data = _block_xor(flat.reshape(-1, BLOCK_BYTES)[blocks].reshape(-1)).reshape(-1, BLOCK_BYTES)
-    target = _destination(start + np.arange(BLOCK_BYTES, dtype=np.int32), a, b, rx, ry, m)
-    low = target & (BLOCK_BYTES - 1)
-    target &= -BLOCK_BYTES
-    target |= np.take(_P0, low, mode="clip")
-    shift = static_tables(m)[2][target]
-    values = data << shift
-    values |= data >> np.subtract(8, shift, out=shift)
-    target = target + offset[:, np.newaxis]  # intp: a stack may hold more than 2**31 bytes
+    data = _block_xor(flat.reshape(-1, BLOCK_BYTES)[blocks].reshape(-1))
+    target = _framed(_destination(start + np.arange(BLOCK_BYTES, dtype=np.int32), a, b, rx, ry, m))
+    shift = static_tables(m)[2][target.reshape(-1)]
+    values = _rotate(data, shift, 8 - shift)
+    target = (target + offset[:, np.newaxis]).reshape(-1)  # intp: a stack may hold more than 2**31 bytes
     out = np.zeros_like(flat)
     out[target] = values
     mark = np.zeros(flat.size // BLOCK_BYTES, dtype=bool)
@@ -562,13 +560,14 @@ def _rounds(flat: np.ndarray, params: np.ndarray, m: int, invert: bool) -> Itera
     shift = static_tables(m)[3 if invert else 2]
     back = 8 - shift
     while True:
-        # Rows of the index's size: the whole stack, or each image under one key.
+        # Rows of the index's size: the whole stack, or each image under one
+        # key; the rotation takes rows of one image.
         if invert:
-            flat = _rotate(flat, back, shift).reshape(-1, index.size).take(index, axis=1)
+            flat = _rotate(flat.reshape(-1, shift.size), back, shift).reshape(-1, index.size).take(index, axis=1)
             flat = _block_xor(flat)
         else:
             flat = _block_xor(flat).reshape(-1, index.size).take(index, axis=1)
-            flat = _rotate(flat, shift, back)
+            flat = _rotate(flat.reshape(-1, shift.size), shift, back)
         yield flat
 
 

@@ -223,28 +223,28 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     the same.
 
     The batches run in _run_pool, in this process and, with more than one
-    worker, in workers - 1 helper processes beside it.  They are taken
-    largest M first (every task carries the same round counts; stable, so a
-    size's batches keep their order), so that no large task starts last
-    while the other workers sit idle; the results are put back cell by cell.
+    worker, in workers - 1 helper processes beside it.  The tasks are built
+    in the order they run: largest M first (every task carries the same
+    round counts), each size's batches in trial order, so that no large
+    task starts last while the other workers sit idle.  The results are put
+    back cell by cell, in ascending (M, rounds).
     """
     rounds = tuple(sorted(cfg.rounds, reverse=True))
     tasks = []
-    for m in sorted(cfg.sizes):
+    for m in sorted(cfg.sizes, reverse=True):
         step = max(1, BATCH_PIXELS // (m * m))
         for start in range(0, cfg.trials, step):
             tasks.append((cfg.master_seed, m, rounds, start, min(start + step, cfg.trials), *extra))
     for m in cfg.sizes:
         cipher.static_tables(m)
-    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
-    done = _run_pool(batch_fn, tasks, order, _worker_count(jobs, len(tasks)))
-    cells = []
+    done = _run_pool(batch_fn, tasks, _worker_count(jobs, len(tasks)))
+    sizes = []
     for i, (_, m, _, start, *_) in enumerate(tasks):
         if start == 0:
-            cells += [(m, r, []) for r in reversed(rounds)]
-        for (_, _, parts), values in zip(cells[-len(rounds):], reversed(done[i])):
+            sizes.append([(m, r, []) for r in reversed(rounds)])
+        for (_, _, parts), values in zip(sizes[-1], reversed(done[i])):
             parts.append(values)
-    return [(m, r, np.concatenate(parts)) for m, r, parts in cells]
+    return [(m, r, np.concatenate(parts)) for cells in reversed(sizes) for m, r, parts in cells]
 
 
 def _next_position(counter) -> int:
@@ -255,24 +255,24 @@ def _next_position(counter) -> int:
     return k
 
 
-def _run_batches(batch_fn, tasks, order, take) -> dict:
-    """{task index: batch} of tasks[order[k]] for each position k that take()
-    returns, until one runs past the order.  The task loop of the caller
+def _run_batches(batch_fn, tasks, take) -> dict:
+    """{task index: batch} of tasks[k] for each index k that take()
+    returns, until one runs past the tasks.  The task loop of the caller
     and of every helper."""
     results = {}
-    while (k := take()) < len(order):
-        results[order[k]] = batch_fn(tasks[order[k]])
+    while (k := take()) < len(tasks):
+        results[k] = batch_fn(tasks[k])
     return results
 
 
-def _pool_worker(batch_fn, tasks, order, counter, conn) -> None:
+def _pool_worker(batch_fn, tasks, counter, conn) -> None:
     """A helper process: run the task loop on the shared counter.
 
-    Sends (None, {task index: batch}) once the order runs out, or
+    Sends (None, {task index: batch}) once the tasks run out, or
     (exception, None) for the first batch that raises, through conn.
     """
     try:
-        results = _run_batches(batch_fn, tasks, order, functools.partial(_next_position, counter))
+        results = _run_batches(batch_fn, tasks, functools.partial(_next_position, counter))
     except Exception as exc:
         conn.send((exc, None))
     else:
@@ -280,13 +280,13 @@ def _pool_worker(batch_fn, tasks, order, counter, conn) -> None:
     conn.close()
 
 
-def _run_pool(batch_fn, tasks, order, workers: int) -> dict:
+def _run_pool(batch_fn, tasks, workers: int) -> dict:
     """{task index: batch} of every task, from workers processes: this one
     and workers - 1 _pool_worker helpers of the default start method.
 
-    With one worker nothing is started: this process runs the order
-    through.  Otherwise the helpers and this process share one counter of
-    positions in order, and before each position it takes this process
+    With one worker nothing is started: this process runs the tasks in
+    order.  Otherwise the helpers and this process share one counter of
+    task indices, and before each index it takes this process
     checks the helpers' pipes without blocking, so a helper's failure ends the sweep
     after at most one more batch here.  A batch that raises, here or in a
     helper, raises here; a helper that exits without sending its results
@@ -295,7 +295,7 @@ def _run_pool(batch_fn, tasks, order, workers: int) -> dict:
     are terminated first.
     """
     if workers == 1:
-        return _run_batches(batch_fn, tasks, order, itertools.count().__next__)
+        return _run_batches(batch_fn, tasks, itertools.count().__next__)
     context = get_context()
     counter = context.Value("q", 0)
     procs, pending, batches = [], {}, {}
@@ -321,14 +321,14 @@ def _run_pool(batch_fn, tasks, order, workers: int) -> dict:
     try:
         for _ in range(workers - 1):
             receive, send = context.Pipe(duplex=False)
-            proc = context.Process(target=_pool_worker, args=(batch_fn, tasks, order, counter, send))
+            proc = context.Process(target=_pool_worker, args=(batch_fn, tasks, counter, send))
             proc.start()
             procs.append(proc)
             pending[receive] = proc
             # Now only the helper holds the sending end, so the pipe ends when the
             # helper does, and no helper forked later inherits it.
             send.close()
-        batches.update(_run_batches(batch_fn, tasks, order, take))
+        batches.update(_run_batches(batch_fn, tasks, take))
         while pending:
             collect(None)
     except BaseException:
@@ -373,8 +373,8 @@ def _draw_trials(master_seed: int, m: int, rounds: tuple[int, ...], start: int, 
     row is written as it is.  The parameters are cipher._run's: (a, b, rx,
     ry) mod M, int32, one row per trial; no trial builds a CipherKey.  The
     plaintexts are in encryption's frame, which cipher._run takes: the
-    pixel at natural position p = row*M + column is written at (p & -16) |
-    p0[p & 15].
+    pixel at natural position p = row*M + column is written at
+    cipher._framed(p).
     """
     count = stop - start
     halves = streams.first_words(master_seed, start, stop, m, rounds).astype("<u8", copy=False).view("<u4")
@@ -385,13 +385,11 @@ def _draw_trials(master_seed: int, m: int, rounds: tuple[int, ...], start: int, 
         for k, i in np.argwhere(((scaled & 0xFFFFFFFF) < (2**32 - m) % m).any(axis=2)).tolist():
             [(_, row, pixel)] = _trial_streams(master_seed, m, rounds[k], [start + i], True)
             params[k, i], pixels[k, i] = row, pixel
+        framed = cipher._framed(pixels[..., 0] * m + pixels[..., 1])
     for k in range(len(rounds)):
         plains = np.zeros((count, m * m), dtype=np.uint8)
         if single_lsb:
-            rows, cols = pixels[k].T
-            p = rows * m + cols
-            low = p % cipher.BLOCK_BYTES
-            plains[np.arange(count), p - low + cipher._P0[low]] = 1
+            plains[np.arange(count), framed[k]] = 1
         yield params[k], plains.reshape(count, m, m)
 
 

@@ -13,8 +13,9 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
 - the gather index of each stack shape the sweeps build beside one image:
   (M, W) = (256, 4) and (300, 2) in uniformity-large's batches, (64, 20) in
   avalanche-small's, in both directions;
-- encryption's gather index over one block of 16384 positions (the
-  bare inverse cat map, at M in {256, 300, 512}), and the two in-block
+- encryption's gather index over one block of 16384 positions, the bare
+  inverse cat map cipher._source that cipher._stack_index evaluates per
+  block, at M in {256, 300, 512}, and the two in-block
   passes with which encrypt moves its image into its frame and back;
 - one sparse encryption round on 1, 16 and 256 touched 16-byte blocks,
   and at M = 512 on 1024 and 3375 touched blocks beside one dense round
@@ -126,8 +127,9 @@ def test_encrypt_index(benchmark, m):
 @pytest.mark.parametrize("m", [256, 300, 512])
 def test_encrypt_index_block(benchmark, m):
     part = slice(0, cipher._INDEX_BLOCK)
-    cipher.static_tables(m)
-    benchmark(cipher._gather_index, params_for(m), m, False, part)
+    u, v = cipher.static_tables(m)[:2]
+    a, b, rx, ry = params_for(m).T[:, :, np.newaxis]
+    benchmark(cipher._source, u[part], v[part], a, b, rx, ry, m)
 
 
 @pytest.mark.parametrize("m", SIZES)

@@ -312,12 +312,28 @@ def inverse_index_by_scatter(index):
     return inverse
 
 
+def gather_rows(params, m, invert):
+    """Gather index of one round under each key row of params, int32, one
+    (M*M,) row per key, in one whole-row pass of the cipher's closed forms:
+    encryption's, in its frame, is cipher._source at every position's framed
+    scramble cell (u, v); decryption's, natural, is cipher._destination at
+    every position's cell after the in-block move, its block's start plus
+    p0."""
+    a, b, rx, ry = np.asarray(params).T[:, :, np.newaxis]
+    if invert:
+        p0 = np.array([byte_sources().index(i) for i in range(16)], dtype=np.int32)
+        cells = np.arange(0, m * m, 16, dtype=np.int32)[:, np.newaxis] + p0
+        return cipher._destination(cells.reshape(-1), a, b, rx, ry, m)
+    u, v = cipher.static_tables(m)[:2]
+    return cipher._source(u, v, a, b, rx, ry, m)
+
+
 def stack_index_whole(params, m, invert):
     """Flat gather index of one round under reduced key parameters, in one
-    whole-array pass: every position of every key's row at once, then the
-    row offsets w*M*M, which widen it to intp.  cipher._stack_index builds
-    the same index in blocks."""
-    index = cipher._gather_index(params, m, invert)
+    whole-array pass: every position of every key's row at once
+    (:func:`gather_rows`), then the row offsets w*M*M, which widen it to
+    intp.  cipher._stack_index builds the same index in blocks."""
+    index = gather_rows(params, m, invert)
     offsets = np.arange(0, index.size, m * m, dtype=np.intp)
     return (index + offsets[:, np.newaxis]).reshape(-1)
 

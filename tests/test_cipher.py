@@ -311,8 +311,11 @@ class TestStaticTables:
 
     @pytest.mark.parametrize("m", [16, 32, 64, 128, 196, 256, 300, 512])
     def test_gather_index_is_int32(self, m):
+        # encryption's closed form, _source, at every framed scramble cell
         params = oracles.reduced_params([(m - 1, m + 3, 2 * m - 1, 7), (0, 0, 0, 0)], m)
-        index = cipher._gather_index(params, m)
+        a, b, rx, ry = params.T[:, :, np.newaxis]
+        u, v = cipher.static_tables(m)[:2]
+        index = cipher._source(u, v, a, b, rx, ry, m)
         assert index.dtype == np.int32 and index.shape == (2, m * m)
 
     @pytest.mark.parametrize("m", [4, 12, 196, 300, 512])
@@ -340,6 +343,28 @@ class TestStaticTables:
             assert np.array_equal(cipher.decrypt(cipher.encrypt(image, key), key), image)
         filled = [cache.__name__ for cache in caches if cache.cache_info().currsize]
         assert filled == ["static_tables"]
+
+
+class TestFramed:
+    """_framed takes natural positions into encryption's frame, where
+    oracles.frame moves their bytes; the sparse rounds and the sweeps'
+    plaintext draws use it."""
+
+    @pytest.mark.parametrize("m", [16, 300])
+    def test_is_where_frame_moves_a_one_hot_byte(self, m):
+        n = m * m
+        # at M = 300 blocks straddle rows: 300 is not a multiple of 16
+        positions = range(n) if m == 16 else [*range(2 * m), *range(n - m, n)]
+        for p in positions:
+            one_hot = np.zeros(n, dtype=np.uint8)
+            one_hot[p] = 1
+            assert np.flatnonzero(oracles.frame(one_hot)).tolist() == cipher._framed(np.array([p])).tolist(), p
+        # every position at once: frame moves natural byte frame(arange)[k] to k
+        want = np.argsort(oracles.frame(np.arange(n)))
+        for dtype in (np.int32, np.intp):
+            got = cipher._framed(np.arange(n, dtype=dtype))
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
 
 
 class TestForwardTables:
@@ -394,8 +419,12 @@ class TestClosedFormInverse:
 
     @pytest.mark.parametrize("m", [16, 300, 512])
     def test_decrypt_index_is_int32(self, m):
+        # decryption's closed form, _destination, at every position's cell
+        # after the in-block move
         params = oracles.reduced_params([(m - 1, m + 3, 2 * m - 1, 7), (0, 0, 0, 0)], m)
-        index = cipher._gather_index(params, m, True)
+        a, b, rx, ry = params.T[:, :, np.newaxis]
+        cells = np.arange(0, m * m, 16, dtype=np.int32)[:, np.newaxis] + cipher._P0
+        index = cipher._destination(cells.reshape(-1), a, b, rx, ry, m)
         assert index.dtype == np.int32 and index.shape == (2, m * m)
 
 
@@ -437,7 +466,7 @@ class TestBlockedIndex:
 
 class TestReduction:
     """_reduce masks where M is a power of two and divides otherwise; both
-    branches are checked against np.mod and, through _gather_index, against
+    branches are checked against np.mod and, through _stack_index, against
     the cat map's closed form in Python integers."""
 
     @pytest.mark.parametrize("m", [4, 12, 16, 300, 512, 16384])
@@ -460,7 +489,9 @@ class TestReduction:
             [[0, 0, 0, 0], [m - 1] * 4, [0, m - 1, m - 1, 0], *rng.integers(0, m, size=(2, 4))],
             dtype=np.int32,
         )
-        index = cipher._gather_index(params, m, invert)
+        n = m * m
+        index = cipher._stack_index(params, m, invert).reshape(len(params), n)
+        index -= np.arange(0, index.size, n)[:, np.newaxis]
         for row, want, key in zip(index, oracles.gather_index_closed_form(params, m, invert), params):
             assert row.tolist() == want, key
 

@@ -114,13 +114,22 @@ def _await_helpers() -> None:
         time.sleep(0.005)
 
 
+def _yield_to_caller() -> None:
+    """In a helper: pause 0.2 s before a batch.  The caller takes its first
+    batch as soon as it has started the helpers; without the pause a forked
+    helper could run every batch of a small sweep before then."""
+    time.sleep(0.2)
+
+
 def _misses_batch(task: tuple) -> list[list[tuple[int, int]]]:
     """Per round count and trial of a batch: the process that ran it and
     that process's static-table cache misses after an encrypt at the batch's M.
     In the caller it first waits for the helpers to end, so that they take
     every other batch."""
     master_seed, m, rounds, start, stop = task
-    if not _in_helper():
+    if _in_helper():
+        _yield_to_caller()
+    else:
         _await_helpers()
     cipher.encrypt(np.zeros((m, m), dtype=np.uint8), cipher.CipherKey(1, 2, 3, 4, rounds[0]))
     return [[(os.getpid(), cipher.static_tables.cache_info().misses)] * (stop - start)
@@ -138,7 +147,9 @@ def _mark_batch(task: tuple) -> list[list[tuple[bool, bool]]]:
     In the caller it first waits for the helpers to end, so that they take
     every other batch."""
     master_seed, m, rounds, start, stop = task
-    if not _in_helper():
+    if _in_helper():
+        _yield_to_caller()
+    else:
         _await_helpers()
     return [[(_in_helper(), _CALLER_MARK == "set by the caller")] * (stop - start) for _ in rounds]
 
@@ -181,11 +192,12 @@ def _caller_failing_batch(task: tuple) -> list[list[float]]:
 
 
 def _helper_exiting_batch(task: tuple) -> list[list[float]]:
-    """Ends a helper with status 3.  In the caller it appends the batch's
-    start to the file its task names and waits for the helpers to end; it
-    scores each trial 1.0."""
+    """Ends a helper with status 3, after a pause.  In the caller it appends
+    the batch's start to the file its task names and waits for the helpers
+    to end; it scores each trial 1.0."""
     master_seed, m, rounds, start, stop, log = task
     if _in_helper():
+        _yield_to_caller()
         os._exit(3)
     with open(log, "a", encoding="ascii") as fh:
         fh.write(f"{start}\n")
@@ -343,9 +355,9 @@ class TestSweepOrder:
 
     def test_pool_takes_largest_cells_first(self, monkeypatch):
         # The inline helper runs to its end when started, so it takes every
-        # position of the shared order before the caller takes one, and
-        # receives the tasks in the order the workers take them: one
-        # size and trial range each, under every round count, largest first.
+        # task index of the shared counter before the caller takes one, and
+        # receives the tasks in the order _sweep builds them: one size and
+        # trial range each, under every round count, largest first.
         received = []
 
         def avalanche_batch(task):
@@ -362,6 +374,19 @@ class TestSweepOrder:
         assert [(start, stop) for _, _, _, start, stop, *_ in received] == \
             [(0, 2), (2, 4), (4, 5), (0, 3), (3, 5)]
         assert_same_cells(pooled, experiments._sweep(experiments._cipher_batch, self.CFG, 1, *AVALANCHE))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_runs_tasks_by_index(self, monkeypatch, workers):
+        # the caller alone, or the inline helper, which takes every index,
+        # runs tasks[k] for k = 0, 1, ... and returns each batch under k
+        inline = types.SimpleNamespace(
+            Process=_InlineProcess, Value=multiprocessing.Value, Pipe=multiprocessing.Pipe
+        )
+        monkeypatch.setattr(experiments, "get_context", lambda: inline)
+        tasks, received = ["c", "a", "b"], []
+        batches = experiments._run_pool(lambda task: received.append(task) or task.upper(), tasks, workers)
+        assert received == tasks
+        assert batches == {0: "C", 1: "A", 2: "B"}
 
     @pytest.mark.parametrize("method, mark", [("fork", "set by the caller"), ("spawn", "imported")])
     def test_workers_start_by_the_method(self, monkeypatch, method, mark):
@@ -842,8 +867,8 @@ class TestBatching:
         assert experiments.error_propagation(cfg, image, rounds=2) == default
 
     def test_batch_boundaries(self):
-        # at jobs=1 the caller runs the order alone: largest M first, each
-        # size's batches in trial order
+        # at jobs=1 the caller runs the tasks alone, in the order _sweep
+        # builds them: largest M first, each size's batches in trial order
         calls = []
 
         def record(task):
@@ -981,7 +1006,7 @@ class TestKeyspaceReport:
         keys = list(itertools.product(range(1 << report.param_bits), repeat=4))
         distinct = set()
         for start in range(0, len(keys), 4096):
-            index = cipher._gather_index(oracles.reduced_params(keys[start : start + 4096], m), m)
+            index = oracles.gather_rows(oracles.reduced_params(keys[start : start + 4096], m), m, False)
             distinct.update(row.tobytes() for row in index)
         assert report.key_space == 65536
         assert len(distinct) == report.effective_key_space == 12**4 == 20736
