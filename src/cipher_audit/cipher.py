@@ -577,6 +577,7 @@ def _run(flat: np.ndarray, params: np.ndarray, m: int, rounds: int, invert: bool
     params holds the key parameters mod M, int32: one row that every image
     shares, or one row per image.  It is the one route into the rounds: for
     encrypt and decrypt (one image, one row) and for the sweeps' stacks.
+    With rounds = 0 it returns flat itself, unchanged, in either direction.
     """
     for flat in itertools.islice(_rounds(flat, params, m, invert), rounds):
         pass

@@ -211,10 +211,11 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     BATCH_PIXELS pixels per round count (at least one trial).  batch_fn maps
     the task (master_seed, M, rounds, start, stop, *extra), rounds largest
     first, to the results of trials start..stop-1 under each round count in
-    that order, one array row per trial: _cipher_batch, whose extra is
-    (single_lsb, score), for every sweep that encrypts, or _errprop_batch.
-    Everything else a batch needs travels in its task.  A cell's results
-    are its tasks' arrays concatenated in task order, so row i is trial i.
+    that order, one array row per trial: _avalanche_batch, with no extra,
+    _cipher_batch, whose extra is (single_lsb, score), for uniformity, or
+    _errprop_batch.  Everything else a batch needs travels in its task.  A
+    cell's results are its tasks' arrays concatenated in task order, so row
+    i is trial i.
 
     The static cipher tables of every size are built first, in this process:
     forked helpers inherit them, and the loaded numpy.random, where each
@@ -359,8 +360,17 @@ def _trial_streams(master_seed: int, m: int, rounds: int, indices, single_lsb: b
 
 
 def _draw_trials(master_seed: int, m: int, rounds: tuple[int, ...], start: int, stop: int, single_lsb: bool):
-    """Key parameters and plaintexts of trials start..stop-1, as one (params, plains)
-    pair per round count, drawn in turn: the draws of _trial_streams, batched.
+    """Key parameters and plaintext bits of trials start..stop-1 under each
+    round count, as (params, framed) arrays: the draws of _trial_streams, batched.
+
+    params is int32 (round counts, trials, 4): cipher._run's rows (a, b,
+    rx, ry) mod M, one per trial; no trial builds a CipherKey.  framed is
+    intp (round counts, trials): the position, in encryption's frame, of
+    the byte whose LSB the trial's single-LSB plaintext sets, the pixel at
+    natural position p = row*M + column being at cipher._framed(p).
+    Without single_lsb the plaintexts are all zero and framed is None.
+    The round counts are in the order given; each batch function builds
+    its one-hot stacks from framed.
 
     numpy draws each bounded value from one 32-bit half of a 64-bit word,
     low half first, so a trial's six draws are the six halves of the first
@@ -370,31 +380,22 @@ def _draw_trials(master_seed: int, m: int, rounds: tuple[int, ...], start: int, 
     (2**32 - n) mod n.  The key's bound 2**q never rejects and takes the top
     q bits; a coordinate, bound M, may.  A (round count, trial) whose
     single-LSB pixel numpy rejects is drawn through _trial_streams, whose
-    row is written as it is.  The parameters are cipher._run's: (a, b, rx,
-    ry) mod M, int32, one row per trial; no trial builds a CipherKey.  The
-    plaintexts are in encryption's frame, which cipher._run takes: the
-    pixel at natural position p = row*M + column is written at
-    cipher._framed(p).
+    row is written as it is.
     """
-    count = stop - start
     halves = streams.first_words(master_seed, start, stop, m, rounds).astype("<u8", copy=False).view("<u4")
     params = ((halves[..., :4] >> (32 - cipher.param_bits(m))) % m).astype(np.int32)
+    if not single_lsb:
+        return params, None
     scaled = halves[..., 4:] * np.uint64(m)
     pixels = (scaled >> 32).astype(np.intp)
-    if single_lsb:
-        for k, i in np.argwhere(((scaled & 0xFFFFFFFF) < (2**32 - m) % m).any(axis=2)).tolist():
-            [(_, row, pixel)] = _trial_streams(master_seed, m, rounds[k], [start + i], True)
-            params[k, i], pixels[k, i] = row, pixel
-        framed = cipher._framed(pixels[..., 0] * m + pixels[..., 1])
-    for k in range(len(rounds)):
-        plains = np.zeros((count, m * m), dtype=np.uint8)
-        if single_lsb:
-            plains[np.arange(count), framed[k]] = 1
-        yield params[k], plains.reshape(count, m, m)
+    for k, i in np.argwhere(((scaled & 0xFFFFFFFF) < (2**32 - m) % m).any(axis=2)).tolist():
+        [(_, row, pixel)] = _trial_streams(master_seed, m, rounds[k], [start + i], True)
+        params[k, i], pixels[k, i] = row, pixel
+    return params, cipher._framed(pixels[..., 0] * m + pixels[..., 1])
 
 
 def _cipher_batch(task: tuple) -> list[np.ndarray]:
-    """Scores of each trial of a batch, per round count: the sweeps' one route through the cipher.
+    """Scores of each trial of a batch, per round count: uniformity's route through the cipher.
 
     The task ends in (single_lsb, score).  Each round count's trials, drawn
     by _draw_trials, are encrypted in one cipher._run call, and
@@ -403,30 +404,57 @@ def _cipher_batch(task: tuple) -> list[np.ndarray]:
     the image's byte order: every 16-byte block holds its bytes moved by one
     fixed permutation.  So a score must return the same values for any
     permutation of the 16 positions applied to every block of both stacks,
-    as a bit weight, the weight of plain xor cipher and a byte histogram
-    do.
+    as a bit weight and a byte histogram do.
     """
     master_seed, m, rounds, start, stop, single_lsb, score = task
-    return [
-        score(plains, cipher._run(plains.reshape(-1), params, m, r, False).reshape(plains.shape))
-        for r, (params, plains) in zip(rounds, _draw_trials(master_seed, m, rounds, start, stop, single_lsb))
-    ]
+    params, framed = _draw_trials(master_seed, m, rounds, start, stop, single_lsb)
+    count = stop - start
+    scores = []
+    for k, r in enumerate(rounds):
+        plains = np.zeros((count, m * m), dtype=np.uint8)
+        if single_lsb:
+            plains[np.arange(count), framed[k]] = 1
+        ciphers = cipher._run(plains.reshape(-1), params[k], m, r, False)
+        scores.append(score(plains.reshape(count, m, m), ciphers.reshape(count, m, m)))
+    return scores
 
 
 # ---------------------------------------------------------------------------
 # avalanche (plaintext sensitivity)
 # ---------------------------------------------------------------------------
 
-def _avalanche_scores(plains: np.ndarray, ciphers: np.ndarray) -> np.ndarray:
-    """PS and Diff bit weights of each trial, as an int64 (trials, 2) array.
+def _avalanche_batch(task: tuple) -> list[np.ndarray]:
+    """PS and Diff bit weights of each trial of a batch, per round count, as
+    an int64 (trials, 2) array.
 
     PS compares E(I) with E(I') for the all-zero I; the cipher is linear
     over GF(2), so E(0) = 0 and PS is the bit weight of E(I').  Diff is the
-    weight of plains xor ciphers, taken on their 8-byte lanes.
+    weight of I' xor E(I').  In encryption's frame a round is a block XOR,
+    then a gather and a rotation.  So each round count's stack runs r - 1
+    rounds through cipher._run and one cipher._block_xor, to y, and both
+    weights are read from y; no ciphertext is formed:
+    - the gather and the rotation only move bits, so PS is the weight of y;
+    - I' sets bit 0 of the byte at frame position f, which the draws give.
+      The gather brings byte _source(u[f], v[f], key) of the trial's image
+      to f, and the rotation by s = shift[f] brings bit (8 - s) mod 8 of it
+      to bit 0.  With c that bit of y, Diff = PS + 1 - 2c.
+    Every _source position of a task is evaluated in one call.
     """
-    lanes = [np.ascontiguousarray(s).reshape(len(s), -1).view(np.uint64) for s in (plains, ciphers)]
-    diff = np.bitwise_xor(*lanes).view(np.uint8)
-    return np.stack([metrics.bit_weights(ciphers), metrics.bit_weights(diff)], axis=1)
+    master_seed, m, rounds, start, stop = task
+    params, framed = _draw_trials(master_seed, m, rounds, start, stop, True)
+    count, n = stop - start, m * m
+    offsets = np.arange(0, count * n, n)
+    u, v, shift = cipher.static_tables(m)[:3]
+    source = cipher._source(u[framed], v[framed], *params.transpose(2, 0, 1), m) + offsets
+    bit = (8 - shift[framed]) & 7
+    weights = []
+    for k, r in enumerate(rounds):
+        plains = np.zeros(count * n, dtype=np.uint8)
+        plains[framed[k] + offsets] = 1
+        y = cipher._block_xor(cipher._run(plains, params[k], m, r - 1, False))
+        ps = metrics.bit_weights(y.reshape(-1, n))
+        weights.append(np.stack([ps, ps + 1 - 2 * ((y[source[k]] >> bit[k]) & 1)], axis=1))
+    return weights
 
 
 def avalanche_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[SweepCell]:
@@ -437,7 +465,7 @@ def avalanche_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[SweepCell]:
     100.0 * weight / (8 * M * M), and every cell's PS and Diff Stats come
     from one (2 * cells, trials) array.
     """
-    cells = _sweep(_cipher_batch, cfg, jobs, True, _avalanche_scores)
+    cells = _sweep(_avalanche_batch, cfg, jobs)
     weights = np.stack([scores.T for _, _, scores in cells])
     bits = np.array([8 * m * m for m, _, _ in cells])
     stats = Stats.from_rows((100.0 * weights / bits[:, np.newaxis, np.newaxis]).reshape(-1, cfg.trials))

@@ -35,12 +35,12 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
   trial) stream of one sweep task, at the task shapes below: its fixed
   cost per call beside the per-column work;
 - experiments._draw_trials, the reduced key parameters and single-LSB
-  plaintexts of every round count of one sweep task: 20 trials under
+  frame positions of every round count of one sweep task: 20 trials under
   rounds 7..1 at M in {16, 64} (avalanche-small's tasks) and one trial
   under rounds 6 and 1 at M = 512 (uniformity-large's): the draw cost
   beside the cipher layers;
-- cipher._run over those drawn parameters and plaintexts, one call per
-  round count of the task;
+- cipher._run over those drawn parameters and their one-hot plaintexts,
+  one call per round count of the task;
 - experiments._trial_streams, each trial through its own Generator, key
   only (the route of error propagation) and with the single-LSB pixel (the
   route of a pixel that _draw_trials replays), at the batch sizes of M in
@@ -50,9 +50,10 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
   usable_cpus patched to 2: at jobs=1 the caller alone, at jobs=2 the
   caller and one helper, so the difference is the fixed cost of starting,
   feeding and joining one helper per sweep.
-- experiments._avalanche_scores on one task's stacks at M in {16, 64, 512},
-  with the default avalanche sweep's trials per task (1000, 64 and 1):
-  PS and Diff bit weights, one lane popcount pass per stack;
+- experiments._avalanche_batch on one task at M in {16, 64, 512}, with
+  the default avalanche sweep's trials per task (1000, 64 and 1) and
+  round counts (7..1): the draws, r - 1 rounds and the last block XOR of
+  each round count, and the PS and Diff bit weights read from it;
 - experiments.Stats for the default avalanche grid, 56 cells of PS and Diff
   over 1000 trials: from_rows on the one (112, 1000) array the sweep
   builds, beside from_values on each of its rows.
@@ -239,16 +240,17 @@ def test_first_words(benchmark, m, trials, rounds):
 
 @pytest.mark.parametrize("m, trials, rounds", TASKS, ids=TASK_IDS)
 def test_draw_trials(benchmark, m, trials, rounds):
-    benchmark(lambda: list(experiments._draw_trials(7, m, rounds, 0, trials, True)))
+    benchmark(experiments._draw_trials, 7, m, rounds, 0, trials, True)
 
 
 @pytest.mark.parametrize("m, trials, rounds", TASKS, ids=TASK_IDS)
 def test_run_drawn_params(benchmark, m, trials, rounds):
-    cells = list(zip(rounds, experiments._draw_trials(7, m, rounds, 0, trials, True)))
+    params, framed = experiments._draw_trials(7, m, rounds, 0, trials, True)
+    cells = [(r, p, oracles.one_hot(f, m).reshape(-1)) for r, p, f in zip(rounds, params, framed)]
 
     def run():
-        for r, (params, plains) in cells:
-            cipher._run(plains.reshape(-1), params, m, r, False)
+        for r, keys, plains in cells:
+            cipher._run(plains, keys, m, r, False)
 
     run()  # the static tables
     benchmark(run)
@@ -273,15 +275,13 @@ def test_pool_fixed_cost(benchmark, monkeypatch, jobs):
 
 
 @pytest.mark.parametrize("m", [16, 64, 512])
-def test_avalanche_scores(benchmark, m):
-    # one task's stacks: one-bit plaintexts and random ciphertexts; the
-    # popcount's cost does not depend on the bytes
+def test_avalanche_batch(benchmark, m):
+    # a task of the default avalanche sweep's shape at M
     trials = min(experiments.DEFAULT_TRIALS, max(1, experiments.BATCH_PIXELS // (m * m)))
-    rng = np.random.default_rng(m)
-    plains = np.zeros((trials, m, m), dtype=np.uint8)
-    plains[np.arange(trials), rng.integers(0, m, trials), rng.integers(0, m, trials)] = 1
-    ciphers = rng.integers(0, 256, (trials, m, m), dtype=np.uint8)
-    benchmark(experiments._avalanche_scores, plains, ciphers)
+    rounds = tuple(sorted(experiments.DEFAULT_ROUNDS, reverse=True))
+    task = (7, m, rounds, 0, trials)
+    experiments._avalanche_batch(task)  # the static tables
+    benchmark(experiments._avalanche_batch, task)
 
 
 @pytest.mark.parametrize("route", ["from-rows", "from-values"])

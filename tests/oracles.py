@@ -304,6 +304,15 @@ def unframe(data):
     return out.reshape(data.shape)
 
 
+def one_hot(framed, m):
+    """The (W, M, M) plaintext stack of one round count's drawn trials, as
+    _draw_trials' framed positions give it: image w all zero but for the
+    LSB of flat byte framed[w], in encryption's frame."""
+    plains = np.zeros((len(framed), m * m), dtype=np.uint8)
+    plains[np.arange(len(framed)), framed] = 1
+    return plains.reshape(-1, m, m)
+
+
 def inverse_index_by_scatter(index):
     """Inverse of a flat gather index (a permutation), by one scatter:
     inverse[index[k]] = k."""
@@ -427,9 +436,9 @@ def avalanche_trial(task):
 
 
 def avalanche_percents(batch, m):
-    """A _cipher_batch of _avalanche_scores read as each trial's (PS, Diff)
-    percentages, per round count: its int64 (trials, 2) bit weights each
-    taken to 100.0 * weight / (8 * M * M), as avalanche_sweep does."""
+    """An _avalanche_batch read as each trial's (PS, Diff) percentages, per
+    round count: its int64 (trials, 2) bit weights each taken to
+    100.0 * weight / (8 * M * M), as avalanche_sweep does."""
     for weights in batch:
         assert weights.dtype == np.int64 and weights.shape == (len(weights), 2)
     return [[tuple(row) for row in (100.0 * weights / (8 * m * m)).tolist()] for weights in batch]

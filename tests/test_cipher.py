@@ -712,6 +712,16 @@ class TestRoundGenerator:
             # the stack starts sparse and switches to dense mid-run
             assert 0 < sparse_rounds < self.ROUNDS
 
+    @pytest.mark.parametrize("invert", [False, True], ids=["encrypt", "decrypt"])
+    def test_zero_rounds_return_the_stack(self, invert):
+        # the avalanche batch runs r - 1 rounds, none at r = 1
+        m = 16
+        flat = np.random.default_rng(m).integers(0, 256, 3 * m * m, dtype=np.uint8)
+        before = flat.copy()
+        params = oracles.reduced_params([(3, 5, 7, 11)], m)
+        assert cipher._run(flat, params, m, 0, invert) is flat
+        assert np.array_equal(flat, before)
+
     def test_run_builds_one_index_at_most(self, monkeypatch):
         built = oracles.count_index_builds(monkeypatch)
         m = 512
@@ -1020,3 +1030,38 @@ class TestInvariants:
     def test_decrypt_inverts_encrypt(self, seed, m, rounds):
         key, (x,) = self.draw(seed, m, rounds, count=1)
         assert np.array_equal(cipher.decrypt(cipher.encrypt(x, key), key), x)
+
+
+class TestSameCellPairs:
+    """A 2-bit difference inside one (block, plane) cell has even weight
+    there, so it adds nothing to its block's XOR and leaves the block XOR
+    as 2 bits.  Where the rest of the round moves both bits into one cell
+    again, it stays at 2 bits for another round, and for some keys for
+    every round."""
+
+    def test_two_bits_of_one_block_and_plane_stay_two_bits(self):
+        # the 120 byte pairs of one block in each of the 8 bit-planes
+        pairs = [(i, j, plane) for i, j in itertools.combinations(range(16), 2) for plane in range(8)]
+        assert len(pairs) == 120 * 8
+        deltas = np.zeros((len(pairs), 16), dtype=np.uint8)
+        for delta, (i, j, plane) in zip(deltas, pairs):
+            delta[[i, j]] = 1 << plane
+        x = np.random.default_rng(120).integers(0, 256, 16, dtype=np.uint8)
+        moved = cipher._block_xor(np.tile(x, len(pairs)) ^ deltas.reshape(-1)).reshape(-1, 16) ^ cipher._block_xor(x)
+        assert np.array_equal(moved, deltas)
+        assert oracles.row_bit_weights(moved).tolist() == [2] * len(pairs)
+
+    # keys under which the round's byte map keeps the two bytes in one
+    # block with equal rotations, round after round
+    @pytest.mark.parametrize("m, params, flipped", [
+        (16, (0, 0, 0, 15), (23, 27)),
+        (64, (35, 48, 26, 59), (2414, 2408)),
+    ])
+    def test_permanent_two_bit_pair(self, m, params, flipped):
+        plain = np.random.default_rng(m).integers(0, 256, (m, m), dtype=np.uint8)
+        changed = plain.copy()
+        changed.reshape(-1)[list(flipped)] ^= 1
+        for rounds in (1, 6, 7, 10, 30):
+            key = cipher.CipherKey(*params, rounds=rounds)
+            diff = cipher.encrypt(plain, key) ^ cipher.encrypt(changed, key)
+            assert oracles.popcount_bytes(diff) == 2, rounds

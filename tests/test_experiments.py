@@ -20,10 +20,6 @@ from cipher_audit.experiments import ExperimentConfig, Stats
 import oracles
 
 
-# _sweep's extra task fields for the avalanche sweep's batches
-AVALANCHE = (True, experiments._avalanche_scores)
-
-
 def small_cfg(**overrides) -> ExperimentConfig:
     base = dict(sizes=(16,), rounds=(6,), trials=20, master_seed=5)
     base.update(overrides)
@@ -362,18 +358,18 @@ class TestSweepOrder:
 
         def avalanche_batch(task):
             received.append(task)
-            return experiments._cipher_batch(task)
+            return experiments._avalanche_batch(task)
 
         inline = types.SimpleNamespace(
             Process=_InlineProcess, Value=multiprocessing.Value, Pipe=multiprocessing.Pipe
         )
         monkeypatch.setattr(experiments, "get_context", lambda: inline)
-        pooled = experiments._sweep(avalanche_batch, self.CFG, 2, *AVALANCHE)
+        pooled = experiments._sweep(avalanche_batch, self.CFG, 2)
         cells = [(m, rounds) for _, m, rounds, *_ in received]
         assert cells == [(20, (3, 1))] * 3 + [(16, (3, 1))] * 2
         assert [(start, stop) for _, _, _, start, stop, *_ in received] == \
             [(0, 2), (2, 4), (4, 5), (0, 3), (3, 5)]
-        assert_same_cells(pooled, experiments._sweep(experiments._cipher_batch, self.CFG, 1, *AVALANCHE))
+        assert_same_cells(pooled, experiments._sweep(experiments._avalanche_batch, self.CFG, 1))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pool_runs_tasks_by_index(self, monkeypatch, workers):
@@ -400,10 +396,10 @@ class TestSweepOrder:
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_same_cells_at_one_and_two_jobs(self, monkeypatch, method):
         _use_context(monkeypatch, method)
-        serial = experiments._sweep(experiments._cipher_batch, self.CFG, 1, *AVALANCHE)
+        serial = experiments._sweep(experiments._avalanche_batch, self.CFG, 1)
         assert [(m, r) for m, r, _ in serial] == [(16, 1), (16, 3), (20, 1), (20, 3)]
         assert all(chunk.shape == (self.CFG.trials, 2) for _, _, chunk in serial)
-        assert_same_cells(experiments._sweep(experiments._cipher_batch, self.CFG, 2, *AVALANCHE), serial)
+        assert_same_cells(experiments._sweep(experiments._avalanche_batch, self.CFG, 2), serial)
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_error_propagation_cell(self, monkeypatch, method):
@@ -651,7 +647,7 @@ class TestAvalancheSweep:
         # contract, under each of the task's round counts
         master_seed, m, start, stop = 5, 16, 3, 7
         batches = oracles.avalanche_percents(
-            experiments._cipher_batch((master_seed, m, (6, 2), start, stop, *AVALANCHE)), m)
+            experiments._avalanche_batch((master_seed, m, (6, 2), start, stop)), m)
         assert [len(batch) for batch in batches] == [stop - start] * 2
         for (rounds, w), (ps, _) in zip(itertools.product((6, 2), range(start, stop)),
                                         itertools.chain(*batches)):
@@ -672,12 +668,13 @@ class TestLinearityShortcuts:
     """The trials skip work by E(0) = 0 and D(E(I) xor e) = I xor D(e); the
     direct route in oracles must give exactly the same numbers."""
 
-    @pytest.mark.parametrize("m", [16, 20, 64])
+    # M=4: one block per image; M=12: _reduce's division path
+    @pytest.mark.parametrize("m", [4, 12, 16, 20, 64])
     def test_avalanche_trial_equals_direct_route(self, m):
         for master_seed in (0, 5, 123):
             for rounds in ((6, 2, 1), (2,)):
                 for start, stop in ((0, 32), (7, 8), (5, 12)):
-                    batch = experiments._cipher_batch((master_seed, m, rounds, start, stop, *AVALANCHE))
+                    batch = experiments._avalanche_batch((master_seed, m, rounds, start, stop))
                     assert oracles.avalanche_percents(batch, m) == [
                         [oracles.avalanche_trial((master_seed, m, r, index))
                          for index in range(start, stop)]
@@ -733,15 +730,16 @@ class TestLinearityShortcuts:
         task = (3, m, (5, 2), 4, 13)
         zeros = np.zeros((m, m), dtype=np.uint8)
         expected = []
-        for r, (params, plains) in zip((5, 2), experiments._draw_trials(*task, single_lsb=True)):
+        params, framed = experiments._draw_trials(*task, single_lsb=True)
+        for r, params, framed in zip((5, 2), params, framed, strict=True):
             keys = [oracles.trial_draws(3, index, m, r)[1] for index in range(4, 13)]
             assert np.array_equal(params, oracles.reduced_params(keys, m))
-            # the drawn plaintexts are in encryption's frame
-            plains = oracles.unframe(plains)
+            # the drawn bits are in encryption's frame
+            plains = oracles.unframe(oracles.one_hot(framed, m))
             ciphers = oracles.per_image(cipher.encrypt, plains, keys)
             expected.append([(metrics.hamming_percent(zeros, c), metrics.hamming_percent(p, c))
                              for p, c in zip(plains, ciphers)])
-        assert oracles.avalanche_percents(experiments._cipher_batch((*task, *AVALANCHE)), m) == expected
+        assert oracles.avalanche_percents(experiments._avalanche_batch(task), m) == expected
 
     @pytest.mark.parametrize("single_lsb", [False, True])
     def test_score_sees_each_round_count_once(self, single_lsb):
@@ -802,7 +800,7 @@ class TestScoreContract:
         def moved(stack):
             return stack.reshape(-1, 16)[:, list(sigma)].reshape(stack.shape)
 
-        for score in (experiments._avalanche_scores, experiments._chi_squares):
+        for score in (experiments._chi_squares,):
             scores = score(plains, ciphers)
             assert len(scores) == count
             assert np.array_equal(score(moved(plains), moved(ciphers)), scores)

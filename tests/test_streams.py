@@ -87,6 +87,22 @@ def record_replays(monkeypatch):
     return replayed
 
 
+def assert_draw_shapes(drawn, rounds, trials, single_lsb=True):
+    """_draw_trials' (params, framed) arrays: int32 (round counts, trials, 4)
+    and intp (round counts, trials), or None without single_lsb."""
+    params, framed = drawn
+    assert params.dtype == np.int32 and params.shape == (len(rounds), trials, 4)
+    if single_lsb:
+        assert framed.dtype == np.intp and framed.shape == (len(rounds), trials)
+    else:
+        assert framed is None
+
+
+def drawn_plains(framed, k, m, trials):
+    """The plaintexts of round count k that framed gives, in encryption's frame."""
+    return np.zeros((trials, m, m), dtype=np.uint8) if framed is None else oracles.one_hot(framed[k], m)
+
+
 def assert_trial_draws(seed, m, rounds, indices, params, plains, single_lsb=True):
     """params and plains hold the reduced keys and single-LSB plaintexts
     (all-zero ones without single_lsb) of the trials' own Generators; the
@@ -106,19 +122,21 @@ class TestDrawTrials:
         for k, (seed, rounds) in enumerate(itertools.product(SEEDS, ROUND_SETS)):
             start = 3 + 1009 * k
             stop = start + 40
-            drawn = list(experiments._draw_trials(seed, m, rounds, start, stop, True))
+            params, framed = drawn = experiments._draw_trials(seed, m, rounds, start, stop, True)
             assert replayed == []
-            assert len(drawn) == len(rounds)
-            for r, (params, plains) in zip(rounds, drawn):
-                assert_trial_draws(seed, m, r, range(start, stop), params, plains)
+            assert_draw_shapes(drawn, rounds, stop - start)
+            for k, r in enumerate(rounds):
+                assert_trial_draws(seed, m, r, range(start, stop), params[k], oracles.one_hot(framed[k], m))
 
     @pytest.mark.parametrize("single_lsb", [False, True])
     @pytest.mark.parametrize("m", [16, 300])
     def test_streams_continue_where_the_draws_stop(self, m, single_lsb):
-        drawn = experiments._draw_trials(11, m, (6, 2), 40, 44, single_lsb)
-        for r, (params, plains) in zip((6, 2), drawn):
+        params, framed = drawn = experiments._draw_trials(11, m, (6, 2), 40, 44, single_lsb)
+        assert_draw_shapes(drawn, (6, 2), 4, single_lsb)
+        for k, r in enumerate((6, 2)):
+            params_r, plains = params[k], drawn_plains(framed, k, m, 4)
             draws = list(experiments._trial_streams(11, m, r, range(40, 44), single_lsb))
-            assert [row.tolist() for _, row, _ in draws] == params.tolist()
+            assert [row.tolist() for _, row, _ in draws] == params_r.tolist()
             for index, (rng, row, pixel), plain in zip(range(40, 44), draws, plains):
                 direct = np.random.default_rng((11, index, m, r))
                 assert row.dtype == np.int32
@@ -135,9 +153,11 @@ class TestDrawTrials:
     @pytest.mark.parametrize("single_lsb", [False, True])
     def test_last_indices_and_round_count(self, single_lsb):
         start, stop, rounds = LAST_TRIALS
-        drawn = experiments._draw_trials(9, 20, rounds, start, stop, single_lsb)
-        for r, (params, plains) in zip(rounds, drawn, strict=True):
-            assert_trial_draws(9, 20, r, range(start, stop), params, plains, single_lsb)
+        params, framed = drawn = experiments._draw_trials(9, 20, rounds, start, stop, single_lsb)
+        assert_draw_shapes(drawn, rounds, stop - start, single_lsb)
+        for k, r in enumerate(rounds):
+            assert_trial_draws(9, 20, r, range(start, stop), params[k],
+                               drawn_plains(framed, k, 20, stop - start), single_lsb)
 
     def test_continuing_sweeps_skip_the_batch_derivation(self, monkeypatch):
         # error propagation draws every trial through its own Generator,
@@ -176,10 +196,11 @@ class TestReplay:
         # (round count, trial) replays, and every other stays in the batch pass
         monkeypatch.setattr(streams, "first_words", reject_pixel_of(1, cell=1))
         replayed = record_replays(monkeypatch)
-        drawn = list(experiments._draw_trials(4, m, (6, 1), 10, 13, True))
+        params, framed = drawn = experiments._draw_trials(4, m, (6, 1), 10, 13, True)
         assert replayed == [(1, 11)]
-        for r, (params, plains) in zip((6, 1), drawn):
-            assert_trial_draws(4, m, r, range(10, 13), params, plains)
+        assert_draw_shapes(drawn, (6, 1), 3)
+        for k, r in enumerate((6, 1)):
+            assert_trial_draws(4, m, r, range(10, 13), params[k], oracles.one_hot(framed[k], m))
         # every trial's stream goes on from its own Generator
         draws = experiments._trial_streams(4, m, 1, range(10, 13), True)
         for index, (rng, row, pixel) in zip(range(10, 13), draws):
@@ -190,12 +211,10 @@ class TestReplay:
 
     def test_rejected_pixel_scores_as_direct_route(self, monkeypatch):
         m = 20
-        task = (6, m, (3, 1), 0, 4, True)
-        avalanche = oracles.avalanche_percents(
-            experiments._cipher_batch((*task, experiments._avalanche_scores)), m)
+        task = (6, m, (3, 1), 0, 4)
+        avalanche = oracles.avalanche_percents(experiments._avalanche_batch(task), m)
         monkeypatch.setattr(streams, "first_words", reject_pixel_of(2, cell=1))
-        assert oracles.avalanche_percents(
-            experiments._cipher_batch((*task, experiments._avalanche_scores)), m) == avalanche
+        assert oracles.avalanche_percents(experiments._avalanche_batch(task), m) == avalanche
         assert avalanche == [[oracles.avalanche_trial((6, m, r, index)) for index in range(4)]
                              for r in (3, 1)]
 
@@ -208,7 +227,8 @@ class TestReplay:
     def test_real_rejection_replays(self, m, index, monkeypatch):
         start, stop = index - 1, index + 1
         replayed = record_replays(monkeypatch)
-        [(params, plains)] = experiments._draw_trials(0, m, (1,), start, stop, True)
+        [params], [framed] = experiments._draw_trials(0, m, (1,), start, stop, True)
+        plains = oracles.one_hot(framed, m)
         assert replayed == [(1, index)]
         draws = experiments._trial_streams(0, m, 1, range(start, stop), True)
         for trial, row, plain, (rng, drawn_row, pixel) in zip(range(start, stop),

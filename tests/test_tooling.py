@@ -1,7 +1,8 @@
-"""The suite's own tooling: the opt-in benchmark module and the pytest configuration.
+"""The suite's own tooling: the opt-in benchmark scripts and the pytest configuration.
 
 tests/bench_layers.py calls private names of the package, and its name
-keeps it out of the suite; this runs it once, with timing disabled.  The
+keeps it out of the suite; this runs it once, with timing disabled, and
+tests/bench_ab.py once, one pair of this checkout against itself.  The
 configuration turns warnings into errors; a failing property test must
 still be reported as one plain failure.
 """
@@ -31,6 +32,16 @@ def test_bench_layers_runs():
         cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_bench_ab_runs():
+    # this checkout against itself: one pair, the same CSV bytes on both sides
+    proc = subprocess.run(
+        [sys.executable, "tests/bench_ab.py", "--base", str(ROOT), "--pairs", "1"],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "change faster in" in proc.stdout and "of 1 pairs" in proc.stdout
 
 
 def test_failing_property_test_is_one_plain_failure(tmp_path):
