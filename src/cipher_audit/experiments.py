@@ -209,8 +209,8 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     A task is one size and one range of trials under every round count:
     each size's trials are cut into consecutive batches of at most
     BATCH_PIXELS pixels per round count (at least one trial).  batch_fn maps
-    the task (master_seed, M, rounds, start, stop, *extra), rounds largest
-    first, to the results of trials start..stop-1 under each round count in
+    the task (master_seed, M, rounds, start, stop, *extra), rounds
+    ascending, to the results of trials start..stop-1 under each round count in
     that order, one array row per trial: _avalanche_batch, with no extra,
     _cipher_batch, whose extra is (single_lsb, score), for uniformity, or
     _errprop_batch.  Everything else a batch needs travels in its task.  A
@@ -230,7 +230,7 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     task starts last while the other workers sit idle.  The results are put
     back cell by cell, in ascending (M, rounds).
     """
-    rounds = tuple(sorted(cfg.rounds, reverse=True))
+    rounds = tuple(sorted(cfg.rounds))
     tasks = []
     for m in sorted(cfg.sizes, reverse=True):
         step = max(1, BATCH_PIXELS // (m * m))
@@ -242,8 +242,8 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     sizes = []
     for i, (_, m, _, start, *_) in enumerate(tasks):
         if start == 0:
-            sizes.append([(m, r, []) for r in reversed(rounds)])
-        for (_, _, parts), values in zip(sizes[-1], reversed(done[i])):
+            sizes.append([(m, r, []) for r in rounds])
+        for (_, _, parts), values in zip(sizes[-1], done[i]):
             parts.append(values)
     return [(m, r, np.concatenate(parts)) for cells in reversed(sizes) for m, r, parts in cells]
 
@@ -342,35 +342,32 @@ def _run_pool(batch_fn, tasks, workers: int) -> dict:
     return batches
 
 
-def _trial_streams(master_seed: int, m: int, rounds: int, indices, single_lsb: bool):
-    """Each trial of indices through its own Generator, as (rng, params, pixel).
+def _trial_streams(master_seed: int, m: int, rounds: int, indices):
+    """Each trial of indices through its own Generator, as (rng, params).
 
-    Trial index draws from default_rng((master_seed, index, M, rounds)): its
+    Trial index draws from default_rng((master_seed, index, M, rounds)) its
     key's four q-bit parameters, yielded as cipher._run's int32 row
-    (a, b, rx, ry) mod M, then, if single_lsb, the row and column of the
-    pixel whose LSB is set in the otherwise all-zero plaintext (pixel is
-    None without).  rng is yielded after those draws, so a sweep that keeps
-    drawing goes on from the trial's own stream.
+    (a, b, rx, ry) mod M.  rng is yielded after that draw, so a sweep that
+    keeps drawing goes on from the trial's own stream: the single-LSB pixel
+    is rng.integers(0, M, size=2), its row and column.
     """
     for index in indices:
         rng = np.random.default_rng((master_seed, index, m, rounds))
-        params = cipher._key_row(cipher.key_from_stream(rng, m, rounds), m)
-        pixel = tuple(int(v) for v in rng.integers(0, m, size=2)) if single_lsb else None
-        yield rng, params, pixel
+        yield rng, cipher._key_row(cipher.key_from_stream(rng, m, rounds), m)
 
 
-def _draw_trials(master_seed: int, m: int, rounds: tuple[int, ...], start: int, stop: int, single_lsb: bool):
-    """Key parameters and plaintext bits of trials start..stop-1 under each
-    round count, as (params, framed) arrays: the draws of _trial_streams, batched.
+def _draw_trials(master_seed: int, m: int, rounds: tuple[int, ...], start: int, stop: int):
+    """Key parameters and single-LSB pixels of trials start..stop-1 under
+    each round count, as (params, framed) arrays: the draws of
+    _trial_streams and the pixel after them, batched.
 
     params is int32 (round counts, trials, 4): cipher._run's rows (a, b,
     rx, ry) mod M, one per trial; no trial builds a CipherKey.  framed is
     intp (round counts, trials): the position, in encryption's frame, of
     the byte whose LSB the trial's single-LSB plaintext sets, the pixel at
-    natural position p = row*M + column being at cipher._framed(p).
-    Without single_lsb the plaintexts are all zero and framed is None.
-    The round counts are in the order given; each batch function builds
-    its one-hot stacks from framed.
+    natural position p = row*M + column being at cipher._framed(p).  The
+    round counts are in the order given; each batch function builds its
+    one-hot stacks from framed.
 
     numpy draws each bounded value from one 32-bit half of a 64-bit word,
     low half first, so a trial's six draws are the six halves of the first
@@ -378,19 +375,16 @@ def _draw_trials(master_seed: int, m: int, rounds: tuple[int, ...], start: int, 
     (round count, trial) of the batch.  By numpy's rule (Lemire's), a draw
     below n takes x to (x*n) >> 32 and rejects x when (x*n) mod 2**32 <
     (2**32 - n) mod n.  The key's bound 2**q never rejects and takes the top
-    q bits; a coordinate, bound M, may.  A (round count, trial) whose
-    single-LSB pixel numpy rejects is drawn through _trial_streams, whose
-    row is written as it is.
+    q bits; a coordinate, bound M, may.  A (round count, trial) whose pixel
+    numpy rejects draws its pixel from the Generator of _trial_streams.
     """
     halves = streams.first_words(master_seed, start, stop, m, rounds).astype("<u8", copy=False).view("<u4")
     params = ((halves[..., :4] >> (32 - cipher.param_bits(m))) % m).astype(np.int32)
-    if not single_lsb:
-        return params, None
     scaled = halves[..., 4:] * np.uint64(m)
     pixels = (scaled >> 32).astype(np.intp)
     for k, i in np.argwhere(((scaled & 0xFFFFFFFF) < (2**32 - m) % m).any(axis=2)).tolist():
-        [(_, row, pixel)] = _trial_streams(master_seed, m, rounds[k], [start + i], True)
-        params[k, i], pixels[k, i] = row, pixel
+        [(rng, _)] = _trial_streams(master_seed, m, rounds[k], [start + i])
+        pixels[k, i] = rng.integers(0, m, size=2)
     return params, cipher._framed(pixels[..., 0] * m + pixels[..., 1])
 
 
@@ -398,7 +392,8 @@ def _cipher_batch(task: tuple) -> list[np.ndarray]:
     """Scores of each trial of a batch, per round count: uniformity's route through the cipher.
 
     The task ends in (single_lsb, score).  Each round count's trials, drawn
-    by _draw_trials, are encrypted in one cipher._run call, and
+    by _draw_trials, are encrypted in one cipher._run call: the single-LSB
+    plaintexts that framed gives, or with single_lsb false all-zero ones.
     score(plains, ciphers) maps the two (trials, M, M) stacks to one array
     with one row per trial.  Both stacks are in encryption's frame, not in
     the image's byte order: every 16-byte block holds its bytes moved by one
@@ -407,14 +402,15 @@ def _cipher_batch(task: tuple) -> list[np.ndarray]:
     as a bit weight and a byte histogram do.
     """
     master_seed, m, rounds, start, stop, single_lsb, score = task
-    params, framed = _draw_trials(master_seed, m, rounds, start, stop, single_lsb)
-    count = stop - start
+    params, framed = _draw_trials(master_seed, m, rounds, start, stop)
+    count, n = stop - start, m * m
+    offsets = np.arange(0, count * n, n)
     scores = []
     for k, r in enumerate(rounds):
-        plains = np.zeros((count, m * m), dtype=np.uint8)
+        plains = np.zeros(count * n, dtype=np.uint8)
         if single_lsb:
-            plains[np.arange(count), framed[k]] = 1
-        ciphers = cipher._run(plains.reshape(-1), params[k], m, r, False)
+            plains[framed[k] + offsets] = 1
+        ciphers = cipher._run(plains, params[k], m, r, False)
         scores.append(score(plains.reshape(count, m, m), ciphers.reshape(count, m, m)))
     return scores
 
@@ -441,7 +437,7 @@ def _avalanche_batch(task: tuple) -> list[np.ndarray]:
     Every _source position of a task is evaluated in one call.
     """
     master_seed, m, rounds, start, stop = task
-    params, framed = _draw_trials(master_seed, m, rounds, start, stop, True)
+    params, framed = _draw_trials(master_seed, m, rounds, start, stop)
     count, n = stop - start, m * m
     offsets = np.arange(0, count * n, n)
     u, v, shift = cipher.static_tables(m)[:3]
@@ -548,8 +544,8 @@ def _errprop_batch(task: tuple) -> list[np.ndarray]:
     out = []
     for r in rounds:
         out.append(cell := np.empty((stop - start, len(counts), 3)))
-        trials = _trial_streams(master_seed, m, r, range(start, stop), False)
-        for scores, (rng, params, _) in zip(cell, trials):
+        trials = _trial_streams(master_seed, m, r, range(start, stop))
+        for scores, (rng, params) in zip(cell, trials):
             errors = _error_vectors(rng, m, counts)
             damage = cipher._run(errors.reshape(-1), params[np.newaxis], m, r, True).reshape(errors.shape)
             scores[:, 0] = metrics.bit_percents(damage)
@@ -608,7 +604,7 @@ def keyspace_report(m: int, guesses_per_second: float = 1e9) -> KeySpaceReport:
     if not (math.isfinite(guesses_per_second) and guesses_per_second > 0):
         raise ValueError(f"the guess rate must be finite and above 0, got {guesses_per_second}")
     bits = cipher.key_bits(m)
-    return KeySpaceReport(
+    report = KeySpaceReport(
         size=m,
         param_bits=cipher.param_bits(m),
         key_bits=bits,
@@ -616,3 +612,6 @@ def keyspace_report(m: int, guesses_per_second: float = 1e9) -> KeySpaceReport:
         effective_key_space=m**4,
         guesses_per_second=guesses_per_second,
     )
+    if not math.isfinite(report.brute_force_seconds):
+        raise ValueError(f"the guess rate {guesses_per_second} is too small: the search time over M^4 keys overflows")
+    return report

@@ -1,16 +1,17 @@
 """In-process A/B of two checkouts on one perfbench workload.
 
-    python tests/bench_ab.py --base PATH [--workload NAME] [--pairs N]
+    python tests/bench_ab.py --base PATH [--workload NAME] [--pairs N] [--seed N]
 
 Run it from the root of a checkout.  It loads this checkout's package as
 cipher_audit and PATH/src/cipher_audit under a second package name,
 cipher_audit_base, into one process, and calls each side's cli.main on the
-workload's perfbench command line (perfbench/harness.py's WORKLOADS, at its
-default seed) in alternating pairs, the side that runs first switching from
-pair to pair.  After one untimed warm-up call per side, it prints each
-side's median and quartiles in milliseconds, the ratio of the medians, and
-the number of pairs this checkout ran faster; it exits 1 if the two sides
-ever write different CSV bytes.  Its name keeps it out of the test suite.
+workload's perfbench command line (perfbench/harness.py's WORKLOADS, at
+--seed, by default perfbench's seed 0) in alternating pairs, the side that
+runs first switching from pair to pair.  After one untimed warm-up call per
+side, it prints the seed, each side's median and quartiles in milliseconds,
+the ratio of the medians, and the number of pairs this checkout ran faster;
+it exits 1 if the two sides ever write different CSV bytes.  Its name keeps
+it out of the test suite.
 
 Both packages share one numpy and one heap, so the pairs see the same host
 state; a pooled workload (--jobs above 1) needs the fork start method, under
@@ -67,6 +68,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", type=Path, required=True, help="root of the checkout to compare against")
     parser.add_argument("--workload", default="avalanche-small")
     parser.add_argument("--pairs", type=int, default=20)
+    parser.add_argument("--seed", type=int, default=None, help="the workload's seed (default: perfbench's)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
@@ -80,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     base = load_package(args.base.resolve() / "src", BASE_PACKAGE)
     __import__(f"{BASE_PACKAGE}.cli")
     workload = harness.WORKLOADS[args.workload]
-    bench = harness.Bench(workload, harness.DEFAULT_SEED)
+    bench = harness.Bench(workload, harness.DEFAULT_SEED if args.seed is None else args.seed)
     try:
         bench.write_input()
         sides = {"change": cli.main, "base": base.cli.main}
@@ -98,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         bench.close()
 
-    print(f"{args.workload}: {args.pairs} pairs, base {args.base}")
+    print(f"{args.workload}: {args.pairs} pairs, seed {bench.seed}, base {args.base}")
     for side, walls in times.items():
         q1, median, q3 = (1e3 * t for t in quartiles(walls))
         print(f"  {side:6s} median {median:9.3f} ms  q1 {q1:9.3f}  q3 {q3:9.3f}")

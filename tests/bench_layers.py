@@ -38,13 +38,15 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
   frame positions of every round count of one sweep task: 20 trials under
   rounds 7..1 at M in {16, 64} (avalanche-small's tasks) and one trial
   under rounds 6 and 1 at M = 512 (uniformity-large's): the draw cost
-  beside the cipher layers;
+  beside the cipher layers.  _sweep passes a task's round counts
+  ascending; the cases keep the order of the earlier layer records
+  (BENCH_tasks.json), and the draws cost the same in either order;
 - cipher._run over those drawn parameters and their one-hot plaintexts,
   one call per round count of the task;
 - experiments._trial_streams, each trial through its own Generator, key
-  only (the route of error propagation) and with the single-LSB pixel (the
-  route of a pixel that _draw_trials replays), at the batch sizes of M in
-  {16, 256, 512}.
+  only (the route of error propagation) and then the single-LSB pixel
+  from the Generator it yields (the route of a pixel that _draw_trials
+  replays), at the batch sizes of M in {16, 256, 512}.
 - experiments._sweep over uniformity-large's tasks (M in {256, 300, 512},
   rounds 1 and 6, 10 trials) with batches that do nothing, with
   usable_cpus patched to 2: at jobs=1 the caller alone, at jobs=2 the
@@ -52,8 +54,9 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
   feeding and joining one helper per sweep.
 - experiments._avalanche_batch on one task at M in {16, 64, 512}, with
   the default avalanche sweep's trials per task (1000, 64 and 1) and
-  round counts (7..1): the draws, r - 1 rounds and the last block XOR of
-  each round count, and the PS and Diff bit weights read from it;
+  round counts (1..7, ascending as _sweep passes them): the draws, r - 1
+  rounds and the last block XOR of each round count, and the PS and Diff
+  bit weights read from it;
 - experiments.Stats for the default avalanche grid, 56 cells of PS and Diff
   over 1000 trials: from_rows on the one (112, 1000) array the sweep
   builds, beside from_values on each of its rows.
@@ -240,12 +243,12 @@ def test_first_words(benchmark, m, trials, rounds):
 
 @pytest.mark.parametrize("m, trials, rounds", TASKS, ids=TASK_IDS)
 def test_draw_trials(benchmark, m, trials, rounds):
-    benchmark(experiments._draw_trials, 7, m, rounds, 0, trials, True)
+    benchmark(experiments._draw_trials, 7, m, rounds, 0, trials)
 
 
 @pytest.mark.parametrize("m, trials, rounds", TASKS, ids=TASK_IDS)
 def test_run_drawn_params(benchmark, m, trials, rounds):
-    params, framed = experiments._draw_trials(7, m, rounds, 0, trials, True)
+    params, framed = experiments._draw_trials(7, m, rounds, 0, trials)
     cells = [(r, p, oracles.one_hot(f, m).reshape(-1)) for r, p, f in zip(rounds, params, framed)]
 
     def run():
@@ -259,7 +262,12 @@ def test_run_drawn_params(benchmark, m, trials, rounds):
 @pytest.mark.parametrize("single_lsb", [False, True], ids=["key", "single-lsb"])
 @pytest.mark.parametrize("m, trials", [(16, 1024), (256, 4), (512, 1)])
 def test_trial_streams(benchmark, m, trials, single_lsb):
-    benchmark(lambda: list(experiments._trial_streams(7, m, 6, range(trials), single_lsb)))
+    def draw():
+        for rng, _ in experiments._trial_streams(7, m, 6, range(trials)):
+            if single_lsb:
+                rng.integers(0, m, size=2)
+
+    benchmark(draw)
 
 
 def _no_op_batch(task: tuple) -> list[list[None]]:
@@ -278,8 +286,7 @@ def test_pool_fixed_cost(benchmark, monkeypatch, jobs):
 def test_avalanche_batch(benchmark, m):
     # a task of the default avalanche sweep's shape at M
     trials = min(experiments.DEFAULT_TRIALS, max(1, experiments.BATCH_PIXELS // (m * m)))
-    rounds = tuple(sorted(experiments.DEFAULT_ROUNDS, reverse=True))
-    task = (7, m, rounds, 0, trials)
+    task = (7, m, tuple(sorted(experiments.DEFAULT_ROUNDS)), 0, trials)
     experiments._avalanche_batch(task)  # the static tables
     benchmark(experiments._avalanche_batch, task)
 

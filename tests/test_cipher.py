@@ -1031,6 +1031,27 @@ class TestInvariants:
         key, (x,) = self.draw(seed, m, rounds, count=1)
         assert np.array_equal(cipher.decrypt(cipher.encrypt(x, key), key), x)
 
+    @pytest.mark.parametrize("rounds", [1, 2, 4, 7])
+    def test_decryption_is_the_transpose_of_encryption(self, rounds):
+        # E and D over GF(2) at M=8, column j the image of unit bit j (bit
+        # j % 8 of byte j // 8): every layer is a permutation or A, whose
+        # inverse is its transpose, so D = E^T.  One round spreads a bit over
+        # the 15 bytes that A's column gives it, in one plane.
+        m = 8
+        n = 8 * m * m
+        units = np.zeros((n, m * m), dtype=np.uint8)
+        units[np.arange(n), np.arange(n) >> 3] = 1 << (np.arange(n) & 7)
+        units = units.reshape(n, m, m)
+        rng = np.random.default_rng(8)
+        keys = [cipher.CipherKey(0, 0, 0, 0, rounds=rounds), cipher.CipherKey(7, 7, 7, 7, rounds=rounds),
+                random_key(rng, m, rounds), random_key(rng, m, rounds)]
+        for key in keys:
+            e, d = (np.unpackbits(oracles.per_image(op, units, key).reshape(n, -1), axis=1, bitorder="little").T
+                    for op in (cipher.encrypt, cipher.decrypt))
+            assert np.array_equal(d, e.T), key
+            if rounds == 1:
+                assert e.sum(axis=0).tolist() == [15] * n, key
+
 
 class TestSameCellPairs:
     """A 2-bit difference inside one (block, plane) cell has even weight
@@ -1056,6 +1077,9 @@ class TestSameCellPairs:
     @pytest.mark.parametrize("m, params, flipped", [
         (16, (0, 0, 0, 15), (23, 27)),
         (64, (35, 48, 26, 59), (2414, 2408)),
+        (16, (0, 1, 11, 4), (149, 157)),
+        (32, (4, 1, 27, 29), (128, 136)),
+        (32, (27, 17, 1, 25), (295, 296)),
     ])
     def test_permanent_two_bit_pair(self, m, params, flipped):
         plain = np.random.default_rng(m).integers(0, 256, (m, m), dtype=np.uint8)

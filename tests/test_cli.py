@@ -190,6 +190,13 @@ class TestOtherCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: the guess rate") and captured.err.count("\n") == 1
 
+    def test_keyspace_rate_with_overflowing_search_time_is_usage_error(self, capsys):
+        # 4^4 / 1e-308 overflows a float: an error, not "inf s"
+        assert run(["keyspace", "--dim", 4, "--rate", "1e-308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the guess rate 1e-308 is too small: the search time over M^4 keys overflows\n"
+
     def test_make_image_kinds(self, tmp_path):
         for kind in ("all-zero", "single-lsb", "uniform-random", "portrait"):
             out = tmp_path / f"{kind}.pgm"

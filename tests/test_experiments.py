@@ -152,12 +152,12 @@ def _mark_batch(task: tuple) -> list[list[tuple[bool, bool]]]:
 
 def _failing_batch(task: tuple) -> list[list[float]]:
     """Raises ValueError in a helper, naming the batch's size and largest
-    round count.  In the caller it waits for the helpers to end, so that one
-    of them takes a batch and its exception crosses the pipe; it scores each
-    trial 1.0."""
+    round count, its last.  In the caller it waits for the helpers to end,
+    so that one of them takes a batch and its exception crosses the pipe; it
+    scores each trial 1.0."""
     master_seed, m, rounds, start, stop = task[:5]
     if _in_helper():
-        raise ValueError(f"batch at M={m}, r={rounds[0]} failed")
+        raise ValueError(f"batch at M={m}, r={rounds[-1]} failed")
     _await_helpers()
     return [[1.0] * (stop - start) for _ in rounds]
 
@@ -353,7 +353,7 @@ class TestSweepOrder:
         # The inline helper runs to its end when started, so it takes every
         # task index of the shared counter before the caller takes one, and
         # receives the tasks in the order _sweep builds them: one size and
-        # trial range each, under every round count, largest first.
+        # trial range each, under every round count, ascending.
         received = []
 
         def avalanche_batch(task):
@@ -366,7 +366,7 @@ class TestSweepOrder:
         monkeypatch.setattr(experiments, "get_context", lambda: inline)
         pooled = experiments._sweep(avalanche_batch, self.CFG, 2)
         cells = [(m, rounds) for _, m, rounds, *_ in received]
-        assert cells == [(20, (3, 1))] * 3 + [(16, (3, 1))] * 2
+        assert cells == [(20, (1, 3))] * 3 + [(16, (1, 3))] * 2
         assert [(start, stop) for _, _, _, start, stop, *_ in received] == \
             [(0, 2), (2, 4), (4, 5), (0, 3), (3, 5)]
         assert_same_cells(pooled, experiments._sweep(experiments._avalanche_batch, self.CFG, 1))
@@ -730,7 +730,7 @@ class TestLinearityShortcuts:
         task = (3, m, (5, 2), 4, 13)
         zeros = np.zeros((m, m), dtype=np.uint8)
         expected = []
-        params, framed = experiments._draw_trials(*task, single_lsb=True)
+        params, framed = experiments._draw_trials(*task)
         for r, params, framed in zip((5, 2), params, framed, strict=True):
             keys = [oracles.trial_draws(3, index, m, r)[1] for index in range(4, 13)]
             assert np.array_equal(params, oracles.reduced_params(keys, m))
@@ -743,10 +743,10 @@ class TestLinearityShortcuts:
 
     @pytest.mark.parametrize("single_lsb", [False, True])
     def test_score_sees_each_round_count_once(self, single_lsb):
-        # largest round count first, as _sweep orders a task's round counts,
+        # round counts ascending, as _sweep orders a task's round counts,
         # with the ciphertexts of per-image encrypt under the trials' keys;
         # both stacks are in encryption's frame
-        m, rounds, start, stop = 20, (5, 2, 1), 4, 9
+        m, rounds, start, stop = 20, (1, 2, 5), 4, 9
         received = []
 
         def score(plains, ciphers):
@@ -1009,6 +1009,19 @@ class TestKeyspaceReport:
         assert report.key_space == 65536
         assert len(distinct) == report.effective_key_space == 12**4 == 20736
 
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_effective_count_holds_at_every_round_count(self, m):
+        # every key in [0, M)^4 encrypts three seeded images to a triple of
+        # ciphertexts that no other key gives, at each round count 1..8;
+        # the stack runs in encryption's frame, which keeps distinct rows distinct
+        keys = np.array(list(itertools.product(range(m), repeat=4)), dtype=np.int32)
+        images = oracles.frame(np.random.default_rng(m).integers(0, 256, (3, m * m), dtype=np.uint8))
+        stack = np.tile(images.reshape(-1), len(keys))
+        params = np.repeat(keys, 3, axis=0)
+        for rounds in range(1, 9):
+            triples = cipher._run(stack, params, m, rounds, False).reshape(len(keys), -1)
+            assert len(np.unique(triples, axis=0)) == experiments.keyspace_report(m).effective_key_space == m**4
+
     def test_brute_force_uses_effective_count(self):
         report = experiments.keyspace_report(300, guesses_per_second=1e6)
         assert report.key_space == 2**36
@@ -1023,3 +1036,14 @@ class TestKeyspaceReport:
     def test_rate_must_be_finite_and_positive(self, rate):
         with pytest.raises(ValueError, match="guess rate"):
             experiments.keyspace_report(16, guesses_per_second=rate)
+
+    @pytest.mark.parametrize("m, rate", [(4, 1e-308), (4, 5e-324), (32764, 1e-291)])
+    def test_rate_whose_search_time_overflows_rejected(self, m, rate):
+        # M^4 / rate is beyond the largest float: no inf seconds reported
+        with pytest.raises(ValueError, match=r"^the guess rate .* is too small"):
+            experiments.keyspace_report(m, guesses_per_second=rate)
+
+    def test_smallest_rates_with_a_finite_search_time(self):
+        assert experiments.keyspace_report(4, guesses_per_second=1e-300).brute_force_seconds == \
+            pytest.approx(256 / 1e-300)
+        assert math.isfinite(experiments.keyspace_report(32764, guesses_per_second=1e-290).brute_force_seconds)

@@ -19,8 +19,8 @@ import oracles
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**70 + 3)
 ROUNDS = (1, 6, 2**32 - 1)
-# round counts of one task, largest first
-ROUND_SETS = ((7, 6, 1), (2**32 - 1, 2))
+# round counts of one task: ascending, as _sweep passes them, and in another order
+ROUND_SETS = ((1, 6, 7), (2**32 - 1, 2))
 SIZES = (*experiments.DEFAULT_SIZES, 4, 20)
 # (start, stop, round counts) of a task at the top of the trial-index and round-count ranges
 LAST_TRIALS = (2**32 - 3, 2**32, (2**32 - 1, 1))
@@ -79,40 +79,30 @@ def record_replays(monkeypatch):
     replayed = []
     trial_streams = experiments._trial_streams
 
-    def spy(master_seed, m, rounds, indices, single_lsb):
+    def spy(master_seed, m, rounds, indices):
         replayed.extend((rounds, index) for index in indices)
-        return trial_streams(master_seed, m, rounds, indices, single_lsb)
+        return trial_streams(master_seed, m, rounds, indices)
 
     monkeypatch.setattr(experiments, "_trial_streams", spy)
     return replayed
 
 
-def assert_draw_shapes(drawn, rounds, trials, single_lsb=True):
+def assert_draw_shapes(drawn, rounds, trials):
     """_draw_trials' (params, framed) arrays: int32 (round counts, trials, 4)
-    and intp (round counts, trials), or None without single_lsb."""
+    and intp (round counts, trials)."""
     params, framed = drawn
     assert params.dtype == np.int32 and params.shape == (len(rounds), trials, 4)
-    if single_lsb:
-        assert framed.dtype == np.intp and framed.shape == (len(rounds), trials)
-    else:
-        assert framed is None
+    assert framed.dtype == np.intp and framed.shape == (len(rounds), trials)
 
 
-def drawn_plains(framed, k, m, trials):
-    """The plaintexts of round count k that framed gives, in encryption's frame."""
-    return np.zeros((trials, m, m), dtype=np.uint8) if framed is None else oracles.one_hot(framed[k], m)
-
-
-def assert_trial_draws(seed, m, rounds, indices, params, plains, single_lsb=True):
-    """params and plains hold the reduced keys and single-LSB plaintexts
-    (all-zero ones without single_lsb) of the trials' own Generators; the
-    plaintexts are in encryption's frame."""
+def assert_trial_draws(seed, m, rounds, indices, params, plains):
+    """params and plains hold the reduced keys and single-LSB plaintexts of
+    the trials' own Generators; the plaintexts are in encryption's frame."""
     assert params.dtype == np.int32 and params.shape == (len(indices), 4)
     for index, row, plain in zip(indices, params.tolist(), plains, strict=True):
         _, expected_key, pixel = oracles.trial_draws(seed, index, m, rounds)
         assert row == reduced(expected_key, m)
-        expected = [pixel[0] * m + pixel[1]] if single_lsb else []
-        assert np.flatnonzero(oracles.unframe(plain)).tolist() == expected
+        assert np.flatnonzero(oracles.unframe(plain)).tolist() == [pixel[0] * m + pixel[1]]
 
 
 class TestDrawTrials:
@@ -122,42 +112,45 @@ class TestDrawTrials:
         for k, (seed, rounds) in enumerate(itertools.product(SEEDS, ROUND_SETS)):
             start = 3 + 1009 * k
             stop = start + 40
-            params, framed = drawn = experiments._draw_trials(seed, m, rounds, start, stop, True)
+            params, framed = drawn = experiments._draw_trials(seed, m, rounds, start, stop)
             assert replayed == []
             assert_draw_shapes(drawn, rounds, stop - start)
             for k, r in enumerate(rounds):
                 assert_trial_draws(seed, m, r, range(start, stop), params[k], oracles.one_hot(framed[k], m))
 
-    @pytest.mark.parametrize("single_lsb", [False, True])
+    @pytest.mark.parametrize("draws_pixel", [False, True])
     @pytest.mark.parametrize("m", [16, 300])
-    def test_streams_continue_where_the_draws_stop(self, m, single_lsb):
-        params, framed = drawn = experiments._draw_trials(11, m, (6, 2), 40, 44, single_lsb)
-        assert_draw_shapes(drawn, (6, 2), 4, single_lsb)
+    def test_streams_continue_where_the_draws_stop(self, m, draws_pixel):
+        # _trial_streams' Generator stands just after the key: error
+        # propagation goes on from there, and a replayed pixel is the next
+        # draw, the one framed holds
+        params, framed = drawn = experiments._draw_trials(11, m, (6, 2), 40, 44)
+        assert_draw_shapes(drawn, (6, 2), 4)
         for k, r in enumerate((6, 2)):
-            params_r, plains = params[k], drawn_plains(framed, k, m, 4)
-            draws = list(experiments._trial_streams(11, m, r, range(40, 44), single_lsb))
-            assert [row.tolist() for _, row, _ in draws] == params_r.tolist()
-            for index, (rng, row, pixel), plain in zip(range(40, 44), draws, plains):
+            draws = list(experiments._trial_streams(11, m, r, range(40, 44)))
+            assert [row.tolist() for _, row in draws] == params[k].tolist()
+            for index, (rng, row), plain in zip(range(40, 44), draws, oracles.one_hot(framed[k], m)):
                 direct = np.random.default_rng((11, index, m, r))
                 assert row.dtype == np.int32
                 assert row.tolist() == reduced(cipher.key_from_stream(direct, m, r), m)
-                if single_lsb:
-                    assert pixel == tuple(int(v) for v in direct.integers(0, m, size=2))
-                    assert np.flatnonzero(oracles.unframe(plain)).tolist() == [pixel[0] * m + pixel[1]]
-                else:
-                    assert pixel is None
-                    assert not plain.any()
+                _, _, pixel = oracles.trial_draws(11, index, m, r)
+                assert np.flatnonzero(oracles.unframe(plain)).tolist() == [pixel[0] * m + pixel[1]]
+                if draws_pixel:
+                    assert tuple(int(v) for v in rng.integers(0, m, size=2)) == pixel
+                    direct.integers(0, m, size=2)
                 assert rng.bit_generator.random_raw(5).tolist() == \
                     direct.bit_generator.random_raw(5).tolist()
 
-    @pytest.mark.parametrize("single_lsb", [False, True])
-    def test_last_indices_and_round_count(self, single_lsb):
+    @pytest.mark.parametrize("ascending", [False, True])
+    def test_last_indices_and_round_count(self, ascending):
+        # the round counts in the order given: largest first, and ascending
+        # as _sweep passes them
         start, stop, rounds = LAST_TRIALS
-        params, framed = drawn = experiments._draw_trials(9, 20, rounds, start, stop, single_lsb)
-        assert_draw_shapes(drawn, rounds, stop - start, single_lsb)
+        rounds = tuple(sorted(rounds, reverse=not ascending))
+        params, framed = drawn = experiments._draw_trials(9, 20, rounds, start, stop)
+        assert_draw_shapes(drawn, rounds, stop - start)
         for k, r in enumerate(rounds):
-            assert_trial_draws(9, 20, r, range(start, stop), params[k],
-                               drawn_plains(framed, k, 20, stop - start), single_lsb)
+            assert_trial_draws(9, 20, r, range(start, stop), params[k], oracles.one_hot(framed[k], m=20))
 
     def test_continuing_sweeps_skip_the_batch_derivation(self, monkeypatch):
         # error propagation draws every trial through its own Generator,
@@ -196,15 +189,16 @@ class TestReplay:
         # (round count, trial) replays, and every other stays in the batch pass
         monkeypatch.setattr(streams, "first_words", reject_pixel_of(1, cell=1))
         replayed = record_replays(monkeypatch)
-        params, framed = drawn = experiments._draw_trials(4, m, (6, 1), 10, 13, True)
+        params, framed = drawn = experiments._draw_trials(4, m, (6, 1), 10, 13)
         assert replayed == [(1, 11)]
         assert_draw_shapes(drawn, (6, 1), 3)
         for k, r in enumerate((6, 1)):
             assert_trial_draws(4, m, r, range(10, 13), params[k], oracles.one_hot(framed[k], m))
         # every trial's stream goes on from its own Generator
-        draws = experiments._trial_streams(4, m, 1, range(10, 13), True)
-        for index, (rng, row, pixel) in zip(range(10, 13), draws):
+        draws = experiments._trial_streams(4, m, 1, range(10, 13))
+        for index, (rng, row) in zip(range(10, 13), draws):
             direct, expected_key, expected_pixel = oracles.trial_draws(4, index, m, 1)
+            pixel = tuple(int(v) for v in rng.integers(0, m, size=2))
             assert (row.tolist(), pixel) == (reduced(expected_key, m), expected_pixel)
             assert rng.bit_generator.random_raw(3).tolist() == \
                 direct.bit_generator.random_raw(3).tolist()
@@ -227,13 +221,13 @@ class TestReplay:
     def test_real_rejection_replays(self, m, index, monkeypatch):
         start, stop = index - 1, index + 1
         replayed = record_replays(monkeypatch)
-        [params], [framed] = experiments._draw_trials(0, m, (1,), start, stop, True)
+        [params], [framed] = experiments._draw_trials(0, m, (1,), start, stop)
         plains = oracles.one_hot(framed, m)
         assert replayed == [(1, index)]
-        draws = experiments._trial_streams(0, m, 1, range(start, stop), True)
-        for trial, row, plain, (rng, drawn_row, pixel) in zip(range(start, stop),
-                                                             params.tolist(), plains, draws):
+        draws = experiments._trial_streams(0, m, 1, range(start, stop))
+        for trial, row, plain, (rng, drawn_row) in zip(range(start, stop), params.tolist(), plains, draws):
             direct, expected_key, expected_pixel = oracles.trial_draws(0, trial, m, 1)
+            pixel = tuple(int(v) for v in rng.integers(0, m, size=2))
             assert drawn_row.tolist() == row == reduced(expected_key, m)
             assert pixel == expected_pixel
             assert np.flatnonzero(oracles.unframe(plain)).tolist() == [pixel[0] * m + pixel[1]]

@@ -35,12 +35,14 @@ def test_bench_layers_runs():
 
 
 def test_bench_ab_runs():
-    # this checkout against itself: one pair, the same CSV bytes on both sides
+    # this checkout against itself: one pair, at a seed other than
+    # perfbench's, the same CSV bytes on both sides
     proc = subprocess.run(
-        [sys.executable, "tests/bench_ab.py", "--base", str(ROOT), "--pairs", "1"],
+        [sys.executable, "tests/bench_ab.py", "--base", str(ROOT), "--pairs", "1", "--seed", "3"],
         cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "seed 3" in proc.stdout
     assert "change faster in" in proc.stdout and "of 1 pairs" in proc.stdout
 
 
