@@ -87,6 +87,11 @@ def _stats_fields(stats: Stats) -> list[str]:
     return [_fmt(stats.minimum), _fmt(stats.mean), _fmt(stats.maximum), _fmt(stats.std)]
 
 
+def _stats_header(name: str) -> list[str]:
+    """The CSV columns of _stats_fields for the statistic name."""
+    return [f"{name}_{field}" for field in ("min", "mean", "max", "std")]
+
+
 def _write_report(args: argparse.Namespace, header: list[str], rows: list[list[str]],
                   noun: str) -> int:
     """Write a sweep's CSV to --out and announce it on stdout."""
@@ -121,6 +126,9 @@ def _config(args: argparse.Namespace, **fields) -> ExperimentConfig:
 
 
 def _print_keyspace(report: experiments.KeySpaceReport) -> None:
+    # from 1e9 s on, the digits of a fixed-point figure past the 17th are float noise
+    seconds = report.brute_force_seconds
+    search = f"{seconds:.3f}" if seconds < 1e9 else f"{seconds:.3e}"
     print(
         f"key space for M={report.size}: q={report.param_bits}, "
         f"{report.key_bits}-bit key, 2^{report.key_bits} = {report.key_space} keys"
@@ -131,7 +139,7 @@ def _print_keyspace(report: experiments.KeySpaceReport) -> None:
     )
     print(
         f"exhaustive search of the M^4 permutations at {report.guesses_per_second:.0e} guesses/s: "
-        f"{report.brute_force_seconds:.3f} s"
+        f"{search} s"
     )
 
 
@@ -160,9 +168,7 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
 def _cmd_avalanche(args: argparse.Namespace) -> int:
     cfg = _config(args, sizes=args.sizes, rounds=args.rounds)
     report = experiments.avalanche_sweep(cfg, jobs=args.jobs)
-    header = ["size", "rounds", "trials",
-              "ps_min", "ps_mean", "ps_max", "ps_std",
-              "diff_min", "diff_mean", "diff_max", "diff_std"]
+    header = ["size", "rounds", "trials"] + _stats_header("ps") + _stats_header("diff")
     rows = [
         [str(cell.size), str(cell.rounds), str(cell.ps.count)]
         + _stats_fields(cell.ps) + _stats_fields(cell.diff)
@@ -174,8 +180,7 @@ def _cmd_avalanche(args: argparse.Namespace) -> int:
 def _cmd_uniformity(args: argparse.Namespace) -> int:
     cfg = _config(args, sizes=args.sizes, rounds=args.rounds)
     report = experiments.uniformity_sweep(cfg, jobs=args.jobs, plaintext=args.plaintext)
-    header = ["size", "rounds", "trials",
-              "chi2_min", "chi2_mean", "chi2_max", "chi2_std", "threshold"]
+    header = ["size", "rounds", "trials"] + _stats_header("chi2") + ["threshold"]
     rows = [
         [str(cell.size), str(cell.rounds), str(cell.chi2.count)]
         + _stats_fields(cell.chi2) + [_fmt(cell.threshold)]
@@ -188,10 +193,8 @@ def _cmd_errorprop(args: argparse.Namespace) -> int:
     image = image_io.read_pgm(args.image)
     cfg = _config(args, error_percents=args.percents)
     report = experiments.error_propagation(cfg, image, jobs=args.jobs, rounds=args.rounds)
-    header = ["mode", "percent", "flipped_bits", "trials",
-              "dif_min", "dif_mean", "dif_max", "dif_std",
-              "psnr_min", "psnr_mean", "psnr_max", "psnr_std",
-              "ssim_min", "ssim_mean", "ssim_max", "ssim_std"]
+    header = (["mode", "percent", "flipped_bits", "trials"]
+              + _stats_header("dif") + _stats_header("psnr") + _stats_header("ssim"))
     rows = [
         [row.mode, _fmt(row.percent), str(row.flipped_bits), str(row.dif.count)]
         + _stats_fields(row.dif) + _stats_fields(row.psnr) + _stats_fields(row.ssim)

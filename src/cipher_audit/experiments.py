@@ -82,8 +82,8 @@ class Stats:
     """min/mean/max/std (population) of one metric over the trials it was
     finite for; count says how many that was.
 
-    A sweep builds the Stats of all its cells with from_rows, from one
-    (cells, trials) array; from_values takes one cell's values.
+    _column_stats builds every sweep's Stats with from_rows, from one
+    (cells * columns, trials) array; from_values takes one column's values.
     """
 
     minimum: float
@@ -204,18 +204,18 @@ BATCH_PIXELS = 1 << 18
 
 
 def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int, int, np.ndarray]]:
-    """Per-trial results of every (M, rounds) cell, as (M, rounds, results).
+    """Per-trial results of every (M, rounds) cell, as (M, rounds, rows).
 
     A task is one size and one range of trials under every round count:
     each size's trials are cut into consecutive batches of at most
     BATCH_PIXELS pixels per round count (at least one trial).  batch_fn maps
     the task (master_seed, M, rounds, start, stop, *extra), rounds
-    ascending, to the results of trials start..stop-1 under each round count in
-    that order, one array row per trial: _avalanche_batch, with no extra,
-    _cipher_batch, whose extra is (single_lsb, score), for uniformity, or
-    _errprop_batch.  Everything else a batch needs travels in its task.  A
-    cell's results are its tasks' arrays concatenated in task order, so row
-    i is trial i.
+    ascending, to the finished values of trials start..stop-1 under each
+    round count in that order, as one float64 (trials, columns) array:
+    _avalanche_batch, with no extra, _cipher_batch, whose extra is
+    (single_lsb, score), for uniformity, or _errprop_batch.  Everything else
+    a batch needs travels in its task.  A cell's rows are its size's task
+    arrays concatenated in trial order, so row i is trial i.
 
     The static cipher tables of every size are built first, in this process:
     forked helpers inherit them, and the loaded numpy.random, where each
@@ -227,25 +227,31 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     worker, in workers - 1 helper processes beside it.  The tasks are built
     in the order they run: largest M first (every task carries the same
     round counts), each size's batches in trial order, so that no large
-    task starts last while the other workers sit idle.  The results are put
-    back cell by cell, in ascending (M, rounds).
+    task starts last while the other workers sit idle.  The results are
+    grouped by M and come back cell by cell, in ascending (M, rounds).
     """
     rounds = tuple(sorted(cfg.rounds))
     tasks = []
-    for m in sorted(cfg.sizes, reverse=True):
+    for m in sorted(set(cfg.sizes), reverse=True):
         step = max(1, BATCH_PIXELS // (m * m))
         for start in range(0, cfg.trials, step):
             tasks.append((cfg.master_seed, m, rounds, start, min(start + step, cfg.trials), *extra))
     for m in cfg.sizes:
         cipher.static_tables(m)
     done = _run_pool(batch_fn, tasks, _worker_count(jobs, len(tasks)))
-    sizes = []
-    for i, (_, m, _, start, *_) in enumerate(tasks):
-        if start == 0:
-            sizes.append([(m, r, []) for r in rounds])
-        for (_, _, parts), values in zip(sizes[-1], done[i]):
-            parts.append(values)
-    return [(m, r, np.concatenate(parts)) for cells in reversed(sizes) for m, r, parts in cells]
+    by_size = {}
+    for k, (_, m, *_) in enumerate(tasks):
+        by_size.setdefault(m, []).append(done[k])
+    return [(m, r, np.concatenate(parts))
+            for m in sorted(cfg.sizes) for r, parts in zip(rounds, zip(*by_size[m]))]
+
+
+def _column_stats(cells) -> list[list[Stats]]:
+    """The Stats of every column of each cell's (trials, columns) rows, per
+    cell in column order: one Stats.from_rows pass over the cells' rows
+    transposed into one (cells * columns, trials) array."""
+    stats = iter(Stats.from_rows(np.concatenate([rows.T for _, _, rows in cells])))
+    return [[next(stats) for _ in range(rows.shape[1])] for _, _, rows in cells]
 
 
 def _next_position(counter) -> int:
@@ -394,8 +400,8 @@ def _cipher_batch(task: tuple) -> list[np.ndarray]:
     The task ends in (single_lsb, score).  Each round count's trials, drawn
     by _draw_trials, are encrypted in one cipher._run call: the single-LSB
     plaintexts that framed gives, or with single_lsb false all-zero ones.
-    score(plains, ciphers) maps the two (trials, M, M) stacks to one array
-    with one row per trial.  Both stacks are in encryption's frame, not in
+    score(plains, ciphers) maps the two (trials, M, M) stacks to one float64
+    (trials, columns) array.  Both stacks are in encryption's frame, not in
     the image's byte order: every 16-byte block holds its bytes moved by one
     fixed permutation.  So a score must return the same values for any
     permutation of the 16 positions applied to every block of both stacks,
@@ -420,8 +426,8 @@ def _cipher_batch(task: tuple) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _avalanche_batch(task: tuple) -> list[np.ndarray]:
-    """PS and Diff bit weights of each trial of a batch, per round count, as
-    an int64 (trials, 2) array.
+    """PS and Diff percentages of each trial of a batch, per round count, as
+    a float64 (trials, 2) array.
 
     PS compares E(I) with E(I') for the all-zero I; the cipher is linear
     over GF(2), so E(0) = 0 and PS is the bit weight of E(I').  Diff is the
@@ -434,7 +440,8 @@ def _avalanche_batch(task: tuple) -> list[np.ndarray]:
       The gather brings byte _source(u[f], v[f], key) of the trial's image
       to f, and the rotation by s = shift[f] brings bit (8 - s) mod 8 of it
       to bit 0.  With c that bit of y, Diff = PS + 1 - 2c.
-    Every _source position of a task is evaluated in one call.
+    Every _source position of a task is evaluated in one call.  The int64
+    weights become percentages in one float64 operation, 100.0 * w / (8*M*M).
     """
     master_seed, m, rounds, start, stop = task
     params, framed = _draw_trials(master_seed, m, rounds, start, stop)
@@ -443,30 +450,24 @@ def _avalanche_batch(task: tuple) -> list[np.ndarray]:
     u, v, shift = cipher.static_tables(m)[:3]
     source = cipher._source(u[framed], v[framed], *params.transpose(2, 0, 1), m) + offsets
     bit = (8 - shift[framed]) & 7
-    weights = []
+    percents = []
     for k, r in enumerate(rounds):
         plains = np.zeros(count * n, dtype=np.uint8)
         plains[framed[k] + offsets] = 1
         y = cipher._block_xor(cipher._run(plains, params[k], m, r - 1, False))
         ps = metrics.bit_weights(y.reshape(-1, n))
-        weights.append(np.stack([ps, ps + 1 - 2 * ((y[source[k]] >> bit[k]) & 1)], axis=1))
-    return weights
+        weights = np.stack([ps, ps + 1 - 2 * ((y[source[k]] >> bit[k]) & 1)], axis=1)
+        percents.append(100.0 * weights / (8 * n))
+    return percents
 
 
 def avalanche_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[SweepCell]:
     """PS (ciphertext change from a one-bit plaintext change) and Diff
-    (plain-vs-cipher distance of the flipped image) per grid cell.
-
-    Each cell's weights become percentages in one float64 operation,
-    100.0 * weight / (8 * M * M), and every cell's PS and Diff Stats come
-    from one (2 * cells, trials) array.
+    (plain-vs-cipher distance of the flipped image) per grid cell: the two
+    columns of _avalanche_batch's rows.
     """
     cells = _sweep(_avalanche_batch, cfg, jobs)
-    weights = np.stack([scores.T for _, _, scores in cells])
-    bits = np.array([8 * m * m for m, _, _ in cells])
-    stats = Stats.from_rows((100.0 * weights / bits[:, np.newaxis, np.newaxis]).reshape(-1, cfg.trials))
-    return [SweepCell(size=m, rounds=r, ps=ps, diff=diff)
-            for (m, r, _), ps, diff in zip(cells, stats[0::2], stats[1::2])]
+    return [SweepCell(m, r, *stats) for (m, r, _), stats in zip(cells, _column_stats(cells))]
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +475,9 @@ def avalanche_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[SweepCell]:
 # ---------------------------------------------------------------------------
 
 def _chi_squares(plains, ciphers) -> np.ndarray:
-    """Chi-square of each ciphertext's byte histogram, as a float64 (trials,)
-    array; the plaintexts are not scored."""
-    return np.array([metrics.chi_square(metrics.byte_histogram(c)) for c in ciphers])
+    """Chi-square of each ciphertext's byte histogram, as a float64 (trials, 1)
+    column; the plaintexts are not scored."""
+    return np.array([[metrics.chi_square(metrics.byte_histogram(c))] for c in ciphers])
 
 
 def uniformity_sweep(
@@ -496,8 +497,7 @@ def uniformity_sweep(
     if plaintext not in (PLAINTEXT_SINGLE_LSB, PLAINTEXT_ALL_ZERO):
         raise ValueError(f"unknown plaintext mode {plaintext!r}")
     cells = _sweep(_cipher_batch, cfg, jobs, plaintext == PLAINTEXT_SINGLE_LSB, _chi_squares)
-    stats = Stats.from_rows(np.stack([chi2 for _, _, chi2 in cells]))
-    return [UniformityCell(size=m, rounds=r, chi2=chi2) for (m, r, _), chi2 in zip(cells, stats)]
+    return [UniformityCell(m, r, *stats) for (m, r, _), stats in zip(cells, _column_stats(cells))]
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +529,8 @@ def _error_vectors(rng: np.random.Generator, m: int, counts: list[int]) -> np.nd
 
 def _errprop_batch(task: tuple) -> list[np.ndarray]:
     """Dif, PSNR and SSIM of every row of each trial of a batch, per round
-    count, as one float64 (trials, rows, 3) array.
+    count, as one float64 (trials, rows * 3) array: the three scores of
+    each row in turn, rows in order.
 
     A trial draws its key, then its error vectors e.  The damaged
     decryption is I xor D(e), so only the error vectors are decrypted: a
@@ -543,13 +544,14 @@ def _errprop_batch(task: tuple) -> list[np.ndarray]:
     reference = metrics._reference_sums(image)
     out = []
     for r in rounds:
-        out.append(cell := np.empty((stop - start, len(counts), 3)))
+        cell = np.empty((stop - start, len(counts), 3))
         trials = _trial_streams(master_seed, m, r, range(start, stop))
         for scores, (rng, params) in zip(cell, trials):
             errors = _error_vectors(rng, m, counts)
             damage = cipher._run(errors.reshape(-1), params[np.newaxis], m, r, True).reshape(errors.shape)
             scores[:, 0] = metrics.bit_percents(damage)
             scores[:, 1:] = [metrics._psnr_ssim(reference, d) for d in image ^ damage]
+        out.append(cell.reshape(stop - start, -1))
     return out
 
 
@@ -572,25 +574,19 @@ def error_propagation(
     and encrypts nothing; the random draws are those of the direct route.
     The trials run on the shared sweep driver as one (M, rounds) cell, cut
     into batches like the other sweeps; the image travels in every task.
-    An image smaller than one SSIM window is rejected before any trial runs.
+    A row's Dif, PSNR and SSIM Stats are three of the cell's columns.  An
+    image smaller than one SSIM window is rejected before any trial runs.
     """
     m = cipher.validate_image(image)
     metrics.check_ssim_image(image)
     cell = replace(cfg, sizes=(m,), rounds=(rounds,))
-    [(_, _, results)] = _sweep(_errprop_batch, cell, jobs, cfg.error_percents, image)
-
-    labels = zip(
+    [stats] = _column_stats(_sweep(_errprop_batch, cell, jobs, cfg.error_percents, image))
+    return [ErrorPropagationRow(*row) for row in zip(
         [SINGLE_BIT] + [PERCENT] * len(cfg.error_percents),
         [100.0 / (8 * m * m), *cfg.error_percents],
         _flip_counts(m, cfg.error_percents),
-    )
-    # one row of trials per (corruption level, score): (levels * 3, trials)
-    stats = Stats.from_rows(results.transpose(1, 2, 0).reshape(-1, cfg.trials))
-    return [
-        ErrorPropagationRow(mode=mode, percent=percent, flipped_bits=flips,
-                            dif=stats[3 * pos], psnr=stats[3 * pos + 1], ssim=stats[3 * pos + 2])
-        for pos, (mode, percent, flips) in enumerate(labels)
-    ]
+        stats[0::3], stats[1::3], stats[2::3],
+    )]
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,14 @@ workload's perfbench command line (perfbench/harness.py's WORKLOADS, at
 --seed, by default perfbench's seed 0) in alternating pairs, the side that
 runs first switching from pair to pair.  After one untimed warm-up call per
 side, it prints the seed, each side's median and quartiles in milliseconds,
-the ratio of the medians, and the number of pairs this checkout ran faster;
-it exits 1 if the two sides ever write different CSV bytes.  Its name keeps
-it out of the test suite.
+the ratio of the medians, the number of pairs this checkout ran faster, and
+a verdict line; it exits 1 if the two sides ever write different CSV bytes.
+Its name keeps it out of the test suite.
+
+The verdict is "resolved faster" when this checkout ran faster in at least
+9 of 10 pairs and its median is below the base's by more than the base's
+interquartile range, "resolved slower" in the mirror case, and "unresolved"
+otherwise: a ratio of medians alone does not tell a change from noise.
 
 Both packages share one numpy and one heap, so the pairs see the same host
 state; a pooled workload (--jobs above 1) needs the fork start method, under
@@ -63,6 +68,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(change: list[float], base: list[float]) -> str:
+    """The A/B's verdict from each side's timings, pair by pair."""
+    q1, base_median, q3 = quartiles(base)
+    gap = statistics.median(change) - base_median
+    faster = sum(c < b for c, b in zip(change, base))
+    slower = sum(c > b for c, b in zip(change, base))
+    if 10 * faster >= 9 * len(base) and -gap > q3 - q1:
+        return "resolved faster"
+    if 10 * slower >= 9 * len(base) and gap > q3 - q1:
+        return "resolved slower"
+    return "unresolved"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True, help="root of the checkout to compare against")
@@ -107,6 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     ratio = statistics.median(times["change"]) / statistics.median(times["base"])
     won = sum(c < b for c, b in zip(times["change"], times["base"]))
     print(f"  change/base median x{ratio:.3f}; change faster in {won} of {args.pairs} pairs")
+    print(f"  verdict: {verdict(times['change'], times['base'])}")
     if len(outputs) != 1:
         print("  the two sides wrote different CSV bytes")
         return 1

@@ -56,10 +56,11 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
   the default avalanche sweep's trials per task (1000, 64 and 1) and
   round counts (1..7, ascending as _sweep passes them): the draws, r - 1
   rounds and the last block XOR of each round count, and the PS and Diff
-  bit weights read from it;
+  percentages read from it;
 - experiments.Stats for the default avalanche grid, 56 cells of PS and Diff
-  over 1000 trials: from_rows on the one (112, 1000) array the sweep
-  builds, beside from_values on each of its rows.
+  over 1000 trials: experiments._column_stats on the 56 (1000, 2) cells,
+  from_rows on the one (112, 1000) array it builds, and from_values on
+  each of that array's rows.
 - cipher.static_tables built from a cleared cache at each M: the one-time
   cost of a size's key-independent tables.  It runs last, since each call
   clears the tables of every size.
@@ -291,12 +292,15 @@ def test_avalanche_batch(benchmark, m):
     benchmark(experiments._avalanche_batch, task)
 
 
-@pytest.mark.parametrize("route", ["from-rows", "from-values"])
+@pytest.mark.parametrize("route", ["column-stats", "from-rows", "from-values"])
 def test_avalanche_grid_stats(benchmark, route):
     # PS and Diff percentages of the default grid: 56 cells x 1000 trials
     cells = len(experiments.DEFAULT_SIZES) * len(experiments.DEFAULT_ROUNDS)
     values = np.random.default_rng(56).uniform(0, 100, (2 * cells, experiments.DEFAULT_TRIALS))
-    if route == "from-rows":
+    if route == "column-stats":
+        rows = [(16, 1, pair.T) for pair in values.reshape(cells, 2, -1)]
+        benchmark(experiments._column_stats, rows)
+    elif route == "from-rows":
         benchmark(experiments.Stats.from_rows, values)
     else:
         benchmark(lambda: [experiments.Stats.from_values(row) for row in values])

@@ -435,15 +435,6 @@ def avalanche_trial(task):
     return metrics.hamming_percent(c0, c1), metrics.hamming_percent(plain_flipped, c1)
 
 
-def avalanche_percents(batch, m):
-    """An _avalanche_batch read as each trial's (PS, Diff) percentages, per
-    round count: its int64 (trials, 2) bit weights each taken to
-    100.0 * weight / (8 * M * M), as avalanche_sweep does."""
-    for weights in batch:
-        assert weights.dtype == np.int64 and weights.shape == (len(weights), 2)
-    return [[tuple(row) for row in (100.0 * weights / (8 * m * m)).tolist()] for weights in batch]
-
-
 def flip_bits(data, positions):
     """Flip bit p % 8 of byte p // 8 (row-major) for every position p."""
     flat = np.asarray(data, dtype=np.uint8).reshape(-1).copy()

@@ -1052,6 +1052,46 @@ class TestInvariants:
             if rounds == 1:
                 assert e.sum(axis=0).tolist() == [15] * n, key
 
+    def test_round_one_weighs_15_bits_for_every_key_and_unit_image(self):
+        # all 4096 keys at M=8 on all 512 unit images (bit j % 8 of byte
+        # j // 8), in encryption's frame, 256 keys per cipher._run call
+        m = 8
+        n = 8 * m * m
+        units = np.zeros((n, m * m), dtype=np.uint8)
+        units[np.arange(n), np.arange(n) >> 3] = 1 << (np.arange(n) & 7)
+        stack = oracles.frame(units).reshape(-1)
+        keys = np.array(list(itertools.product(range(m), repeat=4)), dtype=np.int32)
+        assert len(keys) == 4096
+        for chunk in np.split(keys, 16):
+            out = cipher._run(np.tile(stack, len(chunk)), np.repeat(chunk, n, axis=0), m, 1, False)
+            assert (oracles.row_bit_weights(out.reshape(-1, m * m)) == 15).all()
+
+    @staticmethod
+    def same_cell_pairs(m):
+        """Every image of two bits in one 16-byte block and one bit-plane, one per row."""
+        pairs = [(block, i, j, plane) for block in range(m * m // 16)
+                 for i, j in itertools.combinations(range(16), 2) for plane in range(8)]
+        images = np.zeros((len(pairs), m * m), dtype=np.uint8)
+        for image, (block, i, j, plane) in zip(images, pairs):
+            image[[16 * block + i, 16 * block + j]] = 1 << plane
+        return images
+
+    def test_block_xor_leaves_same_cell_pairs(self):
+        # an even weight in every (block, plane) cell adds nothing to the block's XOR
+        images = self.same_cell_pairs(8)
+        assert len(images) == 4 * 120 * 8
+        assert np.array_equal(cipher._block_xor(images.reshape(-1)).reshape(images.shape), images)
+
+    def test_same_cell_pairs_stay_two_bits_after_round_one_for_every_key(self):
+        # all 4096 keys at M=8 on 16 drawn same-cell pairs: the block XOR
+        # leaves each pair, and the rest of the round only moves its two bits
+        m = 8
+        images = self.same_cell_pairs(m)
+        pairs = images[np.random.default_rng(12).choice(len(images), 16, replace=False)]
+        keys = np.array(list(itertools.product(range(m), repeat=4)), dtype=np.int32)
+        out = cipher._run(np.tile(pairs.reshape(-1), len(keys)), np.repeat(keys, 16, axis=0), m, 1, False)
+        assert (oracles.row_bit_weights(out.reshape(-1, m * m)) == 2).all()
+
 
 class TestSameCellPairs:
     """A 2-bit difference inside one (block, plane) cell has even weight

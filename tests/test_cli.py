@@ -182,6 +182,15 @@ class TestOtherCommands:
         assert "M^4 = 20736" in out
         assert "20736.000 s" in out
 
+    @pytest.mark.parametrize("dim, rate, seconds", [
+        (12, "1", "20736.000"),  # below 1e9 s: fixed point, three decimals
+        (4, "1e-300", "2.560e+302"),  # from 1e9 s: no digits of float noise
+    ])
+    def test_keyspace_search_time_format(self, capsys, dim, rate, seconds):
+        assert run(["keyspace", "--dim", dim, "--rate", rate]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            f"exhaustive search of the M^4 permutations at {float(rate):.0e} guesses/s: {seconds} s"
+
     @pytest.mark.parametrize("rate", ["0", "-5", "nan", "inf"])
     def test_bad_keyspace_rate_is_usage_error(self, capsys, rate):
         # the = form lets argparse take "-5" as a value, not an option

@@ -398,7 +398,8 @@ class TestSweepOrder:
         _use_context(monkeypatch, method)
         serial = experiments._sweep(experiments._avalanche_batch, self.CFG, 1)
         assert [(m, r) for m, r, _ in serial] == [(16, 1), (16, 3), (20, 1), (20, 3)]
-        assert all(chunk.shape == (self.CFG.trials, 2) for _, _, chunk in serial)
+        assert all(chunk.shape == (self.CFG.trials, 2) and chunk.dtype == np.float64
+                   for _, _, chunk in serial)
         assert_same_cells(experiments._sweep(experiments._avalanche_batch, self.CFG, 2), serial)
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
@@ -410,7 +411,8 @@ class TestSweepOrder:
         cfg = small_cfg(rounds=(2,), trials=3)
         percents = (0.0, 1.0)
         serial = experiments._sweep(experiments._errprop_batch, cfg, 1, percents, image)
-        assert [(m, r, chunk.shape) for m, r, chunk in serial] == [(16, 2, (3, 3, 3))]
+        # three rows (one bit, 0% and 1%) of Dif, PSNR and SSIM per trial
+        assert [(m, r, chunk.shape) for m, r, chunk in serial] == [(16, 2, (3, 9))]
         assert_same_cells(experiments._sweep(experiments._errprop_batch, cfg, 2, percents, image), serial)
 
 
@@ -646,9 +648,8 @@ class TestAvalancheSweep:
         # every trial of a batch recomputed by hand from the documented stream
         # contract, under each of the task's round counts
         master_seed, m, start, stop = 5, 16, 3, 7
-        batches = oracles.avalanche_percents(
-            experiments._avalanche_batch((master_seed, m, (6, 2), start, stop)), m)
-        assert [len(batch) for batch in batches] == [stop - start] * 2
+        batches = experiments._avalanche_batch((master_seed, m, (6, 2), start, stop))
+        assert [(batch.dtype, batch.shape) for batch in batches] == [(np.float64, (stop - start, 2))] * 2
         for (rounds, w), (ps, _) in zip(itertools.product((6, 2), range(start, stop)),
                                         itertools.chain(*batches)):
             rng = np.random.default_rng((master_seed, w, m, rounds))
@@ -675,8 +676,9 @@ class TestLinearityShortcuts:
             for rounds in ((6, 2, 1), (2,)):
                 for start, stop in ((0, 32), (7, 8), (5, 12)):
                     batch = experiments._avalanche_batch((master_seed, m, rounds, start, stop))
-                    assert oracles.avalanche_percents(batch, m) == [
-                        [oracles.avalanche_trial((master_seed, m, r, index))
+                    assert all(percents.dtype == np.float64 for percents in batch)
+                    assert [percents.tolist() for percents in batch] == [
+                        [list(oracles.avalanche_trial((master_seed, m, r, index)))
                          for index in range(start, stop)]
                         for r in rounds
                     ]
@@ -697,8 +699,10 @@ class TestLinearityShortcuts:
                 ]
                 assert len(batch) == len(expected)
                 for scores, trials in zip(batch, expected):
+                    # each trial's rows of (Dif, PSNR, SSIM), one after another
                     assert scores.dtype == np.float64
-                    assert np.array_equal(scores, trials)
+                    assert scores.shape == (stop - start, 3 * (1 + len(percents)))
+                    assert np.array_equal(scores, np.reshape(trials, scores.shape))
 
     def test_errprop_batch_builds_one_index_per_trial(self, monkeypatch):
         # a trial's rows share its one parameter row: a row per error vector
@@ -737,9 +741,11 @@ class TestLinearityShortcuts:
             # the drawn bits are in encryption's frame
             plains = oracles.unframe(oracles.one_hot(framed, m))
             ciphers = oracles.per_image(cipher.encrypt, plains, keys)
-            expected.append([(metrics.hamming_percent(zeros, c), metrics.hamming_percent(p, c))
+            expected.append([[metrics.hamming_percent(zeros, c), metrics.hamming_percent(p, c)]
                              for p, c in zip(plains, ciphers)])
-        assert oracles.avalanche_percents(experiments._avalanche_batch(task), m) == expected
+        batch = experiments._avalanche_batch(task)
+        assert all(percents.dtype == np.float64 for percents in batch)
+        assert [percents.tolist() for percents in batch] == expected
 
     @pytest.mark.parametrize("single_lsb", [False, True])
     def test_score_sees_each_round_count_once(self, single_lsb):
@@ -802,7 +808,7 @@ class TestScoreContract:
 
         for score in (experiments._chi_squares,):
             scores = score(plains, ciphers)
-            assert len(scores) == count
+            assert scores.dtype == np.float64 and scores.shape == (count, 1)
             assert np.array_equal(score(moved(plains), moved(ciphers)), scores)
 
 
@@ -877,6 +883,21 @@ class TestBatching:
         experiments._sweep(record, cfg, 1)
         assert calls == [(512, 0, 1), (512, 1, 2), (512, 2, 3), (512, 3, 4), (512, 4, 5), (512, 5, 6),
                          (256, 0, 4), (256, 4, 6), (16, 0, 6)]
+
+    def test_repeated_size_repeats_its_cells(self):
+        # a size given twice runs its trials once and reports its cells twice
+        calls = []
+
+        def record(task):
+            calls.append(task[1])
+            return _recording_batch(task)
+
+        cfg = small_cfg(sizes=(16, 20, 16), rounds=(2, 1), trials=3)
+        cells = experiments._sweep(record, cfg, 1)
+        assert calls == [20, 16]
+        assert [(m, r) for m, r, _ in cells] == [(16, 1), (16, 2), (16, 1), (16, 2), (20, 1), (20, 2)]
+        assert_same_cells(cells[:2], cells[2:4])
+        assert [len(rows) for _, _, rows in cells] == [3] * 6
 
 
 def _recording_batch(task: tuple) -> list[list[tuple[int, int, int, int]]]:
