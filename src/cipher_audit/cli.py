@@ -191,8 +191,8 @@ def _cmd_uniformity(args: argparse.Namespace) -> int:
 
 def _cmd_errorprop(args: argparse.Namespace) -> int:
     image = image_io.read_pgm(args.image)
-    cfg = _config(args, error_percents=args.percents)
-    report = experiments.error_propagation(cfg, image, jobs=args.jobs, rounds=args.rounds)
+    report = experiments.error_propagation(_config(args), image, jobs=args.jobs, rounds=args.rounds,
+                                           percents=args.percents)
     header = (["mode", "percent", "flipped_bits", "trials"]
               + _stats_header("dif") + _stats_header("psnr") + _stats_header("ssim"))
     rows = [
@@ -325,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,7 +47,6 @@ class ExperimentConfig:
     rounds: tuple[int, ...] = DEFAULT_ROUNDS
     trials: int = DEFAULT_TRIALS
     master_seed: int = 0
-    error_percents: tuple[float, ...] = DEFAULT_ERROR_PERCENTS
 
     def __post_init__(self) -> None:
         # Stored as Python integers: a numpy integer behaves as its int twin,
@@ -72,9 +71,6 @@ class ExperimentConfig:
             raise ValueError(f"trials must be within 1..{2**32}, got {self.trials}")
         if self.master_seed < 0:
             raise ValueError(f"the master seed must be >= 0, got {self.master_seed}")
-        for p in self.error_percents:
-            if not 0.0 <= p <= 100.0:
-                raise ValueError(f"error percents must be within [0, 100], got {p}")
 
 
 @dataclass(frozen=True)
@@ -203,19 +199,17 @@ def _worker_count(jobs: int, n_tasks: int) -> int:
 BATCH_PIXELS = 1 << 18
 
 
-def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int, int, np.ndarray]]:
+def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int) -> list[tuple[int, int, np.ndarray]]:
     """Per-trial results of every (M, rounds) cell, as (M, rounds, rows).
 
-    A task is one size and one range of trials under every round count:
-    each size's trials are cut into consecutive batches of at most
-    BATCH_PIXELS pixels per round count (at least one trial).  batch_fn maps
-    the task (master_seed, M, rounds, start, stop, *extra), rounds
-    ascending, to the finished values of trials start..stop-1 under each
-    round count in that order, as one float64 (trials, columns) array:
-    _avalanche_batch, with no extra, _cipher_batch, whose extra is
-    (single_lsb, score), for uniformity, or _errprop_batch.  Everything else
-    a batch needs travels in its task.  A cell's rows are its size's task
-    arrays concatenated in trial order, so row i is trial i.
+    A task is one size and one range of trials under every round count,
+    (master_seed, M, rounds, start, stop), rounds ascending: each size's
+    trials are cut into consecutive batches of at most BATCH_PIXELS pixels
+    per round count (at least one trial).  batch_fn maps a task to the
+    finished values of trials start..stop-1 under each round count in that
+    order, as one float64 (trials, columns) array each; a sweep binds its
+    own settings to batch_fn before the task.  A cell's rows are its size's
+    task arrays concatenated in trial order, so row i is trial i.
 
     The static cipher tables of every size are built first, in this process:
     forked helpers inherit them, and the loaded numpy.random, where each
@@ -235,7 +229,7 @@ def _sweep(batch_fn, cfg: ExperimentConfig, jobs: int, *extra) -> list[tuple[int
     for m in sorted(set(cfg.sizes), reverse=True):
         step = max(1, BATCH_PIXELS // (m * m))
         for start in range(0, cfg.trials, step):
-            tasks.append((cfg.master_seed, m, rounds, start, min(start + step, cfg.trials), *extra))
+            tasks.append((cfg.master_seed, m, rounds, start, min(start + step, cfg.trials)))
     for m in cfg.sizes:
         cipher.static_tables(m)
     done = _run_pool(batch_fn, tasks, _worker_count(jobs, len(tasks)))
@@ -394,20 +388,20 @@ def _draw_trials(master_seed: int, m: int, rounds: tuple[int, ...], start: int, 
     return params, cipher._framed(pixels[..., 0] * m + pixels[..., 1])
 
 
-def _cipher_batch(task: tuple) -> list[np.ndarray]:
+def _cipher_batch(single_lsb: bool, score, task: tuple) -> list[np.ndarray]:
     """Scores of each trial of a batch, per round count: uniformity's route through the cipher.
 
-    The task ends in (single_lsb, score).  Each round count's trials, drawn
-    by _draw_trials, are encrypted in one cipher._run call: the single-LSB
-    plaintexts that framed gives, or with single_lsb false all-zero ones.
-    score(plains, ciphers) maps the two (trials, M, M) stacks to one float64
-    (trials, columns) array.  Both stacks are in encryption's frame, not in
-    the image's byte order: every 16-byte block holds its bytes moved by one
-    fixed permutation.  So a score must return the same values for any
-    permutation of the 16 positions applied to every block of both stacks,
-    as a bit weight and a byte histogram do.
+    Each round count's trials, drawn by _draw_trials, are encrypted in one
+    cipher._run call: the single-LSB plaintexts that framed gives, or with
+    single_lsb false all-zero ones.  score(plains, ciphers) maps the two
+    (trials, M, M) stacks to one float64 (trials, columns) array.  Both
+    stacks are in encryption's frame, not in the image's byte order: every
+    16-byte block holds its bytes moved by one fixed permutation.  So a
+    score must return the same values for any permutation of the 16
+    positions applied to every block of both stacks, as a bit weight and a
+    byte histogram do.
     """
-    master_seed, m, rounds, start, stop, single_lsb, score = task
+    master_seed, m, rounds, start, stop = task
     params, framed = _draw_trials(master_seed, m, rounds, start, stop)
     count, n = stop - start, m * m
     offsets = np.arange(0, count * n, n)
@@ -496,7 +490,7 @@ def uniformity_sweep(
     """
     if plaintext not in (PLAINTEXT_SINGLE_LSB, PLAINTEXT_ALL_ZERO):
         raise ValueError(f"unknown plaintext mode {plaintext!r}")
-    cells = _sweep(_cipher_batch, cfg, jobs, plaintext == PLAINTEXT_SINGLE_LSB, _chi_squares)
+    cells = _sweep(functools.partial(_cipher_batch, plaintext == PLAINTEXT_SINGLE_LSB, _chi_squares), cfg, jobs)
     return [UniformityCell(m, r, *stats) for (m, r, _), stats in zip(cells, _column_stats(cells))]
 
 
@@ -527,10 +521,10 @@ def _error_vectors(rng: np.random.Generator, m: int, counts: list[int]) -> np.nd
     return errors.reshape(-1, m, m)
 
 
-def _errprop_batch(task: tuple) -> list[np.ndarray]:
+def _errprop_batch(percents: tuple[float, ...], image: np.ndarray, task: tuple) -> list[np.ndarray]:
     """Dif, PSNR and SSIM of every row of each trial of a batch, per round
     count, as one float64 (trials, rows * 3) array: the three scores of
-    each row in turn, rows in order.
+    each row of _flip_counts(M, percents) in turn, rows in order.
 
     A trial draws its key, then its error vectors e.  The damaged
     decryption is I xor D(e), so only the error vectors are decrypted: a
@@ -539,7 +533,7 @@ def _errprop_batch(task: tuple) -> list[np.ndarray]:
     percentage of D(e), from one lane popcount pass over the stack.  The
     window sums of I are computed once per batch.
     """
-    master_seed, m, rounds, start, stop, percents, image = task
+    master_seed, m, rounds, start, stop = task
     counts = _flip_counts(m, percents)
     reference = metrics._reference_sums(image)
     out = []
@@ -560,31 +554,37 @@ def error_propagation(
     image: np.ndarray,
     jobs: int = 1,
     rounds: int = SECURE_ROUNDS,
+    percents: tuple[float, ...] = DEFAULT_ERROR_PERCENTS,
 ) -> list[ErrorPropagationRow]:
     """Damage to the decrypted image when ciphertext bits flip in the channel.
 
     Per trial the image is encrypted under a fresh key, the ciphertext is
     corrupted, and the corrupted decryption is compared against the clean
     one.  The first row flips exactly one uniformly random bit; one further
-    row per configured percentage flips ceil(p * T / 100) distinct bits.
+    row per entry p of percents flips ceil(p * T / 100) distinct bits.  Of
+    cfg only trials and master_seed are read: M is the image's, r is rounds.
 
     The cipher is linear over GF(2) and D(E(I)) = I, so the corrupted
     decryption is D(E(I) xor e) = I xor D(e) and the clean one is I itself.
     A trial therefore decrypts only the sparse error vectors e, as one stack,
     and encrypts nothing; the random draws are those of the direct route.
     The trials run on the shared sweep driver as one (M, rounds) cell, cut
-    into batches like the other sweeps; the image travels in every task.
-    A row's Dif, PSNR and SSIM Stats are three of the cell's columns.  An
-    image smaller than one SSIM window is rejected before any trial runs.
+    into batches like the other sweeps, with percents and the image bound
+    to _errprop_batch; a row's Dif, PSNR and SSIM are three of its columns.
+    The percents, then the image (one SSIM window at least), then rounds
+    are checked before any trial runs.
     """
+    for p in percents:
+        if not 0.0 <= p <= 100.0:
+            raise ValueError(f"error percents must be within [0, 100], got {p}")
     m = cipher.validate_image(image)
     metrics.check_ssim_image(image)
     cell = replace(cfg, sizes=(m,), rounds=(rounds,))
-    [stats] = _column_stats(_sweep(_errprop_batch, cell, jobs, cfg.error_percents, image))
+    [stats] = _column_stats(_sweep(functools.partial(_errprop_batch, percents, image), cell, jobs))
     return [ErrorPropagationRow(*row) for row in zip(
-        [SINGLE_BIT] + [PERCENT] * len(cfg.error_percents),
-        [100.0 / (8 * m * m), *cfg.error_percents],
-        _flip_counts(m, cfg.error_percents),
+        [SINGLE_BIT] + [PERCENT] * len(percents),
+        [100.0 / (8 * m * m), *percents],
+        _flip_counts(m, percents),
         stats[0::3], stats[1::3], stats[2::3],
     )]
 

@@ -5,6 +5,9 @@ Run it from the root of a checkout, for every workload or the ones named:
 
     python tests/bench_faults.py [avalanche-small errorprop-256 uniformity-large]
 
+A name that is not a workload (--help among them) ends it with exit code 2
+and one line that lists the workloads, before any run.
+
 For each workload it replays perfbench's closed loop at seed 0: one
 Bench.set_up(), then RUNS calls of Bench.run().  It prints the minor page
 faults (ru_minflt) and CPU ms per run of this process (caller), of the
@@ -77,6 +80,12 @@ def summary(values: list[float], fmt: str) -> str:
 
 
 def main(names: list[str]) -> int:
+    # every name is checked before the first workload's set-up and runs
+    for name in names:
+        if name not in harness.WORKLOADS:
+            print(f"bench_faults: unknown workload {name!r}, choose from {', '.join(harness.WORKLOADS)}",
+                  file=sys.stderr)
+            return 2
     for name in names or list(harness.WORKLOADS):
         series, walls = measure(harness.WORKLOADS[name])
         print(f"{name}:")

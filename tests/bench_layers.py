@@ -48,10 +48,11 @@ Every case runs on one M x M image under one key, M in {16, 64, 256, 512}:
   from the Generator it yields (the route of a pixel that _draw_trials
   replays), at the batch sizes of M in {16, 256, 512}.
 - experiments._sweep over uniformity-large's tasks (M in {256, 300, 512},
-  rounds 1 and 6, 10 trials) with batches that do nothing, with
-  usable_cpus patched to 2: at jobs=1 the caller alone, at jobs=2 the
-  caller and one helper, so the difference is the fixed cost of starting,
-  feeding and joining one helper per sweep.
+  rounds 1 and 6, 10 trials) with batches that do nothing, bound to
+  uniformity's settings as its sweep binds them, with usable_cpus
+  patched to 2: at jobs=1 the caller alone, at jobs=2 the caller and one
+  helper, so the difference is the fixed cost of starting, feeding and
+  joining one helper per sweep.
 - experiments._avalanche_batch on one task at M in {16, 64, 512}, with
   the default avalanche sweep's trials per task (1000, 64 and 1) and
   round counts (1..7, ascending as _sweep passes them): the draws, r - 1
@@ -71,6 +72,8 @@ threshold to that size and its trim threshold to twice that, so each call's
 temporaries (about 0.5 MiB per plane at M=256) are reused from the heap
 instead of being returned to the system and faulted in again every call.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -271,8 +274,9 @@ def test_trial_streams(benchmark, m, trials, single_lsb):
     benchmark(draw)
 
 
-def _no_op_batch(task: tuple) -> list[list[None]]:
-    """A batch that does nothing: one None per round count and trial."""
+def _no_op_batch(single_lsb: bool, score, task: tuple) -> list[list[None]]:
+    """A batch that does nothing, with uniformity's settings bound before its
+    task as _cipher_batch has them: one None per round count and trial."""
     return [[None] * (task[4] - task[3]) for _ in task[2]]
 
 
@@ -280,7 +284,8 @@ def _no_op_batch(task: tuple) -> list[list[None]]:
 def test_pool_fixed_cost(benchmark, monkeypatch, jobs):
     monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
     cfg = experiments.ExperimentConfig(sizes=(256, 300, 512), rounds=(1, 6), trials=10)
-    benchmark(experiments._sweep, _no_op_batch, cfg, jobs, True, experiments._chi_squares)
+    batch = functools.partial(_no_op_batch, True, experiments._chi_squares)
+    benchmark(experiments._sweep, batch, cfg, jobs)
 
 
 @pytest.mark.parametrize("m", [16, 64, 512])

@@ -111,9 +111,9 @@ class TestCriterion4Uniformity:
 
 @pytest.fixture(scope="module")
 def errorprop_rows(portrait_256):
-    cfg = ExperimentConfig(trials=100, master_seed=MASTER_SEED,
-                           error_percents=(0.01, 0.1, 1.0, 5.0))
-    return experiments.error_propagation(cfg, portrait_256, jobs=JOBS, rounds=6)
+    cfg = ExperimentConfig(trials=100, master_seed=MASTER_SEED)
+    return experiments.error_propagation(cfg, portrait_256, jobs=JOBS, rounds=6,
+                                         percents=(0.01, 0.1, 1.0, 5.0))
 
 
 class TestCriterion5ErrorPropagation:

@@ -83,6 +83,28 @@ class TestEncryptDecrypt:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert not blob.exists()
 
+    def test_round_range_out_of_memory_is_one_line(self, tmp_path):
+        # Both ends are valid round counts, but the 2^32 - 1 counts between
+        # them do not fit under the same 500 MiB address-space cap: the
+        # parser runs out of memory before any sweep starts.
+        resource = pytest.importorskip("resource")
+        cap = 500 * 2**20
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        out = tmp_path / "u.csv"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cipher_audit.cli", "uniformity", "--sizes", "16",
+             "--rounds", f"1..{2**32 - 1}", "--trials", "1", "--out", str(out)],
+            env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert proc.stdout == ""
+        assert proc.stderr == "error: out of memory\n"
+        assert not out.exists()
+
     def test_missing_input_fails(self, tmp_path):
         assert run(["encrypt", "--in", tmp_path / "nope.pgm", "--out", tmp_path / "c.bin",
                     "--key-hex", "9a2f", "--rounds", 1]) != 0
@@ -153,6 +175,24 @@ class TestSweepCommands:
         code = run(["errorprop", "--image", image, "--trials", 1, "--jobs", 1, "--out", out])
         assert code == 2
         assert capsys.readouterr().err == "error: images must be 2-D with sides >= 8\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("side, flags, message", [
+        (4, ["--percents", "101"], "error percents must be within [0, 100], got 101.0"),
+        (16, ["--percents", "101", "--rounds", "0"], "error percents must be within [0, 100], got 101.0"),
+        (4, ["--rounds", "0"], "images must be 2-D with sides >= 8"),
+    ])
+    def test_errorprop_checks_percents_then_image_then_rounds(
+            self, tmp_path, capsys, monkeypatch, side, flags, message):
+        # a 4x4 image is below one SSIM window; a 16x16 portrait is not
+        image = tmp_path / "img.pgm"
+        image_io.write_pgm(image_io.make_portrait_image(16) if side == 16
+                           else np.zeros((side, side), dtype=np.uint8), image)
+        out = tmp_path / "e.csv"
+        monkeypatch.setattr(experiments, "_sweep", lambda *args: pytest.fail("the sweep started"))
+        code = run(["errorprop", "--image", image, *flags, "--trials", 1, "--jobs", 1, "--out", out])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
     def test_csv_uses_lf_only(self, tmp_path):

@@ -44,3 +44,18 @@ def test_readme_shows_some_commands():
 @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
 def test_readme_command_parses(argv):
     cli.build_parser().parse_args(argv[1:])
+
+
+def readme_python_blocks() -> list[str]:
+    return re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+def test_readme_shows_some_python():
+    assert len(readme_python_blocks()) >= 1
+
+
+@pytest.mark.parametrize("block", [pytest.param(block, id=f"block{k}")
+                                   for k, block in enumerate(readme_python_blocks(), 1)])
+def test_readme_python_runs(block):
+    # each block on its own, in a fresh namespace, as a reader would paste it
+    exec(compile(block, str(README), "exec"), {})

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import itertools
 import math
@@ -45,8 +46,15 @@ class TestConfig:
             ExperimentConfig(trials=0)
 
     def test_rejects_bad_percent(self):
+        # the percents are error propagation's own setting, not the config's
         with pytest.raises(ValueError, match="percents"):
-            ExperimentConfig(error_percents=(120.0,))
+            experiments.error_propagation(ExperimentConfig(), image_io.make_portrait_image(16),
+                                          percents=(120.0,))
+
+    def test_fields_are_the_grid_and_the_trials(self):
+        # a sweep's own settings are its keywords, bound to its batch function
+        assert [f.name for f in dataclasses.fields(ExperimentConfig)] == \
+            ["sizes", "rounds", "trials", "master_seed"]
 
     @pytest.mark.parametrize("seed", [-1, -3])
     def test_rejects_negative_seed(self, seed):
@@ -150,23 +158,25 @@ def _mark_batch(task: tuple) -> list[list[tuple[bool, bool]]]:
     return [[(_in_helper(), _CALLER_MARK == "set by the caller")] * (stop - start) for _ in rounds]
 
 
-def _failing_batch(task: tuple) -> list[list[float]]:
+def _failing_batch(*settings_and_task) -> list[list[float]]:
     """Raises ValueError in a helper, naming the batch's size and largest
     round count, its last.  In the caller it waits for the helpers to end,
     so that one of them takes a batch and its exception crosses the pipe; it
-    scores each trial 1.0."""
-    master_seed, m, rounds, start, stop = task[:5]
+    scores each trial 1.0.  It ignores any settings bound before its task,
+    so it can stand in for _cipher_batch."""
+    master_seed, m, rounds, start, stop = settings_and_task[-1]
     if _in_helper():
         raise ValueError(f"batch at M={m}, r={rounds[-1]} failed")
     _await_helpers()
     return [[1.0] * (stop - start) for _ in rounds]
 
 
-def _exiting_batch(task: tuple) -> list[list[float]]:
+def _exiting_batch(*settings_and_task) -> list[list[float]]:
     """Ends a helper with status 3 on a batch whose round counts include 2.
     In the caller it waits for the helpers to end, so that one of them takes
-    a batch; it scores each trial 1.0."""
-    master_seed, m, rounds, start, stop = task[:5]
+    a batch; it scores each trial 1.0.  It ignores any settings bound before
+    its task, so it can stand in for _cipher_batch."""
+    master_seed, m, rounds, start, stop = settings_and_task[-1]
     if not _in_helper():
         _await_helpers()
     elif 2 in rounds:
@@ -187,11 +197,11 @@ def _caller_failing_batch(task: tuple) -> list[list[float]]:
     return [[1.0] * (stop - start) for _ in rounds]
 
 
-def _helper_exiting_batch(task: tuple) -> list[list[float]]:
+def _helper_exiting_batch(log: str, task: tuple) -> list[list[float]]:
     """Ends a helper with status 3, after a pause.  In the caller it appends
-    the batch's start to the file its task names and waits for the helpers
-    to end; it scores each trial 1.0."""
-    master_seed, m, rounds, start, stop, log = task
+    the batch's start to the file log and waits for the helpers to end; it
+    scores each trial 1.0."""
+    master_seed, m, rounds, start, stop = task
     if _in_helper():
         _yield_to_caller()
         os._exit(3)
@@ -201,10 +211,10 @@ def _helper_exiting_batch(task: tuple) -> list[list[float]]:
     return [[1.0] * (stop - start) for _ in rounds]
 
 
-def _logging_batch(task: tuple) -> list[list[int]]:
-    """Appends one line per run of the batch to the file its task names;
-    scores each trial 0 under each round count."""
-    master_seed, m, rounds, start, stop, log = task
+def _logging_batch(log: str, task: tuple) -> list[list[int]]:
+    """Appends one line per run of the batch to the file log; scores each
+    trial 0 under each round count."""
+    master_seed, m, rounds, start, stop = task
     with open(log, "a", encoding="ascii") as fh:
         fh.write(f"{m} {start}\n")
     return [[0] * (stop - start) for _ in rounds]
@@ -410,16 +420,18 @@ class TestSweepOrder:
         image = image_io.make_portrait_image(16)
         cfg = small_cfg(rounds=(2,), trials=3)
         percents = (0.0, 1.0)
-        serial = experiments._sweep(experiments._errprop_batch, cfg, 1, percents, image)
+        batch = functools.partial(experiments._errprop_batch, percents, image)
+        serial = experiments._sweep(batch, cfg, 1)
         # three rows (one bit, 0% and 1%) of Dif, PSNR and SSIM per trial
         assert [(m, r, chunk.shape) for m, r, chunk in serial] == [(16, 2, (3, 9))]
-        assert_same_cells(experiments._sweep(experiments._errprop_batch, cfg, 2, percents, image), serial)
+        assert_same_cells(experiments._sweep(batch, cfg, 2), serial)
 
 
 class TestSpawnWorkers:
     """Under a spawn start method workers share nothing with the caller but
-    the tasks, so these runs match the serial ones only if every input
-    reaches the workers through the task."""
+    what they are sent, so these runs match the serial ones only if every
+    input reaches the workers through the task or the batch function that a
+    sweep binds its settings to."""
 
     @pytest.fixture(autouse=True)
     def spawn_pool(self, monkeypatch):
@@ -435,9 +447,9 @@ class TestSpawnWorkers:
 
     def test_error_propagation(self):
         image = image_io.make_portrait_image(16)
-        cfg = small_cfg(trials=3, error_percents=(0.0, 1.0))
-        assert experiments.error_propagation(cfg, image, jobs=2, rounds=2) == \
-            experiments.error_propagation(cfg, image, rounds=2)
+        cfg = small_cfg(trials=3)
+        assert experiments.error_propagation(cfg, image, jobs=2, rounds=2, percents=(0.0, 1.0)) == \
+            experiments.error_propagation(cfg, image, rounds=2, percents=(0.0, 1.0))
 
 
 @pytest.mark.usefixtures("deadline")
@@ -512,7 +524,7 @@ class TestWorkerFailure:
         log = tmp_path / "caller.log"
         cfg = small_cfg(sizes=(16,), rounds=(1, 2), trials=20)
         with pytest.raises(ChildProcessError, match=r"^a sweep worker exited with code 3 without sending its results$"):
-            experiments._sweep(_helper_exiting_batch, cfg, 2, str(log))
+            experiments._sweep(functools.partial(_helper_exiting_batch, str(log)), cfg, 2)
         assert len(log.read_text(encoding="ascii").splitlines()) == 1
         assert multiprocessing.active_children() == []
 
@@ -559,7 +571,7 @@ def test_shared_counter_runs_each_task_once(monkeypatch, tmp_path):
     monkeypatch.setattr(experiments, "BATCH_PIXELS", 16 * 16)
     log = tmp_path / "runs.log"
     cfg = small_cfg(sizes=(16, 20), rounds=(1, 2), trials=100)
-    experiments._sweep(_logging_batch, cfg, workers, str(log))
+    experiments._sweep(functools.partial(_logging_batch, str(log)), cfg, workers)
     runs = log.read_text(encoding="ascii").splitlines()
     assert sorted(runs) == sorted(f"{m} {start}" for m in (16, 20) for start in range(100))
     assert multiprocessing.active_children() == []
@@ -689,9 +701,7 @@ class TestLinearityShortcuts:
         percents = (0.0, 0.01, 5.0, 100.0)
         for master_seed in (0, 9):
             for start, stop in ((0, 4), (3, 4), (9, 12)):
-                batch = experiments._errprop_batch(
-                    (master_seed, m, (6, 2), start, stop, percents, image)
-                )
+                batch = experiments._errprop_batch(percents, image, (master_seed, m, (6, 2), start, stop))
                 expected = [
                     [oracles.errprop_trial((master_seed, m, r, index, percents), image)
                      for index in range(start, stop)]
@@ -709,8 +719,8 @@ class TestLinearityShortcuts:
         # would build a (5, M*M) index, five times the memory
         m, trials = 64, 3
         built = oracles.count_index_builds(monkeypatch)
-        task = (5, m, (6,), 0, trials, (0.1, 1.0, 5.0, 50.0), image_io.make_portrait_image(m))
-        experiments._errprop_batch(task)
+        task = (5, m, (6,), 0, trials)
+        experiments._errprop_batch((0.1, 1.0, 5.0, 50.0), image_io.make_portrait_image(m), task)
         assert built == [(1, m * m)] * trials
 
     def test_error_propagation_decrypts_dense_only(self, monkeypatch, portrait_256):
@@ -721,9 +731,9 @@ class TestLinearityShortcuts:
 
         monkeypatch.setattr(cipher, "_sparse_round", no_sparse_round)
         m, trials = 256, 3
-        cfg = small_cfg(trials=trials, error_percents=())
+        cfg = small_cfg(trials=trials)
         built = oracles.count_index_builds(monkeypatch)
-        [row] = experiments.error_propagation(cfg, portrait_256)
+        [row] = experiments.error_propagation(cfg, portrait_256, percents=())
         assert built == [(1, m * m)] * trials
         rows = [oracles.errprop_trial((cfg.master_seed, m, experiments.SECURE_ROUNDS, index, ()), portrait_256)[0]
                 for index in range(trials)]
@@ -759,7 +769,7 @@ class TestLinearityShortcuts:
             received.append((plains.copy(), ciphers.copy()))
             return [len(received)] * len(plains)
 
-        batch = experiments._cipher_batch((3, m, rounds, start, stop, single_lsb, score))
+        batch = experiments._cipher_batch(single_lsb, score, (3, m, rounds, start, stop))
         assert batch == [[1] * 5, [2] * 5, [3] * 5]
         for r, (plains, ciphers) in zip(rounds, received, strict=True):
             plains, ciphers = oracles.unframe(plains), oracles.unframe(ciphers)
@@ -865,10 +875,10 @@ class TestBatching:
 
     def test_errorprop_batches(self, monkeypatch):
         image = image_io.make_portrait_image(16)
-        cfg = small_cfg(trials=7, error_percents=(0.0, 1.0))
-        default = experiments.error_propagation(cfg, image, rounds=2)
+        cfg = small_cfg(trials=7)
+        default = experiments.error_propagation(cfg, image, rounds=2, percents=(0.0, 1.0))
         monkeypatch.setattr(experiments, "BATCH_PIXELS", 16 * 16)
-        assert experiments.error_propagation(cfg, image, rounds=2) == default
+        assert experiments.error_propagation(cfg, image, rounds=2, percents=(0.0, 1.0)) == default
 
     def test_batch_boundaries(self):
         # at jobs=1 the caller runs the tasks alone, in the order _sweep
@@ -930,8 +940,8 @@ class TestTaskCutting:
 
 class TestErrorPropagation:
     def test_rows_and_zero_percent(self, portrait_64):
-        cfg = small_cfg(trials=6, error_percents=(0.0, 1.0))
-        report = experiments.error_propagation(cfg, portrait_64)
+        cfg = small_cfg(trials=6)
+        report = experiments.error_propagation(cfg, portrait_64, percents=(0.0, 1.0))
         assert [row.mode for row in report] == ["single-bit", "percent", "percent"]
         single, zero, one = report
         assert single.flipped_bits == 1
@@ -944,8 +954,8 @@ class TestErrorPropagation:
         assert one.flipped_bits == math.ceil(0.01 * 8 * 64 * 64)
 
     def test_single_bit_damage_near_half(self, portrait_64):
-        cfg = small_cfg(trials=10, error_percents=())
-        report = experiments.error_propagation(cfg, portrait_64)
+        cfg = small_cfg(trials=10)
+        report = experiments.error_propagation(cfg, portrait_64, percents=())
         assert len(report) == 1
         row = report[0]
         assert 48.0 <= row.dif.mean <= 52.0
@@ -953,10 +963,17 @@ class TestErrorPropagation:
         assert row.psnr.mean < 15.0
 
     def test_deterministic_across_workers(self, portrait_64):
-        cfg = small_cfg(trials=6, error_percents=(0.1,))
-        serial = experiments.error_propagation(cfg, portrait_64, jobs=1)
-        parallel = experiments.error_propagation(cfg, portrait_64, jobs=3)
+        cfg = small_cfg(trials=6)
+        serial = experiments.error_propagation(cfg, portrait_64, jobs=1, percents=(0.1,))
+        parallel = experiments.error_propagation(cfg, portrait_64, jobs=3, percents=(0.1,))
         assert serial == parallel
+
+    def test_reads_only_trials_and_seed_of_its_config(self):
+        # M is the image's and r is rounds, whatever the grid fields hold
+        image = image_io.make_portrait_image(16)
+        report = experiments.error_propagation(small_cfg(trials=3), image, rounds=2, percents=(1.0,))
+        other = small_cfg(sizes=(32, 64), rounds=(6,), trials=3)
+        assert experiments.error_propagation(other, image, rounds=2, percents=(1.0,)) == report
 
     def test_flip_bits_flips_exactly_requested(self):
         data = np.zeros((4, 4), dtype=np.uint8)

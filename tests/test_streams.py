@@ -160,7 +160,7 @@ class TestDrawTrials:
 
         m, image, percents = 16, image_io.make_portrait_image(16), (0.1, 5.0)
         monkeypatch.setattr(streams, "first_words", unused)
-        errprop = experiments._errprop_batch((3, m, (6, 2), 5, 8, percents, image))
+        errprop = experiments._errprop_batch(percents, image, (3, m, (6, 2), 5, 8))
         expected = [[oracles.errprop_trial((3, m, r, index, percents), image)
                      for index in range(5, 8)] for r in (6, 2)]
         assert len(errprop) == len(expected)

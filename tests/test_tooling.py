@@ -2,7 +2,8 @@
 
 tests/bench_layers.py calls private names of the package, and its name
 keeps it out of the suite; this runs it once, with timing disabled, and
-tests/bench_ab.py once, one pair of this checkout against itself.
+tests/bench_ab.py once, one pair of this checkout against itself;
+tests/bench_faults.py is only asked for an unknown workload.
 perfbench/selftest.py runs every benchmark workload through the harness's
 correctness gate, so a changed output digest or metric name fails here.  The
 configuration turns warnings into errors; a failing property test must
@@ -50,6 +51,19 @@ def test_bench_ab_runs():
     assert "seed 3" in proc.stdout
     assert "change faster in" in proc.stdout and "of 1 pairs" in proc.stdout
     assert re.search(r"^  verdict: (resolved faster|resolved slower|unresolved)$", proc.stdout, re.M)
+
+
+@pytest.mark.parametrize("argv", [["no-such-workload"], ["--help"], ["avalanche-small", "no-such-workload"]])
+def test_bench_faults_rejects_an_unknown_workload(argv):
+    # a valid name before the typo is not run either
+    proc = subprocess.run(
+        [sys.executable, "tests/bench_faults.py", *argv],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout == ""
+    assert proc.stderr == (f"bench_faults: unknown workload {argv[-1]!r}, "
+                           "choose from avalanche-small, errorprop-256, uniformity-large\n")
 
 
 @pytest.mark.parametrize("change, base, expected", [
